@@ -5,12 +5,13 @@ A V-side subset Y is approximated from the U side:
     lower(Y) = {x : r(x) is a subset of Y}
     upper(Y) = {x : r(x) meets Y}
 
-Each operator ships in two forms.  The set form tests row bitsets directly.
-The matrix form evaluates the equivalent min/max expression over the 0/1
-incidence matrix, with the fold over {0,1} realized as word operations
-(min = AND, max = OR).  The two forms, plus the column-union strategy for
-the upper operator, must agree bit for bit; the verification lab and the
-test suite cross-check them.
+The set form tests row bitsets directly.  The matrix form evaluates the
+equivalent min/max expression over the 0/1 incidence matrix, with the fold
+over {0,1} realized as word operations (min = AND, max = OR).  For the lower
+operator that is a second, independent test; for the upper operator the
+OR-fold of min(R, Y) is the set form's "the row meets Y" test itself, and
+the independent route is the union of Y's columns.  The routes must agree
+bit for bit; the verification lab and the test suite cross-check them.
 """
 
 from __future__ import annotations
@@ -123,18 +124,6 @@ def _lower_bits_matrix(rows: Sequence[int], vmask: int, y_bits: int) -> int:
     return out
 
 
-def _upper_bits_matrix(rows: Sequence[int], y_bits: int) -> int:
-    # max over columns of min(R(x, y), Y(y)); the OR-fold over a 0/1 word
-    # is "some bit set".
-    out = 0
-    bit = 1
-    for row in rows:
-        if (row & y_bits) != 0:
-            out |= bit
-        bit <<= 1
-    return out
-
-
 def type_code(rows: Sequence[int], umask: int, y_bits: int) -> int:
     """Rough type as a bare 1..4 code; the hot path used by sweep campaigns."""
     lo = 0
@@ -181,9 +170,9 @@ def upper_approximation(rel: BinaryRelation, y: Subset) -> Subset:
 
 
 def upper_approximation_matrix(rel: BinaryRelation, y: Subset) -> Subset:
-    """Matrix-form upper approximation; must agree with the set form."""
+    """Matrix-form upper approximation: the OR-fold of min(R, Y) is ``upper_bits``."""
     _require_v_subset(rel, y)
-    return Subset(rel.universes, Side.U, _upper_bits_matrix(rel.rows, y.bits))
+    return Subset(rel.universes, Side.U, upper_bits(rel.rows, y.bits))
 
 
 def upper_approximation_from_columns(rel: BinaryRelation, y: Subset) -> Subset:

@@ -17,10 +17,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property, partial
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .approx import lower_approximation, upper_approximation
+from .approx import lower_approximation, lower_bits, upper_approximation, upper_bits
 from .relation import (
     BinaryRelation,
     BiroughError,
@@ -188,6 +189,13 @@ class FamilyApprox:
         """True when every block's lower and upper approximations coincide."""
         return all(lo.bits == up.bits for lo, up in zip(self.lowers, self.uppers))
 
+    @cached_property
+    def union_operators(self) -> tuple[Callable[[int], int], Callable[[int], int]]:
+        """Memoised (lower, upper) kernels keyed by V-mask; the family laws
+        approximate every union of blocks through this one pair."""
+        rows = self.relation.rows
+        return cache(partial(lower_bits, rows)), cache(partial(upper_bits, rows))
+
 
 @dataclass(frozen=True)
 class Quality:
@@ -290,10 +298,11 @@ def _check_index_set(fa: FamilyApprox, index_set: Sequence[int]) -> tuple[int, .
     return idxs
 
 
-def _union_blocks(fa: FamilyApprox, idxs: Iterable[int]) -> Subset:
-    out = fa.relation.universes.empty(Side.V)
+def _union_bits(fa: FamilyApprox, idxs: Iterable[int]) -> int:
+    # The blocks partition V, so the blocks outside idxs unite to vmask ^ this.
+    out = 0
     for i in idxs:
-        out = out | fa.classification.blocks[i]
+        out |= fa.classification.blocks[i].bits
     return out
 
 
@@ -304,21 +313,23 @@ def _names(fa: FamilyApprox, idxs: Iterable[int]) -> tuple[str, ...]:
 def cover_duality_check(fa: FamilyApprox, index_set: Sequence[int]) -> LawInstance:
     """Upper of the chosen union covers U iff lower of the rest is empty."""
     idxs = _check_index_set(fa, index_set)
-    rest = tuple(i for i in range(fa.classification.n) if i not in idxs)
-    left = upper_approximation(fa.relation, _union_blocks(fa, idxs)).is_full
-    right = not lower_approximation(fa.relation, _union_blocks(fa, rest))
+    lower, upper = fa.union_operators
+    union = _union_bits(fa, idxs)
+    left = upper(union) == fa.relation.umask
+    right = not lower(fa.relation.vmask ^ union)
     return _biconditional(COVER_DUALITY, _names(fa, idxs), left, right)
 
 
 def support_duality_check(fa: FamilyApprox, index_set: Sequence[int]) -> LawInstance:
     """Lower of the chosen union is non-empty iff the rest's uppers miss some of U."""
     idxs = _check_index_set(fa, index_set)
-    rest = tuple(i for i in range(fa.classification.n) if i not in idxs)
-    left = bool(lower_approximation(fa.relation, _union_blocks(fa, idxs)))
-    rest_uppers = fa.relation.universes.empty(Side.U)
-    for j in rest:
-        rest_uppers = rest_uppers | fa.uppers[j]
-    right = not rest_uppers.is_full
+    lower, _ = fa.union_operators
+    left = bool(lower(_union_bits(fa, idxs)))
+    rest_uppers = 0
+    for j, up in enumerate(fa.uppers):
+        if j not in idxs:
+            rest_uppers |= up.bits
+    right = rest_uppers != fa.relation.umask
     return _biconditional(SUPPORT_DUALITY, _names(fa, idxs), left, right)
 
 
@@ -348,40 +359,39 @@ def proper_index_subsets(
 
 def duality_report(fa: FamilyApprox, **budget: int) -> TheoremReport:
     """Both duality biconditionals over every index subset within budget."""
-    entries = []
-    for idxs in proper_index_subsets(fa.classification.n, **budget):
-        entries.append(cover_duality_check(fa, idxs))
-    for idxs in proper_index_subsets(fa.classification.n, **budget):
-        entries.append(support_duality_check(fa, idxs))
-    return TheoremReport(tuple(entries))
+    index_sets = proper_index_subsets(fa.classification.n, **budget)
+    return TheoremReport(
+        tuple(cover_duality_check(fa, idxs) for idxs in index_sets)
+        + tuple(support_duality_check(fa, idxs) for idxs in index_sets)
+    )
 
 
 def derived_laws_report(fa: FamilyApprox, **budget: int) -> TheoremReport:
     """Every derived implication/biconditional law, instance by instance."""
     n = fa.classification.n
     lowers, uppers = fa.lowers, fa.uppers
-    rel = fa.relation
+    blocks = fa.classification.blocks
+    lower, upper = fa.union_operators
+    umask, vmask = fa.relation.umask, fa.relation.vmask
     index_sets = proper_index_subsets(n, **budget)
     entries: list[LawInstance] = []
 
     law = "cover-by-union-forces-rest-lowers-empty"
     for idxs in index_sets:
-        hyp = upper_approximation(rel, _union_blocks(fa, idxs)).is_full
+        hyp = upper(_union_bits(fa, idxs)) == umask
         concl = all(not lowers[j] for j in range(n) if j not in idxs)
         entries.append(_implication(law, _names(fa, idxs), hyp, concl))
 
     law = "block-upper-covers-iff-rest-lower-empty"
     for i in range(n):
-        rest = tuple(j for j in range(n) if j != i)
         left = uppers[i].is_full
-        right = not lower_approximation(rel, _union_blocks(fa, rest))
+        right = not lower(vmask ^ blocks[i].bits)
         entries.append(_biconditional(law, _names(fa, (i,)), left, right))
 
     law = "block-lower-empty-iff-rest-upper-covers"
     for i in range(n):
-        rest = tuple(j for j in range(n) if j != i)
         left = not lowers[i]
-        right = upper_approximation(rel, _union_blocks(fa, rest)).is_full
+        right = upper(vmask ^ blocks[i].bits) == umask
         entries.append(_biconditional(law, _names(fa, (i,)), left, right))
 
     law = "block-upper-covers-forces-other-lowers-empty"
@@ -397,25 +407,24 @@ def derived_laws_report(fa: FamilyApprox, **budget: int) -> TheoremReport:
 
     law = "union-lower-nonempty-forces-rest-uppers-proper"
     for idxs in index_sets:
-        hyp = bool(lower_approximation(rel, _union_blocks(fa, idxs)))
+        hyp = bool(lower(_union_bits(fa, idxs)))
         concl = all(not uppers[j].is_full for j in range(n) if j not in idxs)
         entries.append(_implication(law, _names(fa, idxs), hyp, concl))
 
     law = "block-lower-nonempty-iff-rest-uppers-union-proper"
     for i in range(n):
         left = bool(lowers[i])
-        rest_union = rel.universes.empty(Side.U)
+        rest_union = 0
         for j in range(n):
             if j != i:
-                rest_union = rest_union | uppers[j]
-        right = not rest_union.is_full
+                rest_union |= uppers[j].bits
+        right = rest_union != umask
         entries.append(_biconditional(law, _names(fa, (i,)), left, right))
 
     law = "block-upper-proper-iff-rest-lower-nonempty"
     for i in range(n):
-        rest = tuple(j for j in range(n) if j != i)
         left = not uppers[i].is_full
-        right = bool(lower_approximation(rel, _union_blocks(fa, rest)))
+        right = bool(lower(vmask ^ blocks[i].bits))
         entries.append(_biconditional(law, _names(fa, (i,)), left, right))
 
     law = "block-lower-nonempty-forces-other-uppers-proper"

@@ -2,7 +2,7 @@
 
 Exit codes: 0 when the command succeeds and every check passes, 1 when a
 verification check finds a violation or a witness request exhausts its
-bounds, 2 for malformed input or usage errors.
+bounds, 2 for malformed input, usage errors, or any other failure.
 """
 
 from __future__ import annotations
@@ -64,6 +64,20 @@ def _parse_set_arg(rel: BinaryRelation, arg: str) -> Subset:
     return rel.universes.v_subset(labels)
 
 
+def _ranged(convert: type, low: float, high: float | None = None):
+    """An argparse type: ``convert(text)`` in [low, high], or at least ``low``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not (low <= value and (high is None or value <= high)):
+            bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse says "invalid int value: ..."
+    return parse
+
+
 def _rough_type_arg(text: str) -> RoughType:
     try:
         return RoughType.parse(text)
@@ -113,11 +127,6 @@ def _verify_one(rel: BinaryRelation, budget: SubsetBudget):
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    reports = []
-    serial = [0, 0]
-    saturation = [0, 0]
-    roundtrip = [0, 0]
-
     if args.relation is not None:
         _, rel = _load_relation(args.relation)
         if args.samples:
@@ -129,30 +138,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             budget = SubsetBudget.exhaustive()
             description = f"relation {args.relation} with exhaustive subsets"
-        relations = [rel]
-        budgets = [budget]
+        campaign = [(rel, budget)]
         scope = {"description": description, "source": args.relation}
     elif args.exhaustive:
         if args.u is None or args.v is None:
             raise BiroughError("--exhaustive without a relation file needs --u and --v")
-        relations = list(generate_relations(GeneratorConfig(args.u, args.v, "exhaustive")))
-        budgets = [SubsetBudget.exhaustive()] * len(relations)
+        campaign = (
+            (rel, SubsetBudget.exhaustive())
+            for rel in generate_relations(GeneratorConfig(args.u, args.v, "exhaustive"))
+        )
         description = f"all {args.u}x{args.v} relations with exhaustive subsets"
         scope = {"description": description, "u": args.u, "v": args.v}
     elif args.samples:
-        relations = list(
-            random_campaign(
-                args.samples,
-                max_u=args.max_u,
-                max_v=args.max_v,
-                density=args.density,
-                seed=args.seed,
-            )
+        relations = random_campaign(
+            args.samples, max_u=args.max_u, max_v=args.max_v, density=args.density, seed=args.seed
         )
-        budgets = [
-            SubsetBudget.sampled(args.pairs, args.seed + i)
-            for i in range(len(relations))
-        ]
+        campaign = (
+            (rel, SubsetBudget.sampled(args.pairs, args.seed + i))
+            for i, rel in enumerate(relations)
+        )
         description = (
             f"{args.samples} random relations up to {args.max_u}x{args.max_v} "
             f"(density {args.density}, seed {args.seed}), {args.pairs} subset pairs each"
@@ -170,22 +174,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "or --samples N"
         )
 
-    for rel, budget in zip(relations, budgets):
-        properties, serial_ok, saturation_ok, roundtrip_ok = _verify_one(rel, budget)
-        reports.append(properties)
-        serial[0] += 1
-        serial[1] += 0 if serial_ok else 1
-        saturation[0] += 1
-        saturation[1] += 0 if saturation_ok else 1
-        roundtrip[0] += 1
-        roundtrip[1] += 0 if roundtrip_ok else 1
-
-    merged = merge_property_reports(reports)
-    checks = {
-        "seriality_biconditional": tuple(serial),
-        "saturation_identity": tuple(saturation),
-        "reconstruction_roundtrip": tuple(roundtrip),
+    # [checked, failed] per whole-relation check, in _verify_one's order.
+    tallies = {
+        "seriality_biconditional": [0, 0],
+        "saturation_identity": [0, 0],
+        "reconstruction_roundtrip": [0, 0],
     }
+
+    def checked_properties():
+        for rel, budget in campaign:
+            properties, *oks = _verify_one(rel, budget)
+            for tally, ok in zip(tallies.values(), oks):
+                tally[0] += 1
+                tally[1] += not ok
+            yield properties
+
+    merged = merge_property_reports(checked_properties())
+    checks = {name: tuple(tally) for name, tally in tallies.items()}
     report = build_verify_report(scope, merged, checks)
     _print(report, args.format)
     return EXIT_OK if report.body["pass"] else EXIT_VIOLATION
@@ -289,18 +294,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true", help="exhaustive enumeration")
     p.add_argument(
         "--samples",
-        type=int,
+        type=_ranged(int, 0),
         default=0,
         help="random relations in a campaign, or sampled subset pairs when a "
         "relation file is given",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pairs", type=int, default=50, help="subset pairs per relation")
-    p.add_argument("--u", type=int, help="U size for an exhaustive campaign")
-    p.add_argument("--v", type=int, help="V size for an exhaustive campaign")
-    p.add_argument("--max-u", type=int, default=8)
-    p.add_argument("--max-v", type=int, default=8)
-    p.add_argument("--density", type=float, default=0.5)
+    p.add_argument("--pairs", type=_ranged(int, 1), default=50, help="subset pairs per relation")
+    p.add_argument("--u", type=_ranged(int, 1), help="U size for an exhaustive campaign")
+    p.add_argument("--v", type=_ranged(int, 1), help="V size for an exhaustive campaign")
+    p.add_argument("--max-u", type=_ranged(int, 1), default=8)
+    p.add_argument("--max-v", type=_ranged(int, 1), default=8)
+    p.add_argument("--density", type=_ranged(float, 0, 1), default=0.5)
     add_format(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -309,8 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--op", required=True, choices=("union", "intersection"))
     p.add_argument("--relation", help="check one relation instead of a sweep")
-    p.add_argument("--max-u", type=int, default=3)
-    p.add_argument("--max-v", type=int, default=3)
+    p.add_argument("--max-u", type=_ranged(int, 1), default=3)
+    p.add_argument("--max-v", type=_ranged(int, 1), default=3)
     p.add_argument(
         "--tables-file",
         help="JSON transcription to check against instead of the built-in tables",
@@ -323,15 +328,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", required=True, type=_rough_type_arg)
     p.add_argument("--right", required=True, type=_rough_type_arg)
     p.add_argument("--result", required=True, type=_rough_type_arg)
-    p.add_argument("--max-u", type=int, default=3)
-    p.add_argument("--max-v", type=int, default=3)
+    p.add_argument("--max-u", type=_ranged(int, 1), default=3)
+    p.add_argument("--max-v", type=_ranged(int, 1), default=3)
     add_format(p)
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("gen", help="emit a seeded random relation file")
-    p.add_argument("--u", required=True, type=int)
-    p.add_argument("--v", required=True, type=int)
-    p.add_argument("--density", type=float, default=0.5)
+    p.add_argument("--u", required=True, type=_ranged(int, 1))
+    p.add_argument("--v", required=True, type=_ranged(int, 1))
+    p.add_argument("--density", type=_ranged(float, 0, 1), default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--index", type=int, default=0, help="position in the seeded stream")
     p.set_defaults(func=_cmd_gen)
@@ -345,6 +350,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (BiroughError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:
+        # Exit 1 means a check found a violation; a crash must never read so.
+        message = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterator, Mapping, Sequence
+from functools import cache, lru_cache, partial
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .approx import RoughType, lower_bits, type_code, upper_bits
 from .relation import (
@@ -254,7 +254,7 @@ class PropertyReport:
         return sum(len(record.violations) for record in self.records)
 
 
-def merge_property_reports(reports: Sequence[PropertyReport]) -> PropertyReport:
+def merge_property_reports(reports: Iterable[PropertyReport]) -> PropertyReport:
     instances = {law: 0 for law in ALGEBRAIC_LAWS}
     violations: dict[str, list[Violation]] = {law: [] for law in ALGEBRAIC_LAWS}
     for report in reports:
@@ -311,22 +311,7 @@ def verify_algebraic_properties(
         singles = sorted(set(draws) | {0, vmask})
     families = _window_families(singles)
 
-    memo_lo: dict[int, int] = {}
-    memo_up: dict[int, int] = {}
-
-    def lo(s: int) -> int:
-        r = memo_lo.get(s)
-        if r is None:
-            r = lower_bits(rows, s)
-            memo_lo[s] = r
-        return r
-
-    def up(s: int) -> int:
-        r = memo_up.get(s)
-        if r is None:
-            r = upper_bits(rows, s)
-            memo_up[s] = r
-        return r
+    lo, up = cache(partial(lower_bits, rows)), cache(partial(upper_bits, rows))
 
     solitary = rel.solitary_set().bits
     sprime = umask ^ solitary

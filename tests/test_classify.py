@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from birough import (
     BinaryRelation,
@@ -23,8 +25,9 @@ from birough import (
     support_duality_check,
     validate_classification,
 )
-from birough.classify import HOLDS, VACUOUS, VIOLATED
+from birough.classify import COVER_DUALITY, HOLDS, SUPPORT_DUALITY, VACUOUS, VIOLATED
 from birough.lab import GeneratorConfig, generate_relations
+from naive import matrix_of, naive_lower, naive_upper
 from strategies import relations
 
 
@@ -288,6 +291,81 @@ class TestDerivedLaws:
     def test_family_report_has_no_violations(self, two_block, totally_rough, three_block):
         for fa in (two_block, totally_rough, three_block):
             assert family_law_report(fa).ok
+
+
+def seeded_partition(v_size: int, k: int, seed: int) -> list[set[int]]:
+    """V split into k non-empty blocks: a seeded shuffle cut at k - 1 places."""
+    rng = random.Random(seed)
+    order = rng.sample(range(v_size), v_size)
+    cuts = sorted(rng.sample(range(1, v_size), k - 1))
+    return [set(order[a:b]) for a, b in zip([0, *cuts], [*cuts, v_size])]
+
+
+class TestFamilyLawOracle:
+    """Both sides of every family-law instance, recomputed from naive sets."""
+
+    @given(relations(max_u=5, max_v=6), st.integers(2, 4), st.integers(0, 2**32))
+    def test_every_side_matches_naive_sets(self, rel, k, seed):
+        assume(rel.v_size >= 2)
+        blocks = seeded_partition(rel.v_size, min(k, rel.v_size), seed)
+        n = len(blocks)
+        names = [f"B{i}" for i in range(n)]
+        cls = validate_classification(
+            [(name, rel.universes.v_subset(block)) for name, block in zip(names, blocks)]
+        )
+        matrix = matrix_of(rel)
+        full = set(range(rel.u_size))
+
+        def union(ids):
+            return set().union(*(blocks[i] for i in ids))
+
+        def lo(ids):
+            return naive_lower(matrix, union(ids))
+
+        def up(ids):
+            return naive_upper(matrix, union(ids))
+
+        def each_lo(ids):
+            return [naive_lower(matrix, blocks[i]) for i in ids]
+
+        def each_up(ids):
+            return [naive_upper(matrix, blocks[i]) for i in ids]
+
+        # (hypothesis, conclusion) of each law for chosen blocks s and the rest r
+        oracle = {
+            COVER_DUALITY: lambda s, r: (up(s) == full, not lo(r)),
+            SUPPORT_DUALITY: lambda s, r: (bool(lo(s)), set().union(*each_up(r)) != full),
+            "cover-by-union-forces-rest-lowers-empty":
+                lambda s, r: (up(s) == full, not any(each_lo(r))),
+            "block-upper-covers-iff-rest-lower-empty":
+                lambda s, r: (up(s) == full, not lo(r)),
+            "block-lower-empty-iff-rest-upper-covers":
+                lambda s, r: (not lo(s), up(r) == full),
+            "block-upper-covers-forces-other-lowers-empty":
+                lambda s, r: (up(s) == full, not any(each_lo(r))),
+            "all-uppers-cover-forces-all-lowers-empty":
+                lambda s, r: (all(u == full for u in each_up(r)), not any(each_lo(r))),
+            "union-lower-nonempty-forces-rest-uppers-proper":
+                lambda s, r: (bool(lo(s)), all(u != full for u in each_up(r))),
+            "block-lower-nonempty-iff-rest-uppers-union-proper":
+                lambda s, r: (bool(lo(s)), set().union(*each_up(r)) != full),
+            "block-upper-proper-iff-rest-lower-nonempty":
+                lambda s, r: (up(s) != full, bool(lo(r))),
+            "block-lower-nonempty-forces-other-uppers-proper":
+                lambda s, r: (bool(lo(s)), all(u != full for u in each_up(r))),
+            "all-lowers-nonempty-forces-all-uppers-proper":
+                lambda s, r: (all(each_lo(r)), all(u != full for u in each_up(r))),
+        }
+
+        report = family_law_report(approximate_family(rel, cls))
+        subsets = 2**n - 2
+        assert len(report.entries) == 4 * subsets + 6 * n + 2
+        for entry in report.entries:
+            chosen = [names.index(name) for name in entry.blocks]
+            rest = [j for j in range(n) if j not in chosen]
+            expected = oracle[entry.law](chosen, rest)
+            assert (entry.hypothesis, entry.conclusion) == expected, entry
+        assert report.ok
 
 
 class TestMeasureLaws:

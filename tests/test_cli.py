@@ -156,6 +156,52 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "verify")
         assert code == 2 and "nothing to verify" in err
 
+    def test_non_utf8_relation_is_two(self, capsys, tmp_path):
+        path = tmp_path / "latin1.rel"
+        path.write_bytes(b"V: y1 y2\n\xff: 1 0\n")
+        code, out, err = run_cli(capsys, "neighbors", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: UnicodeDecodeError") and err.count("\n") == 1
+
+    def test_unexpected_exception_is_two(self, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise KeyError("boom")
+
+        monkeypatch.setattr("birough.cli.verify_algebraic_properties", crash)
+        code, out, err = run_cli(capsys, "verify", SAMPLE)
+        assert code == 2 and out == ""
+        assert err == "error: KeyError: 'boom'\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--samples", "-3"],
+            ["verify", "--samples", "5", "--pairs", "0"],
+            ["verify", "--samples", "5", "--max-u", "0"],
+            ["verify", "--samples", "5", "--max-v", "0"],
+            ["verify", "--exhaustive", "--u", "0", "--v", "2"],
+            ["verify", "--exhaustive", "--u", "2", "--v", "0"],
+            ["verify", "--samples", "5", "--density", "1.5"],
+            ["verify", "--samples", "5", "--density", "nan"],
+            ["tables", "--op", "union", "--max-u", "0"],
+            ["tables", "--op", "union", "--max-v", "0"],
+            ["witness", "--op", "union", "--left", "1", "--right", "1",
+             "--result", "3", "--max-u", "0"],
+            ["witness", "--op", "union", "--left", "1", "--right", "1",
+             "--result", "3", "--max-v", "0"],
+            ["gen", "--u", "0", "--v", "2"],
+            ["gen", "--u", "2", "--v", "0"],
+            ["gen", "--u", "2", "--v", "2", "--density", "2"],
+            ["gen", "--u", "2", "--v", "2", "--density", "-0.1"],
+        ],
+    )
+    def test_out_of_range_argument_is_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be" in captured.err
+
 
 class TestCampaigns:
     def test_exhaustive_campaign(self, capsys):
