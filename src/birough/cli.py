@@ -54,8 +54,17 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise BiroughError(
+            f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} at offset {exc.start})"
+        ) from None
+
+
 def _load_relation(path: str) -> tuple[RelationDocument, BinaryRelation]:
-    doc = parse_relation_file(Path(path).read_text(encoding="utf-8"), source=path)
+    doc = parse_relation_file(_read_text(path), source=path)
     return doc, doc.relation()
 
 
@@ -106,9 +115,7 @@ def _cmd_neighbors(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     _, rel = _load_relation(args.relation)
-    named = parse_classification_file(
-        Path(args.classes).read_text(encoding="utf-8"), rel.universes, source=args.classes
-    )
+    named = parse_classification_file(_read_text(args.classes), rel.universes, source=args.classes)
     classification = validate_classification(named)
     fa = approximate_family(rel, classification)
     laws = TheoremReport(
@@ -199,9 +206,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_tables(args: argparse.Namespace) -> int:
     table = None
     if args.tables_file:
-        transcriptions = parse_tables_json(
-            Path(args.tables_file).read_text(encoding="utf-8"), source=args.tables_file
-        )
+        transcriptions = parse_tables_json(_read_text(args.tables_file), source=args.tables_file)
         if args.op not in transcriptions:
             raise BiroughError(
                 f"tables file {args.tables_file} has no {args.op!r} grid"

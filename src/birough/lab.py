@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
+from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .approx import RoughType, lower_bits, type_code, upper_bits
@@ -62,7 +63,7 @@ __all__ = [
 EXHAUSTIVE_CELL_CAP = 20
 # Exhaustive subset enumeration doubles per V element; cap at 4096 subsets.
 EXHAUSTIVE_SUBSET_CAP = 12
-# Full power-set scan used by the seriality biconditional check.
+# Largest |V| at which the seriality biconditional scans the whole power set.
 SERIAL_ENUM_CAP = 20
 
 
@@ -301,8 +302,8 @@ def verify_algebraic_properties(
             raise BudgetError(
                 f"exhaustive subset budget needs |V| <= {EXHAUSTIVE_SUBSET_CAP}, got {v_size}"
             )
-        singles = list(range(1 << v_size))
-        pairs = [(a, b) for a in singles for b in singles]
+        singles = range(1 << v_size)
+        pairs = product(singles, repeat=2)
     else:
         draws = [
             random_subset_bits(v_size, budget.seed, k) for k in range(2 * budget.pairs)
@@ -445,15 +446,21 @@ def verify_algebraic_properties(
 
 
 def verify_serial_iff(rel: BinaryRelation) -> bool:
-    """Full power-set check of: some subset has equal approximations iff serial."""
-    if rel.v_size > SERIAL_ENUM_CAP:
-        raise BudgetError(
-            f"seriality check enumerates the power set and needs |V| <= {SERIAL_ENUM_CAP}"
-        )
+    """Check: some V-subset has equal approximations iff the relation is serial.
+
+    Up to ``SERIAL_ENUM_CAP`` V elements every subset is tried.  Above it the
+    check tries the empty set, V, every singleton and every singleton's
+    complement; Y = V is the constructive witness, since lower(V) = U and
+    upper(V) = U iff the relation is serial.
+    """
     rows = rel.rows
-    exists = any(
-        lower_bits(rows, s) == upper_bits(rows, s) for s in range(1 << rel.v_size)
-    )
+    if rel.v_size <= SERIAL_ENUM_CAP:
+        subsets: Iterable[int] = range(1 << rel.v_size)
+    else:
+        vmask = rel.vmask
+        singletons = [1 << j for j in range(rel.v_size)]
+        subsets = chain((0, vmask), singletons, (vmask ^ s for s in singletons))
+    exists = any(lower_bits(rows, s) == upper_bits(rows, s) for s in subsets)
     return exists == rel.is_serial()
 
 
@@ -587,67 +594,98 @@ class TableCellFinding:
         return tuple(sorted(self.allowed - self.observed))
 
 
-class _CellAccumulator:
-    """Shared bookkeeping for the table sweeps; first witness per outcome wins."""
-
-    def __init__(self, operation: str):
-        self.operation = operation
-        self.seen: set[int] = set()
-        self.witnesses: dict[int, Witness] = {}
-
-    def record(
-        self, key: int, rel: BinaryRelation, a_bits: int, b_bits: int
-    ) -> None:
-        if key in self.seen:
-            return
-        self.seen.add(key)
-        universes = rel.universes
-        self.witnesses[key] = Witness(
-            rel,
-            Subset(universes, Side.V, a_bits),
-            Subset(universes, Side.V, b_bits),
-        )
-
-    def findings(
-        self, table: Mapping[tuple[RoughType, RoughType], frozenset[RoughType]]
-    ) -> list[TableCellFinding]:
-        out = []
-        for ta in RoughType:
-            for tb in RoughType:
-                observed = set()
-                witnesses = {}
-                for tr in RoughType:
-                    key = (int(ta) * 10 + int(tb)) * 10 + int(tr)
-                    if key in self.seen:
-                        observed.add(tr)
-                        witnesses[tr] = self.witnesses[key]
-                out.append(
-                    TableCellFinding(
-                        self.operation,
-                        ta,
-                        tb,
-                        table[(ta, tb)],
-                        frozenset(observed),
-                        witnesses,
-                    )
-                )
-        return out
+def _is_union(operation: str) -> bool:
+    if operation not in OPERATIONS:
+        raise ConfigError(f"unknown set operation {operation!r}")
+    return operation == "union"
 
 
-def _sweep_relation(
-    acc: _CellAccumulator, rel: BinaryRelation, union: bool
-) -> None:
-    rows = rel.rows
-    umask = rel.umask
-    count = 1 << rel.v_size
-    codes = [type_code(rows, umask, s) for s in range(count)]
-    seen = acc.seen
-    for a in range(count):
-        ta10 = codes[a] * 10
-        for b in range(count):
-            key = (ta10 + codes[b]) * 10 + codes[a | b if union else a & b]
+# One sweep item: a relation, the type code of each V-subset the pairs touch
+# (indexed by the subset's bits), and the (X, Y) subset pairs to combine.
+_SweepItem = tuple[BinaryRelation, Sequence[int] | Mapping[int, int], Iterable[tuple[int, int]]]
+
+
+def _outcome_key(left: int, right: int, result: int) -> int:
+    return (left * 10 + right) * 10 + result
+
+
+def _exhaustive_item(rel: BinaryRelation) -> _SweepItem:
+    subsets = range(1 << rel.v_size)
+    rows, umask = rel.rows, rel.umask
+    return rel, [type_code(rows, umask, s) for s in subsets], product(subsets, repeat=2)
+
+
+def _exhaustive_items(dims: Iterable[tuple[int, int]]) -> Iterator[_SweepItem]:
+    """Every relation of the given dimensions, in order, once per distinct row set.
+
+    A rough type depends only on |V| and the set of rows, so a relation whose
+    (|V|, row set) has already appeared can only repeat recorded outcomes and
+    is skipped without changing any first witness.  Every bound is checked
+    before the first relation is built.
+    """
+    configs = [GeneratorConfig(u, v, "exhaustive") for u, v in dims]
+    if any(cfg.v_size > EXHAUSTIVE_SUBSET_CAP for cfg in configs):
+        raise BudgetError(f"exhaustive pair sweep needs |V| <= {EXHAUSTIVE_SUBSET_CAP}")
+    seen: set[tuple[int, frozenset[int]]] = set()
+    for cfg in configs:
+        for rel in generate_relations(cfg):
+            key = (cfg.v_size, frozenset(rel.rows))
             if key not in seen:
-                acc.record(key, rel, a, b)
+                seen.add(key)
+                yield _exhaustive_item(rel)
+
+
+def _first_witnesses(items: Iterable[_SweepItem], union: bool) -> Iterator[tuple[int, Witness]]:
+    """The one subset-pair sweep behind the type tables.
+
+    Yields each (left, right, result) outcome, keyed as ``_outcome_key``
+    computes it (inlined below, as it runs once per pair), with its first
+    witness in item and pair order.
+    """
+    seen: set[int] = set()
+    for rel, codes, pairs in items:
+        for a, b in pairs:
+            key = (codes[a] * 10 + codes[b]) * 10 + codes[a | b if union else a & b]
+            if key not in seen:
+                seen.add(key)
+                universes = rel.universes
+                yield key, Witness(
+                    rel, Subset(universes, Side.V, a), Subset(universes, Side.V, b)
+                )
+
+
+def _findings(
+    operation: str,
+    tables: Mapping[tuple[RoughType, RoughType], frozenset[RoughType]] | None,
+    first: Iterable[tuple[int, Witness]],
+) -> list[TableCellFinding]:
+    table = tables if tables is not None else table_for(operation)
+    found = dict(first)
+    out = []
+    for ta, tb in product(RoughType, repeat=2):
+        witnesses = {
+            tr: found[key]
+            for tr in RoughType
+            if (key := _outcome_key(ta, tb, tr)) in found
+        }
+        out.append(
+            TableCellFinding(
+                operation, ta, tb, table[(ta, tb)], frozenset(witnesses), witnesses
+            )
+        )
+    return out
+
+
+def _sampled_items(
+    cfg: GeneratorConfig, union: bool, pairs_per_relation: int
+) -> Iterator[_SweepItem]:
+    space = 1 << cfg.v_size
+    for index, rel in enumerate(generate_relations(cfg)):
+        rng = _stream_rng(cfg.seed, "subset-pairs", index)
+        pairs = [(rng.randrange(space), rng.randrange(space)) for _ in range(pairs_per_relation)]
+        touched = {s for a, b in pairs for s in (a, b, a | b if union else a & b)}
+        rows, umask = rel.rows, rel.umask
+        yield rel, {s: type_code(rows, umask, s) for s in touched}, pairs
 
 
 def check_type_tables(
@@ -662,31 +700,12 @@ def check_type_tables(
     Exhaustive configurations examine every subset pair; random ones draw
     ``pairs_per_relation`` seeded pairs per relation.
     """
-    table = tables if tables is not None else table_for(operation)
-    if operation not in OPERATIONS:
-        raise ConfigError(f"unknown set operation {operation!r}")
-    union = operation == "union"
-    acc = _CellAccumulator(operation)
-    for index, rel in enumerate(generate_relations(cfg)):
-        if cfg.mode == "exhaustive":
-            if cfg.v_size > EXHAUSTIVE_SUBSET_CAP:
-                raise BudgetError(
-                    f"exhaustive pair sweep needs |V| <= {EXHAUSTIVE_SUBSET_CAP}"
-                )
-            _sweep_relation(acc, rel, union)
-        else:
-            rows = rel.rows
-            umask = rel.umask
-            rng = _stream_rng(cfg.seed, "subset-pairs", index)
-            space = 1 << cfg.v_size
-            for _ in range(pairs_per_relation):
-                a = rng.randrange(space)
-                b = rng.randrange(space)
-                ta = type_code(rows, umask, a)
-                tb = type_code(rows, umask, b)
-                tr = type_code(rows, umask, a | b if union else a & b)
-                acc.record((ta * 10 + tb) * 10 + tr, rel, a, b)
-    return acc.findings(table)
+    union = _is_union(operation)
+    if cfg.mode == "exhaustive":
+        items = _exhaustive_items([(cfg.u_size, cfg.v_size)])
+    else:
+        items = _sampled_items(cfg, union, pairs_per_relation)
+    return _findings(operation, tables, _first_witnesses(items, union))
 
 
 def check_relation_against_tables(
@@ -696,20 +715,10 @@ def check_relation_against_tables(
     tables: Mapping[tuple[RoughType, RoughType], frozenset[RoughType]] | None = None,
 ) -> list[TableCellFinding]:
     """Exhaustive subset-pair conformance check for a single relation."""
-    if operation not in OPERATIONS:
-        raise ConfigError(f"unknown set operation {operation!r}")
+    union = _is_union(operation)
     if rel.v_size > EXHAUSTIVE_SUBSET_CAP:
         raise BudgetError(f"exhaustive pair sweep needs |V| <= {EXHAUSTIVE_SUBSET_CAP}")
-    table = tables if tables is not None else table_for(operation)
-    acc = _CellAccumulator(operation)
-    _sweep_relation(acc, rel, operation == "union")
-    return acc.findings(table)
-
-
-def _dims_in_order(max_u: int, max_v: int) -> Iterator[tuple[int, int]]:
-    for u in range(1, max_u + 1):
-        for v in range(1, max_v + 1):
-            yield u, v
+    return _findings(operation, tables, _first_witnesses([_exhaustive_item(rel)], union))
 
 
 def witness_inventory(
@@ -727,15 +736,9 @@ def witness_inventory(
     order).  An unrealized alternative at the bound is a finding, not a
     failure.
     """
-    table = tables if tables is not None else table_for(operation)
-    if operation not in OPERATIONS:
-        raise ConfigError(f"unknown set operation {operation!r}")
-    union = operation == "union"
-    acc = _CellAccumulator(operation)
-    for u, v in _dims_in_order(max_u, max_v):
-        for rel in generate_relations(GeneratorConfig(u, v, "exhaustive")):
-            _sweep_relation(acc, rel, union)
-    return acc.findings(table)
+    union = _is_union(operation)
+    dims = product(range(1, max_u + 1), range(1, max_v + 1))
+    return _findings(operation, tables, _first_witnesses(_exhaustive_items(dims), union))
 
 
 def find_type_witness(
@@ -752,27 +755,8 @@ def find_type_witness(
     The search may be asked for outcomes outside the transcribed tables; it
     then simply exhausts the bound and reports not-found.
     """
-    if operation not in OPERATIONS:
-        raise ConfigError(f"unknown set operation {operation!r}")
-    union = operation == "union"
-    want_left, want_right, want_result = int(left), int(right), int(result)
-    for u, v in _dims_in_order(max_u, max_v):
-        for rel in generate_relations(GeneratorConfig(u, v, "exhaustive")):
-            rows = rel.rows
-            umask = rel.umask
-            count = 1 << v
-            codes = [type_code(rows, umask, s) for s in range(count)]
-            for a in range(count):
-                if codes[a] != want_left:
-                    continue
-                for b in range(count):
-                    if codes[b] != want_right:
-                        continue
-                    if codes[a | b if union else a & b] == want_result:
-                        universes = rel.universes
-                        return Witness(
-                            rel,
-                            Subset(universes, Side.V, a),
-                            Subset(universes, Side.V, b),
-                        )
-    return None
+    union = _is_union(operation)
+    want = _outcome_key(left, right, result)
+    dims = product(range(1, max_u + 1), range(1, max_v + 1))
+    first = _first_witnesses(_exhaustive_items(dims), union)
+    return next((witness for key, witness in first if key == want), None)

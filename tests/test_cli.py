@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -156,12 +157,18 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "verify")
         assert code == 2 and "nothing to verify" in err
 
-    def test_non_utf8_relation_is_two(self, capsys, tmp_path):
-        path = tmp_path / "latin1.rel"
+    @pytest.mark.parametrize("flag", ["relation", "classes", "tables-file"])
+    def test_non_utf8_relation_is_two(self, capsys, tmp_path, flag):
+        path = tmp_path / "latin1.txt"
         path.write_bytes(b"V: y1 y2\n\xff: 1 0\n")
-        code, out, err = run_cli(capsys, "neighbors", str(path))
+        argv = {
+            "relation": ["neighbors", str(path)],
+            "classes": ["classify", SAMPLE, "--classes", str(path)],
+            "tables-file": ["tables", "--op", "union", "--tables-file", str(path)],
+        }[flag]
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
-        assert err.startswith("error: UnicodeDecodeError") and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: not UTF-8") and err.count("\n") == 1
 
     def test_unexpected_exception_is_two(self, capsys, monkeypatch):
         def crash(*args, **kwargs):
@@ -171,6 +178,24 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "verify", SAMPLE)
         assert code == 2 and out == ""
         assert err == "error: KeyError: 'boom'\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tables", "--op", "union", "--max-u", "7", "--max-v", "3"],
+            ["tables", "--op", "union", "--max-u", "1", "--max-v", "21"],
+            ["tables", "--op", "union", "--max-u", "1", "--max-v", "13"],
+            # a (1, 1, 3) witness sits in the first relation, but 5x5 could
+            # never be searched, so the bounds are refused before the search
+            ["witness", "--op", "union", "--left", "1", "--right", "1",
+             "--result", "3", "--max-u", "5", "--max-v", "5"],
+        ],
+    )
+    def test_oversize_sweep_bounds_are_two_before_any_work(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "needs" in err
+        assert time.perf_counter() - start < 2.0
 
     @pytest.mark.parametrize(
         "argv",
@@ -204,6 +229,19 @@ class TestExitCodes:
 
 
 class TestCampaigns:
+    @pytest.mark.parametrize("empty_row", [False, True])
+    def test_sampled_verify_above_serial_enum_cap(self, capsys, tmp_path, empty_row):
+        # gen's 3x21 relation is serial; an all-zero row makes it non-serial
+        _, text, _ = run_cli(capsys, "gen", "--u", "3", "--v", "21", "--seed", "1")
+        if empty_row:
+            text += "x4: " + " ".join("0" * 21) + "\n"
+        path = tmp_path / "wide.rel"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", str(path), "--samples", "20", "--format", "json")
+        assert code == 0 and err == ""
+        checks = json.loads(out)["checks"]
+        assert checks["seriality_biconditional"] == {"checked": 1, "failures": 0}
+
     def test_exhaustive_campaign(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--exhaustive", "--u", "2", "--v", "2"

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 from hypothesis import given
@@ -35,7 +35,7 @@ from birough import (
     witness_inventory,
 )
 from birough.lab import ALGEBRAIC_LAWS
-from naive import matrix_of, naive_saturation_holds
+from naive import matrix_of, naive_saturation_holds, naive_type
 from strategies import relations
 
 
@@ -151,10 +151,12 @@ class TestSerialIff:
             for rel in generate_relations(GeneratorConfig(2, 2))
         )
 
-    def test_cap(self):
-        up = UniversePair(("x1",), tuple(f"y{i}" for i in range(21)))
-        with pytest.raises(BudgetError):
-            verify_serial_iff(BinaryRelation(up, (0,)))
+    def test_above_enum_cap(self):
+        # above the cap only fixed subsets are tried: Y = V witnesses seriality
+        up = UniversePair(("x1", "x2"), tuple(f"y{i}" for i in range(21)))
+        full = (1 << 21) - 1
+        assert verify_serial_iff(BinaryRelation(up, (0, full)))
+        assert verify_serial_iff(BinaryRelation(up, (full, full ^ 1)))
 
 
 class TestReconstruction:
@@ -275,6 +277,59 @@ class TestWitnessSearch:
         a = find_type_witness("union", RoughType(2), RoughType(2), RoughType(4), max_u=3, max_v=3)
         b = find_type_witness("union", RoughType(2), RoughType(2), RoughType(4), max_u=3, max_v=3)
         assert a == b and a is not None
+
+
+def _oracle_sweep(operation: str, max_u: int, max_v: int) -> dict:
+    """Brute-force canonical-order sweep: first (u, v, matrix, X, Y) per outcome.
+
+    Relation k of a u x v block sets cell (i, j) when bit i*v + j of k is set;
+    subset pairs run in numeric order; every relation is visited.
+    """
+    first = {}
+    for u in range(1, max_u + 1):
+        for v in range(1, max_v + 1):
+            sets = [frozenset(j for j in range(v) if s >> j & 1) for s in range(1 << v)]
+            for code in range(1 << (u * v)):
+                matrix = [[code >> (i * v + j) & 1 for j in range(v)] for i in range(u)]
+                types = {y: naive_type(matrix, set(y)) for y in sets}
+                for a, b in product(range(1 << v), repeat=2):
+                    x, y = sets[a], sets[b]
+                    key = (types[x], types[y], types[x | y if operation == "union" else x & y])
+                    first.setdefault(key, (u, v, matrix, a, b))
+    return first
+
+
+def _ids(bounds):
+    return "{}x{}".format(*bounds)
+
+
+def _witness_tuple(witness):
+    rel = witness.relation
+    return rel.u_size, rel.v_size, matrix_of(rel), witness.left_set.bits, witness.right_set.bits
+
+
+class TestSweepOracle:
+    """First witnesses of the sweep against a brute-force sweep of every relation."""
+
+    @pytest.mark.parametrize("operation", ["union", "intersection"])
+    @pytest.mark.parametrize("bounds", [(1, 6), (2, 3), (3, 2), (6, 1)], ids=_ids)
+    def test_inventory_matches_oracle(self, operation, bounds):
+        oracle = _oracle_sweep(operation, *bounds)
+        for finding in witness_inventory(operation, *bounds):
+            cell = (int(finding.left), int(finding.right))
+            assert finding.observed == {RoughType(k[2]) for k in oracle if k[:2] == cell}
+            for result, witness in finding.witnesses.items():
+                assert _witness_tuple(witness) == oracle[(*cell, int(result))]
+
+    # 1x6 is left out here only for time: each not-found key sweeps all of it.
+    @pytest.mark.parametrize("operation", ["union", "intersection"])
+    @pytest.mark.parametrize("bounds", [(2, 3), (3, 2), (6, 1)], ids=_ids)
+    def test_search_matches_oracle_for_every_outcome(self, operation, bounds):
+        oracle = _oracle_sweep(operation, *bounds)
+        for key in product(RoughType, repeat=3):
+            witness = find_type_witness(operation, *key, max_u=bounds[0], max_v=bounds[1])
+            expected = oracle.get(tuple(map(int, key)))
+            assert (witness and _witness_tuple(witness)) == expected
 
 
 class TestSaturationCampaign:
