@@ -18,9 +18,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import eq
 from typing import Sequence
 
-from .relation import BinaryRelation, Side, SideMismatchError, Subset, iter_bits
+from .relation import (
+    SHIFT_WIDTH,
+    BinaryRelation,
+    Side,
+    SideMismatchError,
+    Subset,
+    iter_bits,
+    mask_of_flags,
+)
 
 __all__ = [
     "RoughType",
@@ -92,50 +101,64 @@ _TYPE_LABELS = {
 
 def lower_bits(rows: Sequence[int], y_bits: int) -> int:
     """U-mask of the lower approximation, by row containment."""
+    if len(rows) > SHIFT_WIDTH:
+        return mask_of_flags(map(eq, map(y_bits.__and__, rows), rows))
     out = 0
     bit = 1
     for row in rows:
         if row & y_bits == row:
-            out |= bit
-        bit <<= 1
+            out += bit
+        bit += bit
     return out
 
 
 def upper_bits(rows: Sequence[int], y_bits: int) -> int:
     """U-mask of the upper approximation, by row intersection."""
+    if len(rows) > SHIFT_WIDTH:
+        return mask_of_flags(map(bool, map(y_bits.__and__, rows)))
     out = 0
     bit = 1
     for row in rows:
         if row & y_bits:
-            out |= bit
-        bit <<= 1
+            out += bit
+        bit += bit
     return out
 
 
 def _lower_bits_matrix(rows: Sequence[int], vmask: int, y_bits: int) -> int:
     # min over columns of max(1 - R(x, y), Y(y)); the AND-fold over a 0/1
     # word is "all bits set".
+    if len(rows) > SHIFT_WIDTH:
+        return mask_of_flags(map(vmask.__eq__, map(y_bits.__or__, map(vmask.__xor__, rows))))
     out = 0
     bit = 1
     for row in rows:
         if ((row ^ vmask) | y_bits) == vmask:
-            out |= bit
-        bit <<= 1
+            out += bit
+        bit += bit
     return out
 
 
 def type_code(rows: Sequence[int], umask: int, y_bits: int) -> int:
-    """Rough type as a bare 1..4 code; the hot path used by sweep campaigns."""
-    lo = 0
-    up = 0
-    bit = 1
+    """Rough type as a bare 1..4 code; the hot path used by sweep campaigns.
+
+    Only two facts matter: whether some row lies within Y (the lower
+    approximation is non-empty) and whether every row meets Y (the upper
+    approximation covers U), so no mask is built and the scan stops as soon
+    as both are settled.  ``umask`` is unused and kept for callers.
+    """
+    lower_empty = upper_full = True
     for row in rows:
-        if row & y_bits == row:
-            lo |= bit
-        if row & y_bits:
-            up |= bit
-        bit <<= 1
-    return (1 if lo else 2) + (2 if up == umask else 0)
+        hit = row & y_bits
+        if hit == row:
+            lower_empty = False
+            if not upper_full:
+                break
+        if not hit:
+            upper_full = False
+            if not lower_empty:
+                break
+    return (2 if lower_empty else 1) + (2 if upper_full else 0)
 
 
 def _require_v_subset(rel: BinaryRelation, y: Subset) -> None:

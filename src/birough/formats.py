@@ -38,6 +38,8 @@ from .relation import (
     Side,
     Subset,
     UniversePair,
+    digits_row,
+    row_digits,
     valid_label,
 )
 
@@ -92,7 +94,11 @@ class RelationDocument:
 
 
 def parse_relation_file(text: str, source: str = "<string>") -> RelationDocument:
-    """Parse the relation matrix format with line/column diagnostics."""
+    """Parse the relation matrix format with line/column diagnostics.
+
+    A well-formed row is taken in one pass over its line; any other line goes
+    through ``_parse_row``, which locates the first offending token.
+    """
     v_labels: list[str] | None = None
     u_labels: list[str] = []
     masks: list[int] = []
@@ -101,75 +107,31 @@ def parse_relation_file(text: str, source: str = "<string>") -> RelationDocument
 
     for line_no, line in enumerate(text.splitlines(), 1):
         last_line = line_no
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        # str.split() and _TOKEN_RE split at the same (Unicode) whitespace.
+        words = line.split()
+        if not words or words[0].startswith("#"):
             continue
-        tokens = list(_TOKEN_RE.finditer(line))
         if v_labels is None:
-            head = tokens[0]
-            if head.group() != "V:":
-                raise ParseError(
-                    "expected a 'V:' header line listing the V labels",
-                    source,
-                    line_no,
-                    head.start() + 1,
-                )
-            v_labels = []
-            seen: set[str] = set()
-            for match in tokens[1:]:
-                token = match.group()
-                if not valid_label(token):
-                    raise ParseError(
-                        f"bad V label {token!r}", source, line_no, match.start() + 1
-                    )
-                if token in seen:
-                    raise ParseError(
-                        f"duplicate V label {token!r}", source, line_no, match.start() + 1
-                    )
-                seen.add(token)
-                v_labels.append(token)
-            if not v_labels:
-                raise ParseError(
-                    "the V header must list at least one label",
-                    source,
-                    line_no,
-                    head.end() + 1,
-                )
+            v_labels = _parse_v_header(line, source, line_no)
+            v_size = len(v_labels)
             continue
 
-        head = tokens[0]
-        if not head.group().endswith(":") or len(head.group()) < 2:
-            raise ParseError(
-                "expected '<label>: <0/1 cells>'", source, line_no, head.start() + 1
-            )
-        label = head.group()[:-1]
-        if not valid_label(label):
-            raise ParseError(f"bad U label {label!r}", source, line_no, head.start() + 1)
-        if label in u_seen:
-            raise ParseError(
-                f"duplicate U label {label!r}", source, line_no, head.start() + 1
-            )
-        cells = tokens[1:]
-        if len(cells) != len(v_labels):
-            col = cells[-1].start() + 1 if cells else head.end() + 1
-            raise ParseError(
-                f"row for {label!r} has {len(cells)} cells, expected {len(v_labels)}",
-                source,
-                line_no,
-                col,
-            )
-        mask = 0
-        for j, match in enumerate(cells):
-            token = match.group()
-            if token == "1":
-                mask |= 1 << j
-            elif token != "0":
-                raise ParseError(
-                    f"cell must be 0 or 1, got {token!r}",
-                    source,
-                    line_no,
-                    match.start() + 1,
-                )
+        head = words[0]
+        label = head[:-1]
+        digits = "".join(words[1:])
+        # One character per cell, each '0' or '1'; checked before int(),
+        # which would also accept '_', whitespace and non-ASCII digits.
+        if (
+            len(words) == v_size + 1
+            and len(digits) == v_size
+            and not digits.strip("01")
+            and head.endswith(":")
+            and valid_label(label)
+            and label not in u_seen
+        ):
+            mask = digits_row(digits)
+        else:
+            label, mask = _parse_row(line, source, line_no, v_size, u_seen)
         u_seen.add(label)
         u_labels.append(label)
         masks.append(mask)
@@ -184,13 +146,77 @@ def parse_relation_file(text: str, source: str = "<string>") -> RelationDocument
     return RelationDocument(universes, tuple(masks), source)
 
 
+def _parse_v_header(line: str, source: str, line_no: int) -> list[str]:
+    tokens = list(_TOKEN_RE.finditer(line))
+    head = tokens[0]
+    if head.group() != "V:":
+        raise ParseError(
+            "expected a 'V:' header line listing the V labels",
+            source,
+            line_no,
+            head.start() + 1,
+        )
+    v_labels: list[str] = []
+    seen: set[str] = set()
+    for match in tokens[1:]:
+        token = match.group()
+        if not valid_label(token):
+            raise ParseError(f"bad V label {token!r}", source, line_no, match.start() + 1)
+        if token in seen:
+            raise ParseError(
+                f"duplicate V label {token!r}", source, line_no, match.start() + 1
+            )
+        seen.add(token)
+        v_labels.append(token)
+    if not v_labels:
+        raise ParseError(
+            "the V header must list at least one label", source, line_no, head.end() + 1
+        )
+    return v_labels
+
+
+def _parse_row(
+    line: str, source: str, line_no: int, v_size: int, u_seen: set[str]
+) -> tuple[str, int]:
+    """One relation row, token by token, raising at the first bad token."""
+    tokens = list(_TOKEN_RE.finditer(line))
+    head = tokens[0]
+    if not head.group().endswith(":") or len(head.group()) < 2:
+        raise ParseError(
+            "expected '<label>: <0/1 cells>'", source, line_no, head.start() + 1
+        )
+    label = head.group()[:-1]
+    if not valid_label(label):
+        raise ParseError(f"bad U label {label!r}", source, line_no, head.start() + 1)
+    if label in u_seen:
+        raise ParseError(f"duplicate U label {label!r}", source, line_no, head.start() + 1)
+    cells = tokens[1:]
+    if len(cells) != v_size:
+        col = cells[-1].start() + 1 if cells else head.end() + 1
+        raise ParseError(
+            f"row for {label!r} has {len(cells)} cells, expected {v_size}",
+            source,
+            line_no,
+            col,
+        )
+    mask = 0
+    for j, match in enumerate(cells):
+        token = match.group()
+        if token == "1":
+            mask |= 1 << j
+        elif token != "0":
+            raise ParseError(
+                f"cell must be 0 or 1, got {token!r}", source, line_no, match.start() + 1
+            )
+    return label, mask
+
+
 def render_relation_file(doc: RelationDocument) -> str:
     """Render a document back to text; parsing the result reproduces it."""
     v_size = doc.universes.v_size
     lines = ["V: " + " ".join(doc.universes.v_labels)]
     for label, row in zip(doc.universes.u_labels, doc.rows):
-        cells = " ".join(str(row >> j & 1) for j in range(v_size))
-        lines.append(f"{label}: {cells}")
+        lines.append(f"{label}: {' '.join(row_digits(row, v_size))}")
     return "\n".join(lines) + "\n"
 
 

@@ -142,14 +142,18 @@ def generate_relations(cfg: GeneratorConfig) -> Iterator[BinaryRelation]:
     """Stream relations according to the configuration."""
     universes = canonical_universes(cfg.u_size, cfg.v_size)
     if cfg.mode == "exhaustive":
-        v = cfg.v_size
-        vmask = (1 << v) - 1
-        for code in range(1 << (cfg.u_size * v)):
-            rows = tuple((code >> (i * v)) & vmask for i in range(cfg.u_size))
+        for rows in _exhaustive_rows(cfg.u_size, cfg.v_size):
             yield BinaryRelation(universes, rows)
     else:
         for k in range(cfg.count):
             yield random_relation(cfg.u_size, cfg.v_size, cfg.density, cfg.seed, k)
+
+
+def _exhaustive_rows(u_size: int, v_size: int) -> Iterator[tuple[int, ...]]:
+    """The rows of every u_size x v_size relation, in exhaustive-mode order."""
+    vmask = (1 << v_size) - 1
+    for code in range(1 << (u_size * v_size)):
+        yield tuple((code >> (i * v_size)) & vmask for i in range(u_size))
 
 
 def random_subset_bits(v_size: int, seed: int, index: int) -> int:
@@ -620,19 +624,20 @@ def _exhaustive_items(dims: Iterable[tuple[int, int]]) -> Iterator[_SweepItem]:
 
     A rough type depends only on |V| and the set of rows, so a relation whose
     (|V|, row set) has already appeared can only repeat recorded outcomes and
-    is skipped without changing any first witness.  Every bound is checked
-    before the first relation is built.
+    is skipped, before it is built, without changing any first witness.  Every
+    bound is checked before the first relation is built.
     """
     configs = [GeneratorConfig(u, v, "exhaustive") for u, v in dims]
     if any(cfg.v_size > EXHAUSTIVE_SUBSET_CAP for cfg in configs):
         raise BudgetError(f"exhaustive pair sweep needs |V| <= {EXHAUSTIVE_SUBSET_CAP}")
     seen: set[tuple[int, frozenset[int]]] = set()
     for cfg in configs:
-        for rel in generate_relations(cfg):
-            key = (cfg.v_size, frozenset(rel.rows))
+        universes = canonical_universes(cfg.u_size, cfg.v_size)
+        for rows in _exhaustive_rows(cfg.u_size, cfg.v_size):
+            key = (cfg.v_size, frozenset(rows))
             if key not in seen:
                 seen.add(key)
-                yield _exhaustive_item(rel)
+                yield _exhaustive_item(BinaryRelation(universes, rows))
 
 
 def _first_witnesses(items: Iterable[_SweepItem], union: bool) -> Iterator[tuple[int, Witness]]:

@@ -27,7 +27,12 @@ __all__ = [
     "Subset",
     "Partition",
     "BinaryRelation",
+    "SHIFT_WIDTH",
     "iter_bits",
+    "mask_of_flags",
+    "mask_of_indices",
+    "row_digits",
+    "digits_row",
     "valid_label",
 ]
 
@@ -64,12 +69,60 @@ def valid_label(label: object) -> bool:
     return isinstance(label, str) and bool(_LABEL_RE.match(label))
 
 
+# Masks up to this many bits are built or walked one bit at a time, which is
+# quickest for the small relations of the sweeps and campaigns.  Each step on
+# a wider int costs time in proportion to its width, so wider masks go
+# through one '0'/'1' digit string instead, in time linear in the width.
+# The one-bit loops add and subtract single bits where | and ^ would do the
+# same: the interpreter has a fast path for int + and - but not for | and ^.
+SHIFT_WIDTH = 64
+
+_FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def row_digits(row: int, width: int) -> str:
+    """``row`` as ``width`` '0'/'1' digits; character j is bit j."""
+    return format(row, f"0{width}b")[::-1]
+
+
+def digits_row(digits: str | bytes) -> int:
+    """The int whose bit j is character j of a non-empty '0'/'1' string."""
+    return int(digits[::-1], 2)
+
+
+def mask_of_flags(flags: Iterable[int]) -> int:
+    """The mask whose bit i is flag i, in time linear in the number of flags.
+
+    Each flag is 0 or 1 (a bool will do), and there is at least one.
+    """
+    return digits_row(bytes(flags).translate(_FLAG_DIGITS))
+
+
+def mask_of_indices(indices: Iterable[int], width: int) -> int:
+    """The mask with bit i set for each i in ``indices``, all below ``width``.
+
+    Linear in ``width`` / 8 plus the number of indices, so a few members of
+    a wide universe cost far less than one flag per element would.
+    """
+    packed = bytearray((width + 7) >> 3)
+    for i in indices:
+        packed[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(packed, "little")
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the indices of the set bits of ``mask``, lowest first."""
+    if mask >> SHIFT_WIDTH:
+        digits = row_digits(mask, mask.bit_length())
+        i = digits.find("1")
+        while i >= 0:
+            yield i
+            i = digits.find("1", i + 1)
+        return
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
-        mask ^= low
+        mask -= low
 
 
 class Side(Enum):
@@ -394,39 +447,45 @@ class BinaryRelation:
         return Subset(self.universes, Side.U, self.column_bits(j))
 
     def column_bits(self, j: int) -> int:
-        bits = 0
-        for i, row in enumerate(self.rows):
-            bits |= (row >> j & 1) << i
-        return bits
+        """U-mask of the elements related to the j-th V element."""
+        return self.columns()[j]
 
     def columns(self) -> tuple[int, ...]:
-        return tuple(self.column_bits(j) for j in range(self.v_size))
+        """Every ``column_bits``; the matrix is transposed once per relation."""
+        cols = self.__dict__.get("_columns")
+        if cols is None:
+            flat = "".join(self.bit_rows())
+            v_size = self.v_size
+            cols = tuple(digits_row(flat[j::v_size]) for j in range(v_size))
+            self.__dict__["_columns"] = cols
+        return cols
 
     def solitary_set(self) -> Subset:
         """The U elements whose right neighborhood is empty."""
-        bits = 0
-        for i, row in enumerate(self.rows):
-            if row == 0:
-                bits |= 1 << i
+        bits = mask_of_flags([row == 0 for row in self.rows])
         return Subset(self.universes, Side.U, bits)
 
     def is_serial(self) -> bool:
         """True when every U element is related to something."""
         return all(row != 0 for row in self.rows)
 
+    def _row_classes(self) -> dict[int, list[int]]:
+        """Indices of the U elements sharing each distinct row, in U order."""
+        members: dict[int, list[int]] = {}
+        for i, row in enumerate(self.rows):
+            members.setdefault(row, []).append(i)
+        return members
+
     def quotient_partitions(self) -> tuple[Partition, Partition]:
         """Partitions of U and V grouping elements with equal neighborhoods."""
-        row_groups: dict[int, int] = {}
-        for i, row in enumerate(self.rows):
-            row_groups[row] = row_groups.get(row, 0) | (1 << i)
+        u_blocks = tuple(
+            Subset(self.universes, Side.U, mask_of_indices(members, members[-1] + 1))
+            for members in self._row_classes().values()
+        )
         col_groups: dict[int, int] = {}
         for j, col in enumerate(self.columns()):
             col_groups[col] = col_groups.get(col, 0) | (1 << j)
-        u_part = Partition(
-            self.universes,
-            Side.U,
-            tuple(Subset(self.universes, Side.U, bits) for bits in row_groups.values()),
-        )
+        u_part = Partition(self.universes, Side.U, u_blocks)
         v_part = Partition(
             self.universes,
             Side.V,
@@ -442,35 +501,32 @@ class BinaryRelation:
         when some y' in r(x) has l(y') = l(y).  Both compositions are computed
         explicitly; a False return would indicate an implementation bug.
         """
-        members: dict[int, list[int]] = {}
-        for i, row in enumerate(self.rows):
-            members.setdefault(row, []).append(i)
-        composed_u = []
-        for row in self.rows:
-            acc = 0
-            for k in members[row]:
-                acc |= self.rows[k]
-            composed_u.append(acc)
-
         cols = self.columns()
         col_classes: dict[int, int] = {}
         for j, col in enumerate(cols):
             col_classes[col] = col_classes.get(col, 0) | (1 << j)
-        class_of = [col_classes[cols[j]] for j in range(self.v_size)]
-        composed_v = []
-        for row in self.rows:
+        class_of = [col_classes[col] for col in cols]
+
+        # Both composites depend on x only through its U class, so each is
+        # taken once per class and shared by the members of the class.
+        composed_u: dict[int, int] = {}
+        composed_v: dict[int, int] = {}
+        for row, members in self._row_classes().items():
+            acc = 0
+            for k in members:
+                acc |= self.rows[k]
+            composed_u[row] = acc
             acc = 0
             for j in iter_bits(row):
                 acc |= class_of[j]
-            composed_v.append(acc)
+            composed_v[row] = acc
 
-        return tuple(composed_u) == self.rows and tuple(composed_v) == self.rows
+        return all(composed_u[row] == row == composed_v[row] for row in self.rows)
 
     def bit_rows(self) -> tuple[str, ...]:
         """Rows as '0'/'1' strings; character j of row i is R(x_i, y_j)."""
-        return tuple(
-            "".join(str(row >> j & 1) for j in range(self.v_size)) for row in self.rows
-        )
+        v_size = self.v_size
+        return tuple(row_digits(row, v_size) for row in self.rows)
 
     def __repr__(self) -> str:
         return f"BinaryRelation({self.u_size}x{self.v_size}, rows={'|'.join(self.bit_rows())})"

@@ -75,12 +75,107 @@ def naive_saturation_holds(matrix: list[list[int]]) -> bool:
     pairs = {(i, j) for i in range(nu) for j in range(nv) if matrix[i][j]}
     rs = right_sets(matrix)
     ls = [naive_left(matrix, j) for j in range(nv)]
-    eu = {(a, c) for a in range(nu) for c in range(nu) if rs[a] == rs[c]}
-    ev = {(a, c) for a in range(nv) for c in range(nv) if ls[a] == ls[c]}
-    r_after_eu = {
-        (x, y) for (x, xp) in eu for (xq, y) in pairs if xp == xq
-    }
+    eu = {(a, c) for cls in naive_classes(rs) for a in cls for c in cls}
+    ev = {(a, c) for cls in naive_classes(ls) for a in cls for c in cls}
+    # (x, y) with some (x, x') in E_U and (x', y) in R, i.e. y in r(x')
+    r_after_eu = {(x, y) for (x, xp) in eu for y in rs[xp]}
     ev_after_r = {
         (x, yb) for (x, yp) in pairs for (ya, yb) in ev if ya == yp
     }
     return r_after_eu == pairs and ev_after_r == pairs
+
+
+def naive_classes(sets: list[set[int]]) -> set[frozenset[int]]:
+    """Indices grouped by equal sets."""
+    groups: dict[frozenset[int], set[int]] = {}
+    for i, s in enumerate(sets):
+        groups.setdefault(frozenset(s), set()).add(i)
+    return {frozenset(group) for group in groups.values()}
+
+
+def naive_quotients(matrix: list[list[int]]) -> tuple[set[frozenset[int]], set[frozenset[int]]]:
+    nv = len(matrix[0])
+    return (
+        naive_classes(right_sets(matrix)),
+        naive_classes([naive_left(matrix, j) for j in range(nv)]),
+    )
+
+
+class NaiveParseError(Exception):
+    def __init__(self, line: int, col: int, message: str):
+        super().__init__(line, col, message)
+        self.where = (line, col, message)
+
+
+def _words(line: str) -> list[tuple[int, str]]:
+    """(1-based column, token) of each whitespace-separated token, char by char."""
+    out: list[tuple[int, str]] = []
+    start = None
+    for i, ch in enumerate(line + " "):
+        if ch.isspace():
+            if start is not None:
+                out.append((start + 1, line[start:i]))
+                start = None
+        elif start is None:
+            start = i
+    return out
+
+
+def _label_ok(token: str) -> bool:
+    return token != "" and ":" not in token and not any(ch.isspace() for ch in token)
+
+
+def naive_parse_relation(text: str) -> tuple[list[str], list[str], list[int]]:
+    """The relation file format read cell by cell: (U labels, V labels, rows).
+
+    Raises ``NaiveParseError`` with (line, column, message) at the first
+    offending token, in the order the format's checks are specified.
+    """
+    v_labels = None
+    u_labels: list[str] = []
+    rows: list[int] = []
+    lines = text.splitlines()
+    for line_no, line in enumerate(lines, 1):
+        words = _words(line)
+        if not words or words[0][1][0] == "#":
+            continue
+        (head_col, head), cells = words[0], words[1:]
+        if v_labels is None:
+            if head != "V:":
+                raise NaiveParseError(line_no, head_col, "expected a 'V:' header line listing the V labels")
+            v_labels = []
+            for col, token in cells:
+                if not _label_ok(token):
+                    raise NaiveParseError(line_no, col, f"bad V label {token!r}")
+                if token in v_labels:
+                    raise NaiveParseError(line_no, col, f"duplicate V label {token!r}")
+                v_labels.append(token)
+            if not v_labels:
+                raise NaiveParseError(line_no, head_col + len(head), "the V header must list at least one label")
+            continue
+        if len(head) < 2 or head[-1] != ":":
+            raise NaiveParseError(line_no, head_col, "expected '<label>: <0/1 cells>'")
+        label = head[:-1]
+        if not _label_ok(label):
+            raise NaiveParseError(line_no, head_col, f"bad U label {label!r}")
+        if label in u_labels:
+            raise NaiveParseError(line_no, head_col, f"duplicate U label {label!r}")
+        if len(cells) != len(v_labels):
+            col = cells[-1][0] if cells else head_col + len(head)
+            raise NaiveParseError(
+                line_no, col, f"row for {label!r} has {len(cells)} cells, expected {len(v_labels)}"
+            )
+        row = 0
+        for j, (col, cell) in enumerate(cells):
+            if cell == "1":
+                row += 2**j
+            elif cell != "0":
+                raise NaiveParseError(line_no, col, f"cell must be 0 or 1, got {cell!r}")
+        u_labels.append(label)
+        rows.append(row)
+    last = max(len(lines), 1)
+    if v_labels is None:
+        raise NaiveParseError(last, 1, "expected a 'V:' header line listing the V labels")
+    if not u_labels:
+        raise NaiveParseError(last, 1, "no relation rows found")
+    return u_labels, v_labels, rows

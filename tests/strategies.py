@@ -6,21 +6,85 @@ from hypothesis import strategies as st
 
 from birough import BinaryRelation, Side, Subset
 from birough.lab import canonical_universes
+from birough.relation import SHIFT_WIDTH
+
+# |U| on both sides of SHIFT_WIDTH, where the U-mask kernels and iter_bits
+# switch from one-bit-at-a-time loops to digit strings.
+WIDE_U_SIZES = (SHIFT_WIDTH - 1, SHIFT_WIDTH, SHIFT_WIDTH + 1, 128, 129, 1000)
 
 
 @st.composite
-def relations(draw, max_u: int = 5, max_v: int = 5):
-    u = draw(st.integers(1, max_u))
+def relations(draw, max_u: int = 5, max_v: int = 5, u_sizes=None):
+    """Relations up to max_u x max_v, or with |U| drawn from ``u_sizes``."""
+    u = draw(st.integers(1, max_u) if u_sizes is None else st.sampled_from(u_sizes))
     v = draw(st.integers(1, max_v))
-    rows = tuple(draw(st.integers(0, (1 << v) - 1)) for _ in range(u))
+    vmask = (1 << v) - 1
+    if u_sizes is None:
+        rows = tuple(draw(st.integers(0, vmask)) for _ in range(u))
+    else:
+        # One draw for all rows keeps a tall relation cheap to generate.
+        assert max_v <= 8
+        rows = tuple(byte & vmask for byte in draw(st.binary(min_size=u, max_size=u)))
     return BinaryRelation(canonical_universes(u, v), rows)
 
 
 @st.composite
-def relation_and_subsets(draw, count: int = 1, max_u: int = 5, max_v: int = 5):
-    rel = draw(relations(max_u=max_u, max_v=max_v))
+def relation_and_subsets(
+    draw, count: int = 1, max_u: int = 5, max_v: int = 5, u_sizes=None
+):
+    rel = draw(relations(max_u=max_u, max_v=max_v, u_sizes=u_sizes))
     subsets = tuple(
         Subset(rel.universes, Side.V, draw(st.integers(0, rel.vmask)))
         for _ in range(count)
     )
     return rel, subsets
+
+
+# Cells that are not a single '0' or '1' but that int(s, 2) or a loose
+# tokenizer could take for one, and separators that are (or, for '\x1c', end
+# the line as) Unicode whitespace.
+_ODD_CELLS = ("2", "10", "1_0", "١", "01", "", "0 1")
+_SEPARATORS = (" ", "  ", "\t", "\x1c", "\xa0", "\u2003")
+
+
+@st.composite
+def relation_texts(draw):
+    """Relation files with a few of the mistakes a hand-written file can hold."""
+    u = draw(st.integers(1, 4))
+    v = draw(st.integers(1, 4))
+    lines = [["V:", *(f"y{j + 1}" for j in range(v))]]
+    lines += [
+        [f"x{i + 1}:", *(draw(st.sampled_from("01")) for _ in range(v))]
+        for i in range(u)
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[k]
+        kind = draw(
+            st.sampled_from(
+                ["cell", "drop", "extra", "colon", "label", "duplicate", "comment", "blank"]
+            )
+        )
+        if kind == "cell" and len(tokens) > 1:
+            tokens[draw(st.integers(1, len(tokens) - 1))] = draw(st.sampled_from(_ODD_CELLS))
+        elif kind == "drop" and len(tokens) > 1:
+            del tokens[draw(st.integers(1, len(tokens) - 1))]
+        elif kind == "extra":
+            tokens.append(draw(st.sampled_from(["0", "1", "y1"])))
+        elif kind == "colon" and tokens:
+            tokens[0] = tokens[0].rstrip(":") or "x"
+        elif kind == "label" and tokens:
+            t = draw(st.integers(0, len(tokens) - 1))
+            tokens[t] = "a:b:" if t == 0 else "a:b"
+        elif kind == "duplicate":
+            lines.insert(k + 1, list(tokens))
+        elif kind == "comment":
+            lines.insert(k, ["#", *tokens])
+        else:
+            lines.insert(k, [])
+    out = []
+    for tokens in lines:
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        seps = [draw(st.sampled_from(_SEPARATORS)) for _ in tokens[1:]]
+        out.append(lead + tokens[0] + "".join(s + t for s, t in zip(seps, tokens[1:])) if tokens else lead)
+    return "\n".join(out) + draw(st.sampled_from(["", "\n"]))

@@ -28,7 +28,7 @@ from naive import (
     naive_upper,
     naive_upper_minmax,
 )
-from strategies import relation_and_subsets
+from strategies import WIDE_U_SIZES, relation_and_subsets
 
 
 def vset(universes, *labels):
@@ -149,7 +149,10 @@ class TestStrategyAgreement:
     def test_sample_relation(self, sample):
         self._assert_agreement(sample)
 
-    @given(relation_and_subsets(count=1, max_u=7, max_v=7))
+    @given(
+        relation_and_subsets(count=1, max_u=7, max_v=7)
+        | relation_and_subsets(count=1, max_v=7, u_sizes=WIDE_U_SIZES)
+    )
     def test_random_relations(self, case):
         rel, (y,) = case
         matrix = matrix_of(rel)
@@ -162,6 +165,7 @@ class TestStrategyAgreement:
         )
         assert set(lower_approximation(rel, y).indices()) == naive_lower(matrix, idx)
         assert set(upper_approximation(rel, y).indices()) == naive_upper(matrix, idx)
+        assert int(rough_type(rel, y)) == naive_type(matrix, idx)
 
 
 class TestAlgebraicShape:

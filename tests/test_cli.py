@@ -242,6 +242,17 @@ class TestCampaigns:
         checks = json.loads(out)["checks"]
         assert checks["seriality_biconditional"] == {"checked": 1, "failures": 0}
 
+    def test_neighbors_on_one_tall_class(self, capsys, tmp_path):
+        # 20000 equal rows form one U class; the saturation check must not
+        # take time quadratic in the size of a class
+        path = tmp_path / "tall.rel"
+        rows = "".join(f"x{i}: 1 0 1\n" for i in range(20000))
+        path.write_text("V: y1 y2 y3\n" + rows, encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "neighbors", str(path))
+        assert code == 0 and err == "" and "saturation identity: holds" in out
+        assert time.perf_counter() - start < 10.0
+
     def test_exhaustive_campaign(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--exhaustive", "--u", "2", "--v", "2"

@@ -20,7 +20,8 @@ from birough import (
 )
 from birough.formats import build_approx_report, parse_tables_json
 from birough.approx import approximate, RoughType
-from strategies import relations
+from naive import NaiveParseError, naive_parse_relation
+from strategies import WIDE_U_SIZES, relation_texts, relations
 
 SAMPLE_TEXT = """\
 # comment line
@@ -94,7 +95,20 @@ class TestRelationParsing:
         doc = RelationDocument(sample.universes, sample.rows, source="whatever")
         assert parse_relation_file(render_relation_file(doc)) == doc
 
-    @given(relations(max_u=6, max_v=6))
+    @given(relation_texts())
+    def test_matches_cell_by_cell_reference(self, text):
+        try:
+            expected = naive_parse_relation(text)
+        except NaiveParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_relation_file(text)
+            assert (got.value.line, got.value.col, got.value.message) == exc.where
+        else:
+            doc = parse_relation_file(text)
+            universes = doc.universes
+            assert (list(universes.u_labels), list(universes.v_labels), list(doc.rows)) == expected
+
+    @given(relations(max_u=6, max_v=6) | relations(u_sizes=WIDE_U_SIZES, max_v=6))
     def test_round_trip_random(self, rel):
         doc = RelationDocument(rel.universes, rel.rows)
         again = parse_relation_file(render_relation_file(doc))

@@ -3,7 +3,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birough import (
@@ -22,11 +22,15 @@ from conftest import SAMPLE_MATRIX
 from naive import (
     matrix_of,
     naive_left,
-    naive_right,
+    naive_quotients,
     naive_saturation_holds,
     naive_solitary,
+    right_sets,
 )
-from strategies import relations
+from strategies import WIDE_U_SIZES, relations
+
+# Small relations, or |U| on both sides of the U-mask kernels' cut-over.
+ANY_RELATION = relations() | relations(u_sizes=WIDE_U_SIZES, max_v=4)
 
 
 class TestUniversePair:
@@ -96,12 +100,17 @@ class TestSubset:
         with pytest.raises(DimensionError):
             Subset(universes, Side.U, 1 << 5)
 
-    @given(st.integers(0, 63), st.integers(0, 63))
-    def test_operator_bits_oracle(self, a_bits, b_bits):
-        up = UniversePair(("x1",), tuple(f"y{i}" for i in range(1, 7)))
+    @given(st.data())
+    def test_operator_bits_oracle(self, data):
+        width = data.draw(st.sampled_from((6,) + WIDE_U_SIZES))
+        names = tuple(f"y{i}" for i in range(1, width + 1))
+        up = UniversePair(("x1",), names)
+        a_bits, b_bits = (data.draw(st.integers(0, (1 << width) - 1)) for _ in "ab")
         a = Subset(up, Side.V, a_bits)
         b = Subset(up, Side.V, b_bits)
         sa, sb = set(a.indices()), set(b.indices())
+        assert sa == {i for i in range(width) if a_bits >> i & 1}
+        assert a.labels() == tuple(names[i] for i in sorted(sa))
         assert set((a | b).indices()) == sa | sb
         assert set((a & b).indices()) == sa & sb
         assert set((a - b).indices()) == sa - sb
@@ -175,11 +184,11 @@ class TestNeighborhoods:
         with pytest.raises(UnknownLabelError):
             sample.left_neighborhood("y9")
 
-    @given(relations())
+    @given(ANY_RELATION)
     def test_neighborhoods_match_oracle(self, rel):
         matrix = matrix_of(rel)
-        for i in range(rel.u_size):
-            assert set(rel.right_neighborhood(i).indices()) == naive_right(matrix, i)
+        for i, right in enumerate(right_sets(matrix)):
+            assert set(rel.right_neighborhood(i).indices()) == right
         for j in range(rel.v_size):
             assert set(rel.left_neighborhood(j).indices()) == naive_left(matrix, j)
 
@@ -206,7 +215,7 @@ class TestSolitaryAndSerial:
         rel = BinaryRelation.from_pairs(up, [("x1", "y1"), ("x2", "y2")])
         assert rel.is_serial()
 
-    @given(relations())
+    @given(ANY_RELATION)
     def test_matches_oracle(self, rel):
         assert set(rel.solitary_set().indices()) == naive_solitary(matrix_of(rel))
         assert rel.is_serial() == (not rel.solitary_set())
@@ -239,15 +248,19 @@ class TestQuotients:
         u_part, v_part = rel.quotient_partitions()
         assert len(u_part) == 1 and len(v_part) == 1
 
-    @given(relations())
+    @given(ANY_RELATION)
     def test_partition_invariants(self, rel):
-        for part, side in zip(rel.quotient_partitions(), (Side.U, Side.V)):
+        parts = rel.quotient_partitions()
+        for part, side in zip(parts, (Side.U, Side.V)):
             union = 0
             for block in part:
                 assert block.bits != 0
                 assert union & block.bits == 0
                 union |= block.bits
             assert union == rel.universes.full_mask(side)
+        assert tuple(
+            {frozenset(block.indices()) for block in part} for part in parts
+        ) == naive_quotients(matrix_of(rel))
 
 
 class TestPartitionType:
@@ -285,7 +298,8 @@ class TestSaturation:
         rel = BinaryRelation.from_rows(up, [[0, 0], [0, 0]])
         assert rel.saturation_identity_holds()
 
-    @given(relations(max_u=6, max_v=6))
+    @settings(deadline=None)
+    @given(relations(max_u=6, max_v=6) | relations(u_sizes=WIDE_U_SIZES, max_v=4))
     def test_agrees_with_pair_composition_oracle(self, rel):
         assert rel.saturation_identity_holds() == naive_saturation_holds(matrix_of(rel))
         assert rel.saturation_identity_holds()
