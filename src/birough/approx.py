@@ -139,13 +139,13 @@ def _lower_bits_matrix(rows: Sequence[int], vmask: int, y_bits: int) -> int:
     return out
 
 
-def type_code(rows: Sequence[int], umask: int, y_bits: int) -> int:
+def type_code(rows: Sequence[int], y_bits: int) -> int:
     """Rough type as a bare 1..4 code; the hot path used by sweep campaigns.
 
     Only two facts matter: whether some row lies within Y (the lower
     approximation is non-empty) and whether every row meets Y (the upper
     approximation covers U), so no mask is built and the scan stops as soon
-    as both are settled.  ``umask`` is unused and kept for callers.
+    as both are settled.
     """
     lower_empty = upper_full = True
     for row in rows:
@@ -215,7 +215,7 @@ def boundary(rel: BinaryRelation, y: Subset) -> Subset:
 def rough_type(rel: BinaryRelation, y: Subset) -> RoughType:
     """Classify Y by lower emptiness and upper coverage of U."""
     _require_v_subset(rel, y)
-    return RoughType(type_code(rel.rows, rel.umask, y.bits))
+    return RoughType(type_code(rel.rows, y.bits))
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,9 @@ from .relation import (
     SideMismatchError,
     Subset,
     UniversePair,
+    iter_bits,
+    mask_of_flags,
+    mask_of_indices,
 )
 
 __all__ = [
@@ -97,14 +100,17 @@ def classification_violations(
     for name, block in named_blocks:
         if not block:
             violations.append(f"block {name!r} is empty")
-    for (name_a, a), (name_b, b) in combinations(named_blocks, 2):
-        common = a & b
-        if common:
-            violations.append(f"blocks {name_a!r} and {name_b!r} overlap on {common}")
-    union = universes.empty(Side.V)
+    union = size_total = 0
     for _, block in named_blocks:
-        union = union | block
-    missing = union.complement()
+        union |= block.bits
+        size_total += len(block)
+    # Some blocks overlap exactly when their sizes add up to more than their union.
+    if size_total > union.bit_count():
+        for (name_a, a), (name_b, b) in combinations(named_blocks, 2):
+            common = a & b
+            if common:
+                violations.append(f"blocks {name_a!r} and {name_b!r} overlap on {common}")
+    missing = Subset(universes, Side.V, universes.full_mask(Side.V) ^ union)
     if missing:
         violations.append(f"blocks do not cover {missing}")
     return violations
@@ -195,6 +201,11 @@ class FamilyApprox:
         approximate every union of blocks through this one pair."""
         rows = self.relation.rows
         return cache(partial(lower_bits, rows)), cache(partial(upper_bits, rows))
+
+    @cached_property
+    def proper_index_sets(self) -> list[tuple[tuple[str, ...], int, int]]:
+        """``_index_sets`` of every proper index subset, shared by the law reports."""
+        return _index_sets(self, proper_index_subsets(self.classification.n))
 
 
 @dataclass(frozen=True)
@@ -288,164 +299,153 @@ def _implication(law: str, blocks: tuple[str, ...], hyp: bool, concl: bool) -> L
     return LawInstance(law, blocks, hyp, concl, HOLDS if concl else VIOLATED)
 
 
-def _check_index_set(fa: FamilyApprox, index_set: Sequence[int]) -> tuple[int, ...]:
+def _checked_index_set(
+    fa: FamilyApprox, index_set: Sequence[int]
+) -> tuple[tuple[str, ...], int, int]:
     idxs = tuple(sorted(set(index_set)))
     n = fa.classification.n
     if not idxs or len(idxs) >= n or idxs[0] < 0 or idxs[-1] >= n:
         raise BiroughError(
             f"index set {tuple(index_set)} must be a non-empty proper subset of range({n})"
         )
-    return idxs
+    return _index_sets(fa, [idxs])[0]
 
 
-def _union_bits(fa: FamilyApprox, idxs: Iterable[int]) -> int:
-    # The blocks partition V, so the blocks outside idxs unite to vmask ^ this.
-    out = 0
-    for i in idxs:
-        out |= fa.classification.blocks[i].bits
+def _index_sets(
+    fa: FamilyApprox, index_sets: Iterable[Sequence[int]]
+) -> list[tuple[tuple[str, ...], int, int]]:
+    """(names, union, chosen) for each index set: the chosen blocks' names, the
+    V-mask of their union (the other blocks unite to ``vmask ^ union``, since the
+    blocks partition V) and the mask of their block indices."""
+    n, names, blocks = fa.classification.n, fa.classification.names, fa.classification.blocks
+    out = []
+    for idxs in index_sets:
+        union = 0
+        for i in idxs:
+            union |= blocks[i].bits
+        out.append((tuple(names[i] for i in idxs), union, mask_of_indices(idxs, n)))
     return out
 
 
-def _names(fa: FamilyApprox, idxs: Iterable[int]) -> tuple[str, ...]:
-    return tuple(fa.classification.names[i] for i in idxs)
+def _rest_uppers(fa: FamilyApprox, chosen: int) -> int:
+    """U-mask union of the uppers of the blocks outside ``chosen``."""
+    out = 0
+    for j in iter_bits(chosen ^ ((1 << fa.classification.n) - 1)):
+        out |= fa.uppers[j].bits
+    return out
+
+
+def _dualities(
+    fa: FamilyApprox, names: tuple[str, ...], union: int, chosen: int
+) -> tuple[LawInstance, LawInstance]:
+    """The cover and the support duality for one index set."""
+    lower, upper = fa.union_operators
+    umask = fa.relation.umask
+    cover = upper(union) == umask, not lower(fa.relation.vmask ^ union)
+    support = bool(lower(union)), _rest_uppers(fa, chosen) != umask
+    return (
+        _biconditional(COVER_DUALITY, names, *cover),
+        _biconditional(SUPPORT_DUALITY, names, *support),
+    )
 
 
 def cover_duality_check(fa: FamilyApprox, index_set: Sequence[int]) -> LawInstance:
     """Upper of the chosen union covers U iff lower of the rest is empty."""
-    idxs = _check_index_set(fa, index_set)
-    lower, upper = fa.union_operators
-    union = _union_bits(fa, idxs)
-    left = upper(union) == fa.relation.umask
-    right = not lower(fa.relation.vmask ^ union)
-    return _biconditional(COVER_DUALITY, _names(fa, idxs), left, right)
+    return _dualities(fa, *_checked_index_set(fa, index_set))[0]
 
 
 def support_duality_check(fa: FamilyApprox, index_set: Sequence[int]) -> LawInstance:
     """Lower of the chosen union is non-empty iff the rest's uppers miss some of U."""
-    idxs = _check_index_set(fa, index_set)
-    lower, _ = fa.union_operators
-    left = bool(lower(_union_bits(fa, idxs)))
-    rest_uppers = 0
-    for j, up in enumerate(fa.uppers):
-        if j not in idxs:
-            rest_uppers |= up.bits
-    right = rest_uppers != fa.relation.umask
-    return _biconditional(SUPPORT_DUALITY, _names(fa, idxs), left, right)
+    return _dualities(fa, *_checked_index_set(fa, index_set))[1]
 
 
-def proper_index_subsets(
-    n: int, *, limit: int = 12, samples: int = 32, seed: int = 0
-) -> list[tuple[int, ...]]:
+INDEX_SET_LIMIT = 12
+INDEX_SET_SAMPLES = 32
+INDEX_SET_SEED = 0
+
+
+def proper_index_subsets(n: int) -> list[tuple[int, ...]]:
     """Non-empty proper subsets of range(n), lexicographically ordered.
 
-    Full enumeration doubles with every block, so past ``limit`` blocks only
-    singletons, their complements, and a seeded sample are kept.
+    Full enumeration doubles with every block, so past ``INDEX_SET_LIMIT``
+    blocks only singletons, their complements, and ``INDEX_SET_SAMPLES`` more
+    seeded draws are kept.
     """
-    if n <= limit:
-        subsets: set[tuple[int, ...]] = set()
-        for size in range(1, n):
-            subsets.update(combinations(range(n), size))
-        return sorted(subsets)
-    picked: set[tuple[int, ...]] = set()
-    for i in range(n):
-        picked.add((i,))
-        picked.add(tuple(j for j in range(n) if j != i))
-    rng = random.Random(f"{seed}:index-subsets:{n}")
-    while len(picked) < 2 * n + samples:
+    if n <= INDEX_SET_LIMIT:
+        return sorted(s for size in range(1, n) for s in combinations(range(n), size))
+    picked = {(i,) for i in range(n)} | {(*range(i), *range(i + 1, n)) for i in range(n)}
+    rng = random.Random(f"{INDEX_SET_SEED}:index-subsets:{n}")
+    while len(picked) < 2 * n + INDEX_SET_SAMPLES:
         size = rng.randint(1, n - 1)
         picked.add(tuple(sorted(rng.sample(range(n), size))))
     return sorted(picked)
 
 
-def duality_report(fa: FamilyApprox, **budget: int) -> TheoremReport:
-    """Both duality biconditionals over every index subset within budget."""
-    index_sets = proper_index_subsets(fa.classification.n, **budget)
-    return TheoremReport(
-        tuple(cover_duality_check(fa, idxs) for idxs in index_sets)
-        + tuple(support_duality_check(fa, idxs) for idxs in index_sets)
-    )
+def duality_report(fa: FamilyApprox) -> TheoremReport:
+    """Both duality biconditionals over every index subset."""
+    cover_entries, support_entries = zip(*(_dualities(fa, *s) for s in fa.proper_index_sets))
+    return TheoremReport(cover_entries + support_entries)
 
 
-def derived_laws_report(fa: FamilyApprox, **budget: int) -> TheoremReport:
+def derived_laws_report(fa: FamilyApprox) -> TheoremReport:
     """Every derived implication/biconditional law, instance by instance."""
     n = fa.classification.n
-    lowers, uppers = fa.lowers, fa.uppers
-    blocks = fa.classification.blocks
+    index_sets = fa.proper_index_sets
     lower, upper = fa.union_operators
     umask, vmask = fa.relation.umask, fa.relation.vmask
-    index_sets = proper_index_subsets(n, **budget)
+    singles = _index_sets(fa, [(i,) for i in range(n)])
+    # Blockwise facts: bit i is set when block i's lower is non-empty (lows)
+    # or when block i's upper covers U (covers).
+    lows = mask_of_flags([bool(lo) for lo in fa.lowers])
+    covers = mask_of_flags([up.is_full for up in fa.uppers])
+    every_block = (1 << n) - 1
     entries: list[LawInstance] = []
 
     law = "cover-by-union-forces-rest-lowers-empty"
-    for idxs in index_sets:
-        hyp = upper(_union_bits(fa, idxs)) == umask
-        concl = all(not lowers[j] for j in range(n) if j not in idxs)
-        entries.append(_implication(law, _names(fa, idxs), hyp, concl))
+    for names, union, chosen in index_sets:
+        entries.append(_implication(law, names, upper(union) == umask, not lows & ~chosen))
 
     law = "block-upper-covers-iff-rest-lower-empty"
-    for i in range(n):
-        left = uppers[i].is_full
-        right = not lower(vmask ^ blocks[i].bits)
-        entries.append(_biconditional(law, _names(fa, (i,)), left, right))
+    for names, union, chosen in singles:
+        entries.append(_biconditional(law, names, bool(covers & chosen), not lower(vmask ^ union)))
 
     law = "block-lower-empty-iff-rest-upper-covers"
-    for i in range(n):
-        left = not lowers[i]
-        right = upper(vmask ^ blocks[i].bits) == umask
-        entries.append(_biconditional(law, _names(fa, (i,)), left, right))
+    for names, union, chosen in singles:
+        entries.append(_biconditional(law, names, not lows & chosen, upper(vmask ^ union) == umask))
 
     law = "block-upper-covers-forces-other-lowers-empty"
-    for i in range(n):
-        hyp = uppers[i].is_full
-        concl = all(not lowers[j] for j in range(n) if j != i)
-        entries.append(_implication(law, _names(fa, (i,)), hyp, concl))
+    for names, _, chosen in singles:
+        entries.append(_implication(law, names, bool(covers & chosen), not lows & ~chosen))
 
     law = "all-uppers-cover-forces-all-lowers-empty"
-    hyp = all(up.is_full for up in uppers)
-    concl = all(not lo for lo in lowers)
-    entries.append(_implication(law, (), hyp, concl))
+    entries.append(_implication(law, (), covers == every_block, not lows))
 
     law = "union-lower-nonempty-forces-rest-uppers-proper"
-    for idxs in index_sets:
-        hyp = bool(lower(_union_bits(fa, idxs)))
-        concl = all(not uppers[j].is_full for j in range(n) if j not in idxs)
-        entries.append(_implication(law, _names(fa, idxs), hyp, concl))
+    for names, union, chosen in index_sets:
+        entries.append(_implication(law, names, bool(lower(union)), not covers & ~chosen))
 
     law = "block-lower-nonempty-iff-rest-uppers-union-proper"
-    for i in range(n):
-        left = bool(lowers[i])
-        rest_union = 0
-        for j in range(n):
-            if j != i:
-                rest_union |= uppers[j].bits
-        right = rest_union != umask
-        entries.append(_biconditional(law, _names(fa, (i,)), left, right))
+    for names, _, chosen in singles:
+        right = _rest_uppers(fa, chosen) != umask
+        entries.append(_biconditional(law, names, bool(lows & chosen), right))
 
     law = "block-upper-proper-iff-rest-lower-nonempty"
-    for i in range(n):
-        left = not uppers[i].is_full
-        right = bool(lower(vmask ^ blocks[i].bits))
-        entries.append(_biconditional(law, _names(fa, (i,)), left, right))
+    for names, union, chosen in singles:
+        entries.append(_biconditional(law, names, not covers & chosen, bool(lower(vmask ^ union))))
 
     law = "block-lower-nonempty-forces-other-uppers-proper"
-    for i in range(n):
-        hyp = bool(lowers[i])
-        concl = all(not uppers[j].is_full for j in range(n) if j != i)
-        entries.append(_implication(law, _names(fa, (i,)), hyp, concl))
+    for names, _, chosen in singles:
+        entries.append(_implication(law, names, bool(lows & chosen), not covers & ~chosen))
 
     law = "all-lowers-nonempty-forces-all-uppers-proper"
-    hyp = all(bool(lo) for lo in lowers)
-    concl = all(not up.is_full for up in uppers)
-    entries.append(_implication(law, (), hyp, concl))
+    entries.append(_implication(law, (), lows == every_block, not covers))
 
     return TheoremReport(tuple(entries))
 
 
-def family_law_report(fa: FamilyApprox, **budget: int) -> TheoremReport:
+def family_law_report(fa: FamilyApprox) -> TheoremReport:
     """Duality biconditionals plus every derived law, in canonical order."""
-    return TheoremReport(
-        duality_report(fa, **budget).entries + derived_laws_report(fa, **budget).entries
-    )
+    return TheoremReport(duality_report(fa).entries + derived_laws_report(fa).entries)
 
 
 def measure_law_report(fa: FamilyApprox) -> TheoremReport:

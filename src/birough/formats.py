@@ -359,19 +359,20 @@ def build_approx_report(
 
 
 def build_neighbors_report(rel: BinaryRelation, source: str) -> AnalysisReport:
-    u_part, v_part = rel.quotient_partitions()
+    u_classes, v_classes = rel.quotient_classes()
+    u_labels, v_labels = rel.universes.u_labels, rel.universes.v_labels
     body = {
         "relation": relation_summary(rel, source),
         "serial": rel.is_serial(),
         "solitary": list(rel.solitary_set().labels()),
         "right_neighborhoods": {
-            x: list(rel.right_neighborhood(x).labels()) for x in rel.universes.u_labels
+            x: list(rel.right_neighborhood(x).labels()) for x in u_labels
         },
         "left_neighborhoods": {
-            y: list(rel.left_neighborhood(y).labels()) for y in rel.universes.v_labels
+            y: list(rel.left_neighborhood(y).labels()) for y in v_labels
         },
-        "u_partition": [list(block.labels()) for block in u_part],
-        "v_partition": [list(block.labels()) for block in v_part],
+        "u_partition": [[u_labels[i] for i in members] for members in u_classes],
+        "v_partition": [[v_labels[j] for j in members] for members in v_classes],
         "saturation_identity": rel.saturation_identity_holds(),
     }
     return AnalysisReport("neighbors", body)

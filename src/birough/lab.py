@@ -615,8 +615,7 @@ def _outcome_key(left: int, right: int, result: int) -> int:
 
 def _exhaustive_item(rel: BinaryRelation) -> _SweepItem:
     subsets = range(1 << rel.v_size)
-    rows, umask = rel.rows, rel.umask
-    return rel, [type_code(rows, umask, s) for s in subsets], product(subsets, repeat=2)
+    return rel, [type_code(rel.rows, s) for s in subsets], product(subsets, repeat=2)
 
 
 def _exhaustive_items(dims: Iterable[tuple[int, int]]) -> Iterator[_SweepItem]:
@@ -689,8 +688,7 @@ def _sampled_items(
         rng = _stream_rng(cfg.seed, "subset-pairs", index)
         pairs = [(rng.randrange(space), rng.randrange(space)) for _ in range(pairs_per_relation)]
         touched = {s for a, b in pairs for s in (a, b, a | b if union else a & b)}
-        rows, umask = rel.rows, rel.umask
-        yield rel, {s: type_code(rows, umask, s) for s in touched}, pairs
+        yield rel, {s: type_code(rel.rows, s) for s in touched}, pairs
 
 
 def check_type_tables(

@@ -125,6 +125,14 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask -= low
 
 
+def _equal_key_classes(keys: Iterable[int]) -> list[list[int]]:
+    """Indices of equal keys, one list per distinct key, in order of first index."""
+    members: dict[int, list[int]] = {}
+    for i, key in enumerate(keys):
+        members.setdefault(key, []).append(i)
+    return list(members.values())
+
+
 class Side(Enum):
     """Which universe a value lives over."""
 
@@ -469,29 +477,24 @@ class BinaryRelation:
         """True when every U element is related to something."""
         return all(row != 0 for row in self.rows)
 
-    def _row_classes(self) -> dict[int, list[int]]:
-        """Indices of the U elements sharing each distinct row, in U order."""
-        members: dict[int, list[int]] = {}
-        for i, row in enumerate(self.rows):
-            members.setdefault(row, []).append(i)
-        return members
+    def quotient_classes(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Indices of the U elements with equal rows and of the V elements with
+        equal columns, class by class in order of first member."""
+        return _equal_key_classes(self.rows), _equal_key_classes(self.columns())
 
     def quotient_partitions(self) -> tuple[Partition, Partition]:
         """Partitions of U and V grouping elements with equal neighborhoods."""
-        u_blocks = tuple(
-            Subset(self.universes, Side.U, mask_of_indices(members, members[-1] + 1))
-            for members in self._row_classes().values()
+        return tuple(
+            Partition(
+                self.universes,
+                side,
+                tuple(
+                    Subset(self.universes, side, mask_of_indices(members, members[-1] + 1))
+                    for members in classes
+                ),
+            )
+            for side, classes in zip((Side.U, Side.V), self.quotient_classes())
         )
-        col_groups: dict[int, int] = {}
-        for j, col in enumerate(self.columns()):
-            col_groups[col] = col_groups.get(col, 0) | (1 << j)
-        u_part = Partition(self.universes, Side.U, u_blocks)
-        v_part = Partition(
-            self.universes,
-            Side.V,
-            tuple(Subset(self.universes, Side.V, bits) for bits in col_groups.values()),
-        )
-        return u_part, v_part
 
     def saturation_identity_holds(self) -> bool:
         """Check that composing with either quotient equivalence leaves R fixed.
@@ -501,27 +504,23 @@ class BinaryRelation:
         when some y' in r(x) has l(y') = l(y).  Both compositions are computed
         explicitly; a False return would indicate an implementation bug.
         """
+        u_classes, v_classes = self.quotient_classes()
         cols = self.columns()
-        col_classes: dict[int, int] = {}
-        for j, col in enumerate(cols):
-            col_classes[col] = col_classes.get(col, 0) | (1 << j)
-        class_of = [col_classes[col] for col in cols]
+        class_mask = {cols[m[0]]: mask_of_indices(m, m[-1] + 1) for m in v_classes}
+        class_of = [class_mask[col] for col in cols]
 
         # Both composites depend on x only through its U class, so each is
-        # taken once per class and shared by the members of the class.
-        composed_u: dict[int, int] = {}
-        composed_v: dict[int, int] = {}
-        for row, members in self._row_classes().items():
-            acc = 0
+        # taken once per class and checked against the class's row.
+        for members in u_classes:
+            row = self.rows[members[0]]
+            composed_u = composed_v = 0
             for k in members:
-                acc |= self.rows[k]
-            composed_u[row] = acc
-            acc = 0
+                composed_u |= self.rows[k]
             for j in iter_bits(row):
-                acc |= class_of[j]
-            composed_v[row] = acc
-
-        return all(composed_u[row] == row == composed_v[row] for row in self.rows)
+                composed_v |= class_of[j]
+            if not composed_u == row == composed_v:
+                return False
+        return True
 
     def bit_rows(self) -> tuple[str, ...]:
         """Rows as '0'/'1' strings; character j of row i is R(x_i, y_j)."""

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from birough import (
@@ -26,7 +26,7 @@ from birough import (
     validate_classification,
 )
 from birough.classify import COVER_DUALITY, HOLDS, SUPPORT_DUALITY, VACUOUS, VIOLATED
-from birough.lab import GeneratorConfig, generate_relations
+from birough.lab import GeneratorConfig, canonical_universes, generate_relations
 from naive import matrix_of, naive_lower, naive_upper
 from strategies import relations
 
@@ -200,7 +200,7 @@ class TestIndexSubsets:
         assert proper_index_subsets(3) == [(0,), (0, 1), (0, 2), (1,), (1, 2), (2,)]
 
     def test_large_n_keeps_singletons_and_complements(self):
-        subsets = proper_index_subsets(20, samples=8)
+        subsets = proper_index_subsets(20)
         for i in range(20):
             assert (i,) in subsets
             assert tuple(j for j in range(20) if j != i) in subsets
@@ -301,20 +301,44 @@ def seeded_partition(v_size: int, k: int, seed: int) -> list[set[int]]:
     return [set(order[a:b]) for a, b in zip([0, *cuts], [*cuts, v_size])]
 
 
+@st.composite
+def wide_families(draw):
+    """(relation, k) with k = 13 blocks (sampled index sets) or 70 (block masks
+    wider than a machine word); each row holds a few columns or all but a few,
+    so blocks with non-empty lowers and blocks with covering uppers both occur."""
+    k = draw(st.sampled_from([13, 70]))
+    v = draw(st.integers(k, k + 3))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        few = sum(1 << j for j in draw(st.sets(st.integers(0, v - 1), max_size=3)))
+        rows.append(few ^ ((1 << v) - 1) if draw(st.booleans()) else few)
+    return BinaryRelation(canonical_universes(len(rows), v), tuple(rows)), k
+
+
 class TestFamilyLawOracle:
     """Both sides of every family-law instance, recomputed from naive sets."""
 
     @given(relations(max_u=5, max_v=6), st.integers(2, 4), st.integers(0, 2**32))
     def test_every_side_matches_naive_sets(self, rel, k, seed):
         assume(rel.v_size >= 2)
-        blocks = seeded_partition(rel.v_size, min(k, rel.v_size), seed)
-        n = len(blocks)
-        names = [f"B{i}" for i in range(n)]
+        self.check(rel, min(k, rel.v_size), seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(wide_families(), st.integers(0, 2**32))
+    def test_past_full_enumeration_and_word_width(self, family, seed):
+        self.check(*family, seed)
+
+    @staticmethod
+    def check(rel, k, seed):
+        blocks = seeded_partition(rel.v_size, k, seed)
+        names = [f"B{i}" for i in range(k)]
         cls = validate_classification(
             [(name, rel.universes.v_subset(block)) for name, block in zip(names, blocks)]
         )
         matrix = matrix_of(rel)
         full = set(range(rel.u_size))
+        block_lo = [naive_lower(matrix, block) for block in blocks]
+        block_up = [naive_upper(matrix, block) for block in blocks]
 
         def union(ids):
             return set().union(*(blocks[i] for i in ids))
@@ -326,10 +350,10 @@ class TestFamilyLawOracle:
             return naive_upper(matrix, union(ids))
 
         def each_lo(ids):
-            return [naive_lower(matrix, blocks[i]) for i in ids]
+            return [block_lo[i] for i in ids]
 
         def each_up(ids):
-            return [naive_upper(matrix, blocks[i]) for i in ids]
+            return [block_up[i] for i in ids]
 
         # (hypothesis, conclusion) of each law for chosen blocks s and the rest r
         oracle = {
@@ -358,11 +382,11 @@ class TestFamilyLawOracle:
         }
 
         report = family_law_report(approximate_family(rel, cls))
-        subsets = 2**n - 2
-        assert len(report.entries) == 4 * subsets + 6 * n + 2
+        assert len(report.entries) == 4 * len(proper_index_subsets(k)) + 6 * k + 2
+        position = {name: i for i, name in enumerate(names)}
         for entry in report.entries:
-            chosen = [names.index(name) for name in entry.blocks]
-            rest = [j for j in range(n) if j not in chosen]
+            chosen = [position[name] for name in entry.blocks]
+            rest = sorted(set(range(k)).difference(chosen))
             expected = oracle[entry.law](chosen, rest)
             assert (entry.hypothesis, entry.conclusion) == expected, entry
         assert report.ok

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from birough import (
     UniversePair,
     UnknownLabelError,
 )
+from birough.formats import build_neighbors_report
+from birough.lab import canonical_universes
 from conftest import SAMPLE_MATRIX
 from naive import (
     matrix_of,
@@ -261,6 +265,32 @@ class TestQuotients:
         assert tuple(
             {frozenset(block.indices()) for block in part} for part in parts
         ) == naive_quotients(matrix_of(rel))
+
+    @given(ANY_RELATION)
+    def test_classes_match_oracle_and_partitions(self, rel):
+        classes = rel.quotient_classes()
+        assert tuple(
+            {frozenset(members) for members in side} for side in classes
+        ) == naive_quotients(matrix_of(rel))
+        # Members ascending, classes in order of first member: the partitions'
+        # canonical block order.
+        for part, side in zip(rel.quotient_partitions(), classes):
+            assert [list(block.indices()) for block in part] == side
+
+    def test_neighbors_report_memory_is_linear(self):
+        # One class per row: a U-mask per class as wide as its last member
+        # would hold ~n^2/2 bits (about 6 MB at n = 10000) on top of the report.
+        n = 10000
+        rows = tuple(random.Random(5).sample(range(1 << 40), n))
+        rel = BinaryRelation(canonical_universes(n, 40), rows)
+        tracemalloc.start()
+        try:
+            report = build_neighbors_report(rel, "tall.rel")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.body["u_partition"]) == n
+        assert peak < 12_000_000
 
 
 class TestPartitionType:
