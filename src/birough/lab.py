@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import lru_cache
 from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -288,10 +288,28 @@ def _window_families(singles: Sequence[int]) -> list[tuple[int, ...]]:
     return families
 
 
+class _OperatorMemo(dict):
+    """``memo[s]`` is ``kernel(rows, s)``, computed the first time it is read."""
+
+    def __init__(self, kernel: Callable[[Sequence[int], int], int], rows: Sequence[int]):
+        super().__init__()
+        self.kernel = kernel
+        self.rows = rows
+
+    def __missing__(self, s: int) -> int:
+        value = self[s] = self.kernel(self.rows, s)
+        return value
+
+
 def verify_algebraic_properties(
     rel: BinaryRelation, budget: SubsetBudget = SubsetBudget.exhaustive()
 ) -> PropertyReport:
     """Check the ten algebraic laws of the approximation operators on one relation.
+
+    An exhaustive budget tabulates lower and upper once for every V-subset
+    (2 * 2**|V| kernel calls) and reads every law from the two tables.  A
+    sampled budget, which may run at |V| too large to tabulate, memoises each
+    operator on the subsets its draws touch.
 
     A violation is reported with a witness, never raised; every law of this
     batch is a theorem, so any violation indicates an implementation bug.
@@ -301,22 +319,30 @@ def verify_algebraic_properties(
     vmask = rel.vmask
     umask = rel.umask
 
+    # The subset pairs come in (a, bs) groups: every b for each a when
+    # exhaustive, one drawn (a, b) pair per group, in draw order, when sampled.
+    lo: Sequence[int] | Mapping[int, int]
+    up: Sequence[int] | Mapping[int, int]
+    groups: Iterable[tuple[int, Sequence[int]]]
     if budget.mode == "exhaustive":
         if v_size > EXHAUSTIVE_SUBSET_CAP:
             raise BudgetError(
                 f"exhaustive subset budget needs |V| <= {EXHAUSTIVE_SUBSET_CAP}, got {v_size}"
             )
-        singles = range(1 << v_size)
-        pairs = product(singles, repeat=2)
+        singles: Sequence[int] = range(1 << v_size)
+        lo = [lower_bits(rows, s) for s in singles]
+        up = [upper_bits(rows, s) for s in singles]
+        groups = ((a, singles) for a in singles)
+        n_pairs = len(singles) ** 2
     else:
         draws = [
             random_subset_bits(v_size, budget.seed, k) for k in range(2 * budget.pairs)
         ]
-        pairs = list(zip(draws[0::2], draws[1::2]))
         singles = sorted(set(draws) | {0, vmask})
+        lo, up = _OperatorMemo(lower_bits, rows), _OperatorMemo(upper_bits, rows)
+        groups = ((a, (b,)) for a, b in zip(draws[0::2], draws[1::2]))
+        n_pairs = budget.pairs
     families = _window_families(singles)
-
-    lo, up = cache(partial(lower_bits, rows)), cache(partial(upper_bits, rows))
 
     solitary = rel.solitary_set().bits
     sprime = umask ^ solitary
@@ -342,87 +368,109 @@ def verify_algebraic_properties(
 
     law = "empty-and-full-values"
     instances[law] += 1
-    if lo(0) != solitary:
-        record(law, (0,), f"lower(empty) = {u_str(solitary)}", u_str(lo(0)))
-    if up(0) != 0:
-        record(law, (0,), "upper(empty) = {}", u_str(up(0)))
-    if lo(vmask) != umask:
-        record(law, (vmask,), f"lower(V) = {u_str(umask)}", u_str(lo(vmask)))
-    if up(vmask) != sprime:
-        record(law, (vmask,), f"upper(V) = {u_str(sprime)}", u_str(up(vmask)))
+    if lo[0] != solitary:
+        record(law, (0,), f"lower(empty) = {u_str(solitary)}", u_str(lo[0]))
+    if up[0] != 0:
+        record(law, (0,), "upper(empty) = {}", u_str(up[0]))
+    if lo[vmask] != umask:
+        record(law, (vmask,), f"lower(V) = {u_str(umask)}", u_str(lo[vmask]))
+    if up[vmask] != sprime:
+        record(law, (vmask,), f"upper(V) = {u_str(sprime)}", u_str(up[vmask]))
 
     for s in singles:
+        lo_s, up_s = lo[s], up[s]
+
         law = "upper-is-union-of-left-neighborhoods"
         instances[law] += 1
         col_union = 0
         for j in iter_bits(s):
             col_union |= columns[j]
-        if up(s) != col_union:
-            record(law, (s,), u_str(col_union), u_str(up(s)))
+        if up_s != col_union:
+            record(law, (s,), u_str(col_union), u_str(up_s))
 
         law = "solitary-bounds"
         instances[law] += 1
-        if solitary & ~lo(s) or up(s) & solitary:
+        if solitary & ~lo_s or up_s & solitary:
             record(
                 law,
                 (s,),
                 "solitary within lower and disjoint from upper",
-                f"lower={u_str(lo(s))} upper={u_str(up(s))}",
+                f"lower={u_str(lo_s)} upper={u_str(up_s)}",
             )
 
         law = "lower-minus-solitary-within-upper"
         instances[law] += 1
-        if lo(s) & ~solitary & ~up(s):
-            record(law, (s,), "lower minus solitary within upper", u_str(lo(s) & ~solitary))
+        if lo_s & ~solitary & ~up_s:
+            record(law, (s,), "lower minus solitary within upper", u_str(lo_s & ~solitary))
 
         law = "full-lower-and-empty-upper-criteria"
         instances[law] += 1
-        if (lo(s) == umask) != (range_union & ~s == 0):
-            record(law, (s,), "lower full iff union of rows within the set", u_str(lo(s)))
-        if (up(s) == 0) != (s & range_union == 0):
-            record(law, (s,), "upper empty iff the set avoids every row", u_str(up(s)))
+        if (lo_s == umask) != (range_union & ~s == 0):
+            record(law, (s,), "lower full iff union of rows within the set", u_str(lo_s))
+        if (up_s == 0) != (s & range_union == 0):
+            record(law, (s,), "upper empty iff the set avoids every row", u_str(up_s))
 
         if solitary:
             law = "solitary-forces-strict-gap"
             instances[law] += 1
-            if lo(s) == up(s):
-                record(law, (s,), "lower differs from upper", u_str(lo(s)))
+            if lo_s == up_s:
+                record(law, (s,), "lower differs from upper", u_str(lo_s))
 
         law = "complement-duality"
         instances[law] += 1
-        if (lo(s) ^ umask) != up(s ^ vmask) or (up(s) ^ umask) != lo(s ^ vmask):
+        if (lo_s ^ umask) != up[s ^ vmask] or (up_s ^ umask) != lo[s ^ vmask]:
             record(
                 law,
                 (s,),
                 "complement of lower is upper of complement (and dually)",
-                f"lower={u_str(lo(s))} upper={u_str(up(s))}",
+                f"lower={u_str(lo_s)} upper={u_str(up_s)}",
             )
 
-    for a, b in pairs:
-        law = "meet-lower-join-upper-distributivity"
-        instances[law] += 1
-        if lo(a & b) != lo(a) & lo(b):
-            record(law, (a, b), u_str(lo(a) & lo(b)), u_str(lo(a & b)))
-        if up(a | b) != up(a) | up(b):
-            record(law, (a, b), u_str(up(a) | up(b)), u_str(up(a | b)))
+    for law in (
+        "meet-lower-join-upper-distributivity",
+        "monotonicity",
+        "join-lower-meet-upper-bounds",
+    ):
+        instances[law] += n_pairs
+    for a, bs in groups:
+        lo_a, up_a = lo[a], up[a]
+        for b in bs:
+            meet, join = a & b, a | b
+            lo_b, up_b, lo_meet, up_meet = lo[b], up[b], lo[meet], up[meet]
+            lo_join, up_join = lo[join], up[join]
+            # Every condition of the three pair laws, none derived from
+            # another: the two distributive equalities, then monotonicity
+            # along meet <= a <= join and the join/meet bounds as one mask
+            # that must be empty.
+            if (
+                lo_meet == lo_a & lo_b
+                and up_join == up_a | up_b
+                and not (
+                    lo_meet & ~lo_a
+                    | lo_a & ~lo_join
+                    | up_meet & ~up_a
+                    | up_a & ~up_join
+                    | (lo_a | lo_b) & ~lo_join
+                    | up_meet & ~(up_a & up_b)
+                )
+            ):
+                continue
 
-        law = "monotonicity"
-        instances[law] += 1
-        meet, join = a & b, a | b
-        if (
-            lo(meet) & ~lo(a)
-            or lo(a) & ~lo(join)
-            or up(meet) & ~up(a)
-            or up(a) & ~up(join)
-        ):
-            record(law, (a, b), "operators monotone along meet <= a <= join", "")
+            law = "meet-lower-join-upper-distributivity"
+            if lo_meet != lo_a & lo_b:
+                record(law, (a, b), u_str(lo_a & lo_b), u_str(lo_meet))
+            if up_join != up_a | up_b:
+                record(law, (a, b), u_str(up_a | up_b), u_str(up_join))
 
-        law = "join-lower-meet-upper-bounds"
-        instances[law] += 1
-        if (lo(a) | lo(b)) & ~lo(a | b):
-            record(law, (a, b), u_str(lo(a | b)), u_str(lo(a) | lo(b)))
-        if up(a & b) & ~(up(a) & up(b)):
-            record(law, (a, b), u_str(up(a) & up(b)), u_str(up(a & b)))
+            law = "monotonicity"
+            if lo_meet & ~lo_a or lo_a & ~lo_join or up_meet & ~up_a or up_a & ~up_join:
+                record(law, (a, b), "operators monotone along meet <= a <= join", "")
+
+            law = "join-lower-meet-upper-bounds"
+            if (lo_a | lo_b) & ~lo_join:
+                record(law, (a, b), u_str(lo_join), u_str(lo_a | lo_b))
+            if up_meet & ~(up_a & up_b):
+                record(law, (a, b), u_str(up_a & up_b), u_str(up_meet))
 
     law = "meet-lower-join-upper-distributivity"
     for family in families:
@@ -434,12 +482,12 @@ def verify_algebraic_properties(
         for s in family:
             meet &= s
             join |= s
-            lo_meet &= lo(s)
-            up_join |= up(s)
-        if lo(meet) != lo_meet:
-            record(law, family, u_str(lo_meet), u_str(lo(meet)))
-        if up(join) != up_join:
-            record(law, family, u_str(up_join), u_str(up(join)))
+            lo_meet &= lo[s]
+            up_join |= up[s]
+        if lo[meet] != lo_meet:
+            record(law, family, u_str(lo_meet), u_str(lo[meet]))
+        if up[join] != up_join:
+            record(law, family, u_str(up_join), u_str(up[join]))
 
     return PropertyReport(
         tuple(

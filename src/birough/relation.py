@@ -208,9 +208,7 @@ class UniversePair:
             raise UnknownLabelError(f"no {side} element named {key!r}") from None
 
     def subset(self, side: Side, members: Iterable[str | int] = ()) -> "Subset":
-        bits = 0
-        for member in members:
-            bits |= 1 << self.index(side, member)
+        bits = mask_of_indices((self.index(side, m) for m in members), self.size(side))
         return Subset(self, side, bits)
 
     def u_subset(self, members: Iterable[str | int] = ()) -> "Subset":

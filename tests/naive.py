@@ -101,6 +101,99 @@ def naive_quotients(matrix: list[list[int]]) -> tuple[set[frozenset[int]], set[f
     )
 
 
+def naive_law_campaign(matrix, lower, upper, singles, pairs):
+    """The ten algebraic laws of ``lower``/``upper``, one subset or pair at a time.
+
+    ``lower`` and ``upper`` map a V index set to a U index set; ``singles``
+    and ``pairs`` are the V index sets and pairs a campaign examines, in its
+    order.  Families are the cyclic windows of 3 and 4 consecutive singles.
+    Returns the instance count of each law and, per law in examination order,
+    the subsets of each failed equality or inclusion (so one pair can fail a
+    law twice, once per operator).
+    """
+    us = set(range(len(matrix)))
+    vs = set(range(len(matrix[0])))
+    solitary = naive_solitary(matrix)
+    rows_union = set().union(*right_sets(matrix))
+    instances: dict[str, int] = {}
+    failed: dict[str, list[tuple[frozenset[int], ...]]] = {}
+
+    def check(law, subsets, *holds):
+        instances[law] = instances.get(law, 0) + 1
+        failed.setdefault(law, []).extend(
+            tuple(frozenset(y) for y in subsets) for h in holds if not h
+        )
+
+    none: set[int] = set()
+    instances["empty-and-full-values"] = 1
+    failed["empty-and-full-values"] = [
+        (frozenset(y),)
+        for y, holds in (
+            (none, lower(none) == solitary),
+            (none, upper(none) == none),
+            (vs, lower(vs) == us),
+            (vs, upper(vs) == us - solitary),
+        )
+        if not holds
+    ]
+    for y in singles:
+        lo, up = lower(y), upper(y)
+        left_union = set().union(*(naive_left(matrix, j) for j in y))
+        check("upper-is-union-of-left-neighborhoods", (y,), up == left_union)
+        check("solitary-bounds", (y,), solitary <= lo and not up & solitary)
+        check("lower-minus-solitary-within-upper", (y,), lo - solitary <= up)
+        check(
+            "full-lower-and-empty-upper-criteria",
+            (y,),
+            (lo == us) == (rows_union <= y),
+            (up == none) == (not y & rows_union),
+        )
+        if solitary:
+            check("solitary-forces-strict-gap", (y,), lo != up)
+        check(
+            "complement-duality",
+            (y,),
+            us - lo == upper(vs - y) and us - up == lower(vs - y),
+        )
+    for a, b in pairs:
+        meet, join = a & b, a | b
+        check(
+            "meet-lower-join-upper-distributivity",
+            (a, b),
+            lower(meet) == lower(a) & lower(b),
+            upper(join) == upper(a) | upper(b),
+        )
+        check(
+            "monotonicity",
+            (a, b),
+            lower(meet) <= lower(a) <= lower(join) and upper(meet) <= upper(a) <= upper(join),
+        )
+        check(
+            "join-lower-meet-upper-bounds",
+            (a, b),
+            lower(a) | lower(b) <= lower(join),
+            upper(meet) <= upper(a) & upper(b),
+        )
+    n = len(singles)
+    for size in (3, 4):
+        for k in range(n if n >= size else 0):
+            family = [singles[(k + d) % n] for d in range(size)]
+            meet, join = set(vs), set()
+            lowers, uppers = set(us), set()
+            for y in family:
+                meet &= y
+                join |= y
+                lowers &= lower(y)
+                uppers |= upper(y)
+            check(
+                "meet-lower-join-upper-distributivity",
+                family,
+                lower(meet) == lowers,
+                upper(join) == uppers,
+            )
+    return instances, failed
+
+
 class NaiveParseError(Exception):
     def __init__(self, line: int, col: int, message: str):
         super().__init__(line, col, message)

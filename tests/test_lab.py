@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from functools import partial
 from itertools import islice, product
 
 import pytest
@@ -34,8 +35,16 @@ from birough import (
     verify_serial_iff,
     witness_inventory,
 )
+from birough import approx, lab
 from birough.lab import ALGEBRAIC_LAWS
-from naive import matrix_of, naive_saturation_holds, naive_type
+from naive import (
+    matrix_of,
+    naive_law_campaign,
+    naive_lower,
+    naive_saturation_holds,
+    naive_type,
+    naive_upper,
+)
 from strategies import relations
 
 
@@ -135,6 +144,110 @@ class TestAlgebraicCampaign:
     @given(relations(max_u=5, max_v=5))
     def test_laws_hold_on_random_relations(self, rel):
         assert verify_algebraic_properties(rel, SubsetBudget.sampled(8, seed=1)).ok
+
+
+# Operator kernels for the law campaign: given a relation, the (lower, upper)
+# pair that ``lab`` is run with.  Each broken pair is listed with a law it
+# must be caught breaking.
+def _package_kernels(rel):
+    return approx.lower_bits, approx.upper_bits
+
+
+def _non_monotone_lower(rel):
+    # x1 flips in or out of the lower approximation of every singleton.
+    return (lambda rows, s: approx.lower_bits(rows, s) ^ (s.bit_count() == 1)), approx.upper_bits
+
+
+def _non_additive_upper(rel):
+    # x1 drops out of the upper approximation of every set of two or more.
+    def upper(rows, s):
+        bits = approx.upper_bits(rows, s)
+        return bits & ~1 if s.bit_count() > 1 else bits
+
+    return approx.lower_bits, upper
+
+
+def _broken_complement(rel):
+    # lower as the complement of an upper, with a complement that misses the
+    # last V element.
+    short = rel.vmask >> 1
+    return (lambda rows, s: rel.umask ^ approx.upper_bits(rows, short & ~s)), approx.upper_bits
+
+
+LAW_KERNELS = [
+    (_package_kernels, None),
+    (_non_monotone_lower, "monotonicity"),
+    (_non_additive_upper, "meet-lower-join-upper-distributivity"),
+    (_broken_complement, "complement-duality"),
+]
+
+# Every shape with u*v <= 9, at two densities.
+LAW_RELATIONS = [
+    random_relation(u, v, density, seed=13, index=u * 10 + v)
+    for density in (0.3, 0.6)
+    for v in range(1, 10)
+    for u in range(1, 9 // v + 1)
+]
+
+
+def _campaign_subsets(rel, budget):
+    """The V-masks (singles, pairs) a campaign examines, in its order."""
+    if budget.mode == "exhaustive":
+        singles = list(range(1 << rel.v_size))
+        return singles, list(product(singles, repeat=2))
+    draws = [lab.random_subset_bits(rel.v_size, budget.seed, k) for k in range(2 * budget.pairs)]
+    return sorted(set(draws) | {0, rel.vmask}), list(zip(draws[0::2], draws[1::2]))
+
+
+def _index_set(mask):
+    return {j for j in range(mask.bit_length()) if mask >> j & 1}
+
+
+def _on_sets(kernel, rel):
+    """``kernel`` on ``rel`` as a map from V index sets to U index sets."""
+    return lambda y: _index_set(kernel(rel.rows, sum(1 << j for j in y)))
+
+
+class TestLawCampaignFaultInjection:
+    @pytest.mark.parametrize(
+        "make_kernels, caught", LAW_KERNELS, ids=[k.__name__ for k, _ in LAW_KERNELS]
+    )
+    def test_matches_naive_reference(self, monkeypatch, make_kernels, caught):
+        violated = set()
+        for rel in LAW_RELATIONS:
+            lower_bits, upper_bits = make_kernels(rel)
+            monkeypatch.setattr(lab, "lower_bits", lower_bits)
+            monkeypatch.setattr(lab, "upper_bits", upper_bits)
+            matrix = matrix_of(rel)
+            if caught is None:
+                lower, upper = partial(naive_lower, matrix), partial(naive_upper, matrix)
+            else:
+                lower, upper = _on_sets(lower_bits, rel), _on_sets(upper_bits, rel)
+            budgets = [SubsetBudget.sampled(30, seed=rel.u_size)]
+            if rel.v_size <= 5:
+                budgets.append(SubsetBudget.exhaustive())
+            for budget in budgets:
+                report = lab.verify_algebraic_properties(rel, budget)
+                singles, pairs = _campaign_subsets(rel, budget)
+                instances, failed = naive_law_campaign(
+                    matrix,
+                    lower,
+                    upper,
+                    [_index_set(m) for m in singles],
+                    [(_index_set(a), _index_set(b)) for a, b in pairs],
+                )
+                assert [r.instances for r in report.records] == [
+                    instances.get(law, 0) for law in ALGEBRAIC_LAWS
+                ]
+                got = [(v.law, v.subsets) for r in report.records for v in r.violations]
+                want = [
+                    (law, tuple(str(rel.universes.v_subset(sorted(y))) for y in subsets))
+                    for law in ALGEBRAIC_LAWS
+                    for subsets in failed.get(law, [])
+                ]
+                assert got == want
+                violated |= {law for law, _ in want}
+        assert (caught in violated) if caught else not violated
 
 
 class TestSerialIff:

@@ -120,6 +120,39 @@ class TestSubset:
         assert set((a - b).indices()) == sa - sb
         assert (a <= b) == (sa <= sb)
 
+    @given(st.data())
+    def test_subset_from_members_oracle(self, data):
+        width = data.draw(st.sampled_from((63, 64, 65, 1000)))
+        side = data.draw(st.sampled_from(Side))
+        prefix = "x" if side is Side.U else "y"
+        up = UniversePair(
+            tuple(f"x{i}" for i in range(width)), tuple(f"y{i}" for i in range(width))
+        )
+        index = st.integers(0, width - 1)
+        member = index | index.map(lambda i: f"{prefix}{i}")
+        bad = st.sampled_from([width, width + 7, -1, "zz", f"{prefix}{width}", "x-1"])
+        members = data.draw(st.lists(member | bad if data.draw(st.booleans()) else member))
+        members += data.draw(st.lists(st.sampled_from(members), max_size=5)) if members else []
+        indices = []
+        for m in members:
+            if isinstance(m, int) and 0 <= m < width:
+                indices.append(m)
+            elif isinstance(m, str) and m[1:].isdigit() and m[0] == prefix and int(m[1:]) < width:
+                indices.append(int(m[1:]))
+            else:
+                message = (
+                    f"index {m} out of range for universe {side}"
+                    if isinstance(m, int)
+                    else f"no {side} element named {m!r}"
+                )
+                with pytest.raises(UnknownLabelError) as err:
+                    up.subset(side, members)
+                assert str(err.value) == message
+                return
+        subset = up.subset(side, iter(members))
+        assert subset.bits == sum(1 << i for i in set(indices))
+        assert subset.indices() == tuple(sorted(set(indices)))
+
 
 class TestConstruction:
     def test_membership_agrees_with_matrix(self, sample):
