@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, combinations, product
+from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .approx import RoughType, lower_bits, type_code, upper_bits
@@ -27,6 +28,7 @@ from .relation import (
 
 __all__ = [
     "EXHAUSTIVE_CELL_CAP",
+    "EXHAUSTIVE_PAIR_CAP",
     "EXHAUSTIVE_SUBSET_CAP",
     "SERIAL_ENUM_CAP",
     "ConfigError",
@@ -59,8 +61,12 @@ __all__ = [
     "find_type_witness",
 ]
 
-# 2**20 relations is the largest exhaustive relation sweep we will attempt.
+# Largest u*v at which GeneratorConfig enumerates every relation (2**20 of
+# them): it governs only generate_relations, for verify --exhaustive.
 EXHAUSTIVE_CELL_CAP = 20
+# Most subset pairs an exhaustive type-table sweep may examine:
+# C(2**v, u) * 4**v for the u-row sets of width v, summed over the sweep.
+EXHAUSTIVE_PAIR_CAP = 2**26
 # Exhaustive subset enumeration doubles per V element; cap at 4096 subsets.
 EXHAUSTIVE_SUBSET_CAP = 12
 # Largest |V| at which the seriality biconditional scans the whole power set.
@@ -666,25 +672,63 @@ def _exhaustive_item(rel: BinaryRelation) -> _SweepItem:
     return rel, [type_code(rel.rows, s) for s in subsets], product(subsets, repeat=2)
 
 
-def _exhaustive_items(dims: Iterable[tuple[int, int]]) -> Iterator[_SweepItem]:
-    """Every relation of the given dimensions, in order, once per distinct row set.
+def _sweep_blocks(max_u: int, v_sizes: range) -> list[tuple[int, int]]:
+    """The (u, v) blocks up to ``max_u`` rows, row-major, that hold a row set.
 
-    A rough type depends only on |V| and the set of rows, so a relation whose
-    (|V|, row set) has already appeared can only repeat recorded outcomes and
-    is skipped, before it is built, without changing any first witness.  Every
-    bound is checked before the first relation is built.
+    Block (u, v) holds the C(2**v, u) sets of u distinct rows of width v, so
+    none past u = 2**v.  Both sweep bounds are checked here, before any work:
+    |V| at most ``EXHAUSTIVE_SUBSET_CAP``, and at most ``EXHAUSTIVE_PAIR_CAP``
+    subset pairs over the blocks.
     """
-    configs = [GeneratorConfig(u, v, "exhaustive") for u, v in dims]
-    if any(cfg.v_size > EXHAUSTIVE_SUBSET_CAP for cfg in configs):
+    if v_sizes and v_sizes[-1] > EXHAUSTIVE_SUBSET_CAP:
         raise BudgetError(f"exhaustive pair sweep needs |V| <= {EXHAUSTIVE_SUBSET_CAP}")
-    seen: set[tuple[int, frozenset[int]]] = set()
-    for cfg in configs:
-        universes = canonical_universes(cfg.u_size, cfg.v_size)
-        for rows in _exhaustive_rows(cfg.u_size, cfg.v_size):
-            key = (cfg.v_size, frozenset(rows))
-            if key not in seen:
-                seen.add(key)
-                yield _exhaustive_item(BinaryRelation(universes, rows))
+    blocks = [
+        (u, v)
+        for u in range(1, min(max_u, 1 << EXHAUSTIVE_SUBSET_CAP) + 1)
+        for v in v_sizes
+        if u <= 1 << v
+    ]
+    pairs = 0
+    for u, v in blocks:
+        pairs += comb(1 << v, u) << 2 * v
+        if pairs > EXHAUSTIVE_PAIR_CAP:
+            raise BudgetError(
+                f"exhaustive pair sweep needs at most {EXHAUSTIVE_PAIR_CAP} subset pairs, "
+                f"these bounds need at least {pairs}"
+            )
+    return blocks
+
+
+def _exhaustive_items(blocks: Iterable[tuple[int, int]]) -> Iterator[_SweepItem]:
+    """Every (|V|, row set) of the blocks once, as its first relation in sweep order.
+
+    A rough type depends only on |V| and the set of rows.  In the sweep over
+    every relation (dimensions row-major, relation k setting cell (i, j) when
+    bit i*v+j of k is set), the keys new at (u, v) are exactly the row sets of
+    u distinct rows.  They first appear in ``combinations`` order, each in the
+    relation whose rows are the combination reversed.
+    """
+    for u, v in blocks:
+        universes = canonical_universes(u, v)
+        for combo in combinations(range(1 << v), u):
+            yield _exhaustive_item(BinaryRelation(universes, combo[::-1]))
+
+
+def _first_relations(u_size: int, v_size: int) -> list[tuple[int, ...]]:
+    """The rows of the first u x v relation of each row set, in exhaustive order.
+
+    The first relation of the row set {c0 < ... < c(k-1)} puts c(k-1), ...,
+    c1 in its low rows and repeats c0 in the top u-k+1; relation codes order
+    as their reversed row tuples.  Bounds are checked before any work.
+    """
+    return sorted(
+        (
+            c[:0:-1] + (c[0],) * (u_size - k + 1)
+            for k, v in _sweep_blocks(u_size, range(v_size, v_size + 1))
+            for c in combinations(range(1 << v), k)
+        ),
+        key=lambda rows: rows[::-1],
+    )
 
 
 def _first_witnesses(items: Iterable[_SweepItem], union: bool) -> Iterator[tuple[int, Witness]]:
@@ -748,12 +792,17 @@ def check_type_tables(
 ) -> list[TableCellFinding]:
     """Sweep generated relations and report observed result types per cell.
 
-    Exhaustive configurations examine every subset pair; random ones draw
+    Exhaustive configurations examine every subset pair of each distinct row
+    set, in the relation order of ``generate_relations``; random ones draw
     ``pairs_per_relation`` seeded pairs per relation.
     """
     union = _is_union(operation)
     if cfg.mode == "exhaustive":
-        items = _exhaustive_items([(cfg.u_size, cfg.v_size)])
+        universes = canonical_universes(cfg.u_size, cfg.v_size)
+        items = (
+            _exhaustive_item(BinaryRelation(universes, rows))
+            for rows in _first_relations(cfg.u_size, cfg.v_size)
+        )
     else:
         items = _sampled_items(cfg, union, pairs_per_relation)
     return _findings(operation, tables, _first_witnesses(items, union))
@@ -783,13 +832,13 @@ def witness_inventory(
 
     Reports, per cell, which allowed alternatives were realized and keeps the
     first witness per realized outcome under the canonical generation order
-    (dimensions row-major, relations in bit order, subset pairs in numeric
-    order).  An unrealized alternative at the bound is a finding, not a
+    (dimensions row-major, row sets in first-appearance order, subset pairs in
+    numeric order).  An unrealized alternative at the bound is a finding, not a
     failure.
     """
     union = _is_union(operation)
-    dims = product(range(1, max_u + 1), range(1, max_v + 1))
-    return _findings(operation, tables, _first_witnesses(_exhaustive_items(dims), union))
+    items = _exhaustive_items(_sweep_blocks(max_u, range(1, max_v + 1)))
+    return _findings(operation, tables, _first_witnesses(items, union))
 
 
 def find_type_witness(
@@ -808,6 +857,6 @@ def find_type_witness(
     """
     union = _is_union(operation)
     want = _outcome_key(left, right, result)
-    dims = product(range(1, max_u + 1), range(1, max_v + 1))
-    first = _first_witnesses(_exhaustive_items(dims), union)
+    items = _exhaustive_items(_sweep_blocks(max_u, range(1, max_v + 1)))
+    first = _first_witnesses(items, union)
     return next((witness for key, witness in first if key == want), None)

@@ -182,13 +182,18 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["tables", "--op", "union", "--max-u", "7", "--max-v", "3"],
             ["tables", "--op", "union", "--max-u", "1", "--max-v", "21"],
             ["tables", "--op", "union", "--max-u", "1", "--max-v", "13"],
-            # a (1, 1, 3) witness sits in the first relation, but 5x5 could
-            # never be searched, so the bounds are refused before the search
+            # over the subset-pair cap: C(2**v, u) * 4**v summed over the sweep
+            ["tables", "--op", "union", "--max-u", "1", "--max-v", "9"],
+            ["tables", "--op", "union", "--max-u", "2", "--max-v", "7"],
+            ["tables", "--op", "union", "--max-u", "1", "--max-v", "12"],
+            # a (1, 1, 3) witness sits in the first relation, but these bounds
+            # could never be searched, so they are refused before the search
             ["witness", "--op", "union", "--left", "1", "--right", "1",
              "--result", "3", "--max-u", "5", "--max-v", "5"],
+            ["witness", "--op", "union", "--left", "1", "--right", "1",
+             "--result", "3", "--max-u", "2", "--max-v", "10"],
         ],
     )
     def test_oversize_sweep_bounds_are_two_before_any_work(self, capsys, argv):
@@ -196,6 +201,14 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "needs" in err
         assert time.perf_counter() - start < 2.0
+
+    def test_sweep_past_old_cell_cap_runs(self, capsys):
+        # 7x3 has 21 cells but only 16,508 subset pairs over its row sets
+        code, out, err = run_cli(
+            capsys, "tables", "--op", "union", "--max-u", "7", "--max-v", "3", "--format", "json"
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["conformant"] is True
 
     @pytest.mark.parametrize(
         "argv",

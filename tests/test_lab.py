@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from functools import partial
 from itertools import islice, product
 
@@ -443,6 +444,71 @@ class TestSweepOracle:
             witness = find_type_witness(operation, *key, max_u=bounds[0], max_v=bounds[1])
             expected = oracle.get(tuple(map(int, key)))
             assert (witness and _witness_tuple(witness)) == expected
+
+
+def _first_appearances(dims) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(u, v, rows) of every relation, dims in order, whose (v, row set) is new."""
+    seen, firsts = set(), []
+    for u, v in dims:
+        for code in range(1 << (u * v)):
+            rows = tuple(code >> (i * v) & ((1 << v) - 1) for i in range(u))
+            if (v, frozenset(rows)) not in seen:
+                seen.add((v, frozenset(rows)))
+                firsts.append((u, v, rows))
+    return firsts
+
+
+# Every (u, v) with u * v <= 12: small enough to walk every relation code.
+_SMALL_DIMS = [(u, v) for u in range(1, 13) for v in range(1, 13) if u * v <= 12]
+
+
+class TestRowSetGenerator:
+    """The row-set streams against first appearances in a walk of every relation.
+
+    The pair cap is lifted, since 1x10 to 1x12 lie above it: the streams are
+    compared, not swept.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _no_pair_cap(self, monkeypatch):
+        monkeypatch.setattr(lab, "EXHAUSTIVE_PAIR_CAP", 2**64)
+
+    def test_sweep_order_matches_relation_walk(self, monkeypatch):
+        # Items reduced to their relations, so the stream is cheap to compare.
+        monkeypatch.setattr(lab, "_exhaustive_item", lambda rel: rel)
+        for max_u, max_v in _SMALL_DIMS:
+            expected = _first_appearances(product(range(1, max_u + 1), range(1, max_v + 1)))
+            blocks = lab._sweep_blocks(max_u, range(1, max_v + 1))
+            got = [
+                (rel.u_size, rel.v_size, rel.rows) for rel in lab._exhaustive_items(blocks)
+            ]
+            assert got == expected, (max_u, max_v)
+
+    def test_single_config_order_matches_relation_walk(self):
+        for u, v in _SMALL_DIMS:
+            expected = [rows for _, _, rows in _first_appearances([(u, v)])]
+            assert lab._first_relations(u, v) == expected, (u, v)
+
+
+class TestSweepBounds:
+    @pytest.mark.parametrize("operation", ["union", "intersection"])
+    def test_no_new_row_set_past_two_to_the_v(self, operation):
+        # At |V| = 1 every row set has at most 2 rows, so |U| = 20 adds nothing.
+        start = time.perf_counter()
+        assert witness_inventory(operation, 20, 1) == witness_inventory(operation, 2, 1)
+        for key in product(RoughType, repeat=3):
+            assert find_type_witness(
+                operation, *key, max_u=20, max_v=1
+            ) == find_type_witness(operation, *key, max_u=2, max_v=1)
+        assert time.perf_counter() - start < 2.0
+
+    # The CLI tests cover the same bounds for witness_inventory/find_type_witness.
+    @pytest.mark.parametrize("dims", [(1, 9), (2, 7), (3, 6), (1, 13)], ids=_ids)
+    def test_oversize_table_check_refused_before_any_work(self, dims):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="needs"):
+            check_type_tables(GeneratorConfig(*dims), "union")
+        assert time.perf_counter() - start < 2.0
 
 
 class TestSaturationCampaign:
