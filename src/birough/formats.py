@@ -15,6 +15,9 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Mapping, Sequence
 
 from .approx import ApproxResult, RoughType
@@ -39,6 +42,7 @@ from .relation import (
     Subset,
     UniversePair,
     digits_row,
+    mask_members,
     row_digits,
     valid_label,
 )
@@ -332,12 +336,98 @@ class AnalysisReport:
 
 
 def emit_report(report: AnalysisReport, format: str = "text") -> str:
-    """Serialize a report; identical reports yield identical bytes."""
+    """Serialize a report; identical reports yield identical bytes.
+
+    JSON is byte for byte ``json.dumps(obj, sort_keys=True, indent=2)`` plus
+    a newline.
+    """
     if format == "json":
-        return json.dumps(report.to_obj(), sort_keys=True, indent=2) + "\n"
+        return _json_text(report.to_obj(), 0) + "\n"
     if format == "text":
         return "\n".join(_TEXT_RENDERERS[report.command](dict(report.body))) + "\n"
     raise ValueError(f"unknown report format {format!r}")
+
+
+# --- JSON writer -------------------------------------------------------------
+#
+# ``json.dumps`` with any ``indent`` falls back to its pure-Python encoder,
+# one generator step per value.  This writer walks only the dicts and the
+# lists of containers in Python; a list of plain scalars is encoded by one
+# call of the C encoder, a plain scalar as the stdlib encodes it, and every
+# other value by the stdlib encoder itself, so the bytes are those of
+# ``json.dumps(obj, sort_keys=True, indent=2)``.
+
+_STDLIB_JSON = json.JSONEncoder(sort_keys=True, indent=2)
+# The plain scalars, by exact type (an IntEnum is not one), and their text.
+_LEAF_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda flag: "true" if flag else "false",
+    type(None): lambda _: "null",
+}
+_LEAF_TYPES = frozenset(_LEAF_TEXT)
+_KEY_TYPES = frozenset({str})
+
+
+def _leaf_text(obj: Any) -> str:
+    return _LEAF_TEXT[type(obj)](obj)
+
+
+@lru_cache(maxsize=None)
+def _leaf_list_encoder(depth: int):
+    """Encode a non-empty list of ``_LEAF_TYPES`` values at ``depth``."""
+    inner = "\n" + "  " * (depth + 1)
+    outer = "\n" + "  " * depth + "]"
+    if c_make_encoder is None:
+        separator = "," + inner
+        return lambda items: f"[{inner}{separator.join(map(_leaf_text, items))}{outer}"
+    encode = c_make_encoder(
+        None, None, encode_basestring_ascii, None, ": ", "," + inner,
+        True, False, True,
+    )
+    # The C encoder writes "[item,<inner>item]"; re-frame its brackets.
+    return lambda items: f"[{inner}{''.join(encode(items, 0))[1:-1]}{outer}"
+
+
+def _json_text(obj: Any, depth: int) -> str:
+    """``obj`` as indented JSON whose first line starts at ``depth``.
+
+    Each container is joined once from its members' texts, so the peak
+    memory stays near twice the text's length.
+    """
+    kind = type(obj)
+    if kind is dict and _KEY_TYPES.issuperset(map(type, obj)):
+        if not obj:
+            return "{}"
+        brackets = "{}"
+        keys = sorted(obj)
+        members = zip([encode_basestring_ascii(key) + ": " for key in keys], map(obj.get, keys))
+    elif kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        if _LEAF_TYPES.issuperset(map(type, obj)):
+            return _leaf_list_encoder(depth)(obj)
+        brackets = "[]"
+        members = zip(repeat(""), obj)
+    else:
+        # Scalars and anything unusual: the stdlib encoder, whose lines are
+        # indented from depth 0.  A JSON text holds no raw newline inside
+        # a string, so each newline starts an indented line.
+        return _STDLIB_JSON.encode(obj).replace("\n", "\n" + "  " * depth)
+    inner = "\n" + "  " * (depth + 1)
+    separator = "," + inner
+    parts = [brackets[0] + inner]
+    # Members that are one object (such as the label list that equal rows
+    # share) are encoded once per container.
+    texts: dict[int, str] = {}
+    for prefix, value in members:
+        leaf = _LEAF_TEXT.get(type(value))
+        text = leaf(value) if leaf else texts.get(id(value))
+        if text is None:
+            text = texts[id(value)] = _json_text(value, depth + 1)
+        parts += (prefix, text, separator)
+    parts[-1] = "\n" + "  " * depth + brackets[1]
+    return "".join(parts)
 
 
 def relation_summary(rel: BinaryRelation, source: str) -> dict[str, Any]:
@@ -358,21 +448,34 @@ def build_approx_report(
     return AnalysisReport("approx", body)
 
 
+def _neighborhood_lists(
+    masks: Sequence[int], classes: Sequence[list[int]], labels: Sequence[str]
+) -> list[list[str]]:
+    """The labels of each mask, one list per class of equal masks.
+
+    Elements of one class share their list object.
+    """
+    out: list[list[str]] = [[]] * len(masks)
+    for members in classes:
+        shared = list(mask_members(masks[members[0]], labels))
+        for i in members:
+            out[i] = shared
+    return out
+
+
 def build_neighbors_report(rel: BinaryRelation, source: str) -> AnalysisReport:
     u_classes, v_classes = rel.quotient_classes()
     u_labels, v_labels = rel.universes.u_labels, rel.universes.v_labels
+    right = _neighborhood_lists(rel.rows, u_classes, v_labels)
+    left = _neighborhood_lists(rel.columns(), v_classes, u_labels)
     body = {
         "relation": relation_summary(rel, source),
         "serial": rel.is_serial(),
         "solitary": list(rel.solitary_set().labels()),
-        "right_neighborhoods": {
-            x: list(rel.right_neighborhood(x).labels()) for x in u_labels
-        },
-        "left_neighborhoods": {
-            y: list(rel.left_neighborhood(y).labels()) for y in v_labels
-        },
-        "u_partition": [[u_labels[i] for i in members] for members in u_classes],
-        "v_partition": [[v_labels[j] for j in members] for members in v_classes],
+        "right_neighborhoods": dict(zip(u_labels, right)),
+        "left_neighborhoods": dict(zip(v_labels, left)),
+        "u_partition": [list(map(u_labels.__getitem__, members)) for members in u_classes],
+        "v_partition": [list(map(v_labels.__getitem__, members)) for members in v_classes],
         "saturation_identity": rel.saturation_identity_holds(),
     }
     return AnalysisReport("neighbors", body)

@@ -37,6 +37,7 @@ __all__ = [
     "SubsetBudget",
     "canonical_universes",
     "generate_relations",
+    "exhaustive_campaign_config",
     "random_relation",
     "random_subset_bits",
     "random_campaign",
@@ -64,9 +65,13 @@ __all__ = [
 # Largest u*v at which GeneratorConfig enumerates every relation (2**20 of
 # them): it governs only generate_relations, for verify --exhaustive.
 EXHAUSTIVE_CELL_CAP = 20
-# Most subset pairs an exhaustive type-table sweep may examine:
-# C(2**v, u) * 4**v for the u-row sets of width v, summed over the sweep.
+# Most subset pairs an exhaustive sweep may examine: for a type-table sweep,
+# C(2**v, u) * 4**v for the u-row sets of width v, summed over the sweep; for
+# an exhaustive law campaign, 2**(u*v) relations * (4**v + RELATION_PAIRS).
 EXHAUSTIVE_PAIR_CAP = 2**26
+# The fixed cost of one relation in an exhaustive law campaign, in subset
+# pairs' worth of time (about 150-200 us against about 1 us per pair).
+RELATION_PAIRS = 256
 # Exhaustive subset enumeration doubles per V element; cap at 4096 subsets.
 EXHAUSTIVE_SUBSET_CAP = 12
 # Largest |V| at which the seriality biconditional scans the whole power set.
@@ -153,6 +158,23 @@ def generate_relations(cfg: GeneratorConfig) -> Iterator[BinaryRelation]:
     else:
         for k in range(cfg.count):
             yield random_relation(cfg.u_size, cfg.v_size, cfg.density, cfg.seed, k)
+
+
+def exhaustive_campaign_config(u_size: int, v_size: int) -> GeneratorConfig:
+    """The relations of an exhaustive law campaign: every u_size x v_size one.
+
+    The bounds are checked here, before the first relation: u*v at most
+    ``EXHAUSTIVE_CELL_CAP``, and 2**(u*v) * (4**v + ``RELATION_PAIRS``) at
+    most ``EXHAUSTIVE_PAIR_CAP``.
+    """
+    cfg = GeneratorConfig(u_size, v_size, "exhaustive")
+    pairs = ((1 << 2 * v_size) + RELATION_PAIRS) << u_size * v_size
+    if pairs > EXHAUSTIVE_PAIR_CAP:
+        raise BudgetError(
+            f"exhaustive law campaign needs at most {EXHAUSTIVE_PAIR_CAP} subset pairs' "
+            f"work, {u_size}x{v_size} needs {pairs}"
+        )
+    return cfg
 
 
 def _exhaustive_rows(u_size: int, v_size: int) -> Iterator[tuple[int, ...]]:

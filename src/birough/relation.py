@@ -13,7 +13,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from itertools import compress
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 __all__ = [
     "BiroughError",
@@ -29,6 +30,7 @@ __all__ = [
     "BinaryRelation",
     "SHIFT_WIDTH",
     "iter_bits",
+    "mask_members",
     "mask_of_flags",
     "mask_of_indices",
     "row_digits",
@@ -78,6 +80,9 @@ def valid_label(label: object) -> bool:
 SHIFT_WIDTH = 64
 
 _FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+_T = TypeVar("_T")
 
 
 def row_digits(row: int, width: int) -> str:
@@ -108,6 +113,17 @@ def mask_of_indices(indices: Iterable[int], width: int) -> int:
     for i in indices:
         packed[i >> 3] |= 1 << (i & 7)
     return int.from_bytes(packed, "little")
+
+
+def mask_members(mask: int, items: Sequence[_T]) -> Iterator[_T]:
+    """The items at the set bits of ``mask``, in order, for a mask that fits
+    ``len(items)`` bits.
+
+    One C pass over the width (digits, 0/1 flags, ``compress``), where
+    ``iter_bits`` takes a Python step per member.
+    """
+    flags = row_digits(mask, len(items)).encode("ascii").translate(_DIGIT_FLAGS)
+    return compress(items, flags)
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -294,11 +310,10 @@ class Subset:
 
     def labels(self) -> tuple[str, ...]:
         """Member labels in universe order."""
-        names = self.universes.labels(self.side)
-        return tuple(names[i] for i in iter_bits(self.bits))
+        return tuple(mask_members(self.bits, self.universes.labels(self.side)))
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(iter_bits(self.bits))
+        return tuple(mask_members(self.bits, range(self.universes.size(self.side))))
 
     @property
     def is_full(self) -> bool:

@@ -7,6 +7,8 @@ two is meaningful.
 
 from __future__ import annotations
 
+import json
+
 
 def matrix_of(rel) -> list[list[int]]:
     return [
@@ -192,6 +194,11 @@ def naive_law_campaign(matrix, lower, upper, singles, pairs):
                 upper(join) == uppers,
             )
     return instances, failed
+
+
+def naive_emit_json(obj) -> str:
+    """A report's JSON bytes through the stdlib's own indenting encoder."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 class NaiveParseError(Exception):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from enum import IntEnum
+
 from hypothesis import strategies as st
 
 from birough import BinaryRelation, Side, Subset
@@ -88,3 +90,36 @@ def relation_texts(draw):
         seps = [draw(st.sampled_from(_SEPARATORS)) for _ in tokens[1:]]
         out.append(lead + tokens[0] + "".join(s + t for s, t in zip(seps, tokens[1:])) if tokens else lead)
     return "\n".join(out) + draw(st.sampled_from(["", "\n"]))
+
+
+class Level(IntEnum):
+    """An int subclass, which a JSON writer must not take for a plain int."""
+
+    LOW = 1
+    HIGH = 2**70
+
+
+# Scalars a report could hold, and some it should not but a writer must
+# still render as the stdlib does: non-ASCII, quotes, backslashes, control
+# characters, big ints, floats with NaN and infinities, and an IntEnum.
+JSON_SCALARS = (
+    st.text()
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\n\t", " ", "é", "\U0001f600"])
+    | st.integers(-(2**100), 2**100)
+    | st.booleans()
+    | st.none()
+    | st.floats()
+    | st.sampled_from(Level)
+)
+
+
+def json_trees(max_leaves: int = 40):
+    """Nested dicts, lists and tuples, empty ones included, over ``JSON_SCALARS``."""
+    return st.recursive(
+        JSON_SCALARS,
+        lambda children: st.lists(children, max_size=6)
+        | st.lists(children, max_size=6).map(tuple)
+        | st.dictionaries(st.text(max_size=4), children, max_size=6)
+        | st.dictionaries(st.integers(-3, 3), children, max_size=3),
+        max_leaves=max_leaves,
+    )

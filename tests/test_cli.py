@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from birough import formats
 from birough.cli import main
+from naive import naive_emit_json
 
 TESTS = Path(__file__).parent
 REPO = TESTS.parent
@@ -19,13 +21,20 @@ GOLDEN_CASES = {
     "approx.txt": ["approx", SAMPLE, "--set", "y1,y2,y4"],
     "approx.json": ["approx", SAMPLE, "--set", "y1,y2,y4", "--format", "json"],
     "neighbors.txt": ["neighbors", SAMPLE],
+    "neighbors.json": ["neighbors", SAMPLE, "--format", "json"],
     "classify.txt": ["classify", SAMPLE, "--classes", CLASSES],
     "classify.json": ["classify", SAMPLE, "--classes", CLASSES, "--format", "json"],
     "verify.txt": ["verify", SAMPLE],
+    "verify.json": ["verify", SAMPLE, "--format", "json"],
     "tables.txt": ["tables", "--op", "union", "--relation", SAMPLE],
+    "tables.json": ["tables", "--op", "union", "--relation", SAMPLE, "--format", "json"],
     "witness.txt": [
         "witness", "--op", "union", "--left", "1", "--right", "1",
         "--result", "3", "--max-u", "3", "--max-v", "3",
+    ],
+    "witness.json": [
+        "witness", "--op", "union", "--left", "1", "--right", "1",
+        "--result", "3", "--max-u", "3", "--max-v", "3", "--format", "json",
     ],
     "gen.txt": ["gen", "--u", "4", "--v", "5", "--density", "0.4", "--seed", "7"],
 }
@@ -55,6 +64,19 @@ class TestGoldens:
         code, out, err = run_cli(capsys, *GOLDEN_CASES[name])
         assert code == 0 and err == ""
         check_golden(name, out)
+
+    @pytest.mark.parametrize("name", sorted(set(GOLDEN_CASES) - {"gen.txt"}))
+    def test_json_writer_matches_stdlib_on_golden_reports(self, capsys, monkeypatch, name):
+        reports = []
+
+        def keep(report, fmt):
+            reports.append(report)
+            return formats.emit_report(report, fmt)
+
+        monkeypatch.setattr("birough.cli.emit_report", keep)
+        run_cli(capsys, *GOLDEN_CASES[name])
+        [report] = reports
+        assert formats.emit_report(report, "json") == naive_emit_json(report.to_obj())
 
     def test_classify_json_carries_exact_ratio(self, capsys):
         _, out, _ = run_cli(capsys, *GOLDEN_CASES["classify.json"])
@@ -199,6 +221,15 @@ class TestExitCodes:
     def test_oversize_sweep_bounds_are_two_before_any_work(self, capsys, argv):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "needs" in err
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("u, v", [(20, 1), (5, 4), (4, 5), (2, 7), (1, 10)])
+    def test_oversize_exhaustive_campaign_is_two_before_any_work(self, capsys, u, v):
+        # 2**(u*v) relations * (4**v subset pairs + per-relation set-up) is
+        # over the pair cap, although u*v is within the cell cap
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--exhaustive", "--u", str(u), "--v", str(v))
         assert code == 2 and out == "" and "needs" in err
         assert time.perf_counter() - start < 2.0
 

@@ -1,16 +1,22 @@
 from __future__ import annotations
 
 import json
+import random
+import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
 
 from birough import (
     AnalysisReport,
+    BinaryRelation,
     ParseError,
     RelationDocument,
     emit_report,
+    formats,
     parse_classification_file,
     parse_relation_file,
     ratio_decimal,
@@ -18,10 +24,30 @@ from birough import (
     ratio_text,
     render_relation_file,
 )
-from birough.formats import build_approx_report, parse_tables_json
+from birough.formats import (
+    build_approx_report,
+    build_classify_report,
+    build_neighbors_report,
+    parse_tables_json,
+)
 from birough.approx import approximate, RoughType
-from naive import NaiveParseError, naive_parse_relation
-from strategies import WIDE_U_SIZES, relation_texts, relations
+from birough.classify import (
+    TheoremReport,
+    approximate_family,
+    family_law_report,
+    measure_law_report,
+    validate_classification,
+)
+from birough.lab import canonical_universes
+from naive import (
+    NaiveParseError,
+    matrix_of,
+    naive_emit_json,
+    naive_left,
+    naive_parse_relation,
+    right_sets,
+)
+from strategies import WIDE_U_SIZES, Level, json_trees, relation_texts, relations
 
 SAMPLE_TEXT = """\
 # comment line
@@ -203,3 +229,85 @@ class TestReports:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             emit_report(AnalysisReport("approx", {}), "yaml")
+
+
+@contextmanager
+def c_encoder(available: bool):
+    """Run the JSON writer with or without the stdlib's C encoder."""
+    formats._leaf_list_encoder.cache_clear()
+    try:
+        if available:
+            yield
+        else:
+            with mock.patch.object(formats, "c_make_encoder", None):
+                yield
+    finally:
+        formats._leaf_list_encoder.cache_clear()
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("available", [True, False], ids=["c-encoder", "no-c-encoder"])
+    @given(tree=json_trees(), other=json_trees(max_leaves=8))
+    def test_matches_stdlib_indent_2(self, available, tree, other):
+        # The same objects at several depths and twice in one container.
+        body = {
+            "tree": tree,
+            "pair": [tree, other, tree],
+            "nested": {"deeper": [{"tree": tree}, (other,)], "leaves": ["a", 1, True, None]},
+            "level": Level.HIGH,
+        }
+        report = AnalysisReport("approx", body)
+        with c_encoder(available):
+            assert emit_report(report, "json") == naive_emit_json(report.to_obj())
+
+    @pytest.mark.parametrize("available", [True, False], ids=["c-encoder", "no-c-encoder"])
+    def test_edge_values(self, available):
+        body = {
+            "empty": [[], (), {}, [[]], {"": {}}],
+            "scalars": [0, -1, 2**64, 1.5, float("nan"), float("-inf"), Level.LOW],
+            "strings": ["", '"', "\\", "\x00", "\u2028", "\U0001f600", "caf\u00e9"],
+            "int_keys": {3: "c", 1: ["a"], -2: {"x": []}},
+        }
+        report = AnalysisReport("approx", body)
+        with c_encoder(available):
+            assert emit_report(report, "json") == naive_emit_json(report.to_obj())
+
+    def test_emit_memory_is_linear_in_output(self):
+        # A classification into single columns: each complement index set
+        # lists all but one block name in each of its law entries.  The
+        # stdlib's indenting encoder holds a string object per value (over
+        # five times the text); the writer holds at most one container's
+        # member texts beside their join.
+        n = 80
+        rng = random.Random(3)
+        rows = tuple(rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n))
+        rel = BinaryRelation(canonical_universes(n, n), rows)
+        named = [(f"B{j}", rel.universes.v_subset([j])) for j in range(n)]
+        fa = approximate_family(rel, validate_classification(named))
+        laws = TheoremReport(family_law_report(fa).entries + measure_law_report(fa).entries)
+        report = build_classify_report(rel, "many.rel", fa, laws)
+        tracemalloc.start()
+        try:
+            text = emit_report(report, "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 500_000
+        assert peak < 3 * len(text)
+
+
+class TestNeighborsReport:
+    @given(relations(max_u=6, max_v=6) | relations(u_sizes=WIDE_U_SIZES, max_v=6))
+    def test_neighborhoods_match_oracle(self, rel):
+        body = build_neighbors_report(rel, "r.rel").body
+        matrix = matrix_of(rel)
+        u_labels, v_labels = rel.universes.u_labels, rel.universes.v_labels
+        rights = right_sets(matrix)
+        # Insertion order is universe order; members are in universe order.
+        assert list(body["right_neighborhoods"].items()) == [
+            (x, [v_labels[j] for j in sorted(rights[i])]) for i, x in enumerate(u_labels)
+        ]
+        assert list(body["left_neighborhoods"].items()) == [
+            (y, [u_labels[i] for i in sorted(naive_left(matrix, j))])
+            for j, y in enumerate(v_labels)
+        ]

@@ -120,6 +120,18 @@ class TestSubset:
         assert set((a - b).indices()) == sa - sb
         assert (a <= b) == (sa <= sb)
 
+    @pytest.mark.parametrize("width", (63, 64, 65, 1000))
+    @pytest.mark.parametrize("side", list(Side))
+    def test_empty_and_full_masks(self, width, side):
+        up = UniversePair(
+            tuple(f"x{i}" for i in range(width)), tuple(f"y{i}" for i in range(width))
+        )
+        assert up.empty(side).labels() == () and up.empty(side).indices() == ()
+        assert up.full(side).labels() == up.labels(side)
+        assert up.full(side).indices() == tuple(range(width))
+        top = Subset(up, side, 1 << width - 1)
+        assert top.labels() == (up.labels(side)[-1],) and top.indices() == (width - 1,)
+
     @given(st.data())
     def test_subset_from_members_oracle(self, data):
         width = data.draw(st.sampled_from((63, 64, 65, 1000)))
