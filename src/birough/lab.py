@@ -1,9 +1,11 @@
 """Verification engine: law campaigns, small-model sweeps, and witness search.
 
 Campaigns run over exhaustively enumerated relations (small dimensions) or
-seeded random streams.  Randomness is derived per item from string-keyed
-seeds, so a stream is reproducible regardless of consumption order, and the
-relation, subset, and dimension streams never share state.
+seeded random streams.  Randomness comes from string-keyed seeds, so a stream
+is reproducible regardless of consumption order, and the relation, subset, and
+dimension streams never share state.  Relations and dimensions are derived
+per item; a sampled law campaign draws all of one relation's V-subsets from
+one stream keyed by its budget seed and |V|.
 """
 
 from __future__ import annotations
@@ -184,9 +186,14 @@ def _exhaustive_rows(u_size: int, v_size: int) -> Iterator[tuple[int, ...]]:
         yield tuple((code >> (i * v_size)) & vmask for i in range(u_size))
 
 
-def random_subset_bits(v_size: int, seed: int, index: int) -> int:
-    """The index-th V-subset of the seeded subset stream."""
-    return _stream_rng(seed, "subset", index).randrange(1 << v_size)
+def random_subset_bits(v_size: int, seed: int, count: int) -> list[int]:
+    """The first ``count`` V-subsets of the seeded subset stream for |V| = v_size.
+
+    Each draw is uniform on [0, 2**v_size).  The stream is seeded once per
+    call, so a shorter draw is a prefix of a longer one.
+    """
+    rng = _stream_rng(seed, "subset", v_size)
+    return [rng.getrandbits(v_size) for _ in range(count)]
 
 
 def random_campaign(
@@ -363,9 +370,7 @@ def verify_algebraic_properties(
         groups = ((a, singles) for a in singles)
         n_pairs = len(singles) ** 2
     else:
-        draws = [
-            random_subset_bits(v_size, budget.seed, k) for k in range(2 * budget.pairs)
-        ]
+        draws = random_subset_bits(v_size, budget.seed, 2 * budget.pairs)
         singles = sorted(set(draws) | {0, vmask})
         lo, up = _OperatorMemo(lower_bits, rows), _OperatorMemo(upper_bits, rows)
         groups = ((a, (b,)) for a, b in zip(draws[0::2], draws[1::2]))

@@ -492,8 +492,16 @@ class BinaryRelation:
 
     def quotient_classes(self) -> tuple[list[list[int]], list[list[int]]]:
         """Indices of the U elements with equal rows and of the V elements with
-        equal columns, class by class in order of first member."""
-        return _equal_key_classes(self.rows), _equal_key_classes(self.columns())
+        equal columns, class by class in order of first member.
+
+        The grouping is computed once per relation and the same lists are
+        returned on every call, so callers must not modify them.
+        """
+        classes = self.__dict__.get("_quotient_classes")
+        if classes is None:
+            classes = _equal_key_classes(self.rows), _equal_key_classes(self.columns())
+            self.__dict__["_quotient_classes"] = classes
+        return classes
 
     def quotient_partitions(self) -> tuple[Partition, Partition]:
         """Partitions of U and V grouping elements with equal neighborhoods."""

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from birough import formats
+from birough import formats, lab, relation
 from birough.cli import main
 from naive import naive_emit_json
 
@@ -26,6 +26,10 @@ GOLDEN_CASES = {
     "classify.json": ["classify", SAMPLE, "--classes", CLASSES, "--format", "json"],
     "verify.txt": ["verify", SAMPLE],
     "verify.json": ["verify", SAMPLE, "--format", "json"],
+    "verify_samples.json": [
+        "verify", "--samples", "4", "--seed", "3", "--max-u", "4", "--max-v", "4",
+        "--pairs", "8", "--format", "json",
+    ],
     "tables.txt": ["tables", "--op", "union", "--relation", SAMPLE],
     "tables.json": ["tables", "--op", "union", "--relation", SAMPLE, "--format", "json"],
     "witness.txt": [
@@ -296,6 +300,33 @@ class TestCampaigns:
         code, out, err = run_cli(capsys, "neighbors", str(path))
         assert code == 0 and err == "" and "saturation identity: holds" in out
         assert time.perf_counter() - start < 10.0
+
+    def test_neighbors_groups_the_relation_once(self, capsys, monkeypatch):
+        # one grouping of the rows and one of the columns, shared by the
+        # report and the saturation check
+        calls = []
+        group = relation._equal_key_classes
+        monkeypatch.setattr(
+            relation, "_equal_key_classes", lambda keys: calls.append(1) or group(keys)
+        )
+        code, out, _ = run_cli(capsys, "neighbors", SAMPLE, "--format", "json")
+        assert code == 0 and json.loads(out)["saturation_identity"] is True
+        assert len(calls) == 2
+
+    def test_sampled_campaign_draws_subsets_once_per_relation(self, capsys, monkeypatch):
+        # the call goes through the lab module global, so a wrapper placed
+        # there sees every draw
+        calls = []
+        draw = lab.random_subset_bits
+
+        def counting(v_size, seed, count):
+            calls.append(count)
+            return draw(v_size, seed, count)
+
+        monkeypatch.setattr(lab, "random_subset_bits", counting)
+        code, _, _ = run_cli(capsys, "verify", "--samples", "5", "--pairs", "100")
+        assert code == 0
+        assert calls == [200] * 5
 
     def test_exhaustive_campaign(self, capsys):
         code, out, _ = run_cli(

@@ -147,6 +147,23 @@ class TestAlgebraicCampaign:
         assert verify_algebraic_properties(rel, SubsetBudget.sampled(8, seed=1)).ok
 
 
+class TestSubsetStream:
+    def test_deterministic(self):
+        assert lab.random_subset_bits(7, 5, 50) == lab.random_subset_bits(7, 5, 50)
+
+    def test_prefix_stable(self):
+        for v, seed in ((1, 0), (6, 3), (40, 11)):
+            assert lab.random_subset_bits(v, seed, 10)[:4] == lab.random_subset_bits(v, seed, 4)
+
+    @pytest.mark.parametrize("v", [1, 3, 12, 40])
+    def test_draws_are_v_subsets(self, v):
+        draws = lab.random_subset_bits(v, 2, 200)
+        assert len(draws) == 200
+        assert all(0 <= s < 1 << v for s in draws)
+        # the top V element is drawn too, not only the low ones
+        assert any(s >> (v - 1) for s in draws)
+
+
 # Operator kernels for the law campaign: given a relation, the (lower, upper)
 # pair that ``lab`` is run with.  Each broken pair is listed with a law it
 # must be caught breaking.
@@ -196,7 +213,7 @@ def _campaign_subsets(rel, budget):
     if budget.mode == "exhaustive":
         singles = list(range(1 << rel.v_size))
         return singles, list(product(singles, repeat=2))
-    draws = [lab.random_subset_bits(rel.v_size, budget.seed, k) for k in range(2 * budget.pairs)]
+    draws = lab.random_subset_bits(rel.v_size, budget.seed, 2 * budget.pairs)
     return sorted(set(draws) | {0, rel.vmask}), list(zip(draws[0::2], draws[1::2]))
 
 
