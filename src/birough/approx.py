@@ -5,13 +5,14 @@ A V-side subset Y is approximated from the U side:
     lower(Y) = {x : r(x) is a subset of Y}
     upper(Y) = {x : r(x) meets Y}
 
-The set form tests row bitsets directly.  The matrix form evaluates the
-equivalent min/max expression over the 0/1 incidence matrix, with the fold
-over {0,1} realized as word operations (min = AND, max = OR).  For the lower
-operator that is a second, independent test; for the upper operator the
-OR-fold of min(R, Y) is the set form's "the row meets Y" test itself, and
-the independent route is the union of Y's columns.  The routes must agree
-bit for bit; the verification lab and the test suite cross-check them.
+The set form tests row bitsets directly.  For the lower operator a matrix
+form evaluates the equivalent min/max expression over the 0/1 incidence
+matrix, with the fold over {0,1} realized as word operations (min = AND,
+max = OR), as a second, independent test.  The upper operator has no matrix
+form of its own: the OR-fold of min(R, Y) is the set form's "the row meets
+Y" test itself, so its independent route is the union of Y's columns.  The
+routes must agree bit for bit; the verification lab and the test suite
+cross-check them.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "lower_approximation",
     "lower_approximation_matrix",
     "upper_approximation",
-    "upper_approximation_matrix",
     "upper_approximation_from_columns",
     "boundary",
     "rough_type",
@@ -188,12 +188,6 @@ def lower_approximation_matrix(rel: BinaryRelation, y: Subset) -> Subset:
 
 def upper_approximation(rel: BinaryRelation, y: Subset) -> Subset:
     """Set-form upper approximation of a V-subset."""
-    _require_v_subset(rel, y)
-    return Subset(rel.universes, Side.U, upper_bits(rel.rows, y.bits))
-
-
-def upper_approximation_matrix(rel: BinaryRelation, y: Subset) -> Subset:
-    """Matrix-form upper approximation: the OR-fold of min(R, Y) is ``upper_bits``."""
     _require_v_subset(rel, y)
     return Subset(rel.universes, Side.U, upper_bits(rel.rows, y.bits))
 

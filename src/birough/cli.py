@@ -36,7 +36,6 @@ from .formats import (
 from .lab import (
     SubsetBudget,
     check_relation_against_tables,
-    exhaustive_campaign_config,
     find_type_witness,
     generate_relations,
     merge_property_reports,
@@ -150,7 +149,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     elif args.exhaustive:
         if args.u is None or args.v is None:
             raise BiroughError("--exhaustive without a relation file needs --u and --v")
-        relations = generate_relations(exhaustive_campaign_config(args.u, args.v))
+        relations = generate_relations(args.u, args.v)
         campaign = ((rel, SubsetBudget.exhaustive()) for rel in relations)
         description = f"all {args.u}x{args.v} relations with exhaustive subsets"
         scope = {"description": description, "u": args.u, "v": args.v}

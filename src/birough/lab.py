@@ -1,11 +1,14 @@
 """Verification engine: law campaigns, small-model sweeps, and witness search.
 
-Campaigns run over exhaustively enumerated relations (small dimensions) or
-seeded random streams.  Randomness comes from string-keyed seeds, so a stream
-is reproducible regardless of consumption order, and the relation, subset, and
-dimension streams never share state.  Relations and dimensions are derived
-per item; a sampled law campaign draws all of one relation's V-subsets from
-one stream keyed by its budget seed and |V|.
+Law campaigns run over every relation of small dimensions
+(``generate_relations``) or over seeded random streams.  Randomness comes from
+string-keyed seeds, so a stream is reproducible regardless of consumption
+order, and the relation, subset, and dimension streams never share state.
+Relations and dimensions are derived per item; a sampled law campaign draws
+all of one relation's V-subsets from one stream keyed by its budget seed and
+|V|.  The type-table sweeps and the witness search walk each distinct
+(|V|, row set) once (``_row_set_relations``) through one subset-pair sweep
+(``_first_witnesses``).
 """
 
 from __future__ import annotations
@@ -29,17 +32,14 @@ from .relation import (
 )
 
 __all__ = [
-    "EXHAUSTIVE_CELL_CAP",
     "EXHAUSTIVE_PAIR_CAP",
     "EXHAUSTIVE_SUBSET_CAP",
     "SERIAL_ENUM_CAP",
     "ConfigError",
     "BudgetError",
-    "GeneratorConfig",
     "SubsetBudget",
     "canonical_universes",
     "generate_relations",
-    "exhaustive_campaign_config",
     "random_relation",
     "random_subset_bits",
     "random_campaign",
@@ -59,14 +59,10 @@ __all__ = [
     "ambiguous_cells",
     "Witness",
     "TableCellFinding",
-    "check_type_tables",
     "witness_inventory",
     "find_type_witness",
 ]
 
-# Largest u*v at which GeneratorConfig enumerates every relation (2**20 of
-# them): it governs only generate_relations, for verify --exhaustive.
-EXHAUSTIVE_CELL_CAP = 20
 # Most subset pairs an exhaustive sweep may examine: for a type-table sweep,
 # C(2**v, u) * 4**v for the u-row sets of width v, summed over the sweep; for
 # an exhaustive law campaign, 2**(u*v) relations * (4**v + RELATION_PAIRS).
@@ -103,39 +99,6 @@ def _stream_rng(seed: int, kind: str, index: int) -> random.Random:
     return random.Random(f"{seed}:{kind}:{index}")
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """How to produce a stream of relations.
-
-    Exhaustive mode enumerates all relations of the given dimensions in
-    row-major bit order (relation k sets cell (i, j) when bit i*v+j of k is
-    set).  Random mode yields ``count`` relations with independent per-cell
-    density; item k depends only on (seed, k).
-    """
-
-    u_size: int
-    v_size: int
-    mode: str = "exhaustive"
-    density: float = 0.5
-    seed: int = 0
-    count: int = 1
-
-    def __post_init__(self) -> None:
-        if self.u_size < 1 or self.v_size < 1:
-            raise ConfigError("universe sizes must be at least 1")
-        if self.mode not in ("exhaustive", "random"):
-            raise ConfigError(f"unknown generator mode {self.mode!r}")
-        if self.mode == "exhaustive" and self.u_size * self.v_size > EXHAUSTIVE_CELL_CAP:
-            raise BudgetError(
-                f"exhaustive generation needs u*v <= {EXHAUSTIVE_CELL_CAP}, "
-                f"got {self.u_size}x{self.v_size}"
-            )
-        if not 0 <= self.density <= 1:
-            raise ConfigError("density must lie in [0, 1]")
-        if self.mode == "random" and self.count < 1:
-            raise ConfigError("random mode needs count >= 1")
-
-
 def random_relation(
     u_size: int, v_size: int, density: float, seed: int, index: int
 ) -> BinaryRelation:
@@ -151,39 +114,36 @@ def random_relation(
     return BinaryRelation(canonical_universes(u_size, v_size), tuple(rows))
 
 
-def generate_relations(cfg: GeneratorConfig) -> Iterator[BinaryRelation]:
-    """Stream relations according to the configuration."""
-    universes = canonical_universes(cfg.u_size, cfg.v_size)
-    if cfg.mode == "exhaustive":
-        for rows in _exhaustive_rows(cfg.u_size, cfg.v_size):
-            yield BinaryRelation(universes, rows)
-    else:
-        for k in range(cfg.count):
-            yield random_relation(cfg.u_size, cfg.v_size, cfg.density, cfg.seed, k)
+def generate_relations(u_size: int, v_size: int) -> Iterator[BinaryRelation]:
+    """Every u_size x v_size relation, for an exhaustive law campaign.
 
-
-def exhaustive_campaign_config(u_size: int, v_size: int) -> GeneratorConfig:
-    """The relations of an exhaustive law campaign: every u_size x v_size one.
-
-    The bounds are checked here, before the first relation: u*v at most
-    ``EXHAUSTIVE_CELL_CAP``, and 2**(u*v) * (4**v + ``RELATION_PAIRS``) at
-    most ``EXHAUSTIVE_PAIR_CAP``.
+    Relation k sets cell (i, j) when bit i*v+j of k is set (row-major bit
+    order).  The bounds are checked at the call, before the first relation:
+    sizes at least 1, and 2**(u*v) * (4**v + ``RELATION_PAIRS``) at most
+    ``EXHAUSTIVE_PAIR_CAP``.
     """
-    cfg = GeneratorConfig(u_size, v_size, "exhaustive")
-    pairs = ((1 << 2 * v_size) + RELATION_PAIRS) << u_size * v_size
-    if pairs > EXHAUSTIVE_PAIR_CAP:
+    if u_size < 1 or v_size < 1:
+        raise ConfigError("universe sizes must be at least 1")
+    cells = u_size * v_size
+    # From the cap's bit length on, 2**(u*v) alone is over the cap: refuse
+    # there before the shifts, which would build a giant int for a huge size.
+    pairs = (
+        ((1 << 2 * v_size) + RELATION_PAIRS) << cells
+        if cells < EXHAUSTIVE_PAIR_CAP.bit_length()
+        else None
+    )
+    if pairs is None or pairs > EXHAUSTIVE_PAIR_CAP:
+        needs = pairs or f"more than 2**{cells}"
         raise BudgetError(
             f"exhaustive law campaign needs at most {EXHAUSTIVE_PAIR_CAP} subset pairs' "
-            f"work, {u_size}x{v_size} needs {pairs}"
+            f"work, {u_size}x{v_size} needs {needs}"
         )
-    return cfg
-
-
-def _exhaustive_rows(u_size: int, v_size: int) -> Iterator[tuple[int, ...]]:
-    """The rows of every u_size x v_size relation, in exhaustive-mode order."""
+    universes = canonical_universes(u_size, v_size)
     vmask = (1 << v_size) - 1
-    for code in range(1 << (u_size * v_size)):
-        yield tuple((code >> (i * v_size)) & vmask for i in range(u_size))
+    return (
+        BinaryRelation(universes, tuple(code >> i * v_size & vmask for i in range(u_size)))
+        for code in range(1 << cells)
+    )
 
 
 def random_subset_bits(v_size: int, seed: int, count: int) -> list[int]:
@@ -685,18 +645,8 @@ def _is_union(operation: str) -> bool:
     return operation == "union"
 
 
-# One sweep item: a relation, the type code of each V-subset the pairs touch
-# (indexed by the subset's bits), and the (X, Y) subset pairs to combine.
-_SweepItem = tuple[BinaryRelation, Sequence[int] | Mapping[int, int], Iterable[tuple[int, int]]]
-
-
 def _outcome_key(left: int, right: int, result: int) -> int:
     return (left * 10 + right) * 10 + result
-
-
-def _exhaustive_item(rel: BinaryRelation) -> _SweepItem:
-    subsets = range(1 << rel.v_size)
-    return rel, [type_code(rel.rows, s) for s in subsets], product(subsets, repeat=2)
 
 
 def _sweep_blocks(max_u: int, v_sizes: range) -> list[tuple[int, int]]:
@@ -726,7 +676,7 @@ def _sweep_blocks(max_u: int, v_sizes: range) -> list[tuple[int, int]]:
     return blocks
 
 
-def _exhaustive_items(blocks: Iterable[tuple[int, int]]) -> Iterator[_SweepItem]:
+def _row_set_relations(blocks: Iterable[tuple[int, int]]) -> Iterator[BinaryRelation]:
     """Every (|V|, row set) of the blocks once, as its first relation in sweep order.
 
     A rough type depends only on |V| and the set of rows.  In the sweep over
@@ -738,36 +688,24 @@ def _exhaustive_items(blocks: Iterable[tuple[int, int]]) -> Iterator[_SweepItem]
     for u, v in blocks:
         universes = canonical_universes(u, v)
         for combo in combinations(range(1 << v), u):
-            yield _exhaustive_item(BinaryRelation(universes, combo[::-1]))
+            yield BinaryRelation(universes, combo[::-1])
 
 
-def _first_relations(u_size: int, v_size: int) -> list[tuple[int, ...]]:
-    """The rows of the first u x v relation of each row set, in exhaustive order.
-
-    The first relation of the row set {c0 < ... < c(k-1)} puts c(k-1), ...,
-    c1 in its low rows and repeats c0 in the top u-k+1; relation codes order
-    as their reversed row tuples.  Bounds are checked before any work.
-    """
-    return sorted(
-        (
-            c[:0:-1] + (c[0],) * (u_size - k + 1)
-            for k, v in _sweep_blocks(u_size, range(v_size, v_size + 1))
-            for c in combinations(range(1 << v), k)
-        ),
-        key=lambda rows: rows[::-1],
-    )
-
-
-def _first_witnesses(items: Iterable[_SweepItem], union: bool) -> Iterator[tuple[int, Witness]]:
+def _first_witnesses(
+    relations: Iterable[BinaryRelation], union: bool
+) -> Iterator[tuple[int, Witness]]:
     """The one subset-pair sweep behind the type tables.
 
-    Yields each (left, right, result) outcome, keyed as ``_outcome_key``
-    computes it (inlined below, as it runs once per pair), with its first
-    witness in item and pair order.
+    Types each relation's 2**|V| subsets once, then yields each (left, right,
+    result) outcome over every subset pair, keyed as ``_outcome_key`` computes
+    it (inlined below, as it runs once per pair), with its first witness in
+    relation and pair order.
     """
     seen: set[int] = set()
-    for rel, codes, pairs in items:
-        for a, b in pairs:
+    for rel in relations:
+        subsets = range(1 << rel.v_size)
+        codes = [type_code(rel.rows, s) for s in subsets]
+        for a, b in product(subsets, repeat=2):
             key = (codes[a] * 10 + codes[b]) * 10 + codes[a | b if union else a & b]
             if key not in seen:
                 seen.add(key)
@@ -799,42 +737,6 @@ def _findings(
     return out
 
 
-def _sampled_items(
-    cfg: GeneratorConfig, union: bool, pairs_per_relation: int
-) -> Iterator[_SweepItem]:
-    space = 1 << cfg.v_size
-    for index, rel in enumerate(generate_relations(cfg)):
-        rng = _stream_rng(cfg.seed, "subset-pairs", index)
-        pairs = [(rng.randrange(space), rng.randrange(space)) for _ in range(pairs_per_relation)]
-        touched = {s for a, b in pairs for s in (a, b, a | b if union else a & b)}
-        yield rel, {s: type_code(rel.rows, s) for s in touched}, pairs
-
-
-def check_type_tables(
-    cfg: GeneratorConfig,
-    operation: str,
-    *,
-    tables: Mapping[tuple[RoughType, RoughType], frozenset[RoughType]] | None = None,
-    pairs_per_relation: int = 50,
-) -> list[TableCellFinding]:
-    """Sweep generated relations and report observed result types per cell.
-
-    Exhaustive configurations examine every subset pair of each distinct row
-    set, in the relation order of ``generate_relations``; random ones draw
-    ``pairs_per_relation`` seeded pairs per relation.
-    """
-    union = _is_union(operation)
-    if cfg.mode == "exhaustive":
-        universes = canonical_universes(cfg.u_size, cfg.v_size)
-        items = (
-            _exhaustive_item(BinaryRelation(universes, rows))
-            for rows in _first_relations(cfg.u_size, cfg.v_size)
-        )
-    else:
-        items = _sampled_items(cfg, union, pairs_per_relation)
-    return _findings(operation, tables, _first_witnesses(items, union))
-
-
 def check_relation_against_tables(
     rel: BinaryRelation,
     operation: str,
@@ -845,7 +747,7 @@ def check_relation_against_tables(
     union = _is_union(operation)
     if rel.v_size > EXHAUSTIVE_SUBSET_CAP:
         raise BudgetError(f"exhaustive pair sweep needs |V| <= {EXHAUSTIVE_SUBSET_CAP}")
-    return _findings(operation, tables, _first_witnesses([_exhaustive_item(rel)], union))
+    return _findings(operation, tables, _first_witnesses([rel], union))
 
 
 def witness_inventory(
@@ -864,8 +766,8 @@ def witness_inventory(
     failure.
     """
     union = _is_union(operation)
-    items = _exhaustive_items(_sweep_blocks(max_u, range(1, max_v + 1)))
-    return _findings(operation, tables, _first_witnesses(items, union))
+    relations = _row_set_relations(_sweep_blocks(max_u, range(1, max_v + 1)))
+    return _findings(operation, tables, _first_witnesses(relations, union))
 
 
 def find_type_witness(
@@ -884,6 +786,6 @@ def find_type_witness(
     """
     union = _is_union(operation)
     want = _outcome_key(left, right, result)
-    items = _exhaustive_items(_sweep_blocks(max_u, range(1, max_v + 1)))
-    first = _first_witnesses(items, union)
+    relations = _row_set_relations(_sweep_blocks(max_u, range(1, max_v + 1)))
+    first = _first_witnesses(relations, union)
     return next((witness for key, witness in first if key == want), None)

@@ -17,12 +17,10 @@ from pathlib import Path
 
 from birough import (
     BinaryRelation,
-    GeneratorConfig,
     SubsetBudget,
     UniversePair,
     ambiguous_cells,
     approximate_family,
-    check_type_tables,
     derived_laws_report,
     duality_report,
     generate_relations,
@@ -128,7 +126,7 @@ def test_criterion_03_algebraic_laws():
     with criterion(3, "algebraic laws: exhaustive small models + 500 seeded", 60.0):
         reports = []
         for u, v in ((2, 2), (3, 3)):
-            for rel in generate_relations(GeneratorConfig(u, v, "exhaustive")):
+            for rel in generate_relations(u, v):
                 reports.append(verify_algebraic_properties(rel))
         for i, rel in enumerate(random_campaign(500, max_u=8, max_v=8, seed=101)):
             reports.append(
@@ -143,7 +141,7 @@ def test_criterion_03_algebraic_laws():
 def test_criterion_04_seriality_biconditional():
     with criterion(4, "seriality biconditional over all 3x3 relations", 5.0):
         count = 0
-        for rel in generate_relations(GeneratorConfig(3, 3, "exhaustive")):
+        for rel in generate_relations(3, 3):
             assert verify_serial_iff(rel)
             count += 1
         assert count == 512
@@ -163,7 +161,7 @@ def test_criterion_05_reconstruction_round_trip():
 
 def test_criterion_06_saturation_identity():
     with criterion(6, "saturation identity: 512 exhaustive + 1000 seeded", 10.0):
-        for rel in generate_relations(GeneratorConfig(3, 3, "exhaustive")):
+        for rel in generate_relations(3, 3):
             assert rel.saturation_identity_holds()
         count = 0
         for rel in random_campaign(1000, max_u=8, max_v=8, seed=163):
@@ -183,7 +181,7 @@ THREE_ELEMENT_CLASSIFICATIONS = (
 def test_criterion_07_family_theorems_and_derived_laws():
     with criterion(7, "family dualities and derived laws over all 3x3 models", 30.0):
         non_vacuous = {law: 0 for law in DERIVED_LAWS}
-        for rel in generate_relations(GeneratorConfig(3, 3, "exhaustive")):
+        for rel in generate_relations(3, 3):
             for blocks in THREE_ELEMENT_CLASSIFICATIONS:
                 named = [
                     (f"B{k + 1}", rel.universes.v_subset(members))
@@ -236,7 +234,7 @@ def test_criterion_08_type_tables():
             assert sum(1 for allowed in table.values() if len(allowed) == 1) == 9
 
         for operation in ("union", "intersection"):
-            findings = check_type_tables(GeneratorConfig(2, 3, "exhaustive"), operation)
+            findings = witness_inventory(operation, 2, 3)
             assert all(f.conformant for f in findings), operation
 
         for operation in ("union", "intersection"):

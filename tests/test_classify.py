@@ -26,7 +26,7 @@ from birough import (
     validate_classification,
 )
 from birough.classify import COVER_DUALITY, HOLDS, SUPPORT_DUALITY, VACUOUS, VIOLATED
-from birough.lab import GeneratorConfig, canonical_universes, generate_relations
+from birough.lab import canonical_universes, generate_relations
 from naive import matrix_of, naive_lower, naive_upper
 from strategies import relations
 
@@ -228,7 +228,7 @@ class TestDualityChecks:
                 cover_duality_check(two_block, bad)
 
     def test_exhaustive_2x2_never_violated(self):
-        for rel in generate_relations(GeneratorConfig(2, 2, "exhaustive")):
+        for rel in generate_relations(2, 2):
             cls = validate_classification(
                 [
                     ("B1", rel.universes.v_subset([0])),

@@ -228,10 +228,12 @@ class TestExitCodes:
         assert code == 2 and out == "" and "needs" in err
         assert time.perf_counter() - start < 2.0
 
-    @pytest.mark.parametrize("u, v", [(20, 1), (5, 4), (4, 5), (2, 7), (1, 10)])
+    @pytest.mark.parametrize(
+        "u, v", [(20, 1), (18, 1), (5, 4), (4, 5), (2, 7), (1, 10), (10**6, 10**6)]
+    )
     def test_oversize_exhaustive_campaign_is_two_before_any_work(self, capsys, u, v):
         # 2**(u*v) relations * (4**v subset pairs + per-relation set-up) is
-        # over the pair cap, although u*v is within the cell cap
+        # over the pair cap; 18x1 is the smallest such size at |V| = 1
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "verify", "--exhaustive", "--u", str(u), "--v", str(v))
         assert code == 2 and out == "" and "needs" in err

@@ -11,7 +11,6 @@ from birough import (
     BinaryRelation,
     BudgetError,
     ConfigError,
-    GeneratorConfig,
     INTERSECTION_TABLE,
     RoughType,
     Side,
@@ -23,7 +22,6 @@ from birough import (
     ambiguous_cells,
     canonical_universes,
     check_relation_against_tables,
-    check_type_tables,
     find_type_witness,
     generate_relations,
     merge_property_reports,
@@ -51,41 +49,42 @@ from strategies import relations
 
 class TestGenerator:
     def test_exhaustive_counts(self):
-        assert len(list(generate_relations(GeneratorConfig(1, 1)))) == 2
-        assert len(list(generate_relations(GeneratorConfig(2, 2)))) == 16
+        assert len(list(generate_relations(1, 1))) == 2
+        assert len(list(generate_relations(2, 2))) == 16
 
     def test_row_major_bit_order(self):
-        rels = list(generate_relations(GeneratorConfig(2, 2)))
+        rels = list(generate_relations(2, 2))
         assert rels[0].bit_rows() == ("00", "00")
         assert rels[1].bit_rows() == ("10", "00")  # cell (x1, y1) is bit 0
         assert rels[2].bit_rows() == ("01", "00")  # cell (x1, y2) is bit 1
         assert rels[4].bit_rows() == ("00", "10")  # cell (x2, y1) is bit 2
         assert rels[15].bit_rows() == ("11", "11")
 
+    # Both refusals come at the call, not at the first next().
     def test_exhaustive_cap(self):
-        with pytest.raises(BudgetError):
-            GeneratorConfig(5, 5, "exhaustive")
+        with pytest.raises(BudgetError, match="needs"):
+            generate_relations(5, 5)
+        with pytest.raises(BudgetError, match="needs"):
+            generate_relations(18, 1)  # 2**18 * (4 + 256) pairs' work
+        with pytest.raises(BudgetError, match="needs"):
+            generate_relations(10**6, 10**6)
+        assert next(generate_relations(17, 1)).rows == (0,) * 17
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            GeneratorConfig(0, 1)
+            generate_relations(0, 1)
         with pytest.raises(ConfigError):
-            GeneratorConfig(1, 1, "sometimes")
-        with pytest.raises(ConfigError):
-            GeneratorConfig(1, 1, "random", density=1.5)
-        with pytest.raises(ConfigError):
-            GeneratorConfig(1, 1, "random", count=0)
+            generate_relations(1, 0)
 
     def test_random_stream_deterministic(self):
-        cfg = GeneratorConfig(5, 6, "random", density=0.4, seed=7, count=3)
-        first = [rel.rows for rel in generate_relations(cfg)]
-        second = [rel.rows for rel in generate_relations(cfg)]
-        assert first == second and len(first) == 3
+        first = [random_relation(5, 6, 0.4, 7, k).rows for k in range(3)]
+        second = [random_relation(5, 6, 0.4, 7, k).rows for k in range(3)]
+        assert first == second and len(set(first)) == 3
 
     def test_random_stream_independent_of_consumption(self):
-        cfg = GeneratorConfig(4, 4, "random", seed=3, count=10)
-        all_ten = list(generate_relations(cfg))
-        seventh = next(islice(generate_relations(cfg), 7, None))
+        all_ten = list(random_campaign(10, max_u=4, max_v=4, seed=3))
+        assert list(random_campaign(7, max_u=4, max_v=4, seed=3)) == all_ten[:7]
+        seventh = next(islice(random_campaign(10, max_u=4, max_v=4, seed=3), 7, None))
         assert seventh == all_ten[7]
 
     def test_random_campaign_bounds_and_determinism(self):
@@ -279,7 +278,7 @@ class TestSerialIff:
     def test_exhaustive_2x2(self):
         assert all(
             verify_serial_iff(rel)
-            for rel in generate_relations(GeneratorConfig(2, 2))
+            for rel in generate_relations(2, 2)
         )
 
     def test_above_enum_cap(self):
@@ -338,14 +337,14 @@ class TestTables:
 
     @pytest.mark.parametrize("operation", ["union", "intersection"])
     def test_exhaustive_2x2_conformance(self, operation):
-        findings = check_type_tables(GeneratorConfig(2, 2), operation)
+        findings = witness_inventory(operation, 2, 2)
         assert len(findings) == 16
         assert all(f.conformant for f in findings)
 
     def test_sampled_sweep_conformance(self):
-        cfg = GeneratorConfig(6, 6, "random", seed=13, count=40)
-        findings = check_type_tables(cfg, "union", pairs_per_relation=30)
-        assert all(f.conformant for f in findings)
+        for rel in random_campaign(40, max_u=6, max_v=6, seed=13):
+            findings = check_relation_against_tables(rel, "union")
+            assert all(f.conformant for f in findings), rel.bit_rows()
 
     def test_single_relation_check(self, sample):
         findings = check_relation_against_tables(sample, "union")
@@ -480,9 +479,9 @@ _SMALL_DIMS = [(u, v) for u in range(1, 13) for v in range(1, 13) if u * v <= 12
 
 
 class TestRowSetGenerator:
-    """The row-set streams against first appearances in a walk of every relation.
+    """The row-set stream against first appearances in a walk of every relation.
 
-    The pair cap is lifted, since 1x10 to 1x12 lie above it: the streams are
+    The pair cap is lifted, since 1x10 to 1x12 lie above it: the stream is
     compared, not swept.
     """
 
@@ -490,21 +489,14 @@ class TestRowSetGenerator:
     def _no_pair_cap(self, monkeypatch):
         monkeypatch.setattr(lab, "EXHAUSTIVE_PAIR_CAP", 2**64)
 
-    def test_sweep_order_matches_relation_walk(self, monkeypatch):
-        # Items reduced to their relations, so the stream is cheap to compare.
-        monkeypatch.setattr(lab, "_exhaustive_item", lambda rel: rel)
+    def test_sweep_order_matches_relation_walk(self):
         for max_u, max_v in _SMALL_DIMS:
             expected = _first_appearances(product(range(1, max_u + 1), range(1, max_v + 1)))
             blocks = lab._sweep_blocks(max_u, range(1, max_v + 1))
             got = [
-                (rel.u_size, rel.v_size, rel.rows) for rel in lab._exhaustive_items(blocks)
+                (rel.u_size, rel.v_size, rel.rows) for rel in lab._row_set_relations(blocks)
             ]
             assert got == expected, (max_u, max_v)
-
-    def test_single_config_order_matches_relation_walk(self):
-        for u, v in _SMALL_DIMS:
-            expected = [rows for _, _, rows in _first_appearances([(u, v)])]
-            assert lab._first_relations(u, v) == expected, (u, v)
 
 
 class TestSweepBounds:
@@ -519,12 +511,12 @@ class TestSweepBounds:
             ) == find_type_witness(operation, *key, max_u=2, max_v=1)
         assert time.perf_counter() - start < 2.0
 
-    # The CLI tests cover the same bounds for witness_inventory/find_type_witness.
+    # The CLI tests cover the same bounds for find_type_witness.
     @pytest.mark.parametrize("dims", [(1, 9), (2, 7), (3, 6), (1, 13)], ids=_ids)
     def test_oversize_table_check_refused_before_any_work(self, dims):
         start = time.perf_counter()
         with pytest.raises(BudgetError, match="needs"):
-            check_type_tables(GeneratorConfig(*dims), "union")
+            witness_inventory("union", *dims)
         assert time.perf_counter() - start < 2.0
 
 

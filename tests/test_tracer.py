@@ -28,7 +28,9 @@ CASES = {
     "verify-campaign": [
         "verify", "--samples", "3", "--max-u", "3", "--max-v", "3", "--pairs", "5",
     ],
+    "verify-exhaustive": ["verify", "--exhaustive", "--u", "2", "--v", "2"],
     "tables": ["tables", "--op", "union", "--max-u", "2", "--max-v", "2"],
+    "tables-relation": ["tables", "--op", "union", "--relation", SAMPLE],
     "witness": [
         "witness", "--op", "union", "--left", "1", "--right", "1",
         "--result", "2", "--max-u", "2", "--max-v", "2",
@@ -61,3 +63,5 @@ def test_traced_run_matches_plain_run(name, capsys, monkeypatch, tmp_path):
     assert traced.stdout == plain.out
     trace = json.loads(trace_path.read_text(encoding="utf-8"))
     assert trace["command"] == argv[0] and trace["edges"]
+    if name == "verify-exhaustive":
+        assert trace["counters"]["lab.relations"] == 16
