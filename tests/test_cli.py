@@ -30,6 +30,10 @@ GOLDEN_CASES = {
         "verify", "--samples", "4", "--seed", "3", "--max-u", "4", "--max-v", "4",
         "--pairs", "8", "--format", "json",
     ],
+    "verify_exhaustive.json": ["verify", "--exhaustive", "--u", "2", "--v", "3", "--format", "json"],
+    "verify_sampled_pairs.json": [
+        "verify", SAMPLE, "--samples", "20", "--seed", "5", "--format", "json",
+    ],
     "tables.txt": ["tables", "--op", "union", "--relation", SAMPLE],
     "tables.json": ["tables", "--op", "union", "--relation", SAMPLE, "--format", "json"],
     "witness.txt": [
