@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from operator import eq
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .relation import (
     SHIFT_WIDTH,
@@ -44,6 +44,7 @@ __all__ = [
     "approximate",
     "lower_bits",
     "upper_bits",
+    "OperatorMemo",
     "type_code",
 ]
 
@@ -123,6 +124,23 @@ def upper_bits(rows: Sequence[int], y_bits: int) -> int:
             out += bit
         bit += bit
     return out
+
+
+class OperatorMemo(dict):
+    """``memo[y_bits]`` is ``kernel(rows, y_bits)``, computed the first time it is read.
+
+    One operator of one relation, memoised by V-mask: the law campaigns and
+    the family laws read the same sets' approximations many times.
+    """
+
+    def __init__(self, kernel: Callable[[Sequence[int], int], int], rows: Sequence[int]):
+        super().__init__()
+        self.kernel = kernel
+        self.rows = rows
+
+    def __missing__(self, y_bits: int) -> int:
+        value = self[y_bits] = self.kernel(self.rows, y_bits)
+        return value
 
 
 def _lower_bits_matrix(rows: Sequence[int], vmask: int, y_bits: int) -> int:

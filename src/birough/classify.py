@@ -17,11 +17,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .approx import lower_approximation, lower_bits, upper_approximation, upper_bits
+from .approx import OperatorMemo, lower_approximation, lower_bits, upper_approximation, upper_bits
 from .relation import (
     BinaryRelation,
     BiroughError,
@@ -125,6 +125,8 @@ class Classification:
     blocks: tuple[Subset, ...]
 
     def __post_init__(self) -> None:
+        if any(block.universes != self.universes for block in self.blocks):
+            raise SideMismatchError("classification blocks must be over its universe pair")
         violations = classification_violations(list(zip(self.names, self.blocks)))
         if violations:
             raise ClassificationError(violations)
@@ -196,11 +198,11 @@ class FamilyApprox:
         return all(lo.bits == up.bits for lo, up in zip(self.lowers, self.uppers))
 
     @cached_property
-    def union_operators(self) -> tuple[Callable[[int], int], Callable[[int], int]]:
-        """Memoised (lower, upper) kernels keyed by V-mask; the family laws
+    def union_operators(self) -> tuple[OperatorMemo, OperatorMemo]:
+        """Memoised (lower, upper) U-masks keyed by V-mask; the family laws
         approximate every union of blocks through this one pair."""
         rows = self.relation.rows
-        return cache(partial(lower_bits, rows)), cache(partial(upper_bits, rows))
+        return OperatorMemo(lower_bits, rows), OperatorMemo(upper_bits, rows)
 
     @cached_property
     def proper_index_sets(self) -> list[tuple[tuple[str, ...], int, int]]:
@@ -341,8 +343,8 @@ def _dualities(
     """The cover and the support duality for one index set."""
     lower, upper = fa.union_operators
     umask = fa.relation.umask
-    cover = upper(union) == umask, not lower(fa.relation.vmask ^ union)
-    support = bool(lower(union)), _rest_uppers(fa, chosen) != umask
+    cover = upper[union] == umask, not lower[fa.relation.vmask ^ union]
+    support = bool(lower[union]), _rest_uppers(fa, chosen) != umask
     return (
         _biconditional(COVER_DUALITY, names, *cover),
         _biconditional(SUPPORT_DUALITY, names, *support),
@@ -403,15 +405,15 @@ def derived_laws_report(fa: FamilyApprox) -> TheoremReport:
 
     law = "cover-by-union-forces-rest-lowers-empty"
     for names, union, chosen in index_sets:
-        entries.append(_implication(law, names, upper(union) == umask, not lows & ~chosen))
+        entries.append(_implication(law, names, upper[union] == umask, not lows & ~chosen))
 
     law = "block-upper-covers-iff-rest-lower-empty"
     for names, union, chosen in singles:
-        entries.append(_biconditional(law, names, bool(covers & chosen), not lower(vmask ^ union)))
+        entries.append(_biconditional(law, names, bool(covers & chosen), not lower[vmask ^ union]))
 
     law = "block-lower-empty-iff-rest-upper-covers"
     for names, union, chosen in singles:
-        entries.append(_biconditional(law, names, not lows & chosen, upper(vmask ^ union) == umask))
+        entries.append(_biconditional(law, names, not lows & chosen, upper[vmask ^ union] == umask))
 
     law = "block-upper-covers-forces-other-lowers-empty"
     for names, _, chosen in singles:
@@ -422,7 +424,7 @@ def derived_laws_report(fa: FamilyApprox) -> TheoremReport:
 
     law = "union-lower-nonempty-forces-rest-uppers-proper"
     for names, union, chosen in index_sets:
-        entries.append(_implication(law, names, bool(lower(union)), not covers & ~chosen))
+        entries.append(_implication(law, names, bool(lower[union]), not covers & ~chosen))
 
     law = "block-lower-nonempty-iff-rest-uppers-union-proper"
     for names, _, chosen in singles:
@@ -431,7 +433,7 @@ def derived_laws_report(fa: FamilyApprox) -> TheoremReport:
 
     law = "block-upper-proper-iff-rest-lower-nonempty"
     for names, union, chosen in singles:
-        entries.append(_biconditional(law, names, not covers & chosen, bool(lower(vmask ^ union))))
+        entries.append(_biconditional(law, names, not covers & chosen, bool(lower[vmask ^ union])))
 
     law = "block-lower-nonempty-forces-other-uppers-proper"
     for names, _, chosen in singles:

@@ -20,7 +20,6 @@ from .classify import (
     validate_classification,
 )
 from .formats import (
-    RelationDocument,
     build_approx_report,
     build_classify_report,
     build_neighbors_report,
@@ -34,7 +33,6 @@ from .formats import (
     render_relation_file,
 )
 from .lab import (
-    SubsetBudget,
     check_relation_against_tables,
     find_type_witness,
     generate_relations,
@@ -62,9 +60,8 @@ def _read_text(path: str) -> str:
         ) from None
 
 
-def _load_relation(path: str) -> tuple[RelationDocument, BinaryRelation]:
-    doc = parse_relation_file(_read_text(path), source=path)
-    return doc, doc.relation()
+def _load_relation(path: str) -> BinaryRelation:
+    return parse_relation_file(_read_text(path), source=path)
 
 
 def _parse_set_arg(rel: BinaryRelation, arg: str) -> Subset:
@@ -98,7 +95,7 @@ def _print(report, fmt: str) -> None:
 
 
 def _cmd_approx(args: argparse.Namespace) -> int:
-    _, rel = _load_relation(args.relation)
+    rel = _load_relation(args.relation)
     query = _parse_set_arg(rel, args.set)
     result = approximate(rel, query)
     _print(build_approx_report(rel, args.relation, query, result), args.format)
@@ -106,14 +103,14 @@ def _cmd_approx(args: argparse.Namespace) -> int:
 
 
 def _cmd_neighbors(args: argparse.Namespace) -> int:
-    _, rel = _load_relation(args.relation)
+    rel = _load_relation(args.relation)
     report = build_neighbors_report(rel, args.relation)
     _print(report, args.format)
     return EXIT_OK if report.body["saturation_identity"] else EXIT_VIOLATION
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    _, rel = _load_relation(args.relation)
+    rel = _load_relation(args.relation)
     named = parse_classification_file(_read_text(args.classes), rel.universes, source=args.classes)
     classification = validate_classification(named)
     fa = approximate_family(rel, classification)
@@ -124,8 +121,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK if laws.ok else EXIT_VIOLATION
 
 
-def _verify_one(rel: BinaryRelation, budget: SubsetBudget):
-    properties = verify_algebraic_properties(rel, budget)
+def _verify_one(rel: BinaryRelation, pairs: int | None, seed: int):
+    properties = verify_algebraic_properties(rel, pairs=pairs, seed=seed)
     serial_ok = verify_serial_iff(rel)
     saturation_ok = rel.saturation_identity_holds()
     rebuilt = reconstruct_relation(lambda s: upper_approximation(rel, s), rel.universes)
@@ -134,33 +131,28 @@ def _verify_one(rel: BinaryRelation, budget: SubsetBudget):
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.relation is not None:
-        _, rel = _load_relation(args.relation)
+        rel = _load_relation(args.relation)
         if args.samples:
-            budget = SubsetBudget.sampled(args.samples, args.seed)
             description = (
                 f"relation {args.relation} with {args.samples} sampled subset "
                 f"pairs (seed {args.seed})"
             )
         else:
-            budget = SubsetBudget.exhaustive()
             description = f"relation {args.relation} with exhaustive subsets"
-        campaign = [(rel, budget)]
+        campaign = [(rel, args.samples or None, args.seed)]
         scope = {"description": description, "source": args.relation}
     elif args.exhaustive:
         if args.u is None or args.v is None:
             raise BiroughError("--exhaustive without a relation file needs --u and --v")
         relations = generate_relations(args.u, args.v)
-        campaign = ((rel, SubsetBudget.exhaustive()) for rel in relations)
+        campaign = ((rel, None, 0) for rel in relations)
         description = f"all {args.u}x{args.v} relations with exhaustive subsets"
         scope = {"description": description, "u": args.u, "v": args.v}
     elif args.samples:
         relations = random_campaign(
             args.samples, max_u=args.max_u, max_v=args.max_v, density=args.density, seed=args.seed
         )
-        campaign = (
-            (rel, SubsetBudget.sampled(args.pairs, args.seed + i))
-            for i, rel in enumerate(relations)
-        )
+        campaign = ((rel, args.pairs, args.seed + i) for i, rel in enumerate(relations))
         description = (
             f"{args.samples} random relations up to {args.max_u}x{args.max_v} "
             f"(density {args.density}, seed {args.seed}), {args.pairs} subset pairs each"
@@ -186,8 +178,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     }
 
     def checked_properties():
-        for rel, budget in campaign:
-            properties, *oks = _verify_one(rel, budget)
+        for rel, pairs, seed in campaign:
+            properties, *oks = _verify_one(rel, pairs, seed)
             for tally, ok in zip(tallies.values(), oks):
                 tally[0] += 1
                 tally[1] += not ok
@@ -211,7 +203,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         table = transcriptions[args.op]
 
     if args.relation is not None:
-        _, rel = _load_relation(args.relation)
+        rel = _load_relation(args.relation)
         findings = check_relation_against_tables(rel, args.op, tables=table)
         scope = {
             "description": f"relation {args.relation}, exhaustive subset pairs",
@@ -247,8 +239,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     rel = random_relation(args.u, args.v, args.density, args.seed, args.index)
-    doc = RelationDocument(rel.universes, rel.rows, source="<generated>")
-    sys.stdout.write(render_relation_file(doc))
+    sys.stdout.write(render_relation_file(rel))
     return EXIT_OK
 
 

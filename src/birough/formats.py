@@ -2,7 +2,9 @@
 
 Relation files mirror a Boolean matrix: a ``V:`` header listing the column
 labels, then one ``<label>: b1 b2 ...`` line per row, '#' starting a comment
-line.  Classification files hold one ``<name>: <labels...>`` block per line.
+line.  ``parse_relation_file`` reads one into a ``BinaryRelation`` and
+``render_relation_file`` writes a relation back in the same layout.
+Classification files hold one ``<name>: <labels...>`` block per line.
 
 Reports are small JSON-able trees with a schema version; ``emit_report``
 renders them either as stable JSON (sorted keys) or as a human-oriented text
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -50,7 +52,6 @@ from .relation import (
 __all__ = [
     "SCHEMA_VERSION",
     "ParseError",
-    "RelationDocument",
     "parse_relation_file",
     "render_relation_file",
     "parse_classification_file",
@@ -85,20 +86,10 @@ class ParseError(BiroughError, ValueError):
         super().__init__(f"{source}:{line}:{col}: {message}")
 
 
-@dataclass(frozen=True)
-class RelationDocument:
-    """A parsed relation file; ``source`` is informational only."""
-
-    universes: UniversePair
-    rows: tuple[int, ...]
-    source: str = field(default="<string>", compare=False)
-
-    def relation(self) -> BinaryRelation:
-        return BinaryRelation(self.universes, self.rows)
-
-
-def parse_relation_file(text: str, source: str = "<string>") -> RelationDocument:
+def parse_relation_file(text: str, source: str = "<string>") -> BinaryRelation:
     """Parse the relation matrix format with line/column diagnostics.
+
+    ``source`` names the input in a ``ParseError`` only.
 
     A well-formed row is taken in one pass over its line; any other line goes
     through ``_parse_row``, which locates the first offending token.
@@ -146,8 +137,7 @@ def parse_relation_file(text: str, source: str = "<string>") -> RelationDocument
         )
     if not u_labels:
         raise ParseError("no relation rows found", source, max(last_line, 1), 1)
-    universes = UniversePair(tuple(u_labels), tuple(v_labels))
-    return RelationDocument(universes, tuple(masks), source)
+    return BinaryRelation(UniversePair(tuple(u_labels), tuple(v_labels)), tuple(masks))
 
 
 def _parse_v_header(line: str, source: str, line_no: int) -> list[str]:
@@ -215,11 +205,11 @@ def _parse_row(
     return label, mask
 
 
-def render_relation_file(doc: RelationDocument) -> str:
-    """Render a document back to text; parsing the result reproduces it."""
-    v_size = doc.universes.v_size
-    lines = ["V: " + " ".join(doc.universes.v_labels)]
-    for label, row in zip(doc.universes.u_labels, doc.rows):
+def render_relation_file(rel: BinaryRelation) -> str:
+    """Render a relation as text; parsing the result reproduces it."""
+    v_size = rel.v_size
+    lines = ["V: " + " ".join(rel.universes.v_labels)]
+    for label, row in zip(rel.universes.u_labels, rel.rows):
         lines.append(f"{label}: {' '.join(row_digits(row, v_size))}")
     return "\n".join(lines) + "\n"
 

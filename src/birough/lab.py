@@ -5,9 +5,9 @@ Law campaigns run over every relation of small dimensions
 string-keyed seeds, so a stream is reproducible regardless of consumption
 order, and the relation, subset, and dimension streams never share state.
 Relations and dimensions are derived per item; a sampled law campaign draws
-all of one relation's V-subsets from one stream keyed by its budget seed and
-|V|.  The type-table sweeps and the witness search walk each distinct
-(|V|, row set) once (``_row_set_relations``) through one subset-pair sweep
+all of one relation's V-subsets from one stream keyed by its seed and |V|.
+The type-table sweeps and the witness search walk each distinct (|V|, row
+set) once (``_row_set_relations``) through one subset-pair sweep
 (``_first_witnesses``).
 """
 
@@ -20,7 +20,7 @@ from itertools import chain, combinations, product
 from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .approx import RoughType, lower_bits, type_code, upper_bits
+from .approx import OperatorMemo, RoughType, lower_bits, type_code, upper_bits
 from .relation import (
     BinaryRelation,
     BiroughError,
@@ -37,7 +37,6 @@ __all__ = [
     "SERIAL_ENUM_CAP",
     "ConfigError",
     "BudgetError",
-    "SubsetBudget",
     "canonical_universes",
     "generate_relations",
     "random_relation",
@@ -59,6 +58,7 @@ __all__ = [
     "ambiguous_cells",
     "Witness",
     "TableCellFinding",
+    "check_relation_against_tables",
     "witness_inventory",
     "find_type_witness",
 ]
@@ -191,29 +191,6 @@ ALGEBRAIC_LAWS = (
 
 
 @dataclass(frozen=True)
-class SubsetBudget:
-    """Which V-subsets a law campaign examines for one relation."""
-
-    mode: str = "exhaustive"
-    pairs: int = 0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("exhaustive", "sampled"):
-            raise ConfigError(f"unknown subset budget mode {self.mode!r}")
-        if self.mode == "sampled" and self.pairs < 1:
-            raise ConfigError("sampled budgets need pairs >= 1")
-
-    @classmethod
-    def exhaustive(cls) -> "SubsetBudget":
-        return cls("exhaustive")
-
-    @classmethod
-    def sampled(cls, pairs: int, seed: int = 0) -> "SubsetBudget":
-        return cls("sampled", pairs, seed)
-
-
-@dataclass(frozen=True)
 class Violation:
     law: str
     relation: str
@@ -246,9 +223,6 @@ class PropertyReport:
             if record.law == law:
                 return record
         raise KeyError(law)
-
-    def total_instances(self) -> int:
-        return sum(record.instances for record in self.records)
 
     def total_violations(self) -> int:
         return sum(len(record.violations) for record in self.records)
@@ -283,28 +257,17 @@ def _window_families(singles: Sequence[int]) -> list[tuple[int, ...]]:
     return families
 
 
-class _OperatorMemo(dict):
-    """``memo[s]`` is ``kernel(rows, s)``, computed the first time it is read."""
-
-    def __init__(self, kernel: Callable[[Sequence[int], int], int], rows: Sequence[int]):
-        super().__init__()
-        self.kernel = kernel
-        self.rows = rows
-
-    def __missing__(self, s: int) -> int:
-        value = self[s] = self.kernel(self.rows, s)
-        return value
-
-
 def verify_algebraic_properties(
-    rel: BinaryRelation, budget: SubsetBudget = SubsetBudget.exhaustive()
+    rel: BinaryRelation, *, pairs: int | None = None, seed: int = 0
 ) -> PropertyReport:
     """Check the ten algebraic laws of the approximation operators on one relation.
 
-    An exhaustive budget tabulates lower and upper once for every V-subset
-    (2 * 2**|V| kernel calls) and reads every law from the two tables.  A
-    sampled budget, which may run at |V| too large to tabulate, memoises each
-    operator on the subsets its draws touch.
+    With ``pairs`` None every V-subset and every subset pair is examined:
+    lower and upper are tabulated once per V-subset (2 * 2**|V| kernel calls,
+    |V| at most ``EXHAUSTIVE_SUBSET_CAP``) and every law is read from the two
+    tables; ``seed`` is not used.  Otherwise ``pairs`` (at least 1) subset
+    pairs are drawn from the subset stream of ``seed`` and |V|, which works at
+    any |V|, and each operator is memoised on the subsets the draws touch.
 
     A violation is reported with a witness, never raised; every law of this
     batch is a theorem, so any violation indicates an implementation bug.
@@ -319,10 +282,10 @@ def verify_algebraic_properties(
     lo: Sequence[int] | Mapping[int, int]
     up: Sequence[int] | Mapping[int, int]
     groups: Iterable[tuple[int, Sequence[int]]]
-    if budget.mode == "exhaustive":
+    if pairs is None:
         if v_size > EXHAUSTIVE_SUBSET_CAP:
             raise BudgetError(
-                f"exhaustive subset budget needs |V| <= {EXHAUSTIVE_SUBSET_CAP}, got {v_size}"
+                f"an exhaustive law campaign needs |V| <= {EXHAUSTIVE_SUBSET_CAP}, got {v_size}"
             )
         singles: Sequence[int] = range(1 << v_size)
         lo = [lower_bits(rows, s) for s in singles]
@@ -330,11 +293,13 @@ def verify_algebraic_properties(
         groups = ((a, singles) for a in singles)
         n_pairs = len(singles) ** 2
     else:
-        draws = random_subset_bits(v_size, budget.seed, 2 * budget.pairs)
+        if pairs < 1:
+            raise ConfigError(f"a sampled law campaign needs pairs >= 1, got {pairs}")
+        draws = random_subset_bits(v_size, seed, 2 * pairs)
         singles = sorted(set(draws) | {0, vmask})
-        lo, up = _OperatorMemo(lower_bits, rows), _OperatorMemo(upper_bits, rows)
+        lo, up = OperatorMemo(lower_bits, rows), OperatorMemo(upper_bits, rows)
         groups = ((a, (b,)) for a, b in zip(draws[0::2], draws[1::2]))
-        n_pairs = budget.pairs
+        n_pairs = pairs
     families = _window_families(singles)
 
     solitary = rel.solitary_set().bits
@@ -627,8 +592,11 @@ class TableCellFinding:
     left: RoughType
     right: RoughType
     allowed: frozenset[RoughType]
-    observed: frozenset[RoughType]
     witnesses: Mapping[RoughType, Witness]
+
+    @property
+    def observed(self) -> frozenset[RoughType]:
+        return frozenset(self.witnesses)
 
     @property
     def conformant(self) -> bool:
@@ -729,11 +697,7 @@ def _findings(
             for tr in RoughType
             if (key := _outcome_key(ta, tb, tr)) in found
         }
-        out.append(
-            TableCellFinding(
-                operation, ta, tb, table[(ta, tb)], frozenset(witnesses), witnesses
-            )
-        )
+        out.append(TableCellFinding(operation, ta, tb, table[(ta, tb)], witnesses))
     return out
 
 

@@ -17,7 +17,6 @@ from pathlib import Path
 
 from birough import (
     BinaryRelation,
-    SubsetBudget,
     UniversePair,
     ambiguous_cells,
     approximate_family,
@@ -62,9 +61,7 @@ def criterion(number: int, title: str, seconds: float):
 
 
 def load_sample() -> BinaryRelation:
-    return parse_relation_file(
-        SAMPLE_PATH.read_text(encoding="utf-8"), source=str(SAMPLE_PATH)
-    ).relation()
+    return parse_relation_file(SAMPLE_PATH.read_text(encoding="utf-8"), source=str(SAMPLE_PATH))
 
 
 def family_of(rel, **blocks):
@@ -129,9 +126,7 @@ def test_criterion_03_algebraic_laws():
             for rel in generate_relations(u, v):
                 reports.append(verify_algebraic_properties(rel))
         for i, rel in enumerate(random_campaign(500, max_u=8, max_v=8, seed=101)):
-            reports.append(
-                verify_algebraic_properties(rel, SubsetBudget.sampled(50, seed=101 + i))
-            )
+            reports.append(verify_algebraic_properties(rel, pairs=50, seed=101 + i))
         merged = merge_property_reports(reports)
         assert merged.ok, merged
         assert merged.total_violations() == 0

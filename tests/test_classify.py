@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from birough import (
     BinaryRelation,
+    Classification,
     ClassificationError,
     SideMismatchError,
     Side,
@@ -118,6 +119,13 @@ class TestValidation:
     def test_u_side_block_raises_type_error(self, universes):
         with pytest.raises(SideMismatchError):
             classification_violations([("Y1", universes.u_subset(["x1"]))])
+
+    def test_blocks_over_other_universes_rejected(self):
+        blocks_over = canonical_universes(2, 2)
+        blocks = (blocks_over.v_subset(["y1"]), blocks_over.v_subset(["y2"]))
+        Classification(blocks_over, ("Y1", "Y2"), blocks)
+        with pytest.raises(SideMismatchError):
+            Classification(canonical_universes(1, 2), ("Y1", "Y2"), blocks)
 
 
 class TestFamilyApprox:

@@ -14,7 +14,6 @@ from birough import (
     AnalysisReport,
     BinaryRelation,
     ParseError,
-    RelationDocument,
     emit_report,
     formats,
     parse_classification_file,
@@ -63,14 +62,13 @@ x5: 1 1 0 0 1 0
 
 class TestRelationParsing:
     def test_parses_sample_matrix(self, sample):
-        doc = parse_relation_file(SAMPLE_TEXT, source="inline")
-        assert doc.universes.u_size == 5 and doc.universes.v_size == 6
-        assert doc.relation() == sample
-        assert doc.source == "inline"
+        rel = parse_relation_file(SAMPLE_TEXT, source="inline")
+        assert rel.u_size == 5 and rel.v_size == 6
+        assert rel == sample
 
     def test_one_by_one(self):
-        doc = parse_relation_file("V: y1\nx1: 1\n")
-        assert doc.rows == (1,)
+        rel = parse_relation_file("V: y1\nx1: 1\n")
+        assert rel.rows == (1,)
 
     def test_row_width_error_position(self):
         with pytest.raises(ParseError) as exc:
@@ -118,8 +116,7 @@ class TestRelationParsing:
             parse_relation_file("V: y1\nx1 1\n")
 
     def test_round_trip(self, sample):
-        doc = RelationDocument(sample.universes, sample.rows, source="whatever")
-        assert parse_relation_file(render_relation_file(doc)) == doc
+        assert parse_relation_file(render_relation_file(sample)) == sample
 
     @given(relation_texts())
     def test_matches_cell_by_cell_reference(self, text):
@@ -130,15 +127,13 @@ class TestRelationParsing:
                 parse_relation_file(text)
             assert (got.value.line, got.value.col, got.value.message) == exc.where
         else:
-            doc = parse_relation_file(text)
-            universes = doc.universes
-            assert (list(universes.u_labels), list(universes.v_labels), list(doc.rows)) == expected
+            rel = parse_relation_file(text)
+            universes = rel.universes
+            assert (list(universes.u_labels), list(universes.v_labels), list(rel.rows)) == expected
 
     @given(relations(max_u=6, max_v=6) | relations(u_sizes=WIDE_U_SIZES, max_v=6))
     def test_round_trip_random(self, rel):
-        doc = RelationDocument(rel.universes, rel.rows)
-        again = parse_relation_file(render_relation_file(doc))
-        assert again.universes == doc.universes and again.rows == doc.rows
+        assert parse_relation_file(render_relation_file(rel)) == rel
 
 
 class TestClassificationParsing:

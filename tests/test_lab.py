@@ -15,7 +15,6 @@ from birough import (
     RoughType,
     Side,
     SideMismatchError,
-    SubsetBudget,
     UNION_TABLE,
     UniversePair,
     allowed_result_types,
@@ -116,14 +115,19 @@ class TestAlgebraicCampaign:
         assert report.record("solitary-forces-strict-gap").instances == 8
 
     def test_sampled_budget(self, sample):
-        report = verify_algebraic_properties(sample, SubsetBudget.sampled(50, seed=9))
+        report = verify_algebraic_properties(sample, pairs=50, seed=9)
         assert report.ok
         assert report.record("monotonicity").instances == 50
 
     def test_sampled_budget_deterministic(self, sample):
-        a = verify_algebraic_properties(sample, SubsetBudget.sampled(20, seed=4))
-        b = verify_algebraic_properties(sample, SubsetBudget.sampled(20, seed=4))
+        a = verify_algebraic_properties(sample, pairs=20, seed=4)
+        b = verify_algebraic_properties(sample, pairs=20, seed=4)
         assert a == b
+
+    @pytest.mark.parametrize("pairs", [0, -3])
+    def test_sampled_budget_needs_a_pair(self, sample, pairs):
+        with pytest.raises(ConfigError):
+            verify_algebraic_properties(sample, pairs=pairs)
 
     def test_exhaustive_subset_cap(self):
         up = UniversePair(("x1",), tuple(f"y{i}" for i in range(13)))
@@ -134,16 +138,14 @@ class TestAlgebraicCampaign:
     def test_seeded_random_campaign(self):
         reports = []
         for i, rel in enumerate(random_campaign(60, max_u=8, max_v=8, seed=11)):
-            reports.append(
-                verify_algebraic_properties(rel, SubsetBudget.sampled(20, seed=11 + i))
-            )
+            reports.append(verify_algebraic_properties(rel, pairs=20, seed=11 + i))
         merged = merge_property_reports(reports)
         assert merged.ok
         assert merged.record("monotonicity").instances == 60 * 20
 
     @given(relations(max_u=5, max_v=5))
     def test_laws_hold_on_random_relations(self, rel):
-        assert verify_algebraic_properties(rel, SubsetBudget.sampled(8, seed=1)).ok
+        assert verify_algebraic_properties(rel, pairs=8, seed=1).ok
 
 
 class TestSubsetStream:
@@ -207,12 +209,12 @@ LAW_RELATIONS = [
 ]
 
 
-def _campaign_subsets(rel, budget):
+def _campaign_subsets(rel, pairs, seed):
     """The V-masks (singles, pairs) a campaign examines, in its order."""
-    if budget.mode == "exhaustive":
+    if pairs is None:
         singles = list(range(1 << rel.v_size))
         return singles, list(product(singles, repeat=2))
-    draws = lab.random_subset_bits(rel.v_size, budget.seed, 2 * budget.pairs)
+    draws = lab.random_subset_bits(rel.v_size, seed, 2 * pairs)
     return sorted(set(draws) | {0, rel.vmask}), list(zip(draws[0::2], draws[1::2]))
 
 
@@ -240,12 +242,12 @@ class TestLawCampaignFaultInjection:
                 lower, upper = partial(naive_lower, matrix), partial(naive_upper, matrix)
             else:
                 lower, upper = _on_sets(lower_bits, rel), _on_sets(upper_bits, rel)
-            budgets = [SubsetBudget.sampled(30, seed=rel.u_size)]
+            budgets = [(30, rel.u_size)]
             if rel.v_size <= 5:
-                budgets.append(SubsetBudget.exhaustive())
-            for budget in budgets:
-                report = lab.verify_algebraic_properties(rel, budget)
-                singles, pairs = _campaign_subsets(rel, budget)
+                budgets.append((None, 0))
+            for n_pairs, seed in budgets:
+                report = lab.verify_algebraic_properties(rel, pairs=n_pairs, seed=seed)
+                singles, pairs = _campaign_subsets(rel, n_pairs, seed)
                 instances, failed = naive_law_campaign(
                     matrix,
                     lower,

@@ -29,12 +29,14 @@ CASES = {
         "verify", "--samples", "3", "--max-u", "3", "--max-v", "3", "--pairs", "5",
     ],
     "verify-exhaustive": ["verify", "--exhaustive", "--u", "2", "--v", "2"],
+    "verify-sampled-pairs": ["verify", SAMPLE, "--samples", "5", "--seed", "1"],
     "tables": ["tables", "--op", "union", "--max-u", "2", "--max-v", "2"],
     "tables-relation": ["tables", "--op", "union", "--relation", SAMPLE],
     "witness": [
         "witness", "--op", "union", "--left", "1", "--right", "1",
         "--result", "2", "--max-u", "2", "--max-v", "2",
     ],
+    "gen": ["gen", "--u", "3", "--v", "4", "--seed", "2"],
 }
 
 
@@ -65,3 +67,5 @@ def test_traced_run_matches_plain_run(name, capsys, monkeypatch, tmp_path):
     assert trace["command"] == argv[0] and trace["edges"]
     if name == "verify-exhaustive":
         assert trace["counters"]["lab.relations"] == 16
+    if name == "verify-sampled-pairs":
+        assert trace["counters"]["lab.pairs"] == 5
