@@ -135,9 +135,6 @@ class Classification:
     def n(self) -> int:
         return len(self.blocks)
 
-    def named_blocks(self) -> tuple[tuple[str, Subset], ...]:
-        return tuple(zip(self.names, self.blocks))
-
 
 def validate_classification(
     named_blocks: Sequence[tuple[str, Subset]]

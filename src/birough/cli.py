@@ -132,30 +132,29 @@ def _verify_one(rel: BinaryRelation, pairs: int | None, seed: int):
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.relation is not None:
         rel = _load_relation(args.relation)
-        if args.samples:
-            description = (
-                f"relation {args.relation} with {args.samples} sampled subset "
-                f"pairs (seed {args.seed})"
-            )
-        else:
-            description = f"relation {args.relation} with exhaustive subsets"
-        campaign = [(rel, args.samples or None, args.seed)]
-        scope = {"description": description, "source": args.relation}
+        subsets = (
+            f"{args.pairs} sampled subset pairs (seed {args.seed})"
+            if args.pairs
+            else "exhaustive subsets"
+        )
+        campaign = [(rel, args.pairs, args.seed)]
+        scope = {"description": f"relation {args.relation} with {subsets}", "source": args.relation}
     elif args.exhaustive:
-        if args.u is None or args.v is None:
-            raise BiroughError("--exhaustive without a relation file needs --u and --v")
-        relations = generate_relations(args.u, args.v)
-        campaign = ((rel, None, 0) for rel in relations)
-        description = f"all {args.u}x{args.v} relations with exhaustive subsets"
-        scope = {"description": description, "u": args.u, "v": args.v}
+        if args.pairs:
+            raise BiroughError("--exhaustive checks every subset pair; --pairs does not apply")
+        u, v = args.exhaustive
+        campaign = ((rel, None, 0) for rel in generate_relations(u, v))
+        description = f"all {u}x{v} relations with exhaustive subsets"
+        scope = {"description": description, "u": u, "v": v}
     elif args.samples:
+        pairs = args.pairs or 50
         relations = random_campaign(
             args.samples, max_u=args.max_u, max_v=args.max_v, density=args.density, seed=args.seed
         )
-        campaign = ((rel, args.pairs, args.seed + i) for i, rel in enumerate(relations))
+        campaign = ((rel, pairs, args.seed + i) for i, rel in enumerate(relations))
         description = (
             f"{args.samples} random relations up to {args.max_u}x{args.max_v} "
-            f"(density {args.density}, seed {args.seed}), {args.pairs} subset pairs each"
+            f"(density {args.density}, seed {args.seed}), {pairs} subset pairs each"
         )
         scope = {
             "description": description,
@@ -165,10 +164,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "seed": args.seed,
         }
     else:
-        raise BiroughError(
-            "nothing to verify: give a relation file, or --exhaustive with --u/--v, "
-            "or --samples N"
-        )
+        raise BiroughError("nothing to verify: give a relation file, --exhaustive U V or --samples N")
 
     # [checked, failed] per whole-relation check, in _verify_one's order.
     tallies = {
@@ -283,19 +279,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("verify", help="algebraic law campaign")
-    p.add_argument("relation", nargs="?", help="relation file (omit for a campaign)")
-    p.add_argument("--exhaustive", action="store_true", help="exhaustive enumeration")
-    p.add_argument(
-        "--samples",
-        type=_ranged(int, 0),
-        default=0,
-        help="random relations in a campaign, or sampled subset pairs when a "
-        "relation file is given",
+    scope = p.add_mutually_exclusive_group()
+    scope.add_argument("relation", nargs="?", help="relation file to check")
+    scope.add_argument(
+        "--exhaustive",
+        nargs=2,
+        type=_ranged(int, 1),
+        metavar=("U", "V"),
+        help="check every UxV relation with every subset pair",
+    )
+    scope.add_argument(
+        "--samples", type=_ranged(int, 1), metavar="N", help="check N seeded random relations"
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pairs", type=_ranged(int, 1), default=50, help="subset pairs per relation")
-    p.add_argument("--u", type=_ranged(int, 1), help="U size for an exhaustive campaign")
-    p.add_argument("--v", type=_ranged(int, 1), help="V size for an exhaustive campaign")
+    p.add_argument(
+        "--pairs",
+        type=_ranged(int, 1),
+        metavar="N",
+        help="sampled subset pairs per relation (default: every pair for a "
+        "relation file, 50 for --samples)",
+    )
     p.add_argument("--max-u", type=_ranged(int, 1), default=8)
     p.add_argument("--max-v", type=_ranged(int, 1), default=8)
     p.add_argument("--density", type=_ranged(float, 0, 1), default=0.5)

@@ -254,7 +254,8 @@ def parse_tables_json(text: str, source: str = "<string>") -> dict[str, dict]:
     """Parse a user-supplied type-table transcription.
 
     Format: an object mapping 'union' / 'intersection' to a 4x4 grid (rows =
-    left type 1..4, columns = right type) of lists of allowed result codes.
+    left type 1..4, columns = right type) of non-empty lists of allowed result
+    codes, each a JSON integer 1..4.
     """
     try:
         data = json.loads(text)
@@ -273,8 +274,9 @@ def parse_tables_json(text: str, source: str = "<string>") -> dict[str, dict]:
         table = {}
         for i, row in enumerate(grid):
             for j, cell in enumerate(row):
+                # Exact ints only: JSON true and 1.0 compare equal to 1.
                 if not isinstance(cell, list) or not cell or any(
-                    c not in (1, 2, 3, 4) for c in cell
+                    type(c) is not int or not 1 <= c <= 4 for c in cell
                 ):
                     raise ParseError(
                         f"{op}: cell ({i + 1}, {j + 1}) must be a non-empty list of codes 1..4",
@@ -290,12 +292,10 @@ def parse_tables_json(text: str, source: str = "<string>") -> dict[str, dict]:
 # --- ratios ------------------------------------------------------------------
 
 
-def ratio_decimal(value: Fraction, places: int = 6) -> str:
-    """Exact fixed-point rendering; no floating point involved."""
-    scale = 10**places
-    scaled = round(value * scale)
-    whole, frac = divmod(scaled, scale)
-    return f"{whole}.{frac:0{places}d}"
+def ratio_decimal(value: Fraction) -> str:
+    """Exact six-place fixed-point rendering; no floating point involved."""
+    whole, frac = divmod(round(value * 10**6), 10**6)
+    return f"{whole}.{frac:06d}"
 
 
 def ratio_obj(value: Fraction) -> dict[str, Any]:
@@ -319,10 +319,9 @@ class AnalysisReport:
 
     command: str
     body: Mapping[str, Any]
-    schema_version: int = SCHEMA_VERSION
 
     def to_obj(self) -> dict[str, Any]:
-        return {"schema_version": self.schema_version, "command": self.command, **self.body}
+        return {"schema_version": SCHEMA_VERSION, "command": self.command, **self.body}
 
 
 def emit_report(report: AnalysisReport, format: str = "text") -> str:

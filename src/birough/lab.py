@@ -8,7 +8,9 @@ Relations and dimensions are derived per item; a sampled law campaign draws
 all of one relation's V-subsets from one stream keyed by its seed and |V|.
 The type-table sweeps and the witness search walk each distinct (|V|, row
 set) once (``_row_set_relations``) through one subset-pair sweep
-(``_first_witnesses``).
+(``_first_witnesses``).  Every exhaustive check is refused before any work
+by one rule, ``_pair_work``: relations walked * (4**|V| + ``RELATION_PAIRS``)
+at most ``EXHAUSTIVE_PAIR_CAP``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .relation import (
 
 __all__ = [
     "EXHAUSTIVE_PAIR_CAP",
-    "EXHAUSTIVE_SUBSET_CAP",
     "SERIAL_ENUM_CAP",
     "ConfigError",
     "BudgetError",
@@ -63,15 +64,12 @@ __all__ = [
     "find_type_witness",
 ]
 
-# Most subset pairs an exhaustive sweep may examine: for a type-table sweep,
-# C(2**v, u) * 4**v for the u-row sets of width v, summed over the sweep; for
-# an exhaustive law campaign, 2**(u*v) relations * (4**v + RELATION_PAIRS).
+# Most subset pairs' work an exhaustive check may do: the relations it walks,
+# each costing 4**|V| subset pairs plus RELATION_PAIRS (see _pair_work).
 EXHAUSTIVE_PAIR_CAP = 2**26
-# The fixed cost of one relation in an exhaustive law campaign, in subset
-# pairs' worth of time (about 150-200 us against about 1 us per pair).
+# The fixed cost of one relation, in subset pairs' worth of time (about
+# 150-200 us against about 1 us per pair).
 RELATION_PAIRS = 256
-# Exhaustive subset enumeration doubles per V element; cap at 4096 subsets.
-EXHAUSTIVE_SUBSET_CAP = 12
 # Largest |V| at which the seriality biconditional scans the whole power set.
 SERIAL_ENUM_CAP = 20
 
@@ -81,7 +79,26 @@ class ConfigError(BiroughError, ValueError):
 
 
 class BudgetError(BiroughError, ValueError):
-    """A requested enumeration exceeds the exhaustive-size caps."""
+    """A requested enumeration exceeds the exhaustive work bound."""
+
+
+def _pair_work(spent: int, relations: int, v_size: int, what: str) -> int:
+    """``spent`` plus the work of walking ``relations`` relations with |V| = v_size.
+
+    The one bound of every exhaustive check: relations walked * (4**|V| +
+    ``RELATION_PAIRS``), summed over the check, at most ``EXHAUSTIVE_PAIR_CAP``.
+    Raises BudgetError naming ``what`` at the first charge past the cap.
+    """
+    # From the cap's bit length on, 4**v alone is over the cap: clamping there
+    # keeps a huge |V| from building a giant int.
+    width = min(v_size, EXHAUSTIVE_PAIR_CAP.bit_length())
+    work = spent + relations * ((1 << 2 * width) + RELATION_PAIRS)
+    if work > EXHAUSTIVE_PAIR_CAP:
+        raise BudgetError(
+            f"{what} needs at least {work} subset pairs' work, "
+            f"over the cap of {EXHAUSTIVE_PAIR_CAP}"
+        )
+    return work
 
 
 @lru_cache(maxsize=None)
@@ -119,25 +136,16 @@ def generate_relations(u_size: int, v_size: int) -> Iterator[BinaryRelation]:
 
     Relation k sets cell (i, j) when bit i*v+j of k is set (row-major bit
     order).  The bounds are checked at the call, before the first relation:
-    sizes at least 1, and 2**(u*v) * (4**v + ``RELATION_PAIRS``) at most
-    ``EXHAUSTIVE_PAIR_CAP``.
+    sizes at least 1, and the 2**(u*v) relations within the exhaustive work
+    bound (``_pair_work``).
     """
     if u_size < 1 or v_size < 1:
         raise ConfigError("universe sizes must be at least 1")
     cells = u_size * v_size
-    # From the cap's bit length on, 2**(u*v) alone is over the cap: refuse
-    # there before the shifts, which would build a giant int for a huge size.
-    pairs = (
-        ((1 << 2 * v_size) + RELATION_PAIRS) << cells
-        if cells < EXHAUSTIVE_PAIR_CAP.bit_length()
-        else None
-    )
-    if pairs is None or pairs > EXHAUSTIVE_PAIR_CAP:
-        needs = pairs or f"more than 2**{cells}"
-        raise BudgetError(
-            f"exhaustive law campaign needs at most {EXHAUSTIVE_PAIR_CAP} subset pairs' "
-            f"work, {u_size}x{v_size} needs {needs}"
-        )
+    # 2**27 relations are over the cap at any |V|: clamping there keeps a huge
+    # size from building a giant int.
+    relations = 1 << min(cells, EXHAUSTIVE_PAIR_CAP.bit_length())
+    _pair_work(0, relations, v_size, f"an exhaustive law campaign over {u_size}x{v_size}")
     universes = canonical_universes(u_size, v_size)
     vmask = (1 << v_size) - 1
     return (
@@ -263,11 +271,12 @@ def verify_algebraic_properties(
     """Check the ten algebraic laws of the approximation operators on one relation.
 
     With ``pairs`` None every V-subset and every subset pair is examined:
-    lower and upper are tabulated once per V-subset (2 * 2**|V| kernel calls,
-    |V| at most ``EXHAUSTIVE_SUBSET_CAP``) and every law is read from the two
-    tables; ``seed`` is not used.  Otherwise ``pairs`` (at least 1) subset
-    pairs are drawn from the subset stream of ``seed`` and |V|, which works at
-    any |V|, and each operator is memoised on the subsets the draws touch.
+    lower and upper are tabulated once per V-subset (2 * 2**|V| kernel calls)
+    and every law is read from the two tables; ``seed`` is not used, and the
+    one relation must be within the exhaustive work bound (|V| at most 12).
+    Otherwise ``pairs`` (at least 1) subset pairs are drawn from the subset
+    stream of ``seed`` and |V|, which works at any |V|, and each operator is
+    memoised on the subsets the draws touch.
 
     A violation is reported with a witness, never raised; every law of this
     batch is a theorem, so any violation indicates an implementation bug.
@@ -283,10 +292,7 @@ def verify_algebraic_properties(
     up: Sequence[int] | Mapping[int, int]
     groups: Iterable[tuple[int, Sequence[int]]]
     if pairs is None:
-        if v_size > EXHAUSTIVE_SUBSET_CAP:
-            raise BudgetError(
-                f"an exhaustive law campaign needs |V| <= {EXHAUSTIVE_SUBSET_CAP}, got {v_size}"
-            )
+        _pair_work(0, 1, v_size, f"an exhaustive law campaign at |V| = {v_size}")
         singles: Sequence[int] = range(1 << v_size)
         lo = [lower_bits(rows, s) for s in singles]
         up = [upper_bits(rows, s) for s in singles]
@@ -617,30 +623,24 @@ def _outcome_key(left: int, right: int, result: int) -> int:
     return (left * 10 + right) * 10 + result
 
 
-def _sweep_blocks(max_u: int, v_sizes: range) -> list[tuple[int, int]]:
-    """The (u, v) blocks up to ``max_u`` rows, row-major, that hold a row set.
+def _sweep_blocks(max_u: int, max_v: int) -> list[tuple[int, int]]:
+    """The (u, v) blocks up to ``max_u`` x ``max_v``, row-major, that hold a row set.
 
     Block (u, v) holds the C(2**v, u) sets of u distinct rows of width v, so
-    none past u = 2**v.  Both sweep bounds are checked here, before any work:
-    |V| at most ``EXHAUSTIVE_SUBSET_CAP``, and at most ``EXHAUSTIVE_PAIR_CAP``
-    subset pairs over the blocks.
+    none past u = 2**v.  Each block's row sets are charged to ``_pair_work``
+    in turn, before any work, so the first block past the bound raises and
+    a huge bound is refused as fast as a small one.
     """
-    if v_sizes and v_sizes[-1] > EXHAUSTIVE_SUBSET_CAP:
-        raise BudgetError(f"exhaustive pair sweep needs |V| <= {EXHAUSTIVE_SUBSET_CAP}")
-    blocks = [
-        (u, v)
-        for u in range(1, min(max_u, 1 << EXHAUSTIVE_SUBSET_CAP) + 1)
-        for v in v_sizes
-        if u <= 1 << v
-    ]
-    pairs = 0
-    for u, v in blocks:
-        pairs += comb(1 << v, u) << 2 * v
-        if pairs > EXHAUSTIVE_PAIR_CAP:
-            raise BudgetError(
-                f"exhaustive pair sweep needs at most {EXHAUSTIVE_PAIR_CAP} subset pairs, "
-                f"these bounds need at least {pairs}"
-            )
+    what = f"an exhaustive pair sweep up to {max_u}x{max_v}"
+    blocks = []
+    work = 0
+    for u in range(1, max_u + 1):
+        least_v = (u - 1).bit_length()  # the least v with u <= 2**v
+        if least_v > max_v:
+            break
+        for v in range(max(least_v, 1), max_v + 1):
+            work = _pair_work(work, comb(1 << v, u), v, what)
+            blocks.append((u, v))
     return blocks
 
 
@@ -709,8 +709,7 @@ def check_relation_against_tables(
 ) -> list[TableCellFinding]:
     """Exhaustive subset-pair conformance check for a single relation."""
     union = _is_union(operation)
-    if rel.v_size > EXHAUSTIVE_SUBSET_CAP:
-        raise BudgetError(f"exhaustive pair sweep needs |V| <= {EXHAUSTIVE_SUBSET_CAP}")
+    _pair_work(0, 1, rel.v_size, f"an exhaustive pair sweep at |V| = {rel.v_size}")
     return _findings(operation, tables, _first_witnesses([rel], union))
 
 
@@ -730,7 +729,7 @@ def witness_inventory(
     failure.
     """
     union = _is_union(operation)
-    relations = _row_set_relations(_sweep_blocks(max_u, range(1, max_v + 1)))
+    relations = _row_set_relations(_sweep_blocks(max_u, max_v))
     return _findings(operation, tables, _first_witnesses(relations, union))
 
 
@@ -750,6 +749,6 @@ def find_type_witness(
     """
     union = _is_union(operation)
     want = _outcome_key(left, right, result)
-    relations = _row_set_relations(_sweep_blocks(max_u, range(1, max_v + 1)))
+    relations = _row_set_relations(_sweep_blocks(max_u, max_v))
     first = _first_witnesses(relations, union)
     return next((witness for key, witness in first if key == want), None)

@@ -30,9 +30,9 @@ GOLDEN_CASES = {
         "verify", "--samples", "4", "--seed", "3", "--max-u", "4", "--max-v", "4",
         "--pairs", "8", "--format", "json",
     ],
-    "verify_exhaustive.json": ["verify", "--exhaustive", "--u", "2", "--v", "3", "--format", "json"],
+    "verify_exhaustive.json": ["verify", "--exhaustive", "2", "3", "--format", "json"],
     "verify_sampled_pairs.json": [
-        "verify", SAMPLE, "--samples", "20", "--seed", "5", "--format", "json",
+        "verify", SAMPLE, "--pairs", "20", "--seed", "5", "--format", "json",
     ],
     "tables.txt": ["tables", "--op", "union", "--relation", SAMPLE],
     "tables.json": ["tables", "--op", "union", "--relation", SAMPLE, "--format", "json"],
@@ -187,6 +187,41 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "verify")
         assert code == 2 and "nothing to verify" in err
 
+    @pytest.mark.parametrize(
+        "scopes",
+        [
+            [SAMPLE, "--samples", "5"],
+            [SAMPLE, "--exhaustive", "2", "2"],
+            ["--exhaustive", "2", "2", "--samples", "5"],
+            ["--samples", "5", SAMPLE],
+            [SAMPLE, "--exhaustive", "2", "2", "--samples", "5"],
+        ],
+    )
+    def test_second_verify_scope_is_two_before_any_work(self, capsys, monkeypatch, scopes):
+        def work(*args, **kwargs):
+            raise AssertionError("verify started work")
+
+        for name in ("parse_relation_file", "generate_relations", "random_campaign"):
+            monkeypatch.setattr(f"birough.cli.{name}", work)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *scopes])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with argument" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--exhaustive", "--u", "2", "--v", "2"], ["--exhaustive", "2", "2", "--u", "2"]],
+    )
+    def test_verify_has_no_separate_exhaustive_sizes(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+    def test_pairs_with_exhaustive_campaign_is_two(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--exhaustive", "2", "2", "--pairs", "3")
+        assert code == 2 and out == "" and "--pairs does not apply" in err
+
     @pytest.mark.parametrize("flag", ["relation", "classes", "tables-file"])
     def test_non_utf8_relation_is_two(self, capsys, tmp_path, flag):
         path = tmp_path / "latin1.txt"
@@ -239,7 +274,7 @@ class TestExitCodes:
         # 2**(u*v) relations * (4**v subset pairs + per-relation set-up) is
         # over the pair cap; 18x1 is the smallest such size at |V| = 1
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "verify", "--exhaustive", "--u", str(u), "--v", str(v))
+        code, out, err = run_cli(capsys, "verify", "--exhaustive", str(u), str(v))
         assert code == 2 and out == "" and "needs" in err
         assert time.perf_counter() - start < 2.0
 
@@ -255,11 +290,13 @@ class TestExitCodes:
         "argv",
         [
             ["verify", "--samples", "-3"],
+            ["verify", "--samples", "0"],
+            ["verify", SAMPLE, "--pairs", "0"],
             ["verify", "--samples", "5", "--pairs", "0"],
             ["verify", "--samples", "5", "--max-u", "0"],
             ["verify", "--samples", "5", "--max-v", "0"],
-            ["verify", "--exhaustive", "--u", "0", "--v", "2"],
-            ["verify", "--exhaustive", "--u", "2", "--v", "0"],
+            ["verify", "--exhaustive", "0", "2"],
+            ["verify", "--exhaustive", "2", "0"],
             ["verify", "--samples", "5", "--density", "1.5"],
             ["verify", "--samples", "5", "--density", "nan"],
             ["tables", "--op", "union", "--max-u", "0"],
@@ -291,7 +328,7 @@ class TestCampaigns:
             text += "x4: " + " ".join("0" * 21) + "\n"
         path = tmp_path / "wide.rel"
         path.write_text(text, encoding="utf-8")
-        code, out, err = run_cli(capsys, "verify", str(path), "--samples", "20", "--format", "json")
+        code, out, err = run_cli(capsys, "verify", str(path), "--pairs", "20", "--format", "json")
         assert code == 0 and err == ""
         checks = json.loads(out)["checks"]
         assert checks["seriality_biconditional"] == {"checked": 1, "failures": 0}
@@ -334,10 +371,22 @@ class TestCampaigns:
         assert code == 0
         assert calls == [200] * 5
 
-    def test_exhaustive_campaign(self, capsys):
+    def test_relation_file_with_sampled_pairs(self, capsys):
         code, out, _ = run_cli(
-            capsys, "verify", "--exhaustive", "--u", "2", "--v", "2"
+            capsys, "verify", SAMPLE, "--pairs", "3", "--seed", "9", "--format", "json"
         )
+        body = json.loads(out)
+        assert code == 0
+        assert body["scope"]["description"].endswith("with 3 sampled subset pairs (seed 9)")
+        instances = {law["law"]: law["instances"] for law in body["laws"]}
+        assert instances["monotonicity"] == 3
+
+    def test_campaign_defaults_to_fifty_pairs(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--samples", "2")
+        assert code == 0 and "2 random relations" in out and "50 subset pairs each" in out
+
+    def test_exhaustive_campaign(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--exhaustive", "2", "2")
         assert code == 0
         assert "all 2x2 relations" in out and "result: PASS" in out
 

@@ -97,7 +97,7 @@ def invocations(draw) -> tuple[str, list[str], dict[str, bytes]]:
         files["cls"] = draw(class_texts(labels)).encode("utf-8")
         argv = ["classify", "{rel}", "--classes", "{cls}"]
     elif command == "verify":
-        argv = ["verify", "{rel}", "--samples", str(draw(st.sampled_from([0, 3])))]
+        argv = ["verify", "{rel}", *draw(st.sampled_from([[], ["--pairs", "3"]]))]
     elif command == "tables":
         op = draw(st.sampled_from(["union", "intersection"]))
         argv = ["tables", "--op", op, "--relation", "{rel}"]

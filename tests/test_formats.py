@@ -179,6 +179,14 @@ class TestTablesJson:
         with pytest.raises(ParseError):
             parse_tables_json(payload)
 
+    @pytest.mark.parametrize("code", [True, False, 1.0, 2.5, "1", None, [1]])
+    def test_codes_must_be_exact_ints(self, code):
+        # JSON true and 1.0 compare equal to 1, but are not rough-type codes
+        grid = [[[1]] * 4 for _ in range(4)]
+        grid[1][2] = [code]
+        with pytest.raises(ParseError, match=r"cell \(2, 3\) must be a non-empty list of codes 1..4"):
+            parse_tables_json(json.dumps({"union": grid}))
+
 
 class TestRatios:
     @pytest.mark.parametrize(

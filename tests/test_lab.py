@@ -3,6 +3,7 @@ from __future__ import annotations
 import time
 from functools import partial
 from itertools import islice, product
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -494,7 +495,7 @@ class TestRowSetGenerator:
     def test_sweep_order_matches_relation_walk(self):
         for max_u, max_v in _SMALL_DIMS:
             expected = _first_appearances(product(range(1, max_u + 1), range(1, max_v + 1)))
-            blocks = lab._sweep_blocks(max_u, range(1, max_v + 1))
+            blocks = lab._sweep_blocks(max_u, max_v)
             got = [
                 (rel.u_size, rel.v_size, rel.rows) for rel in lab._row_set_relations(blocks)
             ]
@@ -519,6 +520,77 @@ class TestSweepBounds:
         start = time.perf_counter()
         with pytest.raises(BudgetError, match="needs"):
             witness_inventory("union", *dims)
+        assert time.perf_counter() - start < 2.0
+
+
+# The rules the one work bound replaced, written out as the reference: |V| at
+# most 12 for one relation or a sweep, and for a sweep at most 2**26 subset
+# pairs, Σ C(2**v, u) * 4**v over u <= min(max_u, 4096), v <= max_v, u <= 2**v.
+# The sum only grows with max_u, so at each max_v the old rules refuse every
+# max_u from one threshold on.
+def _old_sweep_threshold(max_v):
+    """The least max_u the old rules refuse at ``max_v``, or None."""
+    if max_v > 12:
+        return 1
+    pairs = 0
+    for u in range(1, 4097):
+        for v in range(1, max_v + 1):
+            if u <= 1 << v:
+                pairs += comb(1 << v, u) * 4**v
+        if pairs > 2**26:
+            return u
+    return None
+
+
+_GRID_MAX_U = [*range(1, 300), 511, 4095, 4096, 4097, 10**6, 10**12]
+_GRID_MAX_V = range(1, 41)
+
+
+class TestOneWorkBound:
+    """``lab._pair_work`` refuses exactly the sizes the old rules refused."""
+
+    def test_sweeps_match_the_old_rules(self):
+        start = time.perf_counter()
+        for max_v in _GRID_MAX_V:
+            first = _old_sweep_threshold(max_v)
+            for max_u in _GRID_MAX_U:
+                try:
+                    lab._sweep_blocks(max_u, max_v)
+                except BudgetError:
+                    refused = True
+                else:
+                    refused = False
+                assert refused == (first is not None and max_u >= first), (max_u, max_v)
+        assert time.perf_counter() - start < 2.0
+
+    def test_single_relations_match_the_old_rule(self):
+        for v_size in _GRID_MAX_V:
+            try:
+                lab._pair_work(0, 1, v_size, "one relation")
+            except BudgetError:
+                refused = True
+            else:
+                refused = False
+            assert refused == (v_size > 12), v_size
+
+    def test_each_entry_point_refuses_at_its_first_refused_size(self):
+        start = time.perf_counter()
+        wide = BinaryRelation(canonical_universes(1, 13), (0,))
+        first_v = min(v for v in _GRID_MAX_V if _old_sweep_threshold(v) == 1)
+        first_u = _old_sweep_threshold(5)
+        refusals = [
+            partial(generate_relations, 18, 1),
+            partial(verify_algebraic_properties, wide),
+            partial(check_relation_against_tables, wide, "union"),
+            partial(witness_inventory, "union", 1, first_v),
+            partial(witness_inventory, "intersection", first_u, 5),
+            partial(find_type_witness, "union", *[RoughType(1)] * 3, max_u=1, max_v=first_v),
+            partial(find_type_witness, "union", *[RoughType(1)] * 3, max_u=first_u, max_v=5),
+        ]
+        for refusal in refusals:
+            with pytest.raises(BudgetError, match="needs at least"):
+                refusal()
+        assert (first_v, first_u) == (9, 5)
         assert time.perf_counter() - start < 2.0
 
 

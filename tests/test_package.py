@@ -6,6 +6,7 @@ import ast
 import contextlib
 import importlib
 import io
+import pkgutil
 import re
 from pathlib import Path
 
@@ -23,6 +24,23 @@ def test_every_reexport_is_in_its_submodule_all():
         for node in imports
         for alias in node.names
         if alias.name not in importlib.import_module(f"birough.{node.module}").__all__
+    ]
+    assert missing == []
+
+
+def test_every_submodule_all_resolves():
+    # a name removed from a module but still listed breaks "import *"
+    modules = [
+        importlib.import_module(f"birough.{info.name}")
+        for info in pkgutil.iter_modules(birough.__path__)
+    ]
+    listed = [module for module in modules if hasattr(module, "__all__")]
+    assert len(listed) >= 5
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in listed
+        for name in module.__all__
+        if not hasattr(module, name)
     ]
     assert missing == []
 

@@ -28,10 +28,12 @@ CASES = {
     "verify-campaign": [
         "verify", "--samples", "3", "--max-u", "3", "--max-v", "3", "--pairs", "5",
     ],
-    "verify-exhaustive": ["verify", "--exhaustive", "--u", "2", "--v", "2"],
-    "verify-sampled-pairs": ["verify", SAMPLE, "--samples", "5", "--seed", "1"],
+    "verify-exhaustive": ["verify", "--exhaustive", "2", "2"],
+    "verify-sampled-pairs": ["verify", SAMPLE, "--pairs", "5", "--seed", "1"],
     "tables": ["tables", "--op", "union", "--max-u", "2", "--max-v", "2"],
     "tables-relation": ["tables", "--op", "union", "--relation", SAMPLE],
+    # refused before any work (exit 2), inside the traced sweep call
+    "tables-refused": ["tables", "--op", "union", "--max-u", "1", "--max-v", "13"],
     "witness": [
         "witness", "--op", "union", "--left", "1", "--right", "1",
         "--result", "2", "--max-u", "2", "--max-v", "2",
@@ -69,3 +71,5 @@ def test_traced_run_matches_plain_run(name, capsys, monkeypatch, tmp_path):
         assert trace["counters"]["lab.relations"] == 16
     if name == "verify-sampled-pairs":
         assert trace["counters"]["lab.pairs"] == 5
+    if name == "tables-refused":
+        assert code == 2 and "lab.witness_inventory" in {edge[1] for edge in trace["edges"]}
