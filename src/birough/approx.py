@@ -44,6 +44,8 @@ __all__ = [
     "approximate",
     "lower_bits",
     "upper_bits",
+    "lower_nonempty",
+    "upper_covers",
     "OperatorMemo",
     "type_code",
 ]
@@ -126,19 +128,37 @@ def upper_bits(rows: Sequence[int], y_bits: int) -> int:
     return out
 
 
+def lower_nonempty(rows: Sequence[int], y_bits: int) -> bool:
+    """Whether the lower approximation is non-empty: some row lies within Y.
+
+    The scan stops at the first such row.
+    """
+    return any(map(eq, map(y_bits.__and__, rows), rows))
+
+
+def upper_covers(rows: Sequence[int], y_bits: int) -> bool:
+    """Whether the upper approximation covers U: every row meets Y.
+
+    The scan stops at the first row that misses Y.
+    """
+    return all(map(y_bits.__and__, rows))
+
+
 class OperatorMemo(dict):
     """``memo[y_bits]`` is ``kernel(rows, y_bits)``, computed the first time it is read.
 
-    One operator of one relation, memoised by V-mask: the law campaigns and
-    the family laws read the same sets' approximations many times.
+    One per-V-mask kernel of one relation, memoised by V-mask: a U-mask
+    operator (``lower_bits``, ``upper_bits``) or a fact (``lower_nonempty``,
+    ``upper_covers``).  The law campaigns and the family laws read the same
+    sets' approximations many times.
     """
 
-    def __init__(self, kernel: Callable[[Sequence[int], int], int], rows: Sequence[int]):
+    def __init__(self, kernel: Callable[[Sequence[int], int], object], rows: Sequence[int]):
         super().__init__()
         self.kernel = kernel
         self.rows = rows
 
-    def __missing__(self, y_bits: int) -> int:
+    def __missing__(self, y_bits: int):
         value = self[y_bits] = self.kernel(self.rows, y_bits)
         return value
 

@@ -10,6 +10,13 @@ biconditionals and the derived implication laws that relate "some union of
 blocks has a covering upper approximation" to "the remaining blocks have
 empty lower approximations" (and their duals).  Each evaluated instance is
 reported as holds, violated, or vacuous.
+
+A law asks two facts of a union of blocks, never its approximations as
+sets: is its lower approximation non-empty, and does its upper cover U?
+Both depend only on the set of rows, so they are read over the distinct
+rows and memoised by V-mask (``FamilyApprox.union_facts``).  The blockwise
+side of each law reads the blocks' own lower and upper U-masks, a separate
+route.
 """
 
 from __future__ import annotations
@@ -21,7 +28,13 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .approx import OperatorMemo, lower_approximation, lower_bits, upper_approximation, upper_bits
+from .approx import (
+    OperatorMemo,
+    lower_approximation,
+    lower_nonempty,
+    upper_approximation,
+    upper_covers,
+)
 from .relation import (
     BinaryRelation,
     BiroughError,
@@ -195,11 +208,13 @@ class FamilyApprox:
         return all(lo.bits == up.bits for lo, up in zip(self.lowers, self.uppers))
 
     @cached_property
-    def union_operators(self) -> tuple[OperatorMemo, OperatorMemo]:
-        """Memoised (lower, upper) U-masks keyed by V-mask; the family laws
-        approximate every union of blocks through this one pair."""
-        rows = self.relation.rows
-        return OperatorMemo(lower_bits, rows), OperatorMemo(upper_bits, rows)
+    def union_facts(self) -> tuple[OperatorMemo, OperatorMemo]:
+        """Memoised (lower is non-empty, upper covers U) of a V-mask; the family
+        laws read every union of blocks through this one pair.  Both facts
+        depend only on the set of rows, so they scan the distinct rows once
+        each, in first-seen order, and build no U-mask."""
+        rows = tuple(dict.fromkeys(self.relation.rows))
+        return OperatorMemo(lower_nonempty, rows), OperatorMemo(upper_covers, rows)
 
     @cached_property
     def proper_index_sets(self) -> list[tuple[tuple[str, ...], int, int]]:
@@ -338,10 +353,9 @@ def _dualities(
     fa: FamilyApprox, names: tuple[str, ...], union: int, chosen: int
 ) -> tuple[LawInstance, LawInstance]:
     """The cover and the support duality for one index set."""
-    lower, upper = fa.union_operators
-    umask = fa.relation.umask
-    cover = upper[union] == umask, not lower[fa.relation.vmask ^ union]
-    support = bool(lower[union]), _rest_uppers(fa, chosen) != umask
+    has_lower, covers_u = fa.union_facts
+    cover = covers_u[union], not has_lower[fa.relation.vmask ^ union]
+    support = has_lower[union], _rest_uppers(fa, chosen) != fa.relation.umask
     return (
         _biconditional(COVER_DUALITY, names, *cover),
         _biconditional(SUPPORT_DUALITY, names, *support),
@@ -390,7 +404,7 @@ def derived_laws_report(fa: FamilyApprox) -> TheoremReport:
     """Every derived implication/biconditional law, instance by instance."""
     n = fa.classification.n
     index_sets = fa.proper_index_sets
-    lower, upper = fa.union_operators
+    has_lower, covers_u = fa.union_facts
     umask, vmask = fa.relation.umask, fa.relation.vmask
     singles = _index_sets(fa, [(i,) for i in range(n)])
     # Blockwise facts: bit i is set when block i's lower is non-empty (lows)
@@ -402,15 +416,15 @@ def derived_laws_report(fa: FamilyApprox) -> TheoremReport:
 
     law = "cover-by-union-forces-rest-lowers-empty"
     for names, union, chosen in index_sets:
-        entries.append(_implication(law, names, upper[union] == umask, not lows & ~chosen))
+        entries.append(_implication(law, names, covers_u[union], not lows & ~chosen))
 
     law = "block-upper-covers-iff-rest-lower-empty"
     for names, union, chosen in singles:
-        entries.append(_biconditional(law, names, bool(covers & chosen), not lower[vmask ^ union]))
+        entries.append(_biconditional(law, names, bool(covers & chosen), not has_lower[vmask ^ union]))
 
     law = "block-lower-empty-iff-rest-upper-covers"
     for names, union, chosen in singles:
-        entries.append(_biconditional(law, names, not lows & chosen, upper[vmask ^ union] == umask))
+        entries.append(_biconditional(law, names, not lows & chosen, covers_u[vmask ^ union]))
 
     law = "block-upper-covers-forces-other-lowers-empty"
     for names, _, chosen in singles:
@@ -421,7 +435,7 @@ def derived_laws_report(fa: FamilyApprox) -> TheoremReport:
 
     law = "union-lower-nonempty-forces-rest-uppers-proper"
     for names, union, chosen in index_sets:
-        entries.append(_implication(law, names, bool(lower[union]), not covers & ~chosen))
+        entries.append(_implication(law, names, has_lower[union], not covers & ~chosen))
 
     law = "block-lower-nonempty-iff-rest-uppers-union-proper"
     for names, _, chosen in singles:
@@ -430,7 +444,7 @@ def derived_laws_report(fa: FamilyApprox) -> TheoremReport:
 
     law = "block-upper-proper-iff-rest-lower-nonempty"
     for names, union, chosen in singles:
-        entries.append(_biconditional(law, names, not covers & chosen, bool(lower[vmask ^ union])))
+        entries.append(_biconditional(law, names, not covers & chosen, has_lower[vmask ^ union]))
 
     law = "block-lower-nonempty-forces-other-uppers-proper"
     for names, _, chosen in singles:

@@ -90,6 +90,14 @@ def _rough_type_arg(text: str) -> RoughType:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _refuse_unused(args: argparse.Namespace, why: str, *flags: str) -> None:
+    """Exit 2 (before any work) when a flag that this run would ignore was given."""
+    given = [f"--{flag.replace('_', '-')}" for flag in flags if getattr(args, flag) is not None]
+    if given:
+        verb = "does" if len(given) == 1 else "do"
+        raise BiroughError(f"{why}; {', '.join(given)} {verb} not apply")
+
+
 def _print(report, fmt: str) -> None:
     sys.stdout.write(emit_report(report, fmt))
 
@@ -131,37 +139,47 @@ def _verify_one(rel: BinaryRelation, pairs: int | None, seed: int):
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.relation is not None:
+        _refuse_unused(args, "a relation file is checked as given", "max_u", "max_v", "density")
+        if not args.pairs:
+            _refuse_unused(args, "without --pairs a relation file gets every subset pair", "seed")
+        seed = args.seed or 0
         rel = _load_relation(args.relation)
         subsets = (
-            f"{args.pairs} sampled subset pairs (seed {args.seed})"
+            f"{args.pairs} sampled subset pairs (seed {seed})"
             if args.pairs
             else "exhaustive subsets"
         )
-        campaign = [(rel, args.pairs, args.seed)]
+        campaign = [(rel, args.pairs, seed)]
         scope = {"description": f"relation {args.relation} with {subsets}", "source": args.relation}
     elif args.exhaustive:
-        if args.pairs:
-            raise BiroughError("--exhaustive checks every subset pair; --pairs does not apply")
+        _refuse_unused(
+            args,
+            "--exhaustive checks every relation with every subset pair",
+            "pairs", "seed", "max_u", "max_v", "density",
+        )
         u, v = args.exhaustive
         campaign = ((rel, None, 0) for rel in generate_relations(u, v))
         description = f"all {u}x{v} relations with exhaustive subsets"
         scope = {"description": description, "u": u, "v": v}
     elif args.samples:
         pairs = args.pairs or 50
+        seed = args.seed or 0
+        max_u, max_v = args.max_u or 8, args.max_v or 8
+        density = 0.5 if args.density is None else args.density
         relations = random_campaign(
-            args.samples, max_u=args.max_u, max_v=args.max_v, density=args.density, seed=args.seed
+            args.samples, max_u=max_u, max_v=max_v, density=density, seed=seed
         )
-        campaign = ((rel, pairs, args.seed + i) for i, rel in enumerate(relations))
+        campaign = ((rel, pairs, seed + i) for i, rel in enumerate(relations))
         description = (
-            f"{args.samples} random relations up to {args.max_u}x{args.max_v} "
-            f"(density {args.density}, seed {args.seed}), {pairs} subset pairs each"
+            f"{args.samples} random relations up to {max_u}x{max_v} "
+            f"(density {density}, seed {seed}), {pairs} subset pairs each"
         )
         scope = {
             "description": description,
             "samples": args.samples,
-            "max_u": args.max_u,
-            "max_v": args.max_v,
-            "seed": args.seed,
+            "max_u": max_u,
+            "max_v": max_v,
+            "seed": seed,
         }
     else:
         raise BiroughError("nothing to verify: give a relation file, --exhaustive U V or --samples N")
@@ -199,6 +217,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         table = transcriptions[args.op]
 
     if args.relation is not None:
+        _refuse_unused(args, "--relation checks one relation, not a sweep", "max_u", "max_v")
         rel = _load_relation(args.relation)
         findings = check_relation_against_tables(rel, args.op, tables=table)
         scope = {
@@ -206,11 +225,12 @@ def _cmd_tables(args: argparse.Namespace) -> int:
             "source": args.relation,
         }
     else:
-        findings = witness_inventory(args.op, args.max_u, args.max_v, tables=table)
+        max_u, max_v = args.max_u or 3, args.max_v or 3
+        findings = witness_inventory(args.op, max_u, max_v, tables=table)
         scope = {
-            "description": f"exhaustive sweep up to u<={args.max_u}, v<={args.max_v}",
-            "max_u": args.max_u,
-            "max_v": args.max_v,
+            "description": f"exhaustive sweep up to u<={max_u}, v<={max_v}",
+            "max_u": max_u,
+            "max_v": max_v,
         }
     report = build_tables_report(args.op, scope, findings)
     _print(report, args.format)
@@ -291,7 +311,9 @@ def _build_parser() -> argparse.ArgumentParser:
     scope.add_argument(
         "--samples", type=_ranged(int, 1), metavar="N", help="check N seeded random relations"
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, help="seed of the sampled pairs and of --samples relations (default 0)"
+    )
     p.add_argument(
         "--pairs",
         type=_ranged(int, 1),
@@ -299,9 +321,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sampled subset pairs per relation (default: every pair for a "
         "relation file, 50 for --samples)",
     )
-    p.add_argument("--max-u", type=_ranged(int, 1), default=8)
-    p.add_argument("--max-v", type=_ranged(int, 1), default=8)
-    p.add_argument("--density", type=_ranged(float, 0, 1), default=0.5)
+    p.add_argument(
+        "--max-u", type=_ranged(int, 1), help="largest |U| of a --samples relation (default 8)"
+    )
+    p.add_argument(
+        "--max-v", type=_ranged(int, 1), help="largest |V| of a --samples relation (default 8)"
+    )
+    p.add_argument(
+        "--density", type=_ranged(float, 0, 1), help="cell density of --samples relations (default 0.5)"
+    )
     add_format(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -310,8 +338,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--op", required=True, choices=("union", "intersection"))
     p.add_argument("--relation", help="check one relation instead of a sweep")
-    p.add_argument("--max-u", type=_ranged(int, 1), default=3)
-    p.add_argument("--max-v", type=_ranged(int, 1), default=3)
+    p.add_argument("--max-u", type=_ranged(int, 1), help="largest |U| of the sweep (default 3)")
+    p.add_argument("--max-v", type=_ranged(int, 1), help="largest |V| of the sweep (default 3)")
     p.add_argument(
         "--tables-file",
         help="JSON transcription to check against instead of the built-in tables",

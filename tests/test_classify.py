@@ -29,7 +29,7 @@ from birough import (
 from birough.classify import COVER_DUALITY, HOLDS, SUPPORT_DUALITY, VACUOUS, VIOLATED
 from birough.lab import canonical_universes, generate_relations
 from naive import matrix_of, naive_lower, naive_upper
-from strategies import relations
+from strategies import WIDE_U_SIZES, relations
 
 
 def classification_of(universes, **blocks):
@@ -335,6 +335,39 @@ class TestFamilyLawOracle:
     @given(wide_families(), st.integers(0, 2**32))
     def test_past_full_enumeration_and_word_width(self, family, seed):
         self.check(*family, seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        relations(max_v=6, u_sizes=WIDE_U_SIZES), st.integers(2, 4), st.integers(0, 2**32)
+    )
+    def test_tall_relations_with_repeated_rows(self, rel, k, seed):
+        # at most 64 distinct rows, so a tall relation repeats rows, and |U|
+        # crosses SHIFT_WIDTH
+        assume(rel.v_size >= 2)
+        self.check(rel, min(k, rel.v_size), seed)
+
+    @given(
+        relations(max_u=6, max_v=6),
+        st.integers(2, 4),
+        st.integers(0, 2**32),
+        st.lists(st.integers(0, 5), max_size=8),
+    )
+    def test_laws_depend_only_on_the_set_of_rows(self, rel, k, seed, repeats):
+        # permuting the rows and repeating some of them leaves every instance as it was
+        assume(rel.v_size >= 2)
+        k = min(k, rel.v_size)
+        blocks = seeded_partition(rel.v_size, k, seed)
+        rows = list(rel.rows) + [rel.rows[i % rel.u_size] for i in repeats]
+        random.Random(seed).shuffle(rows)
+        other = BinaryRelation(canonical_universes(len(rows), rel.v_size), tuple(rows))
+
+        def entries(r):
+            cls = validate_classification(
+                [(f"B{i}", r.universes.v_subset(block)) for i, block in enumerate(blocks)]
+            )
+            return family_law_report(approximate_family(r, cls)).entries
+
+        assert entries(other) == entries(rel)
 
     @staticmethod
     def check(rel, k, seed):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import time
 from pathlib import Path
 
@@ -222,6 +223,30 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "verify", "--exhaustive", "2", "2", "--pairs", "3")
         assert code == 2 and out == "" and "--pairs does not apply" in err
 
+    @pytest.mark.parametrize(
+        "argv, ignored",
+        [
+            (["verify", SAMPLE, "--max-u", "1", "--max-v", "1", "--density", "0.9"],
+             "--max-u, --max-v, --density do not apply"),
+            (["verify", SAMPLE, "--seed", "7"], "--seed does not apply"),
+            (["verify", "--exhaustive", "2", "2", "--seed", "7", "--density", "0.1"],
+             "--seed, --density do not apply"),
+            (["tables", "--op", "union", "--relation", SAMPLE, "--max-u", "1", "--max-v", "1"],
+             "--max-u, --max-v do not apply"),
+        ],
+        ids=["verify-file-shape", "verify-file-seed", "verify-exhaustive", "tables-relation"],
+    )
+    def test_flag_the_scope_would_ignore_is_two_before_any_work(
+        self, capsys, monkeypatch, argv, ignored
+    ):
+        def work(*args, **kwargs):
+            raise AssertionError(f"{argv[0]} started work")
+
+        for name in ("parse_relation_file", "generate_relations", "random_campaign"):
+            monkeypatch.setattr(f"birough.cli.{name}", work)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and ignored in err
+
     @pytest.mark.parametrize("flag", ["relation", "classes", "tables-file"])
     def test_non_utf8_relation_is_two(self, capsys, tmp_path, flag):
         path = tmp_path / "latin1.txt"
@@ -343,6 +368,22 @@ class TestCampaigns:
         code, out, err = run_cli(capsys, "neighbors", str(path))
         assert code == 0 and err == "" and "saturation identity: holds" in out
         assert time.perf_counter() - start < 10.0
+
+    def test_classify_on_tall_relation_with_repeated_rows(self, capsys, tmp_path):
+        # 20000 rows from 400 patterns under 11 blocks: every law reads its
+        # two facts per union of blocks over the distinct rows, so the run
+        # must not take time proportional to |U| per union
+        rng = random.Random(44)
+        patterns = [" ".join(rng.choice("01") for _ in range(44)) for _ in range(400)]
+        rows = "".join(f"x{i}: {rng.choice(patterns)}\n" for i in range(20000))
+        path, classes = tmp_path / "tall.rel", tmp_path / "tall.classes"
+        path.write_text("V: " + " ".join(f"y{j}" for j in range(44)) + "\n" + rows, encoding="utf-8")
+        blocks = (" ".join(f"y{j}" for j in range(b, b + 4)) for b in range(0, 44, 4))
+        classes.write_text("".join(f"B{b}: {labels}\n" for b, labels in enumerate(blocks)))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "classify", str(path), "--classes", str(classes))
+        assert code == 0 and err == "" and ", 0 violated" in out
+        assert time.perf_counter() - start < 5.0
 
     def test_neighbors_groups_the_relation_once(self, capsys, monkeypatch):
         # one grouping of the rows and one of the columns, shared by the
