@@ -420,7 +420,8 @@ def derived_laws_report(fa: FamilyApprox) -> TheoremReport:
 
     law = "block-upper-covers-iff-rest-lower-empty"
     for names, union, chosen in singles:
-        entries.append(_biconditional(law, names, bool(covers & chosen), not has_lower[vmask ^ union]))
+        right = not has_lower[vmask ^ union]
+        entries.append(_biconditional(law, names, bool(covers & chosen), right))
 
     law = "block-lower-empty-iff-rest-upper-covers"
     for names, union, chosen in singles:
