@@ -52,8 +52,14 @@ EXIT_USAGE = 2
 
 
 def _read_text(path: str) -> str:
+    """The file as text, without the byte-order mark some editors write.
+
+    This is the text that decoding with ``utf-8-sig`` gives.  Decoding as
+    UTF-8 and dropping the mark afterwards keeps a bad byte's offset that of
+    the file, where ``utf-8-sig`` would count from after the mark.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise BiroughError(
             f"{path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} at offset {exc.start})"

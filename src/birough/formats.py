@@ -3,8 +3,11 @@
 Relation files mirror a Boolean matrix: a ``V:`` header listing the column
 labels, then one ``<label>: b1 b2 ...`` line per row, '#' starting a comment
 line.  ``parse_relation_file`` reads one into a ``BinaryRelation`` and
-``render_relation_file`` writes a relation back in the same layout.
-Classification files hold one ``<name>: <labels...>`` block per line.
+``render_relation_file`` writes a relation back in the same layout.  The
+parser reads that layout (single spaces, a newline after every line) in a
+few whole-text passes, and any other layout line by line, to the same
+relation or the same error.  Classification files hold one
+``<name>: <labels...>`` block per line.
 
 Reports are small JSON-able trees with a schema version; ``emit_report``
 renders them either as stable JSON (sorted keys) or as a human-oriented text
@@ -18,7 +21,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
+from operator import add
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Mapping, Sequence
 
@@ -42,6 +46,7 @@ from .relation import (
     BiroughError,
     Side,
     Subset,
+    UniverseError,
     UniversePair,
     digits_row,
     mask_members,
@@ -90,6 +95,54 @@ def parse_relation_file(text: str, source: str = "<string>") -> BinaryRelation:
     """Parse the relation matrix format with line/column diagnostics.
 
     ``source`` names the input in a ``ParseError`` only.
+
+    A file in the layout that ``render_relation_file`` writes is read in a
+    few whole-text passes (``_parse_rendered``).  Any other text, and any
+    rendered-looking text with a duplicate label, is read line by line
+    (``_parse_lines``) from the start, so every file gives the same relation
+    or the same ``ParseError`` on either path.
+    """
+    rel = _parse_rendered(text)
+    return _parse_lines(text, source) if rel is None else rel
+
+
+def _parse_rendered(text: str) -> BinaryRelation | None:
+    """The relation of a file in the rendered layout, else None.
+
+    The layout is a ``V: <labels>`` header, then one ``<label>: d d ... d``
+    line per row, with single spaces, one '0'/'1' digit per cell and a
+    ``\n`` after every line, and no label twice on one side.
+    """
+    header = re.match(r"V:((?: [^\s:]+)+)\n", text)
+    if header is None or not text.endswith("\n"):
+        return None
+    v_labels = header[1].split(" ")[1:]
+    # A row match spans its whole line, from the '\n' before it to the '\n'
+    # after it, so every row line matched when there are as many matches as
+    # lines.  Every break of str.splitlines is whitespace, which no match
+    # holds, so the per-line loop would see the same lines.  The cells are
+    # matched eight to a round: the regex engine pays per round of a repeat,
+    # and compiling an unrolled pattern costs time per column.
+    rounds, rest = divmod(len(v_labels), 8)
+    cells = "(?:%s){%d}%s" % (" [01]" * 8, rounds, " [01]" * rest)
+    u_labels = re.compile(r"\n([^\s:]+):%s(?=\n)" % cells).findall(text, header.end() - 1)
+    if not u_labels or len(u_labels) != text.count("\n", header.end()):
+        return None
+    # A row line is its label, ':' and two characters per cell.  The digits
+    # of the line whose '\n' is at ``end`` sit at end-1, end-3, ...; read in
+    # that order, last cell first, cell j becomes bit j.
+    width = 2 * len(v_labels)
+    ends = accumulate(map(add, map(len, u_labels), repeat(width + 2)), initial=header.end() - 1)
+    next(ends)
+    rows = tuple([int(text[end - 1 : end - width : -2], 2) for end in ends])
+    try:
+        return BinaryRelation(UniversePair(tuple(u_labels), tuple(v_labels)), rows)
+    except UniverseError:
+        return None  # a label repeats; the per-line loop names its line and column
+
+
+def _parse_lines(text: str, source: str) -> BinaryRelation:
+    """The relation file read line by line, raising at the first bad token.
 
     A well-formed row is taken in one pass over its line; any other line goes
     through ``_parse_row``, which locates the first offending token.

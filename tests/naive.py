@@ -221,7 +221,7 @@ def _words(line: str) -> list[tuple[int, str]]:
     return out
 
 
-def _label_ok(token: str) -> bool:
+def naive_label_ok(token: str) -> bool:
     return token != "" and ":" not in token and not any(ch.isspace() for ch in token)
 
 
@@ -245,7 +245,7 @@ def naive_parse_relation(text: str) -> tuple[list[str], list[str], list[int]]:
                 raise NaiveParseError(line_no, head_col, "expected a 'V:' header line listing the V labels")
             v_labels = []
             for col, token in cells:
-                if not _label_ok(token):
+                if not naive_label_ok(token):
                     raise NaiveParseError(line_no, col, f"bad V label {token!r}")
                 if token in v_labels:
                     raise NaiveParseError(line_no, col, f"duplicate V label {token!r}")
@@ -256,7 +256,7 @@ def naive_parse_relation(text: str) -> tuple[list[str], list[str], list[int]]:
         if len(head) < 2 or head[-1] != ":":
             raise NaiveParseError(line_no, head_col, "expected '<label>: <0/1 cells>'")
         label = head[:-1]
-        if not _label_ok(label):
+        if not naive_label_ok(label):
             raise NaiveParseError(line_no, head_col, f"bad U label {label!r}")
         if label in u_labels:
             raise NaiveParseError(line_no, head_col, f"duplicate U label {label!r}")

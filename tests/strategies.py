@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from birough import BinaryRelation, Side, Subset
 from birough.lab import canonical_universes
-from birough.relation import SHIFT_WIDTH
+from birough.relation import SHIFT_WIDTH, row_digits
 
 # |U| on both sides of SHIFT_WIDTH, where the U-mask kernels and iter_bits
 # switch from one-bit-at-a-time loops to digit strings.
@@ -51,14 +51,19 @@ _SEPARATORS = (" ", "  ", "\t", "\x1c", "\xa0", "\u2003")
 
 @st.composite
 def relation_texts(draw):
-    """Relation files with a few of the mistakes a hand-written file can hold."""
-    u = draw(st.integers(1, 4))
+    """Relation files with a few of the mistakes a hand-written file can hold.
+
+    Half are laid out as ``render_relation_file`` writes them (single spaces,
+    no indent, a newline after every line), some of those with |U| from
+    ``WIDE_U_SIZES``, so that both of the parser's paths are drawn.
+    """
+    rendered = draw(st.booleans())
+    tall = rendered and draw(st.booleans())
+    u = draw(st.sampled_from(WIDE_U_SIZES) if tall else st.integers(1, 4))
     v = draw(st.integers(1, 4))
+    cells = draw(st.binary(min_size=u, max_size=u))
     lines = [["V:", *(f"y{j + 1}" for j in range(v))]]
-    lines += [
-        [f"x{i + 1}:", *(draw(st.sampled_from("01")) for _ in range(v))]
-        for i in range(u)
-    ]
+    lines += [[f"x{i + 1}:", *row_digits(byte, 8)[:v]] for i, byte in enumerate(cells)]
     for _ in range(draw(st.integers(0, 3))):
         k = draw(st.integers(0, len(lines) - 1))
         tokens = lines[k]
@@ -84,6 +89,8 @@ def relation_texts(draw):
             lines.insert(k, ["#", *tokens])
         else:
             lines.insert(k, [])
+    if rendered:
+        return "".join(" ".join(tokens) + "\n" for tokens in lines)
     out = []
     for tokens in lines:
         lead = draw(st.sampled_from(["", " ", "\t"]))

@@ -104,6 +104,65 @@ class TestGoldens:
         assert code == 0 and "|U|=4, |V|=5" in out2
 
 
+def per_line_loop_refused(monkeypatch):
+    """Make the relation parser's per-line loop fail."""
+
+    def refuse(*args):
+        raise AssertionError("the per-line loop ran")
+
+    monkeypatch.setattr(formats, "_parse_lines", refuse)
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("kind", ["relation", "classes", "tables-file"])
+    def test_byte_order_mark_changes_no_output(self, capsys, tmp_path, kind):
+        path = tmp_path / "input.txt"
+        tables = {"union": [[[1, 2, 3, 4]] * 4] * 4}
+        text, argv = {
+            "relation": (Path(SAMPLE).read_text(encoding="utf-8"), ["approx", str(path), "--set", "y1,y2,y4"]),
+            "classes": (Path(CLASSES).read_text(encoding="utf-8"), ["classify", SAMPLE, "--classes", str(path)]),
+            "tables-file": (
+                json.dumps(tables),
+                ["tables", "--op", "union", "--relation", SAMPLE, "--tables-file", str(path)],
+            ),
+        }[kind]
+        outputs = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(mark + text.encode("utf-8"))
+            outputs.append(run_cli(capsys, *argv))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0 and outputs[0][2] == ""
+
+    def test_byte_order_mark_counts_in_a_bad_byte_offset(self, capsys, tmp_path):
+        path = tmp_path / "marked.rel"
+        path.write_bytes(b"\xef\xbb\xbfV: y1\n\xff: 1\n")
+        code, out, err = run_cli(capsys, "neighbors", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: not UTF-8 text (byte 0xff at offset 9)\n"
+
+    @pytest.mark.parametrize("u, v", [(1, 1), (3, 64), (65, 5), (300, 130)])
+    def test_gen_output_skips_the_per_line_loop(self, capsys, monkeypatch, u, v):
+        code, out, _ = run_cli(capsys, "gen", "--u", str(u), "--v", str(v), "--seed", "3")
+        assert code == 0
+        per_line_loop_refused(monkeypatch)
+        assert formats.parse_relation_file(out) == lab.random_relation(u, v, 0.5, 3, 0)
+
+    def test_benchmark_relation_files_skip_the_per_line_loop(self, monkeypatch, tmp_path):
+        # The benchmark writes its own relation files; they must stay in the
+        # layout that the parser reads in whole-text passes.
+        monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+        import naive
+        import workloads
+
+        for make in workloads.WORKLOADS.values():
+            make(1, tmp_path, naive)
+        paths = sorted(tmp_path.glob("*.rel"))
+        assert paths
+        per_line_loop_refused(monkeypatch)
+        for path in paths:
+            formats.parse_relation_file(path.read_text(encoding="utf-8"))
+
+
 class TestExitCodes:
     def test_clean_verify_is_zero(self, capsys):
         code, _, _ = run_cli(capsys, "verify", SAMPLE)

@@ -48,6 +48,24 @@ from naive import (
 )
 from strategies import WIDE_U_SIZES, Level, json_trees, relation_texts, relations
 
+# The breaks str.splitlines honours besides '\n'.
+LINE_BREAKS = ("\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def assert_matches_reference(text: str) -> None:
+    """``parse_relation_file`` gives the cell-by-cell reading, or its error."""
+    try:
+        expected = naive_parse_relation(text)
+    except NaiveParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_relation_file(text)
+        assert (got.value.line, got.value.col, got.value.message) == exc.where
+    else:
+        rel = parse_relation_file(text)
+        universes = rel.universes
+        assert (list(universes.u_labels), list(universes.v_labels), list(rel.rows)) == expected
+
+
 SAMPLE_TEXT = """\
 # comment line
 V: y1 y2 y3 y4 y5 y6
@@ -120,20 +138,50 @@ class TestRelationParsing:
 
     @given(relation_texts())
     def test_matches_cell_by_cell_reference(self, text):
-        try:
-            expected = naive_parse_relation(text)
-        except NaiveParseError as exc:
-            with pytest.raises(ParseError) as got:
-                parse_relation_file(text)
-            assert (got.value.line, got.value.col, got.value.message) == exc.where
-        else:
-            rel = parse_relation_file(text)
-            universes = rel.universes
-            assert (list(universes.u_labels), list(universes.v_labels), list(rel.rows)) == expected
+        assert_matches_reference(text)
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=ascii)
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "V: y1{}y2\nx1: 0 1\n",
+            "V: y1 y2{}x1: 0 1\n",
+            "V: y1 y2\nx1{}x2: 0 1\n",
+            "V: y1 y2\nx1: 0{}1\n",
+            "V: y1 y2\nx1: 0 1{}x2: 1 0\n",
+            "V: y1 y2\nx1: 0 1\nx2: 1 0{}",
+        ],
+        ids=["header-label", "header-end", "row-label", "row-cell", "row-end", "last-row-end"],
+    )
+    def test_line_breaks_other_than_newline_match_reference(self, template, brk):
+        # Each file is in the rendered layout but for one break that
+        # str.splitlines honours, so it must be read as the per-line loop
+        # reads it.
+        assert_matches_reference(template.format(brk))
 
     @given(relations(max_u=6, max_v=6) | relations(u_sizes=WIDE_U_SIZES, max_v=6))
     def test_round_trip_random(self, rel):
-        assert parse_relation_file(render_relation_file(rel)) == rel
+        # A rendered file never needs the per-line loop.
+        refused = AssertionError("the per-line loop ran")
+        with mock.patch.object(formats, "_parse_lines", side_effect=refused):
+            assert parse_relation_file(render_relation_file(rel)) == rel
+
+    def test_parse_memory_is_linear_in_text(self):
+        # The relation itself (labels, row ints, their tuples) is about 0.8
+        # times the text of a 64-column file; the parse may add the label
+        # checks' set beside it, but not another copy of the text.
+        n, v = 20_000, 64
+        rng = random.Random(5)
+        rel = BinaryRelation(canonical_universes(n, v), tuple(rng.getrandbits(v) for _ in range(n)))
+        text = render_relation_file(rel)
+        tracemalloc.start()
+        try:
+            parsed = parse_relation_file(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == rel
+        assert peak < 2.5 * len(text)
 
 
 class TestClassificationParsing:

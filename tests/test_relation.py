@@ -25,6 +25,7 @@ from birough.lab import canonical_universes
 from conftest import SAMPLE_MATRIX
 from naive import (
     matrix_of,
+    naive_label_ok,
     naive_left,
     naive_quotients,
     naive_saturation_holds,
@@ -52,6 +53,41 @@ class TestUniversePair:
     def test_rejects_duplicates_within_side(self):
         with pytest.raises(UniverseError, match="duplicate"):
             UniversePair(("x1", "x1"), ("y1",))
+
+    @given(
+        st.lists(
+            st.sampled_from(["a", "b", "c1", "", "a b", "x:y", "p\x0cq", "\u2028", 7, None]),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_names_the_first_bad_or_duplicate_label(self, labels):
+        # The label check runs over all labels at once; its message is the
+        # one a label-by-label walk gives.
+        expected = None
+        for i, label in enumerate(labels):
+            if not (isinstance(label, str) and naive_label_ok(label)):
+                expected = (
+                    f"bad U label {label!r}: labels are non-empty tokens "
+                    "without whitespace or ':'"
+                )
+            elif label in labels[:i]:
+                expected = f"duplicate U label {label!r}"
+            if expected:
+                break
+        if expected is None:
+            assert UniversePair(tuple(labels), ("y1",)).u_labels == tuple(labels)
+        else:
+            with pytest.raises(UniverseError) as exc:
+                UniversePair(tuple(labels), ("y1",))
+            assert str(exc.value) == expected
+
+    def test_str_subclass_labels_are_fine(self):
+        class Tag(str):
+            pass
+
+        up = UniversePair((Tag("x1"), "x2"), ("y1",))
+        assert up.index(Side.U, "x1") == 0
 
     def test_same_label_on_both_sides_is_fine(self):
         up = UniversePair(("a",), ("a",))
