@@ -46,7 +46,6 @@ from .relation import (
     BiroughError,
     Side,
     Subset,
-    UniverseError,
     UniversePair,
     digits_row,
     mask_members,
@@ -113,8 +112,10 @@ def _parse_rendered(text: str) -> BinaryRelation | None:
     line per row, with single spaces, one '0'/'1' digit per cell and a
     ``\n`` after every line, and no label twice on one side.
     """
+    # A tab or a '\r', the likeliest marks of a hand edit, is found at
+    # memchr speed, before the row regex scans the whole text in vain.
     header = re.match(r"V:((?: [^\s:]+)+)\n", text)
-    if header is None or not text.endswith("\n"):
+    if header is None or not text.endswith("\n") or "\t" in text or "\r" in text:
         return None
     v_labels = header[1].split(" ")[1:]
     # A row match spans its whole line, from the '\n' before it to the '\n'
@@ -125,8 +126,15 @@ def _parse_rendered(text: str) -> BinaryRelation | None:
     # and compiling an unrolled pattern costs time per column.
     rounds, rest = divmod(len(v_labels), 8)
     cells = "(?:%s){%d}%s" % (" [01]" * 8, rounds, " [01]" * rest)
-    u_labels = re.compile(r"\n([^\s:]+):%s(?=\n)" % cells).findall(text, header.end() - 1)
+    # A row label starts with no '#': the per-line loop skips such a line as
+    # a comment.
+    row = re.compile(r"\n([^\s:#][^\s:]*):%s(?=\n)" % cells)
+    u_labels = row.findall(text, header.end() - 1)
     if not u_labels or len(u_labels) != text.count("\n", header.end()):
+        return None
+    # The regexes admit only valid labels, so a label that repeats is the one
+    # fault left; the per-line loop names its line and column.
+    if len(set(u_labels)) != len(u_labels) or len(set(v_labels)) != len(v_labels):
         return None
     # A row line is its label, ':' and two characters per cell.  The digits
     # of the line whose '\n' is at ``end`` sit at end-1, end-3, ...; read in
@@ -135,10 +143,7 @@ def _parse_rendered(text: str) -> BinaryRelation | None:
     ends = accumulate(map(add, map(len, u_labels), repeat(width + 2)), initial=header.end() - 1)
     next(ends)
     rows = tuple([int(text[end - 1 : end - width : -2], 2) for end in ends])
-    try:
-        return BinaryRelation(UniversePair(tuple(u_labels), tuple(v_labels)), rows)
-    except UniverseError:
-        return None  # a label repeats; the per-line loop names its line and column
+    return BinaryRelation(UniversePair(tuple(u_labels), tuple(v_labels)), rows)
 
 
 def _parse_lines(text: str, source: str) -> BinaryRelation:

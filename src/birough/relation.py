@@ -196,6 +196,14 @@ class UniversePair:
     def __post_init__(self) -> None:
         object.__setattr__(self, "u_labels", _checked_labels(self.u_labels, "U"))
         object.__setattr__(self, "v_labels", _checked_labels(self.v_labels, "V"))
+        object.__setattr__(
+            self,
+            "_index",
+            {
+                Side.U: {label: i for i, label in enumerate(self.u_labels)},
+                Side.V: {label: i for i, label in enumerate(self.v_labels)},
+            },
+        )
 
     @property
     def u_size(self) -> int:
@@ -220,15 +228,8 @@ class UniversePair:
             if 0 <= key < self.size(side):
                 return key
             raise UnknownLabelError(f"index {key} out of range for universe {side}")
-        # Each side's label index is built on its first lookup: a command
-        # that names only V labels never pays for one over a tall U.
-        name = "_u_index" if side is Side.U else "_v_index"
-        index = self.__dict__.get(name)
-        if index is None:
-            labels = self.labels(side)
-            index = self.__dict__[name] = dict(zip(labels, range(len(labels))))
         try:
-            return index[key]
+            return self._index[side][key]  # type: ignore[attr-defined]
         except KeyError:
             raise UnknownLabelError(f"no {side} element named {key!r}") from None
 

@@ -86,7 +86,9 @@ def relation_texts(draw):
         elif kind == "duplicate":
             lines.insert(k + 1, list(tokens))
         elif kind == "comment":
-            lines.insert(k, ["#", *tokens])
+            # '#' alone, or glued to the first token as in "#x2: 0 1".
+            glued = tokens and draw(st.booleans())
+            lines.insert(k, ["#" + tokens[0], *tokens[1:]] if glued else ["#", *tokens])
         else:
             lines.insert(k, [])
     if rendered:

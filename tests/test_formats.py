@@ -159,6 +159,24 @@ class TestRelationParsing:
         # reads it.
         assert_matches_reference(template.format(brk))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "V: y1\nx1: 1\n#x2: 0\n",
+            "V: y1\n#x1: 1\n",
+            "V: y1 y2\n#x1: 0 1\nx2: 1 0\n",
+            "V: y1\nx1: 1\n#: 0\n",
+            "V: y1\nx1: 1\n#x1: 0\n",
+            "V: y1\nx#1: 1\n",
+            "V: #y1 y2\nx1: 0 1\n",
+        ],
+        ids=["last-row", "only-row", "first-row", "bare-hash", "repeat-label", "inner-hash", "v-label"],
+    )
+    def test_hash_prefixed_lines_match_reference(self, text):
+        # A line whose first word starts with '#' is a comment, even when the
+        # rest of the file is in the rendered layout.
+        assert_matches_reference(text)
+
     @given(relations(max_u=6, max_v=6) | relations(u_sizes=WIDE_U_SIZES, max_v=6))
     def test_round_trip_random(self, rel):
         # A rendered file never needs the per-line loop.
