@@ -18,8 +18,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import chain, combinations, product, repeat
 from math import comb
+from operator import and_, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .approx import OperatorMemo, RoughType, lower_bits, type_code, upper_bits
@@ -67,9 +68,16 @@ __all__ = [
 # Most subset pairs' work an exhaustive check may do: the relations it walks,
 # each costing 4**|V| subset pairs plus RELATION_PAIRS (see _pair_work).
 EXHAUSTIVE_PAIR_CAP = 2**26
-# The fixed cost of one relation, in subset pairs' worth of time (about
-# 150-200 us against about 1 us per pair).
+# The fixed cost of one relation, in subset pairs' worth of time.  Set when a
+# pair cost about 1 us and a relation 150-200 us, and kept with the cap so the
+# same sizes are refused.  A pair now costs about 0.05-0.09 us in the packed
+# law check at 40x9 (_suspect_groups), 0.03-0.05 us at 40x12, and about
+# 0.1 us in a table sweep at 40x9.
 RELATION_PAIRS = 256
+# Most bits of one packed int in the exhaustive law check: a table's lanes
+# are packed in blocks of 2**m whole lanes under it (one lane when a lane
+# alone is wider), so a tall relation never builds a huge int.
+LANE_BLOCK_BITS = 2**18
 # Largest |V| at which the seriality biconditional scans the whole power set.
 SERIAL_ENUM_CAP = 20
 
@@ -251,18 +259,104 @@ def merge_property_reports(reports: Iterable[PropertyReport]) -> PropertyReport:
     )
 
 
-def _window_families(singles: Sequence[int]) -> list[tuple[int, ...]]:
-    # Cyclic windows of sizes 3 and 4 over the subset enumeration give
-    # deterministic mixed families without another exponential sweep.
-    n = len(singles)
-    families: list[tuple[int, ...]] = []
-    if n >= 3:
-        for k in range(n):
-            families.append(tuple(singles[(k + d) % n] for d in range(3)))
-    if n >= 4:
-        for k in range(n):
-            families.append(tuple(singles[(k + d) % n] for d in range(4)))
-    return families
+@lru_cache(maxsize=8)
+def _lane_masks(
+    u_size: int, v_size: int
+) -> tuple[int, int, int, int, tuple[int, ...], tuple[int, ...]]:
+    """The constant masks of the packed pair check at one (|U|, |V|).
+
+    A table of 2**|V| U-masks is packed in blocks of 2**m lanes, lane b of
+    block h holding the entry of V-subset h * 2**m + b in ``nbytes`` whole
+    bytes.  Returns (nbytes, m, rep, full, clear, set): ``rep`` has bit 0 of
+    every lane set, so ``x * rep`` puts x in every lane; ``full`` is the
+    U-mask in every lane; ``clear[k]``/``set[k]`` fill the lanes whose index
+    has bit k clear/set, for k < m.
+    """
+    nbytes = (u_size + 7) // 8
+    m = min(v_size, max(0, (LANE_BLOCK_BITS // (8 * nbytes)).bit_length() - 1))
+    lanes = 1 << m
+    ones, zeros = b"\xff" * nbytes, bytes(nbytes)
+    rep = int.from_bytes(b"\x01".ljust(nbytes, b"\x00") * lanes, "little")
+    clear = tuple(
+        int.from_bytes((ones * (1 << k) + zeros * (1 << k)) * (lanes >> k + 1), "little")
+        for k in range(m)
+    )
+    lane_mask = (1 << 8 * nbytes * lanes) - 1
+    return nbytes, m, rep, ((1 << u_size) - 1) * rep, clear, tuple(c ^ lane_mask for c in clear)
+
+
+def _packed_blocks(table: Sequence[int], nbytes: int, m: int) -> list[int]:
+    """``table`` packed as ``_lane_masks`` lays it out, one int per block."""
+    packed = b"".join(map(int.to_bytes, table, repeat(nbytes), repeat("little")))
+    step = nbytes << m
+    return [int.from_bytes(packed[i : i + step], "little") for i in range(0, len(packed), step)]
+
+
+def _suspect_groups(
+    lo: Sequence[int], up: Sequence[int], u_size: int, v_size: int
+) -> Iterator[int]:
+    """The groups a, ascending, of the exhaustive pair check that may hold a failing pair (a, b).
+
+    Every b of a group is checked at once, lane b of the packed tables (see
+    ``_lane_masks``).  lo[a & b] is gathered by, for each bit k not in a,
+    clearing the lanes with bit k set and copying each remaining lane b to
+    b + 2**k; lo[a | b] likewise over the bits in a, downwards; the higher
+    bits of a and b pick the blocks.  The steps commute, so the groups
+    sharing a block's high bits walk a binary tree over the low bits of a,
+    one step per edge, and each leaf holds one group's gathered tables.
+    Each condition of the scalar pair test is evaluated there lane by lane,
+    a complement as an XOR with ``full``; a group whose fail mask is zero in
+    every block has no failing pair.  Every entry lies in [0, U-mask], so it
+    fits its lane and XOR with ``full`` is ``~`` there: the single-subset
+    laws, checked first, raise on reporting any other value.
+    """
+    nbytes, m, rep, full, clear, set_ = _lane_masks(u_size, v_size)
+    los, ups = _packed_blocks(lo, nbytes, m), _packed_blocks(up, nbytes, m)
+    shifts = [8 * nbytes << k for k in range(m)]
+    if nbytes <= 3:
+        # A lane value of one 30-bit digit: the product is one linear pass.
+        spread = rep.__mul__
+    else:
+        # A product with a lane of many digits is quadratic: double instead.
+        def spread(x: int) -> int:
+            for shift in shifts:
+                x |= x << shift
+            return x
+
+    suspects = set()
+    for high in range(len(los)):
+        for h, (lb, ub) in enumerate(zip(los, ups)):
+            # (low bits of a left to decide, the low bits decided, the gathered
+            # lo[a & b], up[a & b], lo[a | b], up[a | b])
+            stack = [(m, 0, los[h & high], ups[h & high], los[h | high], ups[h | high])]
+            while stack:
+                k, low, lm, um, lj, uj = stack.pop()
+                if k:
+                    k -= 1
+                    shift, keep = shifts[k], clear[k]
+                    x, y = lm & keep, um & keep
+                    stack.append((k, low, x | x << shift, y | y << shift, lj, uj))
+                    keep = set_[k]
+                    x, y = lj & keep, uj & keep
+                    stack.append((k, low | 1 << k, lm, um, x | x >> shift, y | y >> shift))
+                    continue
+                a = high << m | low
+                if a in suspects:
+                    continue
+                la, ua = spread(lo[a]), spread(up[a])
+                not_lj = lj ^ full
+                if (
+                    lm ^ (la & lb)
+                    | uj ^ (ua | ub)
+                    | lm & (la ^ full)
+                    | la & not_lj
+                    | um & (ua ^ full)
+                    | ua & (uj ^ full)
+                    | (la | lb) & not_lj
+                    | um & ((ua & ub) ^ full)
+                ):
+                    suspects.add(a)
+    yield from sorted(suspects)
 
 
 def verify_algebraic_properties(
@@ -272,8 +366,10 @@ def verify_algebraic_properties(
 
     With ``pairs`` None every V-subset and every subset pair is examined:
     lower and upper are tabulated once per V-subset (2 * 2**|V| kernel calls)
-    and every law is read from the two tables; ``seed`` is not used, and the
-    one relation must be within the exhaustive work bound (|V| at most 12).
+    and every law is read from the two tables, the subset pairs (a, b) every b
+    of an a at once, as packed lanes (``_suspect_groups``); ``seed`` is not
+    used, and the one relation must be within the exhaustive work bound (|V|
+    at most 12).
     Otherwise ``pairs`` (at least 1) subset pairs are drawn from the subset
     stream of ``seed`` and |V|, which works at any |V|, and each operator is
     memoised on the subsets the draws touch.
@@ -296,7 +392,9 @@ def verify_algebraic_properties(
         singles: Sequence[int] = range(1 << v_size)
         lo = [lower_bits(rows, s) for s in singles]
         up = [upper_bits(rows, s) for s in singles]
-        groups = ((a, singles) for a in singles)
+        # Only the groups the packed check cannot clear reach the scalar test.
+        # The check runs at the first group, after the single-subset laws.
+        groups = ((a, singles) for a in _suspect_groups(lo, up, rel.u_size, v_size))
         n_pairs = len(singles) ** 2
     else:
         if pairs < 1:
@@ -306,7 +404,6 @@ def verify_algebraic_properties(
         lo, up = OperatorMemo(lower_bits, rows), OperatorMemo(upper_bits, rows)
         groups = ((a, (b,)) for a, b in zip(draws[0::2], draws[1::2]))
         n_pairs = pairs
-    families = _window_families(singles)
 
     solitary = rel.solitary_set().bits
     sprime = umask ^ solitary
@@ -436,22 +533,35 @@ def verify_algebraic_properties(
             if up_meet & ~(up_a & up_b):
                 record(law, (a, b), u_str(up_a & up_b), u_str(up_meet))
 
+    # Cyclic windows of 3, then 4, consecutive singles give deterministic
+    # mixed families without another exponential sweep.  Window k's meet,
+    # join and operator folds are built for every k at once from rotated
+    # copies of the singles and of their lower/upper values.
     law = "meet-lower-join-upper-distributivity"
-    for family in families:
-        instances[law] += 1
-        meet = vmask
-        join = 0
-        lo_meet = umask
-        up_join = 0
-        for s in family:
-            meet &= s
-            join |= s
-            lo_meet &= lo[s]
-            up_join |= up[s]
-        if lo[meet] != lo_meet:
-            record(law, family, u_str(lo_meet), u_str(lo[meet]))
-        if up[join] != up_join:
-            record(law, family, u_str(up_join), u_str(up[join]))
+    ring = list(singles)
+    n = len(ring)
+    lo_ring = list(map(lo.__getitem__, ring))
+    up_ring = list(map(up.__getitem__, ring))
+    meets, joins, lo_meets, up_joins = ring, ring, lo_ring, up_ring
+    for d in range(1, min(n, 4)):
+        meets = list(map(and_, meets, ring[d:] + ring[:d]))
+        joins = list(map(or_, joins, ring[d:] + ring[:d]))
+        lo_meets = list(map(and_, lo_meets, lo_ring[d:] + lo_ring[:d]))
+        up_joins = list(map(or_, up_joins, up_ring[d:] + up_ring[:d]))
+        if d == 1:
+            continue
+        # The windows of d + 1 singles.
+        instances[law] += n
+        lo_got = list(map(lo.__getitem__, meets))
+        up_got = list(map(up.__getitem__, joins))
+        if lo_got == lo_meets and up_got == up_joins:
+            continue
+        for k in range(n):
+            family = tuple(ring[(k + i) % n] for i in range(d + 1))
+            if lo_got[k] != lo_meets[k]:
+                record(law, family, u_str(lo_meets[k]), u_str(lo_got[k]))
+            if up_got[k] != up_joins[k]:
+                record(law, family, u_str(up_joins[k]), u_str(up_got[k]))
 
     return PropertyReport(
         tuple(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
+from itertools import compress, repeat
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 __all__ = [
@@ -401,12 +401,16 @@ class BinaryRelation:
                 f"expected {self.universes.u_size} rows (one per U element), got {len(rows)}"
             )
         vmask = self.universes.full_mask(Side.V)
-        for i, row in enumerate(rows):
-            if not isinstance(row, int) or not 0 <= row <= vmask:
-                raise DimensionError(
-                    f"row for {self.universes.u_labels[i]!r} does not fit the "
-                    f"V universe width {self.universes.v_size}"
-                )
+        # C-level passes; the loop runs only to name the first bad row.
+        if rows and not (
+            all(map(isinstance, rows, repeat(int))) and min(rows) >= 0 and max(rows) <= vmask
+        ):
+            for i, row in enumerate(rows):
+                if not isinstance(row, int) or not 0 <= row <= vmask:
+                    raise DimensionError(
+                        f"row for {self.universes.u_labels[i]!r} does not fit the "
+                        f"V universe width {self.universes.v_size}"
+                    )
 
     @classmethod
     def from_rows(

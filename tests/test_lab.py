@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+import tracemalloc
 from functools import partial
 from itertools import islice, product
 from math import comb
@@ -12,6 +13,7 @@ from birough import (
     BinaryRelation,
     BudgetError,
     ConfigError,
+    DimensionError,
     INTERSECTION_TABLE,
     RoughType,
     Side,
@@ -194,12 +196,40 @@ def _broken_complement(rel):
     return (lambda rows, s: rel.umask ^ approx.upper_bits(rows, short & ~s)), approx.upper_bits
 
 
+def _top_lane_top_bit(rel):
+    # One V-subset, one U bit: the last U element drops out of lower(V), the
+    # last lane of the packed tables and the top bit of that lane.
+    top = 1 << rel.u_size - 1
+    return (
+        lambda rows, s: approx.lower_bits(rows, s) ^ (top if s == rel.vmask else 0)
+    ), approx.upper_bits
+
+
+def _extra_upper_bit(rel):
+    # One V-subset, one U bit: the last U element joins upper({y1}).  A group
+    # a containing y1 whose upper holds that element then fails only
+    # upper(a & b) within upper(a) & upper(b), at each b containing y1 whose
+    # upper lacks it.
+    top = 1 << rel.u_size - 1
+    return approx.lower_bits, (
+        lambda rows, s: approx.upper_bits(rows, s) | (top if s == 1 else 0)
+    )
+
+
 LAW_KERNELS = [
     (_package_kernels, None),
     (_non_monotone_lower, "monotonicity"),
     (_non_additive_upper, "meet-lower-join-upper-distributivity"),
     (_broken_complement, "complement-duality"),
+    (_top_lane_top_bit, "monotonicity"),
+    (_extra_upper_bit, "join-lower-meet-upper-bounds"),
 ]
+LAW_KERNEL_IDS = [k.__name__ for k, _ in LAW_KERNELS]
+PAIR_LAWS = (
+    "meet-lower-join-upper-distributivity",
+    "monotonicity",
+    "join-lower-meet-upper-bounds",
+)
 
 # Every shape with u*v <= 9, at two densities.
 LAW_RELATIONS = [
@@ -207,6 +237,13 @@ LAW_RELATIONS = [
     for density in (0.3, 0.6)
     for v in range(1, 10)
     for u in range(1, 9 // v + 1)
+]
+
+# Exhaustive shapes at the packed pair check's lane and byte boundaries (a
+# lane is |U| bits rounded up to whole bytes), up to |V| = 7.
+LANE_RELATIONS = [
+    random_relation(u, v, 0.4, seed=29, index=u * 10 + v)
+    for u, v in ((1, 7), (7, 6), (8, 5), (8, 6), (9, 4), (9, 6), (40, 3), (40, 6))
 ]
 
 
@@ -223,51 +260,149 @@ def _index_set(mask):
     return {j for j in range(mask.bit_length()) if mask >> j & 1}
 
 
+def _memo(on_set):
+    """``on_set``, a map of V index sets, memoised: the naive campaign reads
+    each set's approximations many times."""
+    memo = {}
+
+    def lookup(y):
+        key = frozenset(y)
+        if key not in memo:
+            memo[key] = frozenset(on_set(key))
+        return memo[key]
+
+    return lookup
+
+
 def _on_sets(kernel, rel):
     """``kernel`` on ``rel`` as a map from V index sets to U index sets."""
-    return lambda y: _index_set(kernel(rel.rows, sum(1 << j for j in y)))
+    return _memo(lambda y: _index_set(kernel(rel.rows, sum(1 << j for j in y))))
+
+
+def _naive_violations(monkeypatch, rel, kernels, faulty, n_pairs, seed):
+    """Run the campaign on ``rel`` with ``lab``'s kernels set to ``kernels``
+    and check it against ``naive_law_campaign``: instance counts, and every
+    violation's law and subsets, in order.  The reference reads the same
+    kernels when ``faulty``, else the naive operators.  Returns the
+    reference's (law, subsets) list."""
+    lower_bits, upper_bits = kernels
+    monkeypatch.setattr(lab, "lower_bits", lower_bits)
+    monkeypatch.setattr(lab, "upper_bits", upper_bits)
+    report = lab.verify_algebraic_properties(rel, pairs=n_pairs, seed=seed)
+    matrix = matrix_of(rel)
+    if faulty:
+        lower, upper = _on_sets(lower_bits, rel), _on_sets(upper_bits, rel)
+    else:
+        lower, upper = _memo(partial(naive_lower, matrix)), _memo(partial(naive_upper, matrix))
+    singles, pairs = _campaign_subsets(rel, n_pairs, seed)
+    instances, failed = naive_law_campaign(
+        matrix,
+        lower,
+        upper,
+        [_index_set(m) for m in singles],
+        [(_index_set(a), _index_set(b)) for a, b in pairs],
+    )
+    assert [r.instances for r in report.records] == [
+        instances.get(law, 0) for law in ALGEBRAIC_LAWS
+    ]
+    got = [(v.law, v.subsets) for r in report.records for v in r.violations]
+    want = [
+        (law, tuple(str(rel.universes.v_subset(sorted(y))) for y in subsets))
+        for law in ALGEBRAIC_LAWS
+        for subsets in failed.get(law, [])
+    ]
+    assert got == want
+    if n_pairs is None:
+        # The packed check clears exactly the groups a with no failing pair.
+        tables = [[kernel(rel.rows, s) for s in singles] for kernel in kernels]
+        failing = {
+            sum(1 << j for j in subsets[0])
+            for law in PAIR_LAWS
+            for subsets in failed.get(law, [])
+            if len(subsets) == 2
+        }
+        assert list(lab._suspect_groups(*tables, rel.u_size, rel.v_size)) == sorted(failing)
+    return want
 
 
 class TestLawCampaignFaultInjection:
-    @pytest.mark.parametrize(
-        "make_kernels, caught", LAW_KERNELS, ids=[k.__name__ for k, _ in LAW_KERNELS]
-    )
+    @pytest.mark.parametrize("make_kernels, caught", LAW_KERNELS, ids=LAW_KERNEL_IDS)
     def test_matches_naive_reference(self, monkeypatch, make_kernels, caught):
         violated = set()
         for rel in LAW_RELATIONS:
-            lower_bits, upper_bits = make_kernels(rel)
-            monkeypatch.setattr(lab, "lower_bits", lower_bits)
-            monkeypatch.setattr(lab, "upper_bits", upper_bits)
-            matrix = matrix_of(rel)
-            if caught is None:
-                lower, upper = partial(naive_lower, matrix), partial(naive_upper, matrix)
-            else:
-                lower, upper = _on_sets(lower_bits, rel), _on_sets(upper_bits, rel)
             budgets = [(30, rel.u_size)]
             if rel.v_size <= 5:
                 budgets.append((None, 0))
             for n_pairs, seed in budgets:
-                report = lab.verify_algebraic_properties(rel, pairs=n_pairs, seed=seed)
-                singles, pairs = _campaign_subsets(rel, n_pairs, seed)
-                instances, failed = naive_law_campaign(
-                    matrix,
-                    lower,
-                    upper,
-                    [_index_set(m) for m in singles],
-                    [(_index_set(a), _index_set(b)) for a, b in pairs],
+                want = _naive_violations(
+                    monkeypatch, rel, make_kernels(rel), caught is not None, n_pairs, seed
                 )
-                assert [r.instances for r in report.records] == [
-                    instances.get(law, 0) for law in ALGEBRAIC_LAWS
-                ]
-                got = [(v.law, v.subsets) for r in report.records for v in r.violations]
-                want = [
-                    (law, tuple(str(rel.universes.v_subset(sorted(y))) for y in subsets))
-                    for law in ALGEBRAIC_LAWS
-                    for subsets in failed.get(law, [])
-                ]
-                assert got == want
                 violated |= {law for law, _ in want}
         assert (caught in violated) if caught else not violated
+
+    @pytest.mark.parametrize("make_kernels, caught", LAW_KERNELS, ids=LAW_KERNEL_IDS)
+    def test_exhaustive_at_lane_boundaries(self, monkeypatch, make_kernels, caught):
+        violated = set()
+        for rel in LANE_RELATIONS:
+            faulty = caught is not None
+            want = _naive_violations(monkeypatch, rel, make_kernels(rel), faulty, None, 0)
+            violated |= {law for law, _ in want}
+        assert (caught in violated) if caught else not violated
+
+    @pytest.mark.parametrize("bad", [-1, 1 << 40], ids=["negative", "too-wide"])
+    def test_out_of_range_kernel_value_raises_before_the_pair_phase(self, monkeypatch, bad):
+        # The single-subset laws raise on reporting a U-mask outside
+        # [0, U-mask], before the packed check would pack it.
+        def upper_bits(rows, s):
+            return bad if s == 2 else approx.upper_bits(rows, s)
+
+        rel = LANE_RELATIONS[-1]
+        monkeypatch.setattr(lab, "upper_bits", upper_bits)
+        with pytest.raises(DimensionError, match="exceed the U universe width 40"):
+            verify_algebraic_properties(rel)
+
+    def test_window_only_fault(self, monkeypatch):
+        # In a sampled campaign, a lower fault on a window family's meet that
+        # no single, complement or drawn pair touches: only the families see it.
+        faulted = 0
+        for rel in LAW_RELATIONS:
+            singles, pairs = _campaign_subsets(rel, 30, rel.u_size)
+            touched = {0, rel.vmask, *singles, *(s ^ rel.vmask for s in singles)}
+            touched.update(*({a, b, a & b, a | b} for a, b in pairs))
+            n = len(singles)
+            meets = [
+                singles[k] & singles[(k + 1) % n] & singles[(k + 2) % n] for k in range(n)
+            ]
+            target = next((m for m in meets if m not in touched), None)
+            if target is None:
+                continue
+
+            def lower_bits(rows, s, target=target):
+                return approx.lower_bits(rows, s) ^ (s == target)
+
+            kernels = (lower_bits, approx.upper_bits)
+            want = _naive_violations(monkeypatch, rel, kernels, True, 30, rel.u_size)
+            assert want and {law for law, _ in want} == {
+                "meet-lower-join-upper-distributivity"
+            }
+            assert all(len(subsets) in (3, 4) for _, subsets in want)
+            faulted += 1
+        assert faulted
+
+    def test_packed_check_bit_budget(self):
+        # A tall relation splits each packed table into blocks under
+        # LANE_BLOCK_BITS: here 64 lanes of 500 bytes, a quarter of the table.
+        rel = random_relation(4000, 8, 0.3, seed=31, index=0)
+        lab._lane_masks.cache_clear()
+        tracemalloc.start()
+        try:
+            report = verify_algebraic_properties(rel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and report.record("monotonicity").instances == 4**8
+        assert lab._lane_masks(4000, 8)[1] == 6
+        assert peak < 3_000_000
 
 
 class TestSerialIff:

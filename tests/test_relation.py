@@ -230,6 +230,22 @@ class TestConstruction:
         with pytest.raises(DimensionError, match="'x1'"):
             BinaryRelation.from_rows(up, [[1, 2]])
 
+    # The first bad row is named even when a later row is bad in another way.
+    @pytest.mark.parametrize(
+        "rows",
+        [(3, -1, "1", 0), (3, 4, -1, 0), (3, "1", 4, 0), (3, 1.0, -1, 0)],
+        ids=["negative", "too-wide", "str", "float"],
+    )
+    def test_first_bad_row_is_named(self, rows):
+        up = UniversePair(("x1", "x2", "x3", "x4"), ("y1", "y2"))
+        with pytest.raises(DimensionError) as caught:
+            BinaryRelation(up, rows)
+        assert str(caught.value) == "row for 'x2' does not fit the V universe width 2"
+
+    def test_bool_rows_accepted(self):
+        up = UniversePair(("x1", "x2"), ("y1",))
+        assert BinaryRelation(up, (True, False)).rows == (True, False)
+
     def test_from_pairs(self, universes, sample):
         pairs = [
             (x, y)
