@@ -402,7 +402,7 @@ class BinaryRelation:
             )
         vmask = self.universes.full_mask(Side.V)
         # C-level passes; the loop runs only to name the first bad row.
-        if rows and not (
+        if not (
             all(map(isinstance, rows, repeat(int))) and min(rows) >= 0 and max(rows) <= vmask
         ):
             for i, row in enumerate(rows):
