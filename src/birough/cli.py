@@ -8,43 +8,73 @@ bounds, 2 for malformed input, usage errors, or any other failure.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from pathlib import Path
 
 from .approx import RoughType, approximate, upper_approximation
-from .classify import (
-    TheoremReport,
-    approximate_family,
-    family_law_report,
-    measure_law_report,
-    validate_classification,
-)
-from .formats import (
-    build_approx_report,
-    build_classify_report,
-    build_neighbors_report,
-    build_tables_report,
-    build_verify_report,
-    build_witness_report,
-    emit_report,
-    parse_classification_file,
-    parse_relation_file,
-    parse_tables_json,
-    render_relation_file,
-)
-from .lab import (
-    check_relation_against_tables,
-    find_type_witness,
-    generate_relations,
-    merge_property_reports,
-    random_campaign,
-    random_relation,
-    reconstruct_relation,
-    verify_algebraic_properties,
-    verify_serial_iff,
-    witness_inventory,
-)
 from .relation import BinaryRelation, BiroughError, Subset
+
+# The names this module takes from the other birough modules, but approx.
+# Each is read off this module (``_cli.<name>``), so its module is imported on
+# first use (``__getattr__`` below) and a command loads only the modules it
+# calls into.  approx is imported above: every command loads it through
+# formats anyway, and its names here must stay approx's own functions even
+# after a caller, such as the benchmark's tracer, has replaced them in approx.
+_IMPORTS = {
+    "classify": (
+        "TheoremReport",
+        "approximate_family",
+        "family_law_report",
+        "measure_law_report",
+        "validate_classification",
+    ),
+    "formats": (
+        "build_approx_report",
+        "build_classify_report",
+        "build_neighbors_report",
+        "build_tables_report",
+        "build_verify_report",
+        "build_witness_report",
+        "emit_report",
+        "parse_classification_file",
+        "parse_relation_file",
+        "parse_tables_json",
+        "render_relation_file",
+    ),
+    "lab": (
+        "check_relation_against_tables",
+        "find_type_witness",
+        "generate_relations",
+        "merge_property_reports",
+        "random_campaign",
+        "random_relation",
+        "reconstruct_relation",
+        "verify_algebraic_properties",
+        "verify_serial_iff",
+        "witness_inventory",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _IMPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Bind every name taken from ``name``'s module, as ``from .module import ...`` would.
+
+    A name already bound here, by a caller that replaced it, is kept; and what
+    a caller replaces in the source module afterwards stays out of here.
+    """
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    source = importlib.import_module(f".{module}", __package__)
+    bound = globals()
+    for other in _IMPORTS[module]:
+        bound.setdefault(other, getattr(source, other))
+    return bound[name]
+
+
+_cli = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -67,7 +97,7 @@ def _read_text(path: str) -> str:
 
 
 def _load_relation(path: str) -> BinaryRelation:
-    return parse_relation_file(_read_text(path), source=path)
+    return _cli.parse_relation_file(_read_text(path), source=path)
 
 
 def _parse_set_arg(rel: BinaryRelation, arg: str) -> Subset:
@@ -105,41 +135,43 @@ def _refuse_unused(args: argparse.Namespace, why: str, *flags: str) -> None:
 
 
 def _print(report, fmt: str) -> None:
-    sys.stdout.write(emit_report(report, fmt))
+    sys.stdout.write(_cli.emit_report(report, fmt))
 
 
 def _cmd_approx(args: argparse.Namespace) -> int:
     rel = _load_relation(args.relation)
     query = _parse_set_arg(rel, args.set)
     result = approximate(rel, query)
-    _print(build_approx_report(rel, args.relation, query, result), args.format)
+    _print(_cli.build_approx_report(rel, args.relation, query, result), args.format)
     return EXIT_OK
 
 
 def _cmd_neighbors(args: argparse.Namespace) -> int:
     rel = _load_relation(args.relation)
-    report = build_neighbors_report(rel, args.relation)
+    report = _cli.build_neighbors_report(rel, args.relation)
     _print(report, args.format)
     return EXIT_OK if report.body["saturation_identity"] else EXIT_VIOLATION
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     rel = _load_relation(args.relation)
-    named = parse_classification_file(_read_text(args.classes), rel.universes, source=args.classes)
-    classification = validate_classification(named)
-    fa = approximate_family(rel, classification)
-    laws = TheoremReport(
-        family_law_report(fa).entries + measure_law_report(fa).entries
+    named = _cli.parse_classification_file(
+        _read_text(args.classes), rel.universes, source=args.classes
     )
-    _print(build_classify_report(rel, args.relation, fa, laws), args.format)
+    classification = _cli.validate_classification(named)
+    fa = _cli.approximate_family(rel, classification)
+    laws = _cli.TheoremReport(
+        _cli.family_law_report(fa).entries + _cli.measure_law_report(fa).entries
+    )
+    _print(_cli.build_classify_report(rel, args.relation, fa, laws), args.format)
     return EXIT_OK if laws.ok else EXIT_VIOLATION
 
 
 def _verify_one(rel: BinaryRelation, pairs: int | None, seed: int):
-    properties = verify_algebraic_properties(rel, pairs=pairs, seed=seed)
-    serial_ok = verify_serial_iff(rel)
+    properties = _cli.verify_algebraic_properties(rel, pairs=pairs, seed=seed)
+    serial_ok = _cli.verify_serial_iff(rel)
     saturation_ok = rel.saturation_identity_holds()
-    rebuilt = reconstruct_relation(lambda s: upper_approximation(rel, s), rel.universes)
+    rebuilt = _cli.reconstruct_relation(lambda s: upper_approximation(rel, s), rel.universes)
     return properties, serial_ok, saturation_ok, rebuilt == rel
 
 
@@ -164,7 +196,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "pairs", "seed", "max_u", "max_v", "density",
         )
         u, v = args.exhaustive
-        campaign = ((rel, None, 0) for rel in generate_relations(u, v))
+        campaign = ((rel, None, 0) for rel in _cli.generate_relations(u, v))
         description = f"all {u}x{v} relations with exhaustive subsets"
         scope = {"description": description, "u": u, "v": v}
     elif args.samples:
@@ -172,7 +204,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         seed = args.seed or 0
         max_u, max_v = args.max_u or 8, args.max_v or 8
         density = 0.5 if args.density is None else args.density
-        relations = random_campaign(
+        relations = _cli.random_campaign(
             args.samples, max_u=max_u, max_v=max_v, density=density, seed=seed
         )
         campaign = ((rel, pairs, seed + i) for i, rel in enumerate(relations))
@@ -205,9 +237,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 tally[1] += not ok
             yield properties
 
-    merged = merge_property_reports(checked_properties())
+    merged = _cli.merge_property_reports(checked_properties())
     checks = {name: tuple(tally) for name, tally in tallies.items()}
-    report = build_verify_report(scope, merged, checks)
+    report = _cli.build_verify_report(scope, merged, checks)
     _print(report, args.format)
     return EXIT_OK if report.body["pass"] else EXIT_VIOLATION
 
@@ -215,7 +247,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_tables(args: argparse.Namespace) -> int:
     table = None
     if args.tables_file:
-        transcriptions = parse_tables_json(_read_text(args.tables_file), source=args.tables_file)
+        transcriptions = _cli.parse_tables_json(
+            _read_text(args.tables_file), source=args.tables_file
+        )
         if args.op not in transcriptions:
             raise BiroughError(
                 f"tables file {args.tables_file} has no {args.op!r} grid"
@@ -225,26 +259,26 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     if args.relation is not None:
         _refuse_unused(args, "--relation checks one relation, not a sweep", "max_u", "max_v")
         rel = _load_relation(args.relation)
-        findings = check_relation_against_tables(rel, args.op, tables=table)
+        findings = _cli.check_relation_against_tables(rel, args.op, tables=table)
         scope = {
             "description": f"relation {args.relation}, exhaustive subset pairs",
             "source": args.relation,
         }
     else:
         max_u, max_v = args.max_u or 3, args.max_v or 3
-        findings = witness_inventory(args.op, max_u, max_v, tables=table)
+        findings = _cli.witness_inventory(args.op, max_u, max_v, tables=table)
         scope = {
             "description": f"exhaustive sweep up to u<={max_u}, v<={max_v}",
             "max_u": max_u,
             "max_v": max_v,
         }
-    report = build_tables_report(args.op, scope, findings)
+    report = _cli.build_tables_report(args.op, scope, findings)
     _print(report, args.format)
     return EXIT_OK if report.body["conformant"] else EXIT_VIOLATION
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    witness = find_type_witness(
+    witness = _cli.find_type_witness(
         args.op,
         args.left,
         args.right,
@@ -252,7 +286,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         max_u=args.max_u,
         max_v=args.max_v,
     )
-    report = build_witness_report(
+    report = _cli.build_witness_report(
         args.op, args.left, args.right, args.result, args.max_u, args.max_v, witness
     )
     _print(report, args.format)
@@ -260,8 +294,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    rel = random_relation(args.u, args.v, args.density, args.seed, args.index)
-    sys.stdout.write(render_relation_file(rel))
+    rel = _cli.random_relation(args.u, args.v, args.density, args.seed, args.index)
+    sys.stdout.write(_cli.render_relation_file(rel))
     return EXIT_OK
 
 

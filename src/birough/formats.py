@@ -24,23 +24,9 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .approx import ApproxResult, RoughType
-from .classify import (
-    FamilyApprox,
-    TheoremReport,
-    UndefinedMeasureError,
-    HOLDS,
-    VACUOUS,
-    VIOLATED,
-)
-from .lab import (
-    OPERATIONS,
-    PropertyReport,
-    TableCellFinding,
-    Witness,
-)
 from .relation import (
     BinaryRelation,
     BiroughError,
@@ -52,6 +38,11 @@ from .relation import (
     row_digits,
     valid_label,
 )
+
+if TYPE_CHECKING:
+    # Annotations only: a command loads classify or lab when it uses them.
+    from .classify import FamilyApprox, TheoremReport
+    from .lab import PropertyReport, TableCellFinding, Witness
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -315,6 +306,8 @@ def parse_tables_json(text: str, source: str = "<string>") -> dict[str, dict]:
     left type 1..4, columns = right type) of non-empty lists of allowed result
     codes, each a JSON integer 1..4.
     """
+    from .lab import OPERATIONS
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -531,6 +524,8 @@ def build_neighbors_report(rel: BinaryRelation, source: str) -> AnalysisReport:
 def build_classify_report(
     rel: BinaryRelation, source: str, fa: FamilyApprox, laws: TheoremReport
 ) -> AnalysisReport:
+    from .classify import HOLDS, VACUOUS, VIOLATED, UndefinedMeasureError
+
     blocks = []
     for name, block, lo, up in zip(
         fa.classification.names, fa.classification.blocks, fa.lowers, fa.uppers

@@ -307,9 +307,9 @@ def _suspect_groups(
     faster than gathering each group on its own at 40x9 to 40x12.
     Each condition of the scalar pair test is evaluated there lane by lane,
     a complement as an XOR with ``full``; a group whose fail mask is zero in
-    every block has no failing pair.  Every entry lies in [0, U-mask], so it
-    fits its lane and XOR with ``full`` is ``~`` there: the single-subset
-    laws, checked first, raise on reporting any other value.
+    every block has no failing pair.  Every entry must lie in [0, U-mask], so
+    that it fits its lane and XOR with ``full`` is ``~`` there; the caller
+    tests the groups of a table with any other value one by one.
     """
     nbytes, m, full, clear, set_ = _lane_masks(u_size, v_size)
     los, ups = _packed_blocks(lo, nbytes, m), _packed_blocks(up, nbytes, m)
@@ -391,8 +391,12 @@ def verify_algebraic_properties(
         lo = [lower_bits(rows, s) for s in singles]
         up = [upper_bits(rows, s) for s in singles]
         # Only the groups the packed check cannot clear reach the scalar test.
-        # The check runs at the first group, after the single-subset laws.
-        groups = ((a, singles) for a in _suspect_groups(lo, up, rel.u_size, v_size))
+        # The check runs at the first group, after the single-subset laws.  It
+        # needs every entry in [0, U-mask]; a kernel that returns any other
+        # value breaks a single-subset law, and every group is tested scalar.
+        in_range = 0 <= min(min(lo), min(up)) and max(max(lo), max(up)) <= umask
+        suspects = _suspect_groups(lo, up, rel.u_size, v_size) if in_range else singles
+        groups = ((a, singles) for a in suspects)
         n_pairs = len(singles) ** 2
     else:
         if pairs < 1:
@@ -415,7 +419,9 @@ def verify_algebraic_properties(
     violations: dict[str, list[Violation]] = {law: [] for law in ALGEBRAIC_LAWS}
 
     def u_str(bits: int) -> str:
-        return str(Subset(rel.universes, Side.U, bits))
+        if 0 <= bits <= umask:
+            return str(Subset(rel.universes, Side.U, bits))
+        return f"<U-mask {bits} out of range>"
 
     def v_str(bits: int) -> str:
         return str(Subset(rel.universes, Side.V, bits))

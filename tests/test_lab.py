@@ -13,7 +13,6 @@ from birough import (
     BinaryRelation,
     BudgetError,
     ConfigError,
-    DimensionError,
     INTERSECTION_TABLE,
     RoughType,
     Side,
@@ -349,17 +348,20 @@ class TestLawCampaignFaultInjection:
             violated |= {law for law, _ in want}
         assert (caught in violated) if caught else not violated
 
+    @pytest.mark.parametrize("pairs", [None, 30], ids=["exhaustive", "sampled"])
     @pytest.mark.parametrize("bad", [-1, 1 << 40], ids=["negative", "too-wide"])
-    def test_out_of_range_kernel_value_raises_before_the_pair_phase(self, monkeypatch, bad):
-        # The single-subset laws raise on reporting a U-mask outside
-        # [0, U-mask], before the packed check would pack it.
+    def test_out_of_range_kernel_value_is_a_violation(self, monkeypatch, bad, pairs):
+        # A U-mask outside [0, U-mask] is recorded as it came, never packed.
         def upper_bits(rows, s):
             return bad if s == 2 else approx.upper_bits(rows, s)
 
         rel = LANE_RELATIONS[-1]
         monkeypatch.setattr(lab, "upper_bits", upper_bits)
-        with pytest.raises(DimensionError, match="exceed the U universe width 40"):
-            verify_algebraic_properties(rel)
+        report = verify_algebraic_properties(rel, pairs=pairs, seed=2)
+        law = report.record("upper-is-union-of-left-neighborhoods")
+        assert [(v.subsets, v.got) for v in law.violations] == [
+            (("{y2}",), f"<U-mask {bad} out of range>")
+        ]
 
     def test_window_only_fault(self, monkeypatch):
         # In a sampled campaign, a lower fault on a window family's meet that

@@ -2,30 +2,42 @@
 
 from __future__ import annotations
 
-import ast
 import contextlib
 import importlib
 import io
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import birough
+from test_cli import GOLDEN_CASES
 
 REPO = Path(__file__).parent.parent
 
 
 def test_every_reexport_is_in_its_submodule_all():
-    tree = ast.parse(Path(birough.__file__).read_text(encoding="utf-8"))
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
-    assert imports
+    exports = birough._EXPORTS
+    assert set(exports) == {info.name for info in pkgutil.iter_modules(birough.__path__)} - {"cli"}
     missing = [
-        f"{node.module}.{alias.name}"
-        for node in imports
-        for alias in node.names
-        if alias.name not in importlib.import_module(f"birough.{node.module}").__all__
+        f"{module}.{name}"
+        for module, names in exports.items()
+        for name in names
+        if name not in importlib.import_module(f"birough.{module}").__all__
     ]
     assert missing == []
+    table = [name for names in exports.values() for name in names]
+    assert birough.__all__ == table
+    star: dict = {}
+    exec("from birough import *", star)
+    assert [name for name in table if name not in star] == []
+    assert [name for name in table if name not in dir(birough)] == []
+    for module, names in exports.items():
+        submodule = importlib.import_module(f"birough.{module}")
+        assert all(getattr(birough, name) is getattr(submodule, name) for name in names)
 
 
 def test_every_submodule_all_resolves():
@@ -54,3 +66,77 @@ def test_readme_python_api_example(monkeypatch):
     with contextlib.redirect_stdout(printed):
         exec(compile(code, "README.md", "exec"), {})
     assert printed.getvalue() == output
+
+
+def _fresh_interpreter(code: str, *args: str) -> str:
+    """Stdout of ``code`` run in a new interpreter from the repo root."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, cwd=REPO
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    return proc.stdout
+
+
+def _loaded(code: str, *args: str) -> set[str]:
+    """The birough submodules loaded after ``code`` runs in a new interpreter."""
+    report = "\nimport sys\nprint(*(m for m in sys.modules if m.startswith('birough.')))"
+    return set(_fresh_interpreter(code + report, *args).split())
+
+
+def test_bare_import_loads_no_submodule():
+    assert _loaded("import birough") == set()
+    # A submodule still resolves as an attribute of the package.
+    assert _loaded("import birough; birough.approx") == {"birough.approx", "birough.relation"}
+
+
+# The modules each subcommand needs, besides relation, formats and cli.
+COMMAND_MODULES = {
+    "approx": {"approx"},
+    "neighbors": {"approx"},
+    "classify": {"approx", "classify"},
+    "verify": {"approx", "lab"},
+    "tables": {"approx", "lab"},
+    "witness": {"approx", "lab"},
+    "gen": {"approx", "lab"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_each_subcommand_loads_only_its_modules(name):
+    argv = GOLDEN_CASES[name]
+    run = (
+        "import contextlib, io, sys\n"
+        "from birough.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+    )
+    modules = COMMAND_MODULES[argv[0]] | {"relation", "formats", "cli"}
+    assert _loaded(run, *argv) == {f"birough.{module}" for module in modules}
+
+
+@pytest.mark.parametrize("module", sorted(info.name for info in pkgutil.iter_modules(birough.__path__)))
+def test_each_submodule_imports_on_its_own(module):
+    # A fresh interpreter, so no other birough module is loaded first and a
+    # cycle or a bad name in a deferred import shows here.
+    assert f"birough.{module}" in _loaded(f"import birough.{module}")
+
+
+def test_formats_deferred_imports_resolve():
+    code = """
+import sys
+import birough.formats as formats
+assert not {"birough.classify", "birough.lab"} & set(sys.modules)
+grid = [[[1, 2, 3, 4]] * 4] * 4
+assert len(formats.parse_tables_json('{"union": %s}' % grid)["union"]) == 16
+from birough.classify import approximate_family, family_law_report, validate_classification
+from birough.relation import BinaryRelation, UniversePair
+up = UniversePair(["x1"], ["y1", "y2"])
+rel = BinaryRelation.from_rows(up, [[0, 0]])
+blocks = [("Y1", up.v_subset(["y1"])), ("Y2", up.v_subset(["y2"]))]
+fa = approximate_family(rel, validate_classification(blocks))
+body = formats.build_classify_report(rel, "tiny", fa, family_law_report(fa)).body
+print(body["measures"]["accuracy"], sum(body["laws"][k] for k in ("holds", "vacuous", "violated")))
+"""
+    accuracy, laws = _fresh_interpreter(code).split()
+    # An empty relation leaves every upper empty: accuracy is undefined.
+    assert accuracy == "None" and int(laws) > 0
