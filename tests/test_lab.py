@@ -5,6 +5,7 @@ import tracemalloc
 from functools import partial
 from itertools import islice, product
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -36,6 +37,7 @@ from birough import (
     witness_inventory,
 )
 from birough import approx, lab
+from birough.cli import main
 from birough.lab import ALGEBRAIC_LAWS
 from naive import (
     matrix_of,
@@ -362,6 +364,30 @@ class TestLawCampaignFaultInjection:
         assert [(v.subsets, v.got) for v in law.violations] == [
             (("{y2}",), f"<U-mask {bad} out of range>")
         ]
+
+    @pytest.mark.parametrize("pairs", [[], ["--pairs", "20"]], ids=["exhaustive", "sampled"])
+    @pytest.mark.parametrize(
+        "kernel, fault, law",
+        [
+            ("upper_bits", lambda bits: -1, "upper-is-union-of-left-neighborhoods"),
+            ("lower_bits", lambda bits: bits | 1 << 5, "empty-and-full-values"),
+        ],
+        ids=["negative-upper", "lower-past-u"],
+    )
+    def test_out_of_range_kernel_value_exits_one(
+        self, capsys, monkeypatch, kernel, fault, law, pairs
+    ):
+        # A kernel bug, not bad input: the U-mask it returns for V itself (a
+        # subset every campaign examines) of the 5x6 sample is a violation.
+        real = getattr(lab, kernel)
+        monkeypatch.setattr(
+            lab, kernel, lambda rows, s: fault(real(rows, s)) if s == 0b111111 else real(rows, s)
+        )
+        sample = Path(__file__).parent / "data" / "sample5x6.rel"
+        assert main(["verify", str(sample), *pairs]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert f"VIOLATION {law} " in captured.out and "out of range>" in captured.out
 
     def test_window_only_fault(self, monkeypatch):
         # In a sampled campaign, a lower fault on a window family's meet that

@@ -1,4 +1,4 @@
-"""The package surface: re-exports and the README's Python API example."""
+"""The package surface: re-exports, the modules each command loads, and the README example."""
 
 from __future__ import annotations
 
@@ -17,11 +17,12 @@ import birough
 from test_cli import GOLDEN_CASES
 
 REPO = Path(__file__).parent.parent
+SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(birough.__path__))
 
 
 def test_every_reexport_is_in_its_submodule_all():
     exports = birough._EXPORTS
-    assert set(exports) == {info.name for info in pkgutil.iter_modules(birough.__path__)} - {"cli"}
+    assert sorted(exports) == [module for module in SUBMODULES if module != "cli"]
     missing = [
         f"{module}.{name}"
         for module, names in exports.items()
@@ -89,15 +90,15 @@ def test_bare_import_loads_no_submodule():
     assert _loaded("import birough; birough.approx") == {"birough.approx", "birough.relation"}
 
 
-# The modules each subcommand needs, besides relation, formats and cli.
+# The modules each subcommand needs, besides relation, approx, formats and cli.
 COMMAND_MODULES = {
-    "approx": {"approx"},
-    "neighbors": {"approx"},
-    "classify": {"approx", "classify"},
-    "verify": {"approx", "lab"},
-    "tables": {"approx", "lab"},
-    "witness": {"approx", "lab"},
-    "gen": {"approx", "lab"},
+    "approx": set(),
+    "neighbors": set(),
+    "classify": {"classify"},
+    "verify": {"lab"},
+    "tables": {"lab"},
+    "witness": {"lab"},
+    "gen": {"lab"},
 }
 
 
@@ -110,15 +111,15 @@ def test_each_subcommand_loads_only_its_modules(name):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(sys.argv[1:]) == 0\n"
     )
-    modules = COMMAND_MODULES[argv[0]] | {"relation", "formats", "cli"}
+    modules = COMMAND_MODULES[argv[0]] | {"relation", "approx", "formats", "cli"}
     assert _loaded(run, *argv) == {f"birough.{module}" for module in modules}
 
 
-@pytest.mark.parametrize("module", sorted(info.name for info in pkgutil.iter_modules(birough.__path__)))
+@pytest.mark.parametrize("module", SUBMODULES)
 def test_each_submodule_imports_on_its_own(module):
     # A fresh interpreter, so no other birough module is loaded first and a
     # cycle or a bad name in a deferred import shows here.
-    assert f"birough.{module}" in _loaded(f"import birough.{module}")
+    _fresh_interpreter(f"import birough.{module}")
 
 
 def test_formats_deferred_imports_resolve():
