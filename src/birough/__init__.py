@@ -87,6 +87,7 @@ _EXPORTS = {
         "parse_classification_file",
         "AnalysisReport",
         "emit_report",
+        "iter_report",
         "ratio_decimal",
         "ratio_obj",
         "ratio_text",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import os
 import sys
 from pathlib import Path
 
@@ -36,7 +37,9 @@ _IMPORTS = {
         "build_tables_report",
         "build_verify_report",
         "build_witness_report",
+        # Not called here, but kept bound for callers that wrap it by name.
         "emit_report",
+        "iter_report",
         "parse_classification_file",
         "parse_relation_file",
         "parse_tables_json",
@@ -135,7 +138,8 @@ def _refuse_unused(args: argparse.Namespace, why: str, *flags: str) -> None:
 
 
 def _print(report, fmt: str) -> None:
-    sys.stdout.write(_cli.emit_report(report, fmt))
+    """Write the report as it is rendered, a batch of about 64K characters at a time."""
+    sys.stdout.writelines(_cli.iter_report(report, fmt))
 
 
 def _cmd_approx(args: argparse.Namespace) -> int:
@@ -411,7 +415,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # A reader that closed stdout early shows here, not at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # The reader closed stdout.  What is still buffered goes to the null
+        # device, so the flush at exit neither fails nor reports again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (BiroughError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,12 +19,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate, repeat
-from operator import add
+from functools import lru_cache, partial
+from itertools import accumulate, chain, islice, repeat
+from operator import add, itemgetter
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 from .approx import ApproxResult, RoughType
 from .relation import (
@@ -40,7 +39,10 @@ from .relation import (
 )
 
 if TYPE_CHECKING:
-    # Annotations only: a command loads classify or lab when it uses them.
+    # Annotations only: a command loads classify or lab when it uses them,
+    # and only classify makes a Fraction.
+    from fractions import Fraction
+
     from .classify import FamilyApprox, TheoremReport
     from .lab import PropertyReport, TableCellFinding, Witness
 
@@ -56,6 +58,7 @@ __all__ = [
     "ratio_text",
     "AnalysisReport",
     "emit_report",
+    "iter_report",
     "relation_summary",
     "build_approx_report",
     "build_neighbors_report",
@@ -141,7 +144,8 @@ def _parse_lines(text: str, source: str) -> BinaryRelation:
     """The relation file read line by line, raising at the first bad token.
 
     A well-formed row is taken in one pass over its line; any other line goes
-    through ``_parse_row``, which locates the first offending token.
+    through ``_parse_row``, which locates the first offending token.  The
+    lines are read one at a time, so the text is never held twice.
     """
     v_labels: list[str] | None = None
     u_labels: list[str] = []
@@ -149,7 +153,7 @@ def _parse_lines(text: str, source: str) -> BinaryRelation:
     u_seen: set[str] = set()
     last_line = 0
 
-    for line_no, line in enumerate(text.splitlines(), 1):
+    for line_no, line in enumerate(_lines(text), 1):
         last_line = line_no
         # str.split() and _TOKEN_RE split at the same (Unicode) whitespace.
         words = line.split()
@@ -180,6 +184,9 @@ def _parse_lines(text: str, source: str) -> BinaryRelation:
         u_labels.append(label)
         masks.append(mask)
 
+    # The set outgrows the labels themselves; free it before the relation
+    # builds its own label index.
+    del u_seen
     if v_labels is None:
         raise ParseError(
             "expected a 'V:' header line listing the V labels", source, max(last_line, 1), 1
@@ -187,6 +194,21 @@ def _parse_lines(text: str, source: str) -> BinaryRelation:
     if not u_labels:
         raise ParseError("no relation rows found", source, max(last_line, 1), 1)
     return BinaryRelation(UniversePair(tuple(u_labels), tuple(v_labels)), tuple(masks))
+
+
+def _lines(text: str) -> Iterator[str]:
+    """``text.splitlines()``, one line at a time.
+
+    The text is split a slice of about 64K characters at a time, each slice
+    ending just after a '\n'.  Every break of str.splitlines ends at its last
+    character, and a '\n' ends any break that holds one, so the slices'
+    lines are the text's lines.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + (1 << 16)) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
 
 
 def _parse_v_header(line: str, source: str, line_no: int) -> list[str]:
@@ -381,11 +403,45 @@ def emit_report(report: AnalysisReport, format: str = "text") -> str:
     JSON is byte for byte ``json.dumps(obj, sort_keys=True, indent=2)`` plus
     a newline.
     """
+    return "".join(iter_report(report, format))
+
+
+def iter_report(report: AnalysisReport, format: str = "text") -> Iterator[str]:
+    """The text of ``emit_report(report, format)`` in pieces of about 64K characters.
+
+    A caller that writes the pieces as they come holds about one piece
+    beside the report, in place of the whole text.  A member too large for a
+    piece (such as one long label list) still comes whole.
+    """
     if format == "json":
-        return _json_text(report.to_obj(), 0) + "\n"
+        return _batched(chain(_json_pieces(report.to_obj(), 0), ("\n",)))
     if format == "text":
-        return "\n".join(_TEXT_RENDERERS[report.command](dict(report.body))) + "\n"
+        return _batched(_TEXT_RENDERERS[report.command](dict(report.body)), "\n")
     raise ValueError(f"unknown report format {format!r}")
+
+
+# Characters of text per piece that ``iter_report`` yields: large enough that
+# writing a piece costs far more than the call, small beside a large report.
+_BATCH = 1 << 16
+
+
+def _batched(pieces: Iterable[str], end: str = "") -> Iterator[str]:
+    """Each piece followed by ``end``, joined into batches of about ``_BATCH`` characters."""
+    batch: list[str] = []
+    append = batch.append
+    size = 0
+    for piece in pieces:
+        append(piece)
+        size += len(piece)
+        if size >= _BATCH:
+            append("")
+            text = end.join(batch)
+            batch.clear()
+            size = 0
+            yield text
+    if batch:
+        append("")
+        yield end.join(batch)
 
 
 # --- JSON writer -------------------------------------------------------------
@@ -393,9 +449,10 @@ def emit_report(report: AnalysisReport, format: str = "text") -> str:
 # ``json.dumps`` with any ``indent`` falls back to its pure-Python encoder,
 # one generator step per value.  This writer walks only the dicts and the
 # lists of containers in Python; a list of plain scalars is encoded by one
-# call of the C encoder, a plain scalar as the stdlib encodes it, and every
-# other value by the stdlib encoder itself, so the bytes are those of
-# ``json.dumps(obj, sort_keys=True, indent=2)``.
+# call of the C encoder, a list of records (dicts that share one set of keys)
+# by one ``%``-template per record over C-level columns, a plain scalar as
+# the stdlib encodes it, and every other value by the stdlib encoder itself,
+# so the bytes are those of ``json.dumps(obj, sort_keys=True, indent=2)``.
 
 _STDLIB_JSON = json.JSONEncoder(sort_keys=True, indent=2)
 # The plain scalars, by exact type (an IntEnum is not one), and their text.
@@ -429,34 +486,60 @@ def _leaf_list_encoder(depth: int):
     return lambda items: f"[{inner}{''.join(encode(items, 0))[1:-1]}{outer}"
 
 
-def _json_text(obj: Any, depth: int) -> str:
-    """``obj`` as indented JSON whose first line starts at ``depth``.
+def _flat_text(obj: Any, depth: int) -> str | None:
+    """``obj`` as indented JSON at ``depth`` when it holds no container, else None.
 
-    Each container is joined once from its members' texts, so the peak
-    memory stays near twice the text's length.
+    A dict with keys other than strings, and any value the writer does not
+    walk, is encoded by the stdlib, whose lines are indented from depth 0.  A
+    JSON text holds no raw newline inside a string, so each newline starts an
+    indented line.
     """
     kind = type(obj)
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        return _leaf_list_encoder(depth)(obj) if _LEAF_TYPES.issuperset(map(type, obj)) else None
     if kind is dict and _KEY_TYPES.issuperset(map(type, obj)):
         if not obj:
             return "{}"
+        if not _LEAF_TYPES.issuperset(map(type, obj.values())):
+            return None
+        inner = "\n" + "  " * (depth + 1)
+        members = [encode_basestring_ascii(key) + ": " + _leaf_text(obj[key]) for key in sorted(obj)]
+        return "{" + inner + ("," + inner).join(members) + "\n" + "  " * depth + "}"
+    return _STDLIB_JSON.encode(obj).replace("\n", "\n" + "  " * depth)
+
+
+def _value_text(obj: Any, depth: int) -> str:
+    """``obj`` as indented JSON at ``depth``, in one string."""
+    text = _flat_text(obj, depth)
+    return "".join(_json_pieces(obj, depth)) if text is None else text
+
+
+def _json_pieces(obj: Any, depth: int) -> Iterator[str]:
+    """``obj`` as indented JSON at ``depth``, in pieces.
+
+    A container that holds containers comes member by member, a list of
+    records a batch of records at a time, and anything else in one piece.
+    """
+    text = _flat_text(obj, depth)
+    if text is not None:
+        yield text
+        return
+    if type(obj) is dict:
         brackets = "{}"
         keys = sorted(obj)
         members = zip([encode_basestring_ascii(key) + ": " for key in keys], map(obj.get, keys))
-    elif kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        if _LEAF_TYPES.issuperset(map(type, obj)):
-            return _leaf_list_encoder(depth)(obj)
+    else:
+        keys = _record_keys(obj)
+        if keys is not None:
+            yield from _record_pieces(obj, keys, depth)
+            return
         brackets = "[]"
         members = zip(repeat(""), obj)
-    else:
-        # Scalars and anything unusual: the stdlib encoder, whose lines are
-        # indented from depth 0.  A JSON text holds no raw newline inside
-        # a string, so each newline starts an indented line.
-        return _STDLIB_JSON.encode(obj).replace("\n", "\n" + "  " * depth)
     inner = "\n" + "  " * (depth + 1)
     separator = "," + inner
-    parts = [brackets[0] + inner]
+    lead = brackets[0] + inner
     # Members that are one object (such as the label list that equal rows
     # share) are encoded once per container.
     texts: dict[int, str] = {}
@@ -464,10 +547,62 @@ def _json_text(obj: Any, depth: int) -> str:
         leaf = _LEAF_TEXT.get(type(value))
         text = leaf(value) if leaf else texts.get(id(value))
         if text is None:
-            text = texts[id(value)] = _json_text(value, depth + 1)
-        parts += (prefix, text, separator)
-    parts[-1] = "\n" + "  " * depth + brackets[1]
-    return "".join(parts)
+            text = _flat_text(value, depth + 1)
+            if text is None:
+                yield lead + prefix
+                yield from _json_pieces(value, depth + 1)
+                lead = separator
+                continue
+            texts[id(value)] = text
+        yield lead + prefix + text
+        lead = separator
+    yield "\n" + "  " * depth + brackets[1]
+
+
+def _record_keys(items: Sequence[Any]) -> list[str] | None:
+    """The sorted keys of ``items`` when all are dicts with one non-empty set of str keys."""
+    first = items[0]
+    if type(first) is not dict or not first or not _KEY_TYPES.issuperset(map(type, first)):
+        return None
+    keys = first.keys()
+    if set(map(type, items)) != {dict} or not all(map(keys.__eq__, map(dict.keys, items))):
+        return None
+    return sorted(keys)
+
+
+def _record_pieces(items: Sequence[dict], keys: list[str], depth: int) -> Iterator[str]:
+    """A list of records at ``depth``, a group of records at a time.
+
+    Each record is one ``%``-template over its members' texts; the texts of
+    one key come from a lazy column, the leaf encoder when the whole column
+    is of one leaf type.  A group is sized from the last one at about a
+    sixteenth of a batch, so that records that grow along the list overfill
+    a batch by little.
+    """
+    inner = "\n" + "  " * (depth + 1)
+    member = "\n" + "  " * (depth + 2)
+    template = (
+        "{"
+        + ",".join(member + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys)
+        + inner
+        + "}"
+    )
+    columns = []
+    for key in keys:
+        get = itemgetter(key)
+        kinds = set(map(type, map(get, items)))
+        leaf = _LEAF_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        columns.append(map(leaf or partial(_value_text, depth=depth + 2), map(get, items)))
+    records = map(template.__mod__, zip(*columns))
+    separator = "," + inner
+    lead = "[" + inner
+    count = 1
+    while text := separator.join(islice(records, count)):
+        yield lead
+        yield text
+        lead = separator
+        count = max(1, count * _BATCH // (16 * len(text)))
+    yield "\n" + "  " * depth + "]"
 
 
 def relation_summary(rel: BinaryRelation, source: str) -> dict[str, Any]:
@@ -694,71 +829,61 @@ def _relation_line(meta: Mapping[str, Any]) -> str:
     return f"relation: {meta['source']} (|U|={meta['u_size']}, |V|={meta['v_size']})"
 
 
-def _render_approx(body: dict) -> list[str]:
+def _render_approx(body: dict) -> Iterator[str]:
     t = body["type"]
-    return [
-        _relation_line(body["relation"]),
-        f"set: {_set_text(body['set'])}",
-        f"lower: {_set_text(body['lower'])}",
-        f"upper: {_set_text(body['upper'])}",
-        f"boundary: {_set_text(body['boundary'])}",
-        f"type: Type {t['code']} ({t['label']})",
-    ]
+    yield _relation_line(body["relation"])
+    yield f"set: {_set_text(body['set'])}"
+    yield f"lower: {_set_text(body['lower'])}"
+    yield f"upper: {_set_text(body['upper'])}"
+    yield f"boundary: {_set_text(body['boundary'])}"
+    yield f"type: Type {t['code']} ({t['label']})"
 
 
-def _render_neighbors(body: dict) -> list[str]:
-    lines = [
-        _relation_line(body["relation"]),
-        f"serial: {_yesno(body['serial'])}",
-        f"solitary: {_set_text(body['solitary'])}",
-        "right neighborhoods:",
-    ]
+def _render_neighbors(body: dict) -> Iterator[str]:
+    yield _relation_line(body["relation"])
+    yield f"serial: {_yesno(body['serial'])}"
+    yield f"solitary: {_set_text(body['solitary'])}"
+    yield "right neighborhoods:"
     for x, members in body["right_neighborhoods"].items():
-        lines.append(f"  {x}: {_set_text(members)}")
-    lines.append("left neighborhoods:")
+        yield f"  {x}: {_set_text(members)}"
+    yield "left neighborhoods:"
     for y, members in body["left_neighborhoods"].items():
-        lines.append(f"  {y}: {_set_text(members)}")
-    lines.append("U quotient: " + " | ".join(_set_text(b) for b in body["u_partition"]))
-    lines.append("V quotient: " + " | ".join(_set_text(b) for b in body["v_partition"]))
-    lines.append(
-        "saturation identity: "
-        + ("holds" if body["saturation_identity"] else "VIOLATED")
-    )
-    return lines
+        yield f"  {y}: {_set_text(members)}"
+    yield "U quotient: " + " | ".join(_set_text(b) for b in body["u_partition"])
+    yield "V quotient: " + " | ".join(_set_text(b) for b in body["v_partition"])
+    yield "saturation identity: " + ("holds" if body["saturation_identity"] else "VIOLATED")
 
 
-def _render_classify(body: dict) -> list[str]:
-    lines = [_relation_line(body["relation"]), "blocks:"]
+def _render_classify(body: dict) -> Iterator[str]:
+    yield _relation_line(body["relation"])
+    yield "blocks:"
     for block in body["blocks"]:
-        lines.append(f"  {block['name']} = {_set_text(block['members'])}")
-        lines.append(f"    lower: {_set_text(block['lower'])}")
-        lines.append(f"    upper: {_set_text(block['upper'])}")
+        yield f"  {block['name']} = {_set_text(block['members'])}"
+        yield f"    lower: {_set_text(block['lower'])}"
+        yield f"    upper: {_set_text(block['upper'])}"
     measures = body["measures"]
-    lines.append(f"accuracy: {_ratio_line(measures['accuracy'])}")
-    lines.append(f"quality (per |V|): {_ratio_line(measures['quality_v'])}")
-    lines.append(f"quality (per |U|): {_ratio_line(measures['quality_u'])}")
-    lines.append(f"definable: {_yesno(measures['definable'])}")
-    lines.append(f"serial: {_yesno(measures['serial'])}")
+    yield f"accuracy: {_ratio_line(measures['accuracy'])}"
+    yield f"quality (per |V|): {_ratio_line(measures['quality_v'])}"
+    yield f"quality (per |U|): {_ratio_line(measures['quality_u'])}"
+    yield f"definable: {_yesno(measures['definable'])}"
+    yield f"serial: {_yesno(measures['serial'])}"
     laws = body["laws"]
-    lines.append(
+    yield (
         f"laws: {laws['holds']} holds, {laws['vacuous']} vacuous, "
         f"{laws['violated']} violated"
     )
     for entry in laws["entries"]:
         scope = f" ({', '.join(entry['blocks'])})" if entry["blocks"] else " (all)"
-        lines.append(f"  {entry['verdict']:<9}{entry['law']}{scope}")
-    return lines
+        yield f"  {entry['verdict']:<9}{entry['law']}{scope}"
 
 
-def _render_verify(body: dict) -> list[str]:
-    lines = [f"campaign: {body['scope']['description']}"]
-    lines.append(f"{'law':<44}{'instances':>10}{'violations':>12}")
+def _render_verify(body: dict) -> Iterator[str]:
+    yield f"campaign: {body['scope']['description']}"
+    yield f"{'law':<44}{'instances':>10}{'violations':>12}"
     for record in body["laws"]:
-        lines.append(
-            f"{record['law']:<44}{record['instances']:>10}{record['violations']:>12}"
-        )
+        yield f"{record['law']:<44}{record['instances']:>10}{record['violations']:>12}"
     for violation in body["violation_details"]:
-        lines.append(
+        yield (
             f"VIOLATION {violation['law']} on {violation['relation']} "
             f"{' '.join(violation['subsets'])}: expected {violation['expected']}, "
             f"got {violation['got']}"
@@ -770,50 +895,43 @@ def _render_verify(body: dict) -> list[str]:
     }
     for key, check in body["checks"].items():
         label = names.get(key, key)
-        lines.append(
-            f"{label}: {check['checked']} checked, {check['failures']} failures"
-        )
-    lines.append("result: " + ("PASS" if body["pass"] else "FAIL"))
-    return lines
+        yield f"{label}: {check['checked']} checked, {check['failures']} failures"
+    yield "result: " + ("PASS" if body["pass"] else "FAIL")
 
 
-def _render_tables(body: dict) -> list[str]:
-    lines = [f"{body['operation']} table conformance: {body['scope']['description']}"]
+def _render_tables(body: dict) -> Iterator[str]:
+    yield f"{body['operation']} table conformance: {body['scope']['description']}"
     for cell in body["cells"]:
         status = "ok" if cell["conformant"] else "VIOLATION"
-        lines.append(
+        yield (
             f"{cell['left']} + {cell['right']}: allowed {_set_text(cell['allowed'])}; "
             f"observed {_set_text(cell['observed'])}; {status}"
         )
         for witness in cell["witnesses"]:
-            lines.append(
+            yield (
                 f"  {witness['result']} via u={witness['u']} v={witness['v']} "
                 f"rows={'|'.join(witness['rows'])} X={_set_text(witness['left_set'])} "
                 f"Y={_set_text(witness['right_set'])}"
             )
         if cell["unrealized"]:
-            lines.append(f"  unrealized: {', '.join(cell['unrealized'])}")
-    lines.append(
-        "result: " + ("CONFORMANT" if body["conformant"] else "VIOLATIONS FOUND")
-    )
-    return lines
+            yield f"  unrealized: {', '.join(cell['unrealized'])}"
+    yield "result: " + ("CONFORMANT" if body["conformant"] else "VIOLATIONS FOUND")
 
 
-def _render_witness(body: dict) -> list[str]:
+def _render_witness(body: dict) -> Iterator[str]:
     bounds = body["bounds"]
-    lines = [
+    yield (
         f"witness search: {body['operation']} {body['left']} + {body['right']} "
         f"-> {body['result']} within u<={bounds['max_u']}, v<={bounds['max_v']}"
-    ]
+    )
     if body["found"]:
         witness = body["witness"]
-        lines.append(
+        yield (
             f"found: u={witness['u']} v={witness['v']} rows={'|'.join(witness['rows'])} "
             f"X={_set_text(witness['left_set'])} Y={_set_text(witness['right_set'])}"
         )
     else:
-        lines.append("not found within the search bounds")
-    return lines
+        yield "not found within the search bounds"
 
 
 _TEXT_RENDERERS = {

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import errno
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -80,9 +83,9 @@ class TestGoldens:
 
         def keep(report, fmt):
             reports.append(report)
-            return formats.emit_report(report, fmt)
+            return formats.iter_report(report, fmt)
 
-        monkeypatch.setattr("birough.cli.emit_report", keep)
+        monkeypatch.setattr("birough.cli.iter_report", keep)
         run_cli(capsys, *GOLDEN_CASES[name])
         [report] = reports
         assert formats.emit_report(report, "json") == naive_emit_json(report.to_obj())
@@ -188,6 +191,43 @@ class TestExitCodes:
         path.write_text("Y1: y1\nY2: y1 y2 y3 y4 y5 y6\n", encoding="utf-8")
         code, _, err = run_cli(capsys, "classify", SAMPLE, "--classes", str(path))
         assert code == 2 and "overlap" in err
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("early", [True, False], ids=["closed-after-50-bytes", "closed-before-start"])
+    def test_closed_stdout_is_two(self, tmp_path, early, fmt, buffered):
+        # A reader that stops early, as `| head -c 50` does, closes the pipe
+        # while a large report is written; a reader that is gone before a
+        # small report leaves it in stdout's buffer until the flush.  Either
+        # way: exit 2 with one error line, and no second error from the
+        # flush at exit.
+        if early:
+            path = tmp_path / "big.rel"
+            path.write_text(formats.render_relation_file(lab.random_relation(3000, 64, 0.5, 1, 0)), encoding="utf-8")
+            argv = ["neighbors", str(path), "--format", fmt]
+        else:
+            argv = ["approx", SAMPLE, "--set", "y1", "--format", fmt]
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        if not early:
+            os.close(read_end)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from birough.cli import run; run()", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        os.close(write_end)
+        if early:
+            with os.fdopen(read_end, "rb") as reader:
+                assert len(reader.read(50)) == 50
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err == f"error: {BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))}\n"
 
     def test_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -16,6 +16,7 @@ from birough import (
     ParseError,
     emit_report,
     formats,
+    iter_report,
     parse_classification_file,
     parse_relation_file,
     ratio_decimal,
@@ -50,6 +51,8 @@ from strategies import WIDE_U_SIZES, Level, json_trees, relation_texts, relation
 
 # The breaks str.splitlines honours besides '\n'.
 LINE_BREAKS = ("\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# One list object that several records of a test report hold.
+SHARED = ["x1", "x2"]
 
 
 def assert_matches_reference(text: str) -> None:
@@ -200,6 +203,38 @@ class TestRelationParsing:
             tracemalloc.stop()
         assert parsed == rel
         assert peak < 2.5 * len(text)
+
+    def test_per_line_parse_memory_is_linear_in_text(self):
+        # A leading comment sends the file through the per-line loop, which
+        # reads one line at a time and frees its label set before the
+        # relation builds its own index: no copy of the text's lines.
+        n, v = 20_000, 64
+        rng = random.Random(6)
+        rel = BinaryRelation(canonical_universes(n, v), tuple(rng.getrandbits(v) for _ in range(n)))
+        text = "# one comment line\n" + render_relation_file(rel)
+        tracemalloc.start()
+        try:
+            parsed = parse_relation_file(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == rel
+        assert peak < 2 * len(text)
+
+    @pytest.mark.parametrize("end", ["", "\n", "\r", "\r\n"], ids=ascii)
+    def test_lines_are_splitlines_across_slices(self, end):
+        # Lines of every length around the slice size, ended by every break,
+        # so that slices end next to each kind of break.
+        rng = random.Random(8)
+        breaks = ("\n",) + LINE_BREAKS
+        parts = []
+        for _ in range(400):
+            parts += ("x" * rng.choice([0, 1, 300, 2000, 40_000]), rng.choice(breaks))
+        text = "".join(parts[:-1]) + end
+        assert len(text) > 8 * 65536
+        assert list(formats._lines(text)) == text.splitlines()
+        assert list(formats._lines("\r" * 70_000 + "\n")) == ("\r" * 70_000 + "\n").splitlines()
+        assert list(formats._lines("")) == []
 
 
 class TestClassificationParsing:
@@ -363,6 +398,100 @@ class TestJsonWriter:
             tracemalloc.stop()
         assert len(text) > 500_000
         assert peak < 3 * len(text)
+
+    @pytest.mark.parametrize("available", [True, False], ids=["c-encoder", "no-c-encoder"])
+    @given(tree=json_trees(), other=json_trees(max_leaves=8))
+    def test_streamed_pieces_match_stdlib_indent_2(self, available, tree, other):
+        # As test_matches_stdlib_indent_2, with lists of records (dicts that
+        # share their keys) whose members are the trees.
+        body = {
+            "tree": tree,
+            "pair": [tree, other, tree],
+            "records": [{"a": tree, "b": other}, {"b": tree, "a": other}],
+            "nested": {"deeper": ({"tree": tree}, {"tree": other}), "leaves": ["a", 1, True, None]},
+            "level": Level.HIGH,
+        }
+        report = AnalysisReport("approx", body)
+        with c_encoder(available):
+            expected = naive_emit_json(report.to_obj())
+            assert "".join(iter_report(report, "json")) == expected
+            assert emit_report(report, "json") == expected
+
+    @pytest.mark.parametrize("available", [True, False], ids=["c-encoder", "no-c-encoder"])
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [{"a": 1, "b": 2}, {"a": 1}, {"b": [1]}],
+            [{"a": 1, "b": 2}, {"b": 3, "c": 4}],
+            [{"%": "%s", '"': 1, "%(a)s": [], '%%"d': {"e": 1}}, {'%%"d': None, "%(a)s": [2], "%": "", '"': 3}],
+            [{}, {}],
+            [{"a": 1}, {}],
+            [{}, {"a": 1}],
+            ({"a": 1}, {"a": [{"b": 2}]}),
+            [{"a": Level.LOW, "b": 1}, {"a": Level.HIGH, "b": True}, {"a": 1, "b": 1.5}],
+            [{1: "a"}, {1: "b"}],
+            [{"a": 1}, [1], {"a": 2}],
+            [{"a": [{"b": {"c": []}}, {"b": {"c": [None]}}]}, {"a": [{"b": {}}]}],
+            [{"a": SHARED, "b": SHARED}, {"a": SHARED, "b": []}, {"a": [SHARED], "b": SHARED}],
+        ],
+        ids=[
+            "keys-differ", "keys-overlap", "percent-and-quote-keys", "empty-dicts",
+            "then-empty", "empty-first", "tuple", "int-enum", "int-keys", "not-all-dicts",
+            "nested-records", "one-shared-list",
+        ],
+    )
+    def test_record_lists(self, available, records):
+        report = AnalysisReport("approx", {"records": records, "inner": {"records": records}})
+        with c_encoder(available):
+            assert "".join(iter_report(report, "json")) == naive_emit_json(report.to_obj())
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_pieces_are_batches_of_a_large_report(self, fmt):
+        # A record list and a line list over several batches: the pieces
+        # join to the text, and none but the last is far below a batch.
+        n = 3000
+        entries = [
+            {"law": f"law-{i % 7}", "blocks": [f"B{j}" for j in range(i % 40)], "hypothesis": i % 3 == 0,
+             "conclusion": True, "verdict": "holds"}
+            for i in range(n)
+        ]
+        body = {
+            "relation": {"source": "r.rel", "u_size": 1, "v_size": 1},
+            "blocks": [],
+            "measures": {"accuracy": None, "quality_v": ratio_obj(Fraction(1, 3)),
+                         "quality_u": ratio_obj(Fraction(1)), "definable": False, "serial": True},
+            "laws": {"holds": n, "vacuous": 0, "violated": 0, "entries": entries},
+        }
+        report = AnalysisReport("classify", body)
+        pieces = list(iter_report(report, fmt))
+        text = "".join(pieces)
+        if fmt == "json":
+            assert text == naive_emit_json(report.to_obj())
+        assert len(text) > 4 * formats._BATCH
+        assert all(len(piece) >= formats._BATCH for piece in pieces[:-1])
+        assert max(map(len, pieces)) < 3 * formats._BATCH
+
+    def test_streamed_memory_is_a_fraction_of_the_output(self):
+        # The report of test_emit_memory_is_linear_in_output, written as it
+        # is rendered: the writer holds about one batch beside the report.
+        n = 80
+        rng = random.Random(3)
+        rows = tuple(rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n))
+        rel = BinaryRelation(canonical_universes(n, n), rows)
+        named = [(f"B{j}", rel.universes.v_subset([j])) for j in range(n)]
+        fa = approximate_family(rel, validate_classification(named))
+        laws = TheoremReport(family_law_report(fa).entries + measure_law_report(fa).entries)
+        report = build_classify_report(rel, "many.rel", fa, laws)
+        size = 0
+        tracemalloc.start()
+        try:
+            for piece in iter_report(report, "json"):
+                size += len(piece)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 500_000
+        assert peak < 0.5 * size
 
 
 class TestNeighborsReport:
