@@ -17,7 +17,6 @@ cross-check them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from operator import eq
 from typing import Callable, Sequence
@@ -30,6 +29,7 @@ from .relation import (
     Subset,
     iter_bits,
     mask_of_flags,
+    record,
 )
 
 __all__ = [
@@ -250,7 +250,7 @@ def rough_type(rel: BinaryRelation, y: Subset) -> RoughType:
     return RoughType(type_code(rel.rows, y.bits))
 
 
-@dataclass(frozen=True)
+@record
 class ApproxResult:
     """Lower, upper, and boundary approximations plus the rough type."""
 

@@ -22,7 +22,6 @@ route.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -45,6 +44,7 @@ from .relation import (
     iter_bits,
     mask_of_flags,
     mask_of_indices,
+    record,
 )
 
 __all__ = [
@@ -129,7 +129,7 @@ def classification_violations(
     return violations
 
 
-@dataclass(frozen=True)
+@record
 class Classification:
     """A validated partition of V into more than one named block."""
 
@@ -161,7 +161,7 @@ def validate_classification(
     return Classification(universes, names, blocks)
 
 
-@dataclass(frozen=True)
+@record
 class FamilyApprox:
     """Blockwise lower and upper approximations of a classification."""
 
@@ -222,7 +222,7 @@ class FamilyApprox:
         return _index_sets(self, proper_index_subsets(self.classification.n))
 
 
-@dataclass(frozen=True)
+@record
 class Quality:
     v_normalized: Fraction
     u_normalized: Fraction
@@ -269,7 +269,7 @@ MEASURE_LAWS = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class LawInstance:
     """One evaluated law instance over concrete blocks."""
 
@@ -280,7 +280,7 @@ class LawInstance:
     verdict: str
 
 
-@dataclass(frozen=True)
+@record
 class TheoremReport:
     """A batch of law instances with tallies."""
 

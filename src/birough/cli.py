@@ -297,9 +297,17 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     return EXIT_OK if witness is not None else EXIT_VIOLATION
 
 
+# Characters per write of a generated file.
+_PIECE = 1 << 16
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     rel = _cli.random_relation(args.u, args.v, args.density, args.seed, args.index)
-    sys.stdout.write(_cli.render_relation_file(rel))
+    text = _cli.render_relation_file(rel)
+    # In pieces, as reports are written: a reader that closes early then
+    # breaks a later write, where one large write to unbuffered stdout would
+    # stop short without an error.
+    sys.stdout.writelines(text[i : i + _PIECE] for i in range(0, len(text), _PIECE))
     return EXIT_OK
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, chain, islice, repeat
 from operator import add, itemgetter
@@ -34,6 +33,7 @@ from .relation import (
     UniversePair,
     digits_row,
     mask_members,
+    record,
     row_digits,
     valid_label,
 )
@@ -386,7 +386,7 @@ def ratio_text(value: Fraction) -> str:
 # --- reports -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class AnalysisReport:
     """A serializable result tree for one CLI command."""
 

@@ -16,7 +16,6 @@ at most ``EXHAUSTIVE_PAIR_CAP``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product, repeat
 from math import comb
@@ -32,6 +31,7 @@ from .relation import (
     Subset,
     UniversePair,
     iter_bits,
+    record,
 )
 
 __all__ = [
@@ -206,7 +206,7 @@ ALGEBRAIC_LAWS = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     law: str
     relation: str
@@ -215,7 +215,7 @@ class Violation:
     got: str
 
 
-@dataclass(frozen=True)
+@record
 class LawRecord:
     law: str
     instances: int
@@ -226,7 +226,7 @@ class LawRecord:
         return not self.violations
 
 
-@dataclass(frozen=True)
+@record
 class PropertyReport:
     records: tuple[LawRecord, ...]
 
@@ -695,7 +695,7 @@ def ambiguous_cells(operation: str) -> tuple[tuple[RoughType, RoughType], ...]:
     return tuple(sorted(cell for cell, allowed in table.items() if len(allowed) > 1))
 
 
-@dataclass(frozen=True)
+@record
 class Witness:
     """A relation and subset pair realizing one table-cell outcome."""
 
@@ -704,7 +704,7 @@ class Witness:
     right_set: Subset
 
 
-@dataclass(frozen=True)
+@record
 class TableCellFinding:
     """Observed versus allowed result types for one (left, right) cell."""
 

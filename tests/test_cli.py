@@ -193,15 +193,25 @@ class TestExitCodes:
         assert code == 2 and "overlap" in err
 
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize("fmt", ["json", "text"])
-    @pytest.mark.parametrize("early", [True, False], ids=["closed-after-50-bytes", "closed-before-start"])
+    @pytest.mark.parametrize(
+        "early, fmt",
+        [
+            pytest.param(early, fmt, id=f"{when}-{fmt}")
+            for early, when in ((True, "closed-after-50-bytes"), (False, "closed-before-start"))
+            for fmt in ("json", "text")
+        ]
+        # gen writes a relation file, not a report, so it has no format.
+        + [pytest.param(True, None, id="gen-closed-after-50-bytes")],
+    )
     def test_closed_stdout_is_two(self, tmp_path, early, fmt, buffered):
         # A reader that stops early, as `| head -c 50` does, closes the pipe
-        # while a large report is written; a reader that is gone before a
-        # small report leaves it in stdout's buffer until the flush.  Either
-        # way: exit 2 with one error line, and no second error from the
-        # flush at exit.
-        if early:
+        # while a large report or file is written; a reader that is gone
+        # before a small report leaves it in stdout's buffer until the flush.
+        # Either way: exit 2 with one error line, and no second error from
+        # the flush at exit.
+        if fmt is None:
+            argv = ["gen", "--u", "30000", "--v", "64"]
+        elif early:
             path = tmp_path / "big.rel"
             path.write_text(formats.render_relation_file(lab.random_relation(3000, 64, 0.5, 1, 0)), encoding="utf-8")
             argv = ["neighbors", str(path), "--format", fmt]

@@ -106,24 +106,29 @@ COMMAND_MODULES = {
 def test_each_subcommand_loads_only_its_modules(name):
     # The command writes to the process's own stdout, so its batched writes
     # are checked against the golden file at the file-descriptor level; the
-    # loaded modules are listed on stderr.
+    # modules it loads, beyond those the bare interpreter has loaded before
+    # the script starts, are listed on stderr.
     argv = GOLDEN_CASES[name]
     run = (
         "import sys\n"
+        "preloaded = set(sys.modules)\n"
         "from birough.cli import main\n"
         "assert main(sys.argv[1:]) == 0\n"
         "sys.stdout.flush()\n"
-        "print(*(m for m in sys.modules if m.startswith('birough.') or m == 'fractions'), file=sys.stderr)\n"
+        "print(*(m for m in sys.modules if m not in preloaded), file=sys.stderr)\n"
     )
     proc = subprocess.run([sys.executable, "-c", run, *argv], capture_output=True, cwd=REPO)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / name).read_bytes()
+    loaded = set(proc.stderr.decode().split())
     modules = COMMAND_MODULES[argv[0]] | {"relation", "approx", "formats", "cli"}
     expected = {f"birough.{module}" for module in modules}
     # Only classify computes with fractions; formats names them in annotations only.
     if argv[0] == "classify":
         expected.add("fractions")
-    assert set(proc.stderr.decode().split()) == expected
+    assert {m for m in loaded if m.startswith("birough.") or m == "fractions"} == expected
+    # The records are built without dataclasses, which would bring inspect.
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("module", SUBMODULES)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +21,24 @@ from birough import (
     UniversePair,
     UnknownLabelError,
 )
-from birough.formats import build_neighbors_report
-from birough.lab import canonical_universes
+from birough.approx import ApproxResult, RoughType
+from birough.classify import (
+    Classification,
+    ClassificationError,
+    FamilyApprox,
+    LawInstance,
+    Quality,
+    TheoremReport,
+)
+from birough.formats import AnalysisReport, build_neighbors_report
+from birough.lab import (
+    LawRecord,
+    PropertyReport,
+    TableCellFinding,
+    Violation,
+    Witness,
+    canonical_universes,
+)
 from conftest import SAMPLE_MATRIX
 from naive import (
     matrix_of,
@@ -430,3 +447,93 @@ class TestSaturation:
     def test_agrees_with_pair_composition_oracle(self, rel):
         assert rel.saturation_identity_holds() == naive_saturation_holds(matrix_of(rel))
         assert rel.saturation_identity_holds()
+
+
+# --- records ---------------------------------------------------------------
+
+_UP = UniversePair(("x1", "x2"), ("y1", "y2", "y3"))
+_Y1 = _UP.v_subset(["y1"])
+_Y23 = _UP.v_subset(["y2", "y3"])
+_REL = BinaryRelation(_UP, (0b011, 0b100))
+_VIOLATION = Violation("law", "rel", ("{y1}",), "a", "b")
+# Cases of (record class, its fields by keyword in field order, the error
+# its __post_init__ raises or None).
+RECORD_CASES = [
+    pytest.param(cls, fields, error, id=cls.__name__ + ("-error" if error else ""))
+    for cls, fields, error in [
+        (UniversePair, dict(u_labels=("x1", "x2"), v_labels=("y1",)), None),
+        (UniversePair, dict(u_labels=("x1", "x1"), v_labels=("y1",)), UniverseError),
+        (Subset, dict(universes=_UP, side=Side.V, bits=0b101), None),
+        (Subset, dict(universes=_UP, side=Side.V, bits=0b1000), DimensionError),
+        (Partition, dict(universes=_UP, side=Side.V, blocks=(_Y23, _Y1)), None),
+        (Partition, dict(universes=_UP, side=Side.V, blocks=(_Y1,)), PartitionError),
+        (BinaryRelation, dict(universes=_UP, rows=[0b011, 0b100]), None),
+        (BinaryRelation, dict(universes=_UP, rows=(0b1000, 0)), DimensionError),
+        (ApproxResult, dict(lower=_Y1, upper=_Y23, boundary=_Y23, rough_type=RoughType(2)), None),
+        (Classification, dict(universes=_UP, names=("Y1", "Y2"), blocks=(_Y1, _Y23)), None),
+        (Classification, dict(universes=_UP, names=("Y1", "Y2"), blocks=(_Y1, _Y1)), ClassificationError),
+        (
+            FamilyApprox,
+            dict(
+                relation=_REL,
+                classification=Classification(_UP, ("Y1", "Y2"), (_Y1, _Y23)),
+                lowers=(_Y1, _Y23),
+                uppers=(_Y1, _Y23),
+            ),
+            None,
+        ),
+        (Quality, dict(v_normalized=Fraction(1, 3), u_normalized=Fraction(1, 2)), None),
+        (LawInstance, dict(law="law", blocks=("Y1",), hypothesis=True, conclusion=False, verdict="violated"), None),
+        (TheoremReport, dict(entries=(LawInstance("law", (), True, True, "holds"),)), None),
+        # A dict field makes these two unhashable, as the dataclasses were.
+        (AnalysisReport, dict(command="approx", body={"a": 1}), None),
+        (
+            TableCellFinding,
+            dict(
+                operation="union",
+                left=RoughType(1),
+                right=RoughType(2),
+                allowed=frozenset({RoughType(1)}),
+                witnesses={RoughType(1): Witness(_REL, _Y1, _Y23)},
+            ),
+            None,
+        ),
+        (Violation, dict(law="law", relation="rel", subsets=("{y1}",), expected="a", got="b"), None),
+        (LawRecord, dict(law="law", instances=3, violations=(_VIOLATION,)), None),
+        (PropertyReport, dict(records=(LawRecord("law", 1, ()),)), None),
+        (Witness, dict(relation=_REL, left_set=_Y1, right_set=_Y23), None),
+    ]
+]
+
+# The classes that define their own repr keep it.
+OWN_REPRS = {Subset: "Subset(V: {y1, y3})", BinaryRelation: "BinaryRelation(2x3, rows=110|001)"}
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("cls, fields, error", RECORD_CASES)
+def test_record_behaves_as_a_frozen_dataclass(cls, fields, error):
+    if error is not None:
+        with pytest.raises(error):
+            cls(**fields)
+        with pytest.raises(error):
+            cls(*fields.values())
+        return
+    twin = dataclasses.make_dataclass(cls.__name__, list(fields), frozen=True)
+    rec = cls(*fields.values())
+    # __post_init__ may normalise a field (Partition sorts its blocks), so
+    # the twin takes the record's values.
+    same = twin(**{name: getattr(rec, name) for name in fields})
+    assert cls(**fields) == rec and not cls(**fields) != rec
+    assert rec != same and rec.__eq__(same) is NotImplemented
+    assert _outcome(hash, rec) == _outcome(hash, same)
+    assert repr(rec) == OWN_REPRS.get(cls, repr(same))
+    for name in fields:
+        assert _outcome(setattr, rec, name, None) == _outcome(setattr, same, name, None)
+        assert _outcome(delattr, rec, name) == _outcome(delattr, same, name)
+    assert _outcome(setattr, rec, "other", 1) == _outcome(setattr, same, "other", 1)
