@@ -8,10 +8,13 @@ bounds, 2 for malformed input, usage errors, or any other failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import importlib
+import io
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .approx import RoughType, approximate, upper_approximation
 from .relation import BinaryRelation, BiroughError, Subset
@@ -137,9 +140,33 @@ def _refuse_unused(args: argparse.Namespace, why: str, *flags: str) -> None:
         raise BiroughError(f"{why}; {', '.join(given)} {verb} not apply")
 
 
+def _write(pieces: Iterable[str]) -> None:
+    """Write text to stdout piece by piece, every byte of every piece.
+
+    Under unbuffered stdout (``python -u``, ``PYTHONUNBUFFERED``) the text
+    layer sits on the raw file and ignores the count of a short write, so a
+    reader that closes mid-piece would cut the output short with no error.
+    There each piece is encoded and written until the raw file has taken it
+    all, so a closed reader shows as ``BrokenPipeError``.
+    """
+    raw = getattr(sys.stdout, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        sys.stdout.writelines(pieces)
+        return
+    sys.stdout.flush()
+    encoding, errors = sys.stdout.encoding, sys.stdout.errors
+    for piece in pieces:
+        data = memoryview(piece.encode(encoding, errors))
+        while data:
+            written = raw.write(data)
+            if written is None:
+                raise BlockingIOError(errno.EAGAIN, "stdout is non-blocking and full")
+            data = data[written:]
+
+
 def _print(report, fmt: str) -> None:
     """Write the report as it is rendered, a batch of about 64K characters at a time."""
-    sys.stdout.writelines(_cli.iter_report(report, fmt))
+    _write(_cli.iter_report(report, fmt))
 
 
 def _cmd_approx(args: argparse.Namespace) -> int:
@@ -304,10 +331,8 @@ _PIECE = 1 << 16
 def _cmd_gen(args: argparse.Namespace) -> int:
     rel = _cli.random_relation(args.u, args.v, args.density, args.seed, args.index)
     text = _cli.render_relation_file(rel)
-    # In pieces, as reports are written: a reader that closes early then
-    # breaks a later write, where one large write to unbuffered stdout would
-    # stop short without an error.
-    sys.stdout.writelines(text[i : i + _PIECE] for i in range(0, len(text), _PIECE))
+    # In pieces, as reports are written, so the file is not encoded whole.
+    _write(text[i : i + _PIECE] for i in range(0, len(text), _PIECE))
     return EXIT_OK
 
 

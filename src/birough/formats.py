@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from functools import lru_cache, partial
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, itemgetter
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
@@ -529,23 +530,34 @@ def _json_pieces(obj: Any, depth: int) -> Iterator[str]:
     if type(obj) is dict:
         brackets = "{}"
         keys = sorted(obj)
-        members = zip([encode_basestring_ascii(key) + ": " for key in keys], map(obj.get, keys))
+        values = obj.values()
+        members = zip(map(add, map(encode_basestring_ascii, keys), repeat(": ")), map(obj.get, keys))
     else:
         keys = _record_keys(obj)
         if keys is not None:
             yield from _record_pieces(obj, keys, depth)
             return
         brackets = "[]"
+        values = obj
         members = zip(repeat(""), obj)
     inner = "\n" + "  " * (depth + 1)
     separator = "," + inner
     lead = brackets[0] + inner
-    # Members that are one object (such as the label list that equal rows
-    # share) are encoded once per container.
+    # A member that is one object several times over (such as the label list
+    # that equal rows share) is encoded once per container, and its text is
+    # kept only until its last use; every other text is dropped once written.
+    uses = Counter(map(id, values))
+    left = dict(compress(uses.items(), map((1).__lt__, uses.values())))
+    del uses
     texts: dict[int, str] = {}
     for prefix, value in members:
         leaf = _LEAF_TEXT.get(type(value))
-        text = leaf(value) if leaf else texts.get(id(value))
+        if leaf:
+            yield lead + prefix + leaf(value)
+            lead = separator
+            continue
+        key = id(value)
+        text = texts.pop(key, None)
         if text is None:
             text = _flat_text(value, depth + 1)
             if text is None:
@@ -553,7 +565,10 @@ def _json_pieces(obj: Any, depth: int) -> Iterator[str]:
                 yield from _json_pieces(value, depth + 1)
                 lead = separator
                 continue
-            texts[id(value)] = text
+        count = left.get(key, 0)
+        if count > 1:
+            texts[key] = text
+            left[key] = count - 1
         yield lead + prefix + text
         lead = separator
     yield "\n" + "  " * depth + brackets[1]

@@ -257,14 +257,6 @@ class UniversePair:
     def __post_init__(self) -> None:
         object.__setattr__(self, "u_labels", _checked_labels(self.u_labels, "U"))
         object.__setattr__(self, "v_labels", _checked_labels(self.v_labels, "V"))
-        object.__setattr__(
-            self,
-            "_index",
-            {
-                Side.U: {label: i for i, label in enumerate(self.u_labels)},
-                Side.V: {label: i for i, label in enumerate(self.v_labels)},
-            },
-        )
 
     @property
     def u_size(self) -> int:
@@ -284,13 +276,22 @@ class UniversePair:
         return (1 << self.size(side)) - 1
 
     def index(self, side: Side, key: str | int) -> int:
-        """Resolve a label (or an already-dense index) to its index."""
+        """Resolve a label (or an already-dense index) to its index.
+
+        A side's label index is built on its first label lookup: reports
+        over a large U (``approx``, ``neighbors``) never look one up.
+        """
         if isinstance(key, int):
             if 0 <= key < self.size(side):
                 return key
             raise UnknownLabelError(f"index {key} out of range for universe {side}")
+        name = "_u_index" if side is Side.U else "_v_index"
+        table = self.__dict__.get(name)
+        if table is None:
+            labels = self.labels(side)
+            table = self.__dict__[name] = dict(zip(labels, range(len(labels))))
         try:
-            return self._index[side][key]  # type: ignore[attr-defined]
+            return table[key]
         except KeyError:
             raise UnknownLabelError(f"no {side} element named {key!r}") from None
 
@@ -550,9 +551,15 @@ class BinaryRelation:
         """Every ``column_bits``; the matrix is transposed once per relation."""
         cols = self.__dict__.get("_columns")
         if cols is None:
-            flat = "".join(self.bit_rows())
-            v_size = self.v_size
-            cols = tuple(digits_row(flat[j::v_size]) for j in range(v_size))
+            # Row i is the whole-byte lane at bits [i * width, (i + 1) * width)
+            # of one int, so in its binary text (most significant digit first)
+            # bit j of the rows, last row first, sits every width characters
+            # from width - 1 - j: each column is one slice and one int(…, 2).
+            lane = (self.v_size + 7) >> 3
+            width = lane << 3
+            lanes = map(int.to_bytes, self.rows, repeat(lane), repeat("little"))
+            text = format(int.from_bytes(b"".join(lanes), "little"), f"0{self.u_size * width}b")
+            cols = tuple(int(text[width - 1 - j :: width], 2) for j in range(self.v_size))
             self.__dict__["_columns"] = cols
         return cols
 

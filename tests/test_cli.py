@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import io
 import json
 import os
 import random
@@ -61,6 +62,47 @@ def run_cli(capsys, *argv: str):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class ShortWrites(io.RawIOBase):
+    """A raw stdout that takes at most ``step`` bytes per write (none, and
+    returns None, when ``step`` is None) and raises ``BrokenPipeError`` once
+    it holds ``limit`` bytes; ``fd`` stands in for its file descriptor."""
+
+    def __init__(self, fd: int, step: int | None, limit: int | None):
+        self.fd, self.step, self.limit = fd, step, limit
+        self.taken = bytearray()
+
+    def writable(self) -> bool:
+        return True
+
+    def fileno(self) -> int:
+        return self.fd
+
+    def write(self, data) -> int | None:
+        if self.step is None:
+            return None
+        if self.limit is not None and len(self.taken) >= self.limit:
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        room = len(data) if self.limit is None else self.limit - len(self.taken)
+        chunk = bytes(data[: min(self.step, room)])
+        self.taken += chunk
+        return len(chunk)
+
+
+# A report and a generated file of several pieces each; "BIG" stands for a
+# 3000x64 relation file, written by large_argv.
+LARGE_OUTPUTS = pytest.mark.parametrize(
+    "argv",
+    [["neighbors", "BIG", "--format", "json"], ["gen", "--u", "3000", "--v", "64"]],
+    ids=["neighbors-json", "gen"],
+)
+
+
+def large_argv(tmp_path: Path, argv: list[str]) -> list[str]:
+    path = tmp_path / "big.rel"
+    path.write_text(formats.render_relation_file(lab.random_relation(3000, 64, 0.5, 1, 0)), encoding="utf-8")
+    return [str(path) if arg == "BIG" else arg for arg in argv]
 
 
 def check_golden(name: str, text: str) -> None:
@@ -238,6 +280,57 @@ class TestExitCodes:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 2
         assert err == f"error: {BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))}\n"
+
+    @LARGE_OUTPUTS
+    def test_unbuffered_full_reader_gets_every_byte(self, tmp_path, argv):
+        argv = large_argv(tmp_path, argv)
+        outputs = []
+        for buffered in (True, False):
+            env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+            if not buffered:
+                env["PYTHONUNBUFFERED"] = "1"
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", "from birough.cli import run; run()", *argv],
+                capture_output=True,
+                env=env,
+                timeout=60,
+            )
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            outputs.append(proc.stdout)
+        assert len(outputs[0]) > 4 * formats._BATCH
+        assert outputs[0] == outputs[1]
+
+    @LARGE_OUTPUTS
+    @pytest.mark.parametrize("limit", [None, 100_000], ids=["full-reader", "closed-mid-output"])
+    def test_short_raw_writes(self, capsys, monkeypatch, tmp_path, argv, limit):
+        # Unbuffered stdout: a text layer straight on a raw file that takes
+        # at most 4099 bytes per write, then breaks once `limit` bytes are in.
+        argv = large_argv(tmp_path, argv)
+        expected = run_cli(capsys, *argv)[1].encode()
+        raw = ShortWrites(os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT), 4099, limit)
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=True))
+        try:
+            code, _, err = run_cli(capsys, *argv)
+        finally:
+            os.close(raw.fd)
+        if limit is None:
+            assert (code, err, bytes(raw.taken)) == (0, "", expected)
+        else:
+            assert len(expected) > limit and bytes(raw.taken) == expected[:limit]
+            assert code == 2
+            assert err == f"error: {BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))}\n"
+
+    def test_full_nonblocking_stdout_is_two(self, capsys, monkeypatch, tmp_path):
+        # A raw write that takes nothing and returns None (non-blocking
+        # stdout, pipe full) must not be retried forever.
+        raw = ShortWrites(os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT), None, None)
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, write_through=True))
+        try:
+            code, _, err = run_cli(capsys, "approx", SAMPLE, "--set", "y1")
+        finally:
+            os.close(raw.fd)
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
 
     def test_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -493,6 +493,44 @@ class TestJsonWriter:
         assert size > 500_000
         assert peak < 0.5 * size
 
+    def test_streamed_neighbors_memory_is_a_fraction_of_the_output(self):
+        # The relation of test_neighbors_report_memory_is_linear: one class
+        # per row, so no neighborhood list recurs and the writer keeps no
+        # member's text once it is written.
+        n = 10000
+        rows = tuple(random.Random(5).sample(range(1 << 40), n))
+        rel = BinaryRelation(canonical_universes(n, 40), rows)
+        report = build_neighbors_report(rel, "tall.rel")
+        size = 0
+        tracemalloc.start()
+        try:
+            for piece in iter_report(report, "json"):
+                size += len(piece)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 5_000_000
+        assert peak < 0.25 * size
+
+    @pytest.mark.parametrize("available", [True, False], ids=["c-encoder", "no-c-encoder"])
+    def test_members_that_recur_are_encoded_once_per_container(self, available):
+        # Many keys and list slots hold one of three list objects, in runs
+        # and interleaved, one of them also inside a nested list.
+        lists = [[f"y{j}" for j in range(k)] for k in (1, 2, 3)]
+        body = {
+            "by_key": {f"x{i}": lists[i % 3] for i in range(50)},
+            "slots": [lists[i % 2] for i in range(9)] + [lists[2], [lists[0]], lists[0], "leaf"],
+            "once": {"a": lists[1], "b": [1, 2]},
+        }
+        report = AnalysisReport("neighbors", body)
+        with c_encoder(available), mock.patch.object(formats, "_flat_text", wraps=formats._flat_text) as flat:
+            text = "".join(iter_report(report, "json"))
+        assert text == json.dumps(report.to_obj(), sort_keys=True, indent=2) + "\n"
+        encoded = [call.args[0] for call in flat.call_args_list]
+        # by_key, slots and the list nested in slots.
+        assert sum(value is lists[0] for value in encoded) == 3
+        assert sum(value is lists[1] for value in encoded) == 3
+
 
 class TestNeighborsReport:
     @given(relations(max_u=6, max_v=6) | relations(u_sizes=WIDE_U_SIZES, max_v=6))

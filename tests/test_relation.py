@@ -118,6 +118,26 @@ class TestUniversePair:
         with pytest.raises(UnknownLabelError):
             universes.index(Side.U, 5)
 
+    def test_label_index_is_built_per_side_on_first_lookup(self):
+        labels = (("x1", "x2", "x3"), ("y1", "y2"))
+        up, twin = UniversePair(*labels), UniversePair(*labels)
+        seen = (hash(up), repr(up))
+        assert vars(up).keys() == {"u_labels", "v_labels"}
+        assert up.index(Side.V, 1) == 1 and up.index(Side.U, 2) == 2
+        assert vars(up).keys() == {"u_labels", "v_labels"}
+        assert [up.index(Side.V, label) for label in labels[1]] == [0, 1]
+        assert len(vars(up)) == 3
+        for side, missing in ((Side.U, "y1"), (Side.V, "x1")):
+            with pytest.raises(UnknownLabelError) as exc:
+                up.index(side, missing)
+            assert str(exc.value) == f"no {side} element named {missing!r}"
+        with pytest.raises(UnknownLabelError) as exc:
+            up.index(Side.U, 3)
+        assert str(exc.value) == "index 3 out of range for universe U"
+        assert [up.index(Side.U, label) for label in labels[0]] == [0, 1, 2]
+        assert len(vars(up)) == 4
+        assert up == twin and twin == up and (hash(up), repr(up)) == seen == (hash(twin), repr(twin))
+
 
 class TestSubset:
     def test_labels_render_in_universe_order(self, universes):
@@ -309,6 +329,23 @@ class TestNeighborhoods:
             assert set(rel.right_neighborhood(i).indices()) == right
         for j in range(rel.v_size):
             assert set(rel.left_neighborhood(j).indices()) == naive_left(matrix, j)
+
+
+class TestColumns:
+    @pytest.mark.parametrize("v_size", [1, 7, 8, 9, 63, 64, 65, 130])
+    @pytest.mark.parametrize("u_size", [1, 2, 1000, 8000])
+    def test_columns_match_a_naive_transpose(self, u_size, v_size):
+        # Lane widths on both sides of each byte boundary; an all-zero and an
+        # all-one row, and their complements, so a one-row relation is each.
+        full = (1 << v_size) - 1
+        rng = random.Random(u_size * 1000 + v_size)
+        rows = [0, full, *(rng.getrandbits(v_size) for _ in range(u_size - 2))][:u_size]
+        for cells in (rows, [full ^ row for row in rows]):
+            rel = BinaryRelation(canonical_universes(u_size, v_size), tuple(cells))
+            expected = tuple(
+                int("".join(map(str, reversed(column))), 2) for column in zip(*matrix_of(rel))
+            )
+            assert rel.columns() == expected
 
 
 class TestSolitaryAndSerial:
