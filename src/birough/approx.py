@@ -13,11 +13,17 @@ form of its own: the OR-fold of min(R, Y) is the set form's "the row meets
 Y" test itself, so its independent route is the union of Y's columns.  The
 routes must agree bit for bit; the verification lab and the test suite
 cross-check them.
+
+``lower_table`` and ``upper_table`` run the set form for many V-subsets at
+once, each in one lane of a packed int, in one pass over the rows; the lab's
+law campaigns and seriality check read the operators through them.
 """
 
 from __future__ import annotations
 
+import sys
 from enum import IntEnum
+from itertools import repeat
 from operator import eq
 from typing import Callable, Sequence
 
@@ -29,6 +35,7 @@ from .relation import (
     Subset,
     iter_bits,
     mask_of_flags,
+    pack_lanes,
     record,
 )
 
@@ -44,6 +51,8 @@ __all__ = [
     "approximate",
     "lower_bits",
     "upper_bits",
+    "lower_table",
+    "upper_table",
     "lower_nonempty",
     "upper_covers",
     "OperatorMemo",
@@ -128,6 +137,85 @@ def upper_bits(rows: Sequence[int], y_bits: int) -> int:
     return out
 
 
+# The memoryview.cast format of a lane of 1, 2, 4 or 8 bytes.
+_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _ys_in_lanes(rows: Sequence[int], ys: Sequence[int]) -> tuple[int, int, int] | None:
+    """``ys`` one per lane, for the tables: (packed, ones, lane bytes).
+
+    A lane is the narrowest of 8, 16, 32 or 64 bits that holds a flag bit
+    for each row and a guard bit above every V bit of the rows and of
+    ``ys``; None when no lane is that wide.  ``ones`` has 1 in every lane.
+    """
+    top = 0
+    for row in rows:
+        top |= row
+    for nbytes in (1, 2, 4, 8):
+        bits = 8 * nbytes
+        if bits < len(rows) or bits <= top.bit_length():
+            continue
+        # A V-mask too wide for the lane (or negative) fails to pack or
+        # reaches its guard bit.
+        try:
+            lanes = pack_lanes(ys, nbytes)
+        except OverflowError:
+            continue
+        ones = int.from_bytes((1).to_bytes(nbytes, "little") * len(ys), "little")
+        if not lanes & ones << bits - 1:
+            return lanes, ones, nbytes
+    return None
+
+
+def _unpacked(flags: int, count: int, nbytes: int) -> list[int]:
+    """The ``count`` lanes of ``flags``, lane k as entry k."""
+    raw = flags.to_bytes(count * nbytes, sys.byteorder)
+    lanes = memoryview(raw).cast(_LANE_FORMATS[nbytes]).tolist()
+    # Read big-endian, the lanes come out last first.
+    return lanes if sys.byteorder == "little" else lanes[::-1]
+
+
+def lower_table(rows: Sequence[int], ys: Sequence[int]) -> list[int]:
+    """``[lower_bits(rows, y) for y in ys]``, every V-mask of ``ys`` at once.
+
+    With |U| and the V bits under ``SHIFT_WIDTH`` each V-mask Y sits in one
+    lane of a packed int S, and one pass over the rows tabulates them all:
+    row i lies within Y when its lane of (S & row) ^ row is zero, and that
+    lane's guard flag shifts down to bit i.  Otherwise ``lower_bits`` runs
+    per V-mask.
+    """
+    lanes = _ys_in_lanes(rows, ys) if ys else None
+    if lanes is None:
+        return list(map(lower_bits, repeat(rows), ys))
+    packed, ones, nbytes = lanes
+    top = 8 * nbytes - 1
+    guard = ones << top
+    out = 0
+    for i, row in enumerate(rows):
+        spread = row * ones
+        out |= (guard - (packed & spread ^ spread) & guard) >> top - i
+    return _unpacked(out, len(ys), nbytes)
+
+
+def upper_table(rows: Sequence[int], ys: Sequence[int]) -> list[int]:
+    """``[upper_bits(rows, y) for y in ys]``, every V-mask of ``ys`` at once.
+
+    Packed as ``lower_table`` packs: row i meets Y when its lane of S & row
+    is non-zero, which carries into the lane's guard bit.
+    """
+    lanes = _ys_in_lanes(rows, ys) if ys else None
+    if lanes is None:
+        return list(map(upper_bits, repeat(rows), ys))
+    packed, ones, nbytes = lanes
+    top = 8 * nbytes - 1
+    guard = ones << top
+    below = guard - ones
+    out = 0
+    for i, row in enumerate(rows):
+        out |= ((packed & row * ones) + below & guard) >> top - i
+    return _unpacked(out, len(ys), nbytes)
+
+
 def lower_nonempty(rows: Sequence[int], y_bits: int) -> bool:
     """Whether the lower approximation is non-empty: some row lies within Y.
 
@@ -149,8 +237,8 @@ class OperatorMemo(dict):
 
     One per-V-mask kernel of one relation, memoised by V-mask: a U-mask
     operator (``lower_bits``, ``upper_bits``) or a fact (``lower_nonempty``,
-    ``upper_covers``).  The law campaigns and the family laws read the same
-    sets' approximations many times.
+    ``upper_covers``).  The family laws read the same index sets' two facts
+    many times (``FamilyApprox.union_facts``).
     """
 
     def __init__(self, kernel: Callable[[Sequence[int], int], object], rows: Sequence[int]):

@@ -6,7 +6,9 @@ string-keyed seeds, so a stream is reproducible regardless of consumption
 order, and the relation, subset, and dimension streams never share state.
 Relations and dimensions are derived per item; a sampled law campaign draws
 all of one relation's V-subsets from one stream keyed by its seed and |V|.
-The type-table sweeps and the witness search walk each distinct (|V|, row
+A law campaign reads lower and upper through ``lower_table``/``upper_table``
+and checks the laws as packed lanes, walking one subset at a time only what
+that check does not clear.  The type-table sweeps and the witness search walk each distinct (|V|, row
 set) once (``_row_set_relations``) through one subset-pair sweep
 (``_first_witnesses``).  Every exhaustive check is refused before any work
 by one rule, ``_pair_work``: relations walked * (4**|V| + ``RELATION_PAIRS``)
@@ -16,14 +18,19 @@ at most ``EXHAUSTIVE_PAIR_CAP``.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, combinations, product, repeat
 from math import comb
-from operator import and_, or_
+from operator import and_, eq, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .approx import OperatorMemo, RoughType, lower_bits, type_code, upper_bits
+from .approx import RoughType, lower_table, type_code, upper_table
+
+# Unused here since the law campaigns read the tables, but the benchmark's
+# tracer (perfbench/tracer.py) still wraps these two names in this module.
+from .approx import lower_bits, upper_bits  # noqa: F401
 from .relation import (
+    SHIFT_WIDTH,
     BinaryRelation,
     BiroughError,
     Side,
@@ -31,6 +38,7 @@ from .relation import (
     Subset,
     UniversePair,
     iter_bits,
+    pack_lanes,
     record,
 )
 
@@ -74,9 +82,9 @@ EXHAUSTIVE_PAIR_CAP = 2**26
 # law check at 40x9 (_suspect_groups), 0.03-0.05 us at 40x12, and about
 # 0.1 us in a table sweep at 40x9.
 RELATION_PAIRS = 256
-# Most bits of one packed int in the exhaustive law check: a table's lanes
-# are packed in blocks of 2**m whole lanes under it (one lane when a lane
-# alone is wider), so a tall relation never builds a huge int.
+# Most bits of one packed int in the packed law checks and the seriality
+# check: lanes are packed in blocks of whole lanes under it (one lane when a
+# lane alone is wider), so a tall relation never builds a huge int.
 LANE_BLOCK_BITS = 2**18
 # Largest |V| at which the seriality biconditional scans the whole power set.
 SERIAL_ENUM_CAP = 20
@@ -169,7 +177,7 @@ def random_subset_bits(v_size: int, seed: int, count: int) -> list[int]:
     call, so a shorter draw is a prefix of a longer one.
     """
     rng = _stream_rng(seed, "subset", v_size)
-    return [rng.getrandbits(v_size) for _ in range(count)]
+    return list(map(rng.getrandbits, repeat(v_size, count)))
 
 
 def random_campaign(
@@ -203,6 +211,12 @@ ALGEBRAIC_LAWS = (
     "monotonicity",
     "join-lower-meet-upper-bounds",
     "complement-duality",
+)
+# The laws checked at subset pairs.
+PAIR_LAWS = (
+    "meet-lower-join-upper-distributivity",
+    "monotonicity",
+    "join-lower-meet-upper-bounds",
 )
 
 
@@ -284,11 +298,9 @@ def _lane_masks(
     return nbytes, m, full, clear, tuple(c ^ lane_mask for c in clear)
 
 
-def _packed_blocks(table: Sequence[int], nbytes: int, m: int) -> list[int]:
-    """``table`` packed as ``_lane_masks`` lays it out, one int per block."""
-    packed = b"".join(map(int.to_bytes, table, repeat(nbytes), repeat("little")))
-    step = nbytes << m
-    return [int.from_bytes(packed[i : i + step], "little") for i in range(0, len(packed), step)]
+def _packed_blocks(values: Sequence[int], nbytes: int, lanes: int) -> list[int]:
+    """``values`` packed in lanes of ``nbytes`` bytes, ``lanes`` lanes per int."""
+    return [pack_lanes(values[i : i + lanes], nbytes) for i in range(0, len(values), lanes)]
 
 
 def _suspect_groups(
@@ -312,7 +324,7 @@ def _suspect_groups(
     tests the groups of a table with any other value one by one.
     """
     nbytes, m, full, clear, set_ = _lane_masks(u_size, v_size)
-    los, ups = _packed_blocks(lo, nbytes, m), _packed_blocks(up, nbytes, m)
+    los, ups = _packed_blocks(lo, nbytes, 1 << m), _packed_blocks(up, nbytes, 1 << m)
     shifts = [8 * nbytes << k for k in range(m)]
 
     def spread(x: int) -> int:
@@ -357,39 +369,187 @@ def _suspect_groups(
     yield from sorted(suspects)
 
 
+def _lane_bytes(rel: BinaryRelation) -> int:
+    """Bytes of a lane of the packed single and pair checks: a U-mask or a V-mask."""
+    return (max(rel.u_size, rel.v_size) + 7) // 8
+
+
+def _lane_blocks(
+    tables: Sequence[Sequence[int]], nbytes: int
+) -> Iterator[tuple[int, list[int]]]:
+    """The equal-length ``tables`` as packed lanes, block by block.
+
+    Yields (ones, one int per table): entry k of each table sits in lane k
+    of its block's int, a lane is ``nbytes`` bytes, an int at most
+    ``LANE_BLOCK_BITS`` bits (one lane when a lane alone is wider), and
+    ``ones`` has 1 in each lane of the block.  An entry outside
+    [0, 2**(8 * nbytes)) raises OverflowError.
+    """
+    count = len(tables[0])
+    step = max(1, LANE_BLOCK_BITS // (8 * nbytes))
+    for start in range(0, count, step):
+        lanes = min(step, count - start)
+        ones = int.from_bytes((1).to_bytes(nbytes, "little") * lanes, "little")
+        yield ones, [pack_lanes(t[start : start + lanes], nbytes) for t in tables]
+
+
+def _singles_hold(
+    rel: BinaryRelation,
+    singles: Sequence[int],
+    lo: Sequence[int],
+    up: Sequence[int],
+    lo_c: Sequence[int],
+    up_c: Sequence[int],
+    solitary: int,
+) -> bool:
+    """Whether the six single-subset laws hold at every single, checked as packed lanes.
+
+    Entry k of ``lo``/``up`` is the table at singles[k], of ``lo_c``/``up_c``
+    the table at its complement.  Lane k of a block holds single k, so each
+    law is one expression over whole blocks: a complement is an XOR with
+    ``full``, and a lane is non-zero when it has its top bit, or adding the
+    bits below the top bit carries into it.  The column union of each single
+    is built from ``rel.columns()``, column j put in the lanes whose single
+    holds j, not read off the upper table.  True exactly when every entry
+    lies in [0, U-mask] and the scalar loops would record no violation of
+    these laws.
+    """
+    nbytes = _lane_bytes(rel)
+    top = 8 * nbytes - 1
+    umask, vmask = rel.umask, rel.vmask
+    range_union = reduce(or_, rel.rows)
+    columns = rel.columns()
+    try:
+        for ones, (s, lo_b, up_b, lo_cb, up_cb) in _lane_blocks(
+            (singles, lo, up, lo_c, up_c), nbytes
+        ):
+            high = ones << top
+            low = high - ones
+            full, sol, ru = umask * ones, solitary * ones, range_union * ones
+
+            def nonzero(x: int) -> int:
+                return ((x & low) + low | x) & high
+
+            col_union = 0
+            for j, column in enumerate(columns):
+                col_union |= (s >> j & ones) * column
+            not_lo, not_up = lo_b ^ full, up_b ^ full
+            if (
+                (lo_b | up_b | lo_cb | up_cb | full) != full
+                or up_b ^ col_union
+                | sol & not_lo
+                | up_b & sol
+                | lo_b & (sol ^ full) & not_up
+                | not_lo ^ up_cb
+                | not_up ^ lo_cb
+                or nonzero(not_lo) != nonzero(ru & (s ^ vmask * ones))
+                or nonzero(up_b) != nonzero(s & ru)
+                or solitary and nonzero(lo_b ^ up_b) != high
+            ):
+                return False
+    except OverflowError:
+        return False
+    return True
+
+
+def _pairs_hold(rel: BinaryRelation, lo: Sequence[int], up: Sequence[int]) -> bool:
+    """Whether every drawn pair (a, b) passes the scalar pair test, checked as packed lanes.
+
+    ``lo`` and ``up`` hold the table at each pair's a, then at each b, at
+    each a & b and at each a | b.  Lane k of a block holds pair k, and the
+    conditions of the scalar test are evaluated there, a complement as an
+    XOR with ``full``.  True exactly when every entry lies in [0, U-mask]
+    and the scalar pair loop would record no violation.
+    """
+    nbytes = _lane_bytes(rel)
+    count = len(lo) // 4
+    runs = [t[i : i + count] for t in (lo, up) for i in range(0, 4 * count, count)]
+    umask = rel.umask
+    try:
+        for ones, (la, lb, lm, lj, ua, ub, um, uj) in _lane_blocks(runs, nbytes):
+            full = umask * ones
+            not_lj = lj ^ full
+            if (
+                (la | lb | lm | lj | ua | ub | um | uj | full) != full
+                or lm ^ (la & lb)
+                | uj ^ (ua | ub)
+                | lm & (la ^ full)
+                | la & not_lj
+                | um & (ua ^ full)
+                | ua & (uj ^ full)
+                | (la | lb) & not_lj
+                | um & ((ua & ub) ^ full)
+            ):
+                return False
+    except OverflowError:
+        return False
+    return True
+
+
+def _window_folds(values: list[int], fold: Callable[[int, int], int]) -> list[list[int]]:
+    """``fold`` over each cyclic window of 3, then 4, consecutive values.
+
+    Entry k of a list folds values k, k + 1, ... (mod n); a window wider
+    than n is left out.  Built for every k at once from rotated copies.
+    """
+    folds, acc = [], values
+    for d in range(1, min(len(values), 4)):
+        acc = list(map(fold, acc, values[d:] + values[:d]))
+        if d > 1:
+            folds.append(acc)
+    return folds
+
+
 def verify_algebraic_properties(
     rel: BinaryRelation, *, pairs: int | None = None, seed: int = 0
 ) -> PropertyReport:
     """Check the ten algebraic laws of the approximation operators on one relation.
 
     With ``pairs`` None every V-subset and every subset pair is examined:
-    lower and upper are tabulated once per V-subset (2 * 2**|V| kernel calls)
-    and every law is read from the two tables, the subset pairs (a, b) every b
-    of an a at once, as packed lanes (``_suspect_groups``); ``seed`` is not
-    used, and the one relation must be within the exhaustive work bound (|V|
-    at most 12).
+    lower and upper are tabulated at every V-subset (``lower_table``,
+    ``upper_table``) and every law is read from the two tables, the subset
+    pairs (a, b) every b of an a at once, as packed lanes
+    (``_suspect_groups``); ``seed`` is not used, and the one relation must
+    be within the exhaustive work bound (|V| at most 12).
     Otherwise ``pairs`` (at least 1) subset pairs are drawn from the subset
-    stream of ``seed`` and |V|, which works at any |V|, and each operator is
-    memoised on the subsets the draws touch.
+    stream of ``seed`` and |V|, which works at any |V|.  The singles are the
+    drawn subsets, the empty set and V, and the tables are read at them,
+    their complements, each pair's subsets, meet and join, and the windows'
+    meets and joins.
 
-    A violation is reported with a witness, never raised; every law of this
-    batch is a theorem, so any violation indicates an implementation bug.
+    The single-subset laws (``_singles_hold``) and the drawn pairs
+    (``_pairs_hold``) are first checked as packed lanes.  Only what a packed
+    check does not clear, which includes any table entry outside
+    [0, U-mask], is walked one subset at a time, so the violations and
+    their order are those of that walk.  A violation is reported with a
+    witness, never raised; every law of this batch is a theorem, so any
+    violation indicates an implementation bug.
     """
     rows = rel.rows
     v_size = rel.v_size
     vmask = rel.vmask
     umask = rel.umask
 
-    # The subset pairs come in (a, bs) groups: every b for each a when
-    # exhaustive, one drawn (a, b) pair per group, in draw order, when sampled.
+    # lo/up are read as lo[y] by the scalar pair loop: the tables themselves
+    # when exhaustive, a dict over the tabulated subsets when sampled.  The
+    # subset pairs come in (a, bs) groups: every b for each a when
+    # exhaustive, one drawn (a, b) pair per group, in draw order, when
+    # sampled.  Entry k of lo_singles/lo_comps is lower at singles[k] and at
+    # its complement, and lo_windows holds lower at the meets of the windows
+    # of 3, then 4, singles from k on (see _window_folds); likewise up_*
+    # with upper and the windows' joins.
     lo: Sequence[int] | Mapping[int, int]
     up: Sequence[int] | Mapping[int, int]
     groups: Iterable[tuple[int, Sequence[int]]]
     if pairs is None:
         _pair_work(0, 1, v_size, f"an exhaustive law campaign at |V| = {v_size}")
         singles: Sequence[int] = range(1 << v_size)
-        lo = [lower_bits(rows, s) for s in singles]
-        up = [upper_bits(rows, s) for s in singles]
+        lo, up = lower_table(rows, singles), upper_table(rows, singles)
+        # The complement of singles[k] is singles[-1 - k].
+        lo_singles, up_singles, lo_comps, up_comps = lo, up, lo[::-1], up[::-1]
+        ring = list(singles)
+        lo_windows = [list(map(lo.__getitem__, m)) for m in _window_folds(ring, and_)]
+        up_windows = [list(map(up.__getitem__, j)) for j in _window_folds(ring, or_)]
         # Only the groups the packed check cannot clear reach the scalar test.
         # The check runs at the first group, after the single-subset laws.  It
         # needs every entry in [0, U-mask]; a kernel that returns any other
@@ -402,21 +562,39 @@ def verify_algebraic_properties(
         if pairs < 1:
             raise ConfigError(f"a sampled law campaign needs pairs >= 1, got {pairs}")
         draws = random_subset_bits(v_size, seed, 2 * pairs)
-        singles = sorted(set(draws) | {0, vmask})
-        lo, up = OperatorMemo(lower_bits, rows), OperatorMemo(upper_bits, rows)
-        groups = ((a, (b,)) for a, b in zip(draws[0::2], draws[1::2]))
+        singles = sorted({0, vmask, *draws})
+        n = len(singles)
+        a_s, b_s = draws[0::2], draws[1::2]
+        # Both tables are read at the singles, their complements, each pair's
+        # a, b, meet and join (four runs), then lower at the windows' meets
+        # and upper at their joins.
+        head = [*singles, *map(vmask.__xor__, singles), *a_s, *b_s]
+        head += [*map(and_, a_s, b_s), *map(or_, a_s, b_s)]
+        lo_ys = head + list(chain.from_iterable(_window_folds(singles, and_)))
+        up_ys = head + list(chain.from_iterable(_window_folds(singles, or_)))
+        lo_table, up_table = lower_table(rows, lo_ys), upper_table(rows, up_ys)
+        lo_singles, lo_comps = lo_table[:n], lo_table[n : 2 * n]
+        up_singles, up_comps = up_table[:n], up_table[n : 2 * n]
+        end = 2 * n + 4 * pairs
+        lo_windows = [lo_table[i : i + n] for i in range(end, len(lo_table), n)]
+        up_windows = [up_table[i : i + n] for i in range(end, len(up_table), n)]
+        if _pairs_hold(rel, lo_table[2 * n : end], up_table[2 * n : end]):
+            groups = ()
+        else:
+            lo, up = dict(zip(lo_ys, lo_table)), dict(zip(up_ys, up_table))
+            groups = ((a, (b,)) for a, b in zip(a_s, b_s))
         n_pairs = pairs
 
     solitary = rel.solitary_set().bits
-    sprime = umask ^ solitary
-    columns = rel.columns()
-    range_union = 0
-    for row in rows:
-        range_union |= row
-
-    relation_repr = "|".join(rel.bit_rows())
-    instances = {law: 0 for law in ALGEBRAIC_LAWS}
+    n = len(singles)
+    instances = dict.fromkeys(ALGEBRAIC_LAWS, n)
+    instances["empty-and-full-values"] = 1
+    instances["solitary-forces-strict-gap"] = n if solitary else 0
+    for law in PAIR_LAWS:
+        instances[law] = n_pairs
+    instances["meet-lower-join-upper-distributivity"] += n * len(lo_windows)
     violations: dict[str, list[Violation]] = {law: [] for law in ALGEBRAIC_LAWS}
+    relation_repr = ""
 
     def u_str(bits: int) -> str:
         if 0 <= bits <= umask:
@@ -427,76 +605,69 @@ def verify_algebraic_properties(
         return str(Subset(rel.universes, Side.V, bits))
 
     def record(law: str, subsets: tuple[int, ...], expected: str, got: str) -> None:
+        nonlocal relation_repr
+        # Built at the first violation; a relation that holds never needs it.
+        relation_repr = relation_repr or "|".join(rel.bit_rows())
         violations[law].append(
             Violation(law, relation_repr, tuple(v_str(s) for s in subsets), expected, got)
         )
 
+    # The empty set is the first single and V the last.
     law = "empty-and-full-values"
-    instances[law] += 1
-    if lo[0] != solitary:
-        record(law, (0,), f"lower(empty) = {u_str(solitary)}", u_str(lo[0]))
-    if up[0] != 0:
-        record(law, (0,), "upper(empty) = {}", u_str(up[0]))
-    if lo[vmask] != umask:
-        record(law, (vmask,), f"lower(V) = {u_str(umask)}", u_str(lo[vmask]))
-    if up[vmask] != sprime:
-        record(law, (vmask,), f"upper(V) = {u_str(sprime)}", u_str(up[vmask]))
+    if lo_singles[0] != solitary:
+        record(law, (0,), f"lower(empty) = {u_str(solitary)}", u_str(lo_singles[0]))
+    if up_singles[0] != 0:
+        record(law, (0,), "upper(empty) = {}", u_str(up_singles[0]))
+    if lo_singles[-1] != umask:
+        record(law, (vmask,), f"lower(V) = {u_str(umask)}", u_str(lo_singles[-1]))
+    sprime = umask ^ solitary
+    if up_singles[-1] != sprime:
+        record(law, (vmask,), f"upper(V) = {u_str(sprime)}", u_str(up_singles[-1]))
 
-    for s in singles:
-        lo_s, up_s = lo[s], up[s]
+    if not _singles_hold(rel, singles, lo_singles, up_singles, lo_comps, up_comps, solitary):
+        columns = rel.columns()
+        range_union = reduce(or_, rows)
+        for s, lo_s, up_s, lo_c, up_c in zip(singles, lo_singles, up_singles, lo_comps, up_comps):
+            law = "upper-is-union-of-left-neighborhoods"
+            col_union = 0
+            for j in iter_bits(s):
+                col_union |= columns[j]
+            if up_s != col_union:
+                record(law, (s,), u_str(col_union), u_str(up_s))
 
-        law = "upper-is-union-of-left-neighborhoods"
-        instances[law] += 1
-        col_union = 0
-        for j in iter_bits(s):
-            col_union |= columns[j]
-        if up_s != col_union:
-            record(law, (s,), u_str(col_union), u_str(up_s))
+            law = "solitary-bounds"
+            if solitary & ~lo_s or up_s & solitary:
+                record(
+                    law,
+                    (s,),
+                    "solitary within lower and disjoint from upper",
+                    f"lower={u_str(lo_s)} upper={u_str(up_s)}",
+                )
 
-        law = "solitary-bounds"
-        instances[law] += 1
-        if solitary & ~lo_s or up_s & solitary:
-            record(
-                law,
-                (s,),
-                "solitary within lower and disjoint from upper",
-                f"lower={u_str(lo_s)} upper={u_str(up_s)}",
-            )
+            law = "lower-minus-solitary-within-upper"
+            if lo_s & ~solitary & ~up_s:
+                record(law, (s,), "lower minus solitary within upper", u_str(lo_s & ~solitary))
 
-        law = "lower-minus-solitary-within-upper"
-        instances[law] += 1
-        if lo_s & ~solitary & ~up_s:
-            record(law, (s,), "lower minus solitary within upper", u_str(lo_s & ~solitary))
+            law = "full-lower-and-empty-upper-criteria"
+            if (lo_s == umask) != (range_union & ~s == 0):
+                record(law, (s,), "lower full iff union of rows within the set", u_str(lo_s))
+            if (up_s == 0) != (s & range_union == 0):
+                record(law, (s,), "upper empty iff the set avoids every row", u_str(up_s))
 
-        law = "full-lower-and-empty-upper-criteria"
-        instances[law] += 1
-        if (lo_s == umask) != (range_union & ~s == 0):
-            record(law, (s,), "lower full iff union of rows within the set", u_str(lo_s))
-        if (up_s == 0) != (s & range_union == 0):
-            record(law, (s,), "upper empty iff the set avoids every row", u_str(up_s))
+            if solitary:
+                law = "solitary-forces-strict-gap"
+                if lo_s == up_s:
+                    record(law, (s,), "lower differs from upper", u_str(lo_s))
 
-        if solitary:
-            law = "solitary-forces-strict-gap"
-            instances[law] += 1
-            if lo_s == up_s:
-                record(law, (s,), "lower differs from upper", u_str(lo_s))
+            law = "complement-duality"
+            if (lo_s ^ umask) != up_c or (up_s ^ umask) != lo_c:
+                record(
+                    law,
+                    (s,),
+                    "complement of lower is upper of complement (and dually)",
+                    f"lower={u_str(lo_s)} upper={u_str(up_s)}",
+                )
 
-        law = "complement-duality"
-        instances[law] += 1
-        if (lo_s ^ umask) != up[s ^ vmask] or (up_s ^ umask) != lo[s ^ vmask]:
-            record(
-                law,
-                (s,),
-                "complement of lower is upper of complement (and dually)",
-                f"lower={u_str(lo_s)} upper={u_str(up_s)}",
-            )
-
-    for law in (
-        "meet-lower-join-upper-distributivity",
-        "monotonicity",
-        "join-lower-meet-upper-bounds",
-    ):
-        instances[law] += n_pairs
     for a, bs in groups:
         lo_a, up_a = lo[a], up[a]
         for b in bs:
@@ -538,34 +709,20 @@ def verify_algebraic_properties(
                 record(law, (a, b), u_str(up_a & up_b), u_str(up_meet))
 
     # Cyclic windows of 3, then 4, consecutive singles give deterministic
-    # mixed families without another exponential sweep.  Window k's meet,
-    # join and operator folds are built for every k at once from rotated
-    # copies of the singles and of their lower/upper values.
+    # mixed families without another exponential sweep: lower at each
+    # window's meet against the meet of its lowers, upper at its join against
+    # the join of its uppers.
     law = "meet-lower-join-upper-distributivity"
-    ring = list(singles)
-    n = len(ring)
-    lo_ring = list(map(lo.__getitem__, ring))
-    up_ring = list(map(up.__getitem__, ring))
-    meets, joins, lo_meets, up_joins = ring, ring, lo_ring, up_ring
-    for d in range(1, min(n, 4)):
-        meets = list(map(and_, meets, ring[d:] + ring[:d]))
-        joins = list(map(or_, joins, ring[d:] + ring[:d]))
-        lo_meets = list(map(and_, lo_meets, lo_ring[d:] + lo_ring[:d]))
-        up_joins = list(map(or_, up_joins, up_ring[d:] + up_ring[:d]))
-        if d == 1:
-            continue
-        # The windows of d + 1 singles.
-        instances[law] += n
-        lo_got = list(map(lo.__getitem__, meets))
-        up_got = list(map(up.__getitem__, joins))
-        if lo_got == lo_meets and up_got == up_joins:
+    lo_folds, up_folds = _window_folds(lo_singles, and_), _window_folds(up_singles, or_)
+    for size, lo_w, up_w, lo_f, up_f in zip((3, 4), lo_windows, up_windows, lo_folds, up_folds):
+        if lo_w == lo_f and up_w == up_f:
             continue
         for k in range(n):
-            family = tuple(ring[(k + i) % n] for i in range(d + 1))
-            if lo_got[k] != lo_meets[k]:
-                record(law, family, u_str(lo_meets[k]), u_str(lo_got[k]))
-            if up_got[k] != up_joins[k]:
-                record(law, family, u_str(up_joins[k]), u_str(up_got[k]))
+            family = tuple(singles[(k + i) % n] for i in range(size))
+            if lo_w[k] != lo_f[k]:
+                record(law, family, u_str(lo_f[k]), u_str(lo_w[k]))
+            if up_w[k] != up_f[k]:
+                record(law, family, u_str(up_f[k]), u_str(up_w[k]))
 
     return PropertyReport(
         tuple(
@@ -581,16 +738,26 @@ def verify_serial_iff(rel: BinaryRelation) -> bool:
     Up to ``SERIAL_ENUM_CAP`` V elements every subset is tried.  Above it the
     check tries the empty set, V, every singleton and every singleton's
     complement; Y = V is the constructive witness, since lower(V) = U and
-    upper(V) = U iff the relation is serial.
+    upper(V) = U iff the relation is serial.  The subsets are tabulated in
+    order, in chunks of 64 subsets and then twice as many each time, and the
+    search stops at the first chunk with a subset whose approximations are
+    equal.
     """
     rows = rel.rows
     if rel.v_size <= SERIAL_ENUM_CAP:
-        subsets: Iterable[int] = range(1 << rel.v_size)
+        subsets: Sequence[int] = range(1 << rel.v_size)
     else:
         vmask = rel.vmask
         singletons = [1 << j for j in range(rel.v_size)]
-        subsets = chain((0, vmask), singletons, (vmask ^ s for s in singletons))
-    exists = any(lower_bits(rows, s) == upper_bits(rows, s) for s in subsets)
+        subsets = [0, vmask, *singletons, *(vmask ^ s for s in singletons)]
+    exists = False
+    start, step = 0, 64
+    while not exists and start < len(subsets):
+        chunk = subsets[start : start + step]
+        exists = any(map(eq, lower_table(rows, chunk), upper_table(rows, chunk)))
+        # A table's lanes are at most SHIFT_WIDTH bits, so a chunk's packed
+        # int stays within LANE_BLOCK_BITS.
+        start, step = start + step, min(2 * step, LANE_BLOCK_BITS // SHIFT_WIDTH)
     return exists == rel.is_serial()
 
 

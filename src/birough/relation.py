@@ -32,6 +32,7 @@ __all__ = [
     "mask_members",
     "mask_of_flags",
     "mask_of_indices",
+    "pack_lanes",
     "row_digits",
     "digits_row",
     "valid_label",
@@ -173,6 +174,25 @@ def mask_of_indices(indices: Iterable[int], width: int) -> int:
     packed = bytearray((width + 7) >> 3)
     for i in indices:
         packed[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(packed, "little")
+
+
+def pack_lanes(values: Sequence[int], nbytes: int) -> int:
+    """The int whose lane k, bits [8 * nbytes * k, 8 * nbytes * (k + 1)), is values[k].
+
+    A value outside [0, 2**(8 * nbytes)) raises OverflowError.  Values all
+    under 256 take one ``bytes`` call and one strided copy, where wider ones
+    take an ``int.to_bytes`` call each.
+    """
+    try:
+        packed = bytes(values)
+    except ValueError:
+        packed = b"".join(map(int.to_bytes, values, repeat(nbytes), repeat("little")))
+    else:
+        if nbytes > 1:
+            lanes = bytearray(len(packed) * nbytes)
+            lanes[::nbytes] = packed
+            packed = lanes
     return int.from_bytes(packed, "little")
 
 
@@ -557,8 +577,7 @@ class BinaryRelation:
             # from width - 1 - j: each column is one slice and one int(…, 2).
             lane = (self.v_size + 7) >> 3
             width = lane << 3
-            lanes = map(int.to_bytes, self.rows, repeat(lane), repeat("little"))
-            text = format(int.from_bytes(b"".join(lanes), "little"), f"0{self.u_size * width}b")
+            text = format(pack_lanes(self.rows, lane), f"0{self.u_size * width}b")
             cols = tuple(int(text[width - 1 - j :: width], 2) for j in range(self.v_size))
             self.__dict__["_columns"] = cols
         return cols

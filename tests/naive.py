@@ -8,6 +8,7 @@ two is meaningful.
 from __future__ import annotations
 
 import json
+from itertools import combinations
 
 
 def matrix_of(rel) -> list[list[int]]:
@@ -101,6 +102,19 @@ def naive_quotients(matrix: list[list[int]]) -> tuple[set[frozenset[int]], set[f
         naive_classes(right_sets(matrix)),
         naive_classes([naive_left(matrix, j) for j in range(nv)]),
     )
+
+
+def naive_serial_iff(matrix: list[list[int]]) -> bool:
+    """Some V-subset has equal lower and upper approximations iff every row
+    is non-empty, trying every subset of V."""
+    rs = right_sets(matrix)
+    nv = len(matrix[0])
+    exists = any(
+        all((r <= y) == bool(r & y) for r in rs)
+        for size in range(nv + 1)
+        for y in map(set, combinations(range(nv), size))
+    )
+    return exists == all(rs)
 
 
 def naive_law_campaign(matrix, lower, upper, singles, pairs):

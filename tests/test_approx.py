@@ -18,7 +18,8 @@ from birough import (
     upper_approximation,
     upper_approximation_from_columns,
 )
-from birough.lab import generate_relations
+from birough.approx import lower_table, upper_table
+from birough.lab import canonical_universes, generate_relations, random_relation, random_subset_bits
 from naive import (
     matrix_of,
     naive_lower,
@@ -160,6 +161,33 @@ class TestStrategyAgreement:
         assert set(lower_approximation(rel, y).indices()) == naive_lower(matrix, idx)
         assert set(upper_approximation(rel, y).indices()) == naive_upper(matrix, idx)
         assert int(rough_type(rel, y)) == naive_type(matrix, idx)
+
+
+# Lane widths of the tables: 8, 16, 32 and 64 bits, on both sides of each,
+# and past SHIFT_WIDTH, where the tables run lower_bits/upper_bits per V-mask.
+TABLE_SIZES = (1, 7, 8, 15, 16, 31, 32, 63, 64, 65)
+
+
+class TestTables:
+    @pytest.mark.parametrize("v", TABLE_SIZES)
+    @pytest.mark.parametrize("u", TABLE_SIZES)
+    def test_tables_match_the_naive_operators(self, u, v):
+        rows = list(random_relation(u, v, 0.5, seed=43, index=u * 100 + v).rows)
+        rows[0] = 0
+        rows[-1] |= (1 << v) - 1 if u > 1 else 0
+        rel = BinaryRelation(canonical_universes(u, v), tuple(rows))
+        matrix = matrix_of(rel)
+        vmask = rel.vmask
+        drawn = random_subset_bits(v, u, 12)
+        # 0, V, a repeated entry, and the drawn subsets with their complements.
+        ys = [0, vmask, drawn[0], *drawn, *(y ^ vmask for y in drawn), 0]
+
+        def naive_mask(naive, y):
+            return sum(1 << i for i in naive(matrix, {j for j in range(v) if y >> j & 1}))
+
+        assert lower_table(rel.rows, ys) == [naive_mask(naive_lower, y) for y in ys]
+        assert upper_table(rel.rows, ys) == [naive_mask(naive_upper, y) for y in ys]
+        assert lower_table(rel.rows, []) == upper_table(rel.rows, []) == []
 
 
 class TestAlgebraicShape:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import time
 import tracemalloc
 from functools import partial
@@ -44,6 +45,7 @@ from naive import (
     naive_law_campaign,
     naive_lower,
     naive_saturation_holds,
+    naive_serial_iff,
     naive_type,
     naive_upper,
 )
@@ -231,6 +233,15 @@ PAIR_LAWS = (
     "monotonicity",
     "join-lower-meet-upper-bounds",
 )
+# The laws of one subset each, cleared by lab._singles_hold.
+SINGLE_LAWS = (
+    "upper-is-union-of-left-neighborhoods",
+    "solitary-bounds",
+    "lower-minus-solitary-within-upper",
+    "full-lower-and-empty-upper-criteria",
+    "solitary-forces-strict-gap",
+    "complement-duality",
+)
 
 # Every shape with u*v <= 9, at two densities.
 LAW_RELATIONS = [
@@ -280,15 +291,33 @@ def _on_sets(kernel, rel):
     return _memo(lambda y: _index_set(kernel(rel.rows, sum(1 << j for j in y))))
 
 
+def _per_subset(kernel):
+    """``kernel``, a per-V-mask operator, as a table of V-masks."""
+    return lambda rows, ys: [kernel(rows, y) for y in ys]
+
+
+def _packed_results(monkeypatch):
+    """The results of ``lab``'s packed checks from here on, by check name."""
+    results = {"_singles_hold": [], "_pairs_hold": []}
+    for name, got in results.items():
+        check = getattr(lab, name)
+        monkeypatch.setattr(
+            lab, name, lambda *args, check=check, got=got: got.append(check(*args)) or got[-1]
+        )
+    return results
+
+
 def _naive_violations(monkeypatch, rel, kernels, faulty, n_pairs, seed):
-    """Run the campaign on ``rel`` with ``lab``'s kernels set to ``kernels``
-    and check it against ``naive_law_campaign``: instance counts, and every
-    violation's law and subsets, in order.  The reference reads the same
-    kernels when ``faulty``, else the naive operators.  Returns the
-    reference's (law, subsets) list."""
+    """Run the campaign on ``rel`` with ``lab``'s tables read through
+    ``kernels`` and check it against ``naive_law_campaign``: instance counts,
+    and every violation's law and subsets, in order.  The reference reads the
+    same kernels when ``faulty``, else the naive operators.  Also checks that
+    each packed check clears exactly when the reference finds no violation
+    of its laws.  Returns the reference's (law, subsets) list."""
     lower_bits, upper_bits = kernels
-    monkeypatch.setattr(lab, "lower_bits", lower_bits)
-    monkeypatch.setattr(lab, "upper_bits", upper_bits)
+    monkeypatch.setattr(lab, "lower_table", _per_subset(lower_bits))
+    monkeypatch.setattr(lab, "upper_table", _per_subset(upper_bits))
+    packed = _packed_results(monkeypatch)
     report = lab.verify_algebraic_properties(rel, pairs=n_pairs, seed=seed)
     matrix = matrix_of(rel)
     if faulty:
@@ -313,6 +342,11 @@ def _naive_violations(monkeypatch, rel, kernels, faulty, n_pairs, seed):
         for subsets in failed.get(law, [])
     ]
     assert got == want
+    assert packed["_singles_hold"] == [not any(law in SINGLE_LAWS for law, _ in want)]
+    assert packed["_pairs_hold"] == (
+        [] if n_pairs is None
+        else [not any(law in PAIR_LAWS and len(subsets) == 2 for law, subsets in want)]
+    )
     if n_pairs is None:
         # The packed check clears exactly the groups a with no failing pair.
         tables = [[kernel(rel.rows, s) for s in singles] for kernel in kernels]
@@ -329,7 +363,8 @@ def _naive_violations(monkeypatch, rel, kernels, faulty, n_pairs, seed):
 class TestLawCampaignFaultInjection:
     @pytest.mark.parametrize("make_kernels, caught", LAW_KERNELS, ids=LAW_KERNEL_IDS)
     def test_matches_naive_reference(self, monkeypatch, make_kernels, caught):
-        violated = set()
+        # The laws violated, by scope: sampled (30 pairs) and exhaustive.
+        violated = {30: set(), None: set()}
         for rel in LAW_RELATIONS:
             budgets = [(30, rel.u_size)]
             if rel.v_size <= 5:
@@ -338,8 +373,9 @@ class TestLawCampaignFaultInjection:
                 want = _naive_violations(
                     monkeypatch, rel, make_kernels(rel), caught is not None, n_pairs, seed
                 )
-                violated |= {law for law, _ in want}
-        assert (caught in violated) if caught else not violated
+                violated[n_pairs] |= {law for law, _ in want}
+        for laws in violated.values():
+            assert (caught in laws) if caught else not laws
 
     @pytest.mark.parametrize("make_kernels, caught", LAW_KERNELS, ids=LAW_KERNEL_IDS)
     def test_exhaustive_at_lane_boundaries(self, monkeypatch, make_kernels, caught):
@@ -358,7 +394,7 @@ class TestLawCampaignFaultInjection:
             return bad if s == 2 else approx.upper_bits(rows, s)
 
         rel = LANE_RELATIONS[-1]
-        monkeypatch.setattr(lab, "upper_bits", upper_bits)
+        monkeypatch.setattr(lab, "upper_table", _per_subset(upper_bits))
         report = verify_algebraic_properties(rel, pairs=pairs, seed=2)
         law = report.record("upper-is-union-of-left-neighborhoods")
         assert [(v.subsets, v.got) for v in law.violations] == [
@@ -367,21 +403,23 @@ class TestLawCampaignFaultInjection:
 
     @pytest.mark.parametrize("pairs", [[], ["--pairs", "20"]], ids=["exhaustive", "sampled"])
     @pytest.mark.parametrize(
-        "kernel, fault, law",
+        "side, fault, law",
         [
-            ("upper_bits", lambda bits: -1, "upper-is-union-of-left-neighborhoods"),
-            ("lower_bits", lambda bits: bits | 1 << 5, "empty-and-full-values"),
+            ("upper", lambda bits: -1, "upper-is-union-of-left-neighborhoods"),
+            ("lower", lambda bits: bits | 1 << 5, "empty-and-full-values"),
         ],
         ids=["negative-upper", "lower-past-u"],
     )
     def test_out_of_range_kernel_value_exits_one(
-        self, capsys, monkeypatch, kernel, fault, law, pairs
+        self, capsys, monkeypatch, side, fault, law, pairs
     ):
         # A kernel bug, not bad input: the U-mask it returns for V itself (a
         # subset every campaign examines) of the 5x6 sample is a violation.
-        real = getattr(lab, kernel)
+        real = getattr(approx, f"{side}_bits")
         monkeypatch.setattr(
-            lab, kernel, lambda rows, s: fault(real(rows, s)) if s == 0b111111 else real(rows, s)
+            lab,
+            f"{side}_table",
+            _per_subset(lambda rows, s: fault(real(rows, s)) if s == 0b111111 else real(rows, s)),
         )
         sample = Path(__file__).parent / "data" / "sample5x6.rel"
         assert main(["verify", str(sample), *pairs]) == 1
@@ -417,6 +455,21 @@ class TestLawCampaignFaultInjection:
             faulted += 1
         assert faulted
 
+    @pytest.mark.parametrize("workload_seed", [1, 2])
+    def test_benchmark_campaign_never_walks_scalar(self, monkeypatch, workload_seed):
+        # perfbench's law_campaign: 250 relations up to 10x10, 100 pairs
+        # each.  Both packed checks clear every relation, so no relation
+        # reaches the scalar loops.
+        packed = _packed_results(monkeypatch)
+        seed = random.Random(f"{workload_seed}:law_campaign").randrange(2**31)
+        relations = random_campaign(250, max_u=10, max_v=10, seed=seed)
+        reports = [
+            verify_algebraic_properties(rel, pairs=100, seed=seed + i)
+            for i, rel in enumerate(relations)
+        ]
+        assert merge_property_reports(reports).ok
+        assert packed == {"_singles_hold": [True] * 250, "_pairs_hold": [True] * 250}
+
     def test_packed_check_bit_budget(self):
         # A tall relation splits each packed table into blocks under
         # LANE_BLOCK_BITS: here 64 lanes of 500 bytes, a quarter of the table.
@@ -446,6 +499,52 @@ class TestSerialIff:
             verify_serial_iff(rel)
             for rel in generate_relations(2, 2)
         )
+
+    @pytest.mark.parametrize("v", [12, 13, 14, 15, 16])
+    def test_non_serial_against_naive(self, v):
+        # No subset has equal approximations, so every chunk is read.
+        rows = list(random_relation(6, v, 0.4, seed=37, index=v).rows)
+        rows[2] = 0
+        rel = BinaryRelation(canonical_universes(6, v), tuple(rows))
+        assert verify_serial_iff(rel) == naive_serial_iff(matrix_of(rel))
+
+    def test_stops_at_the_first_chunk_with_a_witness(self, monkeypatch):
+        # For a serial relation the empty set is a witness, in the first chunk.
+        calls = []
+
+        def lower_table(rows, ys):
+            calls.append(len(ys))
+            return approx.lower_table(rows, ys)
+
+        monkeypatch.setattr(lab, "lower_table", lower_table)
+        rel = random_relation(6, 16, 0.5, seed=37, index=0)
+        assert rel.is_serial() and verify_serial_iff(rel)
+        assert calls == [64]
+
+    @pytest.mark.parametrize("v", [12, 14])
+    def test_faulted_kernel_is_caught(self, monkeypatch, v):
+        # A lower that differs from upper at every subset of a serial
+        # relation, and one that equals upper only at V (the last chunk) of
+        # a non-serial one: either way the biconditional fails.
+        serial = random_relation(6, v, 0.5, seed=41, index=v)
+        assert serial.is_serial()
+        monkeypatch.setattr(
+            lab, "lower_table", _per_subset(lambda rows, s: approx.upper_bits(rows, s) ^ 1)
+        )
+        assert not verify_serial_iff(serial)
+
+        rows = list(serial.rows)
+        rows[0] = 0
+        non_serial = BinaryRelation(serial.universes, tuple(rows))
+        vmask = non_serial.vmask
+
+        def lower_bits(rows, s):
+            return approx.upper_bits(rows, s) if s == vmask else approx.lower_bits(rows, s)
+
+        monkeypatch.setattr(lab, "lower_table", _per_subset(lower_bits))
+        assert not verify_serial_iff(non_serial)
+        monkeypatch.setattr(lab, "lower_table", approx.lower_table)
+        assert verify_serial_iff(non_serial)
 
     def test_above_enum_cap(self):
         # above the cap only fixed subsets are tried: Y = V witnesses seriality
