@@ -8,11 +8,11 @@ Relations and dimensions are derived per item; a sampled law campaign draws
 all of one relation's V-subsets from one stream keyed by its seed and |V|.
 A law campaign reads lower and upper through ``lower_table``/``upper_table``
 and checks the laws as packed lanes, walking one subset at a time only what
-that check does not clear.  The type-table sweeps and the witness search walk each distinct (|V|, row
-set) once (``_row_set_relations``) through one subset-pair sweep
-(``_first_witnesses``).  Every exhaustive check is refused before any work
-by one rule, ``_pair_work``: relations walked * (4**|V| + ``RELATION_PAIRS``)
-at most ``EXHAUSTIVE_PAIR_CAP``.
+that check does not clear.  The type-table sweeps and the witness search
+walk each distinct (|V|, row set) once (``_row_set_relations``) through one
+subset-pair sweep (``_first_witnesses``).  Every exhaustive check is refused
+before any work by one rule, ``_pair_work``: relations walked * (4**|V| +
+``RELATION_PAIRS``) at most ``EXHAUSTIVE_PAIR_CAP``.
 """
 
 from __future__ import annotations
