@@ -86,6 +86,10 @@ RELATION_PAIRS = 256
 # check: lanes are packed in blocks of whole lanes under it (one lane when a
 # lane alone is wider), so a tall relation never builds a huge int.
 LANE_BLOCK_BITS = 2**18
+# Drawn pairs per block of a sampled campaign: their tables hold four lanes
+# of at most SHIFT_WIDTH bits per pair, so a block stays within
+# LANE_BLOCK_BITS.
+PAIR_BLOCK = LANE_BLOCK_BITS // (4 * SHIFT_WIDTH)
 # Largest |V| at which the seriality biconditional scans the whole power set.
 SERIAL_ENUM_CAP = 20
 
@@ -486,6 +490,27 @@ def _pairs_hold(rel: BinaryRelation, lo: Sequence[int], up: Sequence[int]) -> bo
     return True
 
 
+def _drawn_pair_groups(
+    rel: BinaryRelation, a_s: Sequence[int], b_s: Sequence[int]
+) -> Iterator[tuple[int, tuple[int], dict[int, int], dict[int, int]]]:
+    """The drawn pairs (a_s[k], b_s[k]) that ``_pairs_hold`` does not clear, in order.
+
+    The pairs are tabulated at a, b, a & b and a | b a block of
+    ``PAIR_BLOCK`` pairs at a time, so the tables stay small however many
+    pairs are drawn.  Each pair of a block the packed check does not clear
+    comes as an (a, (b,), lo, up) group, lo/up its block's tables by V-mask.
+    """
+    rows = rel.rows
+    for start in range(0, len(a_s), PAIR_BLOCK):
+        a_block, b_block = a_s[start : start + PAIR_BLOCK], b_s[start : start + PAIR_BLOCK]
+        ys = [*a_block, *b_block, *map(and_, a_block, b_block), *map(or_, a_block, b_block)]
+        lo, up = lower_table(rows, ys), upper_table(rows, ys)
+        if not _pairs_hold(rel, lo, up):
+            lo_at, up_at = dict(zip(ys, lo)), dict(zip(ys, up))
+            for a, b in zip(a_block, b_block):
+                yield a, (b,), lo_at, up_at
+
+
 def _window_folds(values: list[int], fold: Callable[[int, int], int]) -> list[list[int]]:
     """``fold`` over each cyclic window of 3, then 4, consecutive values.
 
@@ -530,17 +555,16 @@ def verify_algebraic_properties(
     vmask = rel.vmask
     umask = rel.umask
 
-    # lo/up are read as lo[y] by the scalar pair loop: the tables themselves
-    # when exhaustive, a dict over the tabulated subsets when sampled.  The
-    # subset pairs come in (a, bs) groups: every b for each a when
-    # exhaustive, one drawn (a, b) pair per group, in draw order, when
-    # sampled.  Entry k of lo_singles/lo_comps is lower at singles[k] and at
-    # its complement, and lo_windows holds lower at the meets of the windows
-    # of 3, then 4, singles from k on (see _window_folds); likewise up_*
-    # with upper and the windows' joins.
-    lo: Sequence[int] | Mapping[int, int]
-    up: Sequence[int] | Mapping[int, int]
-    groups: Iterable[tuple[int, Sequence[int]]]
+    # The subset pairs the scalar pair loop tests come in (a, bs, lo, up)
+    # groups, lo/up read as lo[y]: every b for each a and the whole tables
+    # when exhaustive, one drawn (a, b) pair per group, in draw order, with
+    # its block's tables when sampled.  Entry k of lo_singles/lo_comps is
+    # lower at singles[k] and at its complement, and lo_windows holds lower
+    # at the meets of the windows of 3, then 4, singles from k on (see
+    # _window_folds); likewise up_* with upper and the windows' joins.
+    groups: Iterable[
+        tuple[int, Sequence[int], Sequence[int] | Mapping[int, int], Sequence[int] | Mapping[int, int]]
+    ]
     if pairs is None:
         _pair_work(0, 1, v_size, f"an exhaustive law campaign at |V| = {v_size}")
         singles: Sequence[int] = range(1 << v_size)
@@ -556,7 +580,7 @@ def verify_algebraic_properties(
         # value breaks a single-subset law, and every group is tested scalar.
         in_range = 0 <= min(min(lo), min(up)) and max(max(lo), max(up)) <= umask
         suspects = _suspect_groups(lo, up, rel.u_size, v_size) if in_range else singles
-        groups = ((a, singles) for a in suspects)
+        groups = ((a, singles, lo, up) for a in suspects)
         n_pairs = len(singles) ** 2
     else:
         if pairs < 1:
@@ -564,25 +588,16 @@ def verify_algebraic_properties(
         draws = random_subset_bits(v_size, seed, 2 * pairs)
         singles = sorted({0, vmask, *draws})
         n = len(singles)
-        a_s, b_s = draws[0::2], draws[1::2]
-        # Both tables are read at the singles, their complements, each pair's
-        # a, b, meet and join (four runs), then lower at the windows' meets
-        # and upper at their joins.
-        head = [*singles, *map(vmask.__xor__, singles), *a_s, *b_s]
-        head += [*map(and_, a_s, b_s), *map(or_, a_s, b_s)]
-        lo_ys = head + list(chain.from_iterable(_window_folds(singles, and_)))
-        up_ys = head + list(chain.from_iterable(_window_folds(singles, or_)))
-        lo_table, up_table = lower_table(rows, lo_ys), upper_table(rows, up_ys)
+        # Both tables are read at the singles and their complements, then
+        # lower at the windows' meets and upper at their joins.
+        head = [*singles, *map(vmask.__xor__, singles)]
+        lo_table = lower_table(rows, head + list(chain(*_window_folds(singles, and_))))
+        up_table = upper_table(rows, head + list(chain(*_window_folds(singles, or_))))
         lo_singles, lo_comps = lo_table[:n], lo_table[n : 2 * n]
         up_singles, up_comps = up_table[:n], up_table[n : 2 * n]
-        end = 2 * n + 4 * pairs
-        lo_windows = [lo_table[i : i + n] for i in range(end, len(lo_table), n)]
-        up_windows = [up_table[i : i + n] for i in range(end, len(up_table), n)]
-        if _pairs_hold(rel, lo_table[2 * n : end], up_table[2 * n : end]):
-            groups = ()
-        else:
-            lo, up = dict(zip(lo_ys, lo_table)), dict(zip(up_ys, up_table))
-            groups = ((a, (b,)) for a, b in zip(a_s, b_s))
+        lo_windows = [lo_table[i : i + n] for i in range(2 * n, len(lo_table), n)]
+        up_windows = [up_table[i : i + n] for i in range(2 * n, len(up_table), n)]
+        groups = _drawn_pair_groups(rel, draws[0::2], draws[1::2])
         n_pairs = pairs
 
     solitary = rel.solitary_set().bits
@@ -668,7 +683,7 @@ def verify_algebraic_properties(
                     f"lower={u_str(lo_s)} upper={u_str(up_s)}",
                 )
 
-    for a, bs in groups:
+    for a, bs, lo, up in groups:
         lo_a, up_a = lo[a], up[a]
         for b in bs:
             meet, join = a & b, a | b

@@ -130,6 +130,19 @@ class TestAlgebraicCampaign:
         b = verify_algebraic_properties(sample, pairs=20, seed=4)
         assert a == b
 
+    def test_sampled_memory_is_bounded_by_the_pair_block(self, sample):
+        # 20,000 drawn pairs: the pairs' tables are built a block at a time,
+        # so the peak is the draws and one block (0.9 MB), not four tables
+        # of every pair (6.8 MB when built at once).
+        tracemalloc.start()
+        try:
+            report = verify_algebraic_properties(sample, pairs=20000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and report.record("monotonicity").instances == 20000
+        assert peak < 2_000_000
+
     @pytest.mark.parametrize("pairs", [0, -3])
     def test_sampled_budget_needs_a_pair(self, sample, pairs):
         with pytest.raises(ConfigError):
@@ -343,10 +356,14 @@ def _naive_violations(monkeypatch, rel, kernels, faulty, n_pairs, seed):
     ]
     assert got == want
     assert packed["_singles_hold"] == [not any(law in SINGLE_LAWS for law, _ in want)]
-    assert packed["_pairs_hold"] == (
-        [] if n_pairs is None
-        else [not any(law in PAIR_LAWS and len(subsets) == 2 for law, subsets in want)]
-    )
+    # One pair check per block of drawn pairs; the blocks all clear exactly
+    # when no drawn pair fails.
+    blocks = 0 if n_pairs is None else -(-n_pairs // lab.PAIR_BLOCK)
+    assert len(packed["_pairs_hold"]) == blocks
+    if blocks:
+        assert all(packed["_pairs_hold"]) == (
+            not any(law in PAIR_LAWS and len(subsets) == 2 for law, subsets in want)
+        )
     if n_pairs is None:
         # The packed check clears exactly the groups a with no failing pair.
         tables = [[kernel(rel.rows, s) for s in singles] for kernel in kernels]
@@ -454,6 +471,16 @@ class TestLawCampaignFaultInjection:
             assert all(len(subsets) in (3, 4) for _, subsets in want)
             faulted += 1
         assert faulted
+
+    @pytest.mark.parametrize("make_kernels", [_package_kernels, _non_additive_upper])
+    def test_drawn_pairs_in_several_blocks(self, monkeypatch, make_kernels):
+        # More drawn pairs than one block holds: the blocks are checked, and
+        # walked when they fail, in draw order.
+        rel = LAW_RELATIONS[-1]
+        n_pairs = lab.PAIR_BLOCK + 37
+        faulty = make_kernels is not _package_kernels
+        want = _naive_violations(monkeypatch, rel, make_kernels(rel), faulty, n_pairs, 5)
+        assert bool(want) == faulty
 
     @pytest.mark.parametrize("workload_seed", [1, 2])
     def test_benchmark_campaign_never_walks_scalar(self, monkeypatch, workload_seed):
