@@ -139,6 +139,9 @@ def upper_bits(rows: Sequence[int], y_bits: int) -> int:
 
 # The memoryview.cast format of a lane of 1, 2, 4 or 8 bytes.
 _LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# Fewest V-masks the tables pack: a packed pass costs about 2 us plus 0.3 us
+# a row, as much as the per-V-mask kernels at about eight V-masks.
+_MIN_LANES = 8
 
 
 def _ys_in_lanes(rows: Sequence[int], ys: Sequence[int]) -> tuple[int, int, int] | None:
@@ -181,10 +184,10 @@ def lower_table(rows: Sequence[int], ys: Sequence[int]) -> list[int]:
     With |U| and the V bits under ``SHIFT_WIDTH`` each V-mask Y sits in one
     lane of a packed int S, and one pass over the rows tabulates them all:
     row i lies within Y when its lane of (S & row) ^ row is zero, and that
-    lane's guard flag shifts down to bit i.  Otherwise ``lower_bits`` runs
-    per V-mask.
+    lane's guard flag shifts down to bit i.  Otherwise, and for fewer than
+    eight V-masks, ``lower_bits`` runs per V-mask.
     """
-    lanes = _ys_in_lanes(rows, ys) if ys else None
+    lanes = _ys_in_lanes(rows, ys) if len(ys) >= _MIN_LANES else None
     if lanes is None:
         return list(map(lower_bits, repeat(rows), ys))
     packed, ones, nbytes = lanes
@@ -203,7 +206,7 @@ def upper_table(rows: Sequence[int], ys: Sequence[int]) -> list[int]:
     Packed as ``lower_table`` packs: row i meets Y when its lane of S & row
     is non-zero, which carries into the lane's guard bit.
     """
-    lanes = _ys_in_lanes(rows, ys) if ys else None
+    lanes = _ys_in_lanes(rows, ys) if len(ys) >= _MIN_LANES else None
     if lanes is None:
         return list(map(upper_bits, repeat(rows), ys))
     packed, ones, nbytes = lanes

@@ -754,9 +754,9 @@ def verify_serial_iff(rel: BinaryRelation) -> bool:
     check tries the empty set, V, every singleton and every singleton's
     complement; Y = V is the constructive witness, since lower(V) = U and
     upper(V) = U iff the relation is serial.  The subsets are tabulated in
-    order, in chunks of 64 subsets and then twice as many each time, and the
-    search stops at the first chunk with a subset whose approximations are
-    equal.
+    order, in a chunk of one subset (the empty set, a serial relation's
+    witness), then of 64 and twice as many each time, and the search stops at
+    the first chunk with a subset whose approximations are equal.
     """
     rows = rel.rows
     if rel.v_size <= SERIAL_ENUM_CAP:
@@ -766,13 +766,13 @@ def verify_serial_iff(rel: BinaryRelation) -> bool:
         singletons = [1 << j for j in range(rel.v_size)]
         subsets = [0, vmask, *singletons, *(vmask ^ s for s in singletons)]
     exists = False
-    start, step = 0, 64
+    start, step = 0, 1
     while not exists and start < len(subsets):
         chunk = subsets[start : start + step]
         exists = any(map(eq, lower_table(rows, chunk), upper_table(rows, chunk)))
         # A table's lanes are at most SHIFT_WIDTH bits, so a chunk's packed
         # int stays within LANE_BLOCK_BITS.
-        start, step = start + step, min(2 * step, LANE_BLOCK_BITS // SHIFT_WIDTH)
+        start, step = start + step, min(max(64, 2 * step), LANE_BLOCK_BITS // SHIFT_WIDTH)
     return exists == rel.is_serial()
 
 

@@ -546,7 +546,13 @@ class TestSerialIff:
         monkeypatch.setattr(lab, "lower_table", lower_table)
         rel = random_relation(6, 16, 0.5, seed=37, index=0)
         assert rel.is_serial() and verify_serial_iff(rel)
-        assert calls == [64]
+        assert calls == [1]
+        # A non-serial relation has no witness: every chunk is read, in order.
+        calls.clear()
+        rows = list(random_relation(6, 8, 0.5, seed=37, index=0).rows)
+        rows[0] = 0
+        assert verify_serial_iff(BinaryRelation(canonical_universes(6, 8), tuple(rows)))
+        assert calls == [1, 64, 128, 63]
 
     @pytest.mark.parametrize("v", [12, 14])
     def test_faulted_kernel_is_caught(self, monkeypatch, v):
