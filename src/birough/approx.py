@@ -15,8 +15,9 @@ routes must agree bit for bit; the verification lab and the test suite
 cross-check them.
 
 ``lower_table`` and ``upper_table`` run the set form for many V-subsets at
-once, each in one lane of a packed int, in one pass over the rows; the lab's
-law campaigns and seriality check read the operators through them.
+once, each in one lane of a packed int, in one pass over the rows, however
+few the V-subsets; the lab's law campaigns and seriality check read the
+operators through them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 from enum import IntEnum
 from itertools import repeat
 from operator import eq
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .relation import (
     SHIFT_WIDTH,
@@ -55,7 +56,6 @@ __all__ = [
     "upper_table",
     "lower_nonempty",
     "upper_covers",
-    "OperatorMemo",
     "type_code",
 ]
 
@@ -139,9 +139,6 @@ def upper_bits(rows: Sequence[int], y_bits: int) -> int:
 
 # The memoryview.cast format of a lane of 1, 2, 4 or 8 bytes.
 _LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-# Fewest V-masks the tables pack: a packed pass costs about 2 us plus 0.3 us
-# a row, as much as the per-V-mask kernels at about eight V-masks.
-_MIN_LANES = 8
 
 
 def _ys_in_lanes(rows: Sequence[int], ys: Sequence[int]) -> tuple[int, int, int] | None:
@@ -184,10 +181,10 @@ def lower_table(rows: Sequence[int], ys: Sequence[int]) -> list[int]:
     With |U| and the V bits under ``SHIFT_WIDTH`` each V-mask Y sits in one
     lane of a packed int S, and one pass over the rows tabulates them all:
     row i lies within Y when its lane of (S & row) ^ row is zero, and that
-    lane's guard flag shifts down to bit i.  Otherwise, and for fewer than
-    eight V-masks, ``lower_bits`` runs per V-mask.
+    lane's guard flag shifts down to bit i.  Otherwise ``lower_bits`` runs
+    per V-mask.
     """
-    lanes = _ys_in_lanes(rows, ys) if len(ys) >= _MIN_LANES else None
+    lanes = _ys_in_lanes(rows, ys)
     if lanes is None:
         return list(map(lower_bits, repeat(rows), ys))
     packed, ones, nbytes = lanes
@@ -206,7 +203,7 @@ def upper_table(rows: Sequence[int], ys: Sequence[int]) -> list[int]:
     Packed as ``lower_table`` packs: row i meets Y when its lane of S & row
     is non-zero, which carries into the lane's guard bit.
     """
-    lanes = _ys_in_lanes(rows, ys) if len(ys) >= _MIN_LANES else None
+    lanes = _ys_in_lanes(rows, ys)
     if lanes is None:
         return list(map(upper_bits, repeat(rows), ys))
     packed, ones, nbytes = lanes
@@ -233,25 +230,6 @@ def upper_covers(rows: Sequence[int], y_bits: int) -> bool:
     The scan stops at the first row that misses Y.
     """
     return all(map(y_bits.__and__, rows))
-
-
-class OperatorMemo(dict):
-    """``memo[y_bits]`` is ``kernel(rows, y_bits)``, computed the first time it is read.
-
-    One per-V-mask kernel of one relation, memoised by V-mask: a U-mask
-    operator (``lower_bits``, ``upper_bits``) or a fact (``lower_nonempty``,
-    ``upper_covers``).  The family laws read the same index sets' two facts
-    many times (``FamilyApprox.union_facts``).
-    """
-
-    def __init__(self, kernel: Callable[[Sequence[int], int], object], rows: Sequence[int]):
-        super().__init__()
-        self.kernel = kernel
-        self.rows = rows
-
-    def __missing__(self, y_bits: int):
-        value = self[y_bits] = self.kernel(self.rows, y_bits)
-        return value
 
 
 def _lower_bits_matrix(rows: Sequence[int], vmask: int, y_bits: int) -> int:

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .approx import (
-    OperatorMemo,
     lower_approximation,
     lower_nonempty,
     upper_approximation,
@@ -208,13 +207,13 @@ class FamilyApprox:
         return all(lo.bits == up.bits for lo, up in zip(self.lowers, self.uppers))
 
     @cached_property
-    def union_facts(self) -> tuple[OperatorMemo, OperatorMemo]:
+    def union_facts(self) -> tuple[Callable[[int], bool], Callable[[int], bool]]:
         """Memoised (lower is non-empty, upper covers U) of a V-mask; the family
         laws read every union of blocks through this one pair.  Both facts
         depend only on the set of rows, so they scan the distinct rows once
         each, in first-seen order, and build no U-mask."""
         rows = tuple(dict.fromkeys(self.relation.rows))
-        return OperatorMemo(lower_nonempty, rows), OperatorMemo(upper_covers, rows)
+        return cache(partial(lower_nonempty, rows)), cache(partial(upper_covers, rows))
 
     @cached_property
     def proper_index_sets(self) -> list[tuple[tuple[str, ...], int, int]]:
@@ -354,8 +353,8 @@ def _dualities(
 ) -> tuple[LawInstance, LawInstance]:
     """The cover and the support duality for one index set."""
     has_lower, covers_u = fa.union_facts
-    cover = covers_u[union], not has_lower[fa.relation.vmask ^ union]
-    support = has_lower[union], _rest_uppers(fa, chosen) != fa.relation.umask
+    cover = covers_u(union), not has_lower(fa.relation.vmask ^ union)
+    support = has_lower(union), _rest_uppers(fa, chosen) != fa.relation.umask
     return (
         _biconditional(COVER_DUALITY, names, *cover),
         _biconditional(SUPPORT_DUALITY, names, *support),
@@ -416,16 +415,16 @@ def derived_laws_report(fa: FamilyApprox) -> TheoremReport:
 
     law = "cover-by-union-forces-rest-lowers-empty"
     for names, union, chosen in index_sets:
-        entries.append(_implication(law, names, covers_u[union], not lows & ~chosen))
+        entries.append(_implication(law, names, covers_u(union), not lows & ~chosen))
 
     law = "block-upper-covers-iff-rest-lower-empty"
     for names, union, chosen in singles:
-        right = not has_lower[vmask ^ union]
+        right = not has_lower(vmask ^ union)
         entries.append(_biconditional(law, names, bool(covers & chosen), right))
 
     law = "block-lower-empty-iff-rest-upper-covers"
     for names, union, chosen in singles:
-        entries.append(_biconditional(law, names, not lows & chosen, covers_u[vmask ^ union]))
+        entries.append(_biconditional(law, names, not lows & chosen, covers_u(vmask ^ union)))
 
     law = "block-upper-covers-forces-other-lowers-empty"
     for names, _, chosen in singles:
@@ -436,7 +435,7 @@ def derived_laws_report(fa: FamilyApprox) -> TheoremReport:
 
     law = "union-lower-nonempty-forces-rest-uppers-proper"
     for names, union, chosen in index_sets:
-        entries.append(_implication(law, names, has_lower[union], not covers & ~chosen))
+        entries.append(_implication(law, names, has_lower(union), not covers & ~chosen))
 
     law = "block-lower-nonempty-iff-rest-uppers-union-proper"
     for names, _, chosen in singles:
@@ -445,7 +444,7 @@ def derived_laws_report(fa: FamilyApprox) -> TheoremReport:
 
     law = "block-upper-proper-iff-rest-lower-nonempty"
     for names, union, chosen in singles:
-        entries.append(_biconditional(law, names, not covers & chosen, has_lower[vmask ^ union]))
+        entries.append(_biconditional(law, names, not covers & chosen, has_lower(vmask ^ union)))
 
     law = "block-lower-nonempty-forces-other-uppers-proper"
     for names, _, chosen in singles:

@@ -7,12 +7,15 @@ order, and the relation, subset, and dimension streams never share state.
 Relations and dimensions are derived per item; a sampled law campaign draws
 all of one relation's V-subsets from one stream keyed by its seed and |V|.
 A law campaign reads lower and upper through ``lower_table``/``upper_table``
-and checks the laws as packed lanes, walking one subset at a time only what
-that check does not clear.  The type-table sweeps and the witness search
-walk each distinct (|V|, row set) once (``_row_set_relations``) through one
-subset-pair sweep (``_first_witnesses``).  Every exhaustive check is refused
-before any work by one rule, ``_pair_work``: relations walked * (4**|V| +
-``RELATION_PAIRS``) at most ``EXHAUSTIVE_PAIR_CAP``.
+and checks the laws as packed lanes, every subset pair, drawn or exhaustive,
+through one lane test (``_pair_faults``), walking one subset at a time only
+what that check does not clear.  The seriality check tries the empty set
+through ``lower_bits``/``upper_bits``, then reads the other subsets through
+the tables a fixed chunk at a time.  The type-table sweeps and the witness
+search walk each distinct (|V|, row set) once (``_row_set_relations``)
+through one subset-pair sweep (``_first_witnesses``).  Every exhaustive check
+is refused before any work by one rule, ``_pair_work``: relations walked *
+(4**|V| + ``RELATION_PAIRS``) at most ``EXHAUSTIVE_PAIR_CAP``.
 """
 
 from __future__ import annotations
@@ -24,11 +27,7 @@ from math import comb
 from operator import and_, eq, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .approx import RoughType, lower_table, type_code, upper_table
-
-# Unused here since the law campaigns read the tables, but the benchmark's
-# tracer (perfbench/tracer.py) still wraps these two names in this module.
-from .approx import lower_bits, upper_bits  # noqa: F401
+from .approx import RoughType, lower_bits, lower_table, type_code, upper_bits, upper_table
 from .relation import (
     SHIFT_WIDTH,
     BinaryRelation,
@@ -277,65 +276,91 @@ def merge_property_reports(reports: Iterable[PropertyReport]) -> PropertyReport:
     )
 
 
-@lru_cache(maxsize=8)
-def _lane_masks(
-    u_size: int, v_size: int
-) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...]]:
-    """The constant masks of the packed pair check at one (|U|, |V|).
+def _lane_blocks(
+    tables: Sequence[Sequence[int]], nbytes: int
+) -> Iterator[tuple[int, list[int]]]:
+    """The equal-length ``tables`` as packed lanes, block by block.
 
-    A table of 2**|V| U-masks is packed in blocks of 2**m lanes, lane b of
-    block h holding the entry of V-subset h * 2**m + b in ``nbytes`` whole
-    bytes.  Returns (nbytes, m, full, clear, set): ``full`` is the U-mask in
-    every lane; ``clear[k]``/``set[k]`` fill the lanes whose index has bit k
-    clear/set, for k < m.
+    Yields (ones, one int per table): entry k of each table sits in lane k
+    of its block's int, a lane is ``nbytes`` bytes, a block holds the most
+    lanes, a power of two, within ``LANE_BLOCK_BITS`` bits (one lane when a
+    lane alone is wider), and ``ones`` has 1 in each lane of the block.  An
+    entry outside [0, 2**(8 * nbytes)) raises OverflowError.
     """
-    nbytes = (u_size + 7) // 8
-    m = min(v_size, max(0, (LANE_BLOCK_BITS // (8 * nbytes)).bit_length() - 1))
+    count = len(tables[0])
+    step = 1 << max(0, (LANE_BLOCK_BITS // (8 * nbytes)).bit_length() - 1)
+    for start in range(0, count, step):
+        lanes = min(step, count - start)
+        ones = int.from_bytes((1).to_bytes(nbytes, "little") * lanes, "little")
+        yield ones, [pack_lanes(t[start : start + lanes], nbytes) for t in tables]
+
+
+@lru_cache(maxsize=8)
+def _lane_masks(nbytes: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(clear, set) over a block of 2**m lanes of ``nbytes`` bytes each:
+    ``clear[k]``/``set[k]`` fill the lanes whose index has bit k clear/set,
+    for k < m."""
     lanes = 1 << m
     ones, zeros = b"\xff" * nbytes, bytes(nbytes)
-    full = int.from_bytes(((1 << u_size) - 1).to_bytes(nbytes, "little") * lanes, "little")
     clear = tuple(
         int.from_bytes((ones * (1 << k) + zeros * (1 << k)) * (lanes >> k + 1), "little")
         for k in range(m)
     )
     lane_mask = (1 << 8 * nbytes * lanes) - 1
-    return nbytes, m, full, clear, tuple(c ^ lane_mask for c in clear)
+    return clear, tuple(c ^ lane_mask for c in clear)
 
 
-def _packed_blocks(values: Sequence[int], nbytes: int, lanes: int) -> list[int]:
-    """``values`` packed in lanes of ``nbytes`` bytes, ``lanes`` lanes per int."""
-    return [pack_lanes(values[i : i + lanes], nbytes) for i in range(0, len(values), lanes)]
+def _pair_faults(
+    la: int, lb: int, lm: int, lj: int, ua: int, ub: int, um: int, uj: int, full: int
+) -> int:
+    """The conditions of the three pair laws, lane by lane: zero in every
+    lane whose pair (a, b) meets them all.
+
+    ``la``/``lb``/``lm``/``lj`` hold lower at a, b, a & b and a | b, and
+    ``ua``/``ub``/``um``/``uj`` upper; ``full`` is the U-mask in every lane.
+    Every lane must lie within ``full``'s, so that a complement is an XOR
+    with ``full``.  The conditions, none derived from another: the two
+    distributive equalities, monotonicity along a & b <= a <= a | b, and the
+    join/meet bounds.
+    """
+    not_lj = lj ^ full
+    return (
+        lm ^ (la & lb)
+        | uj ^ (ua | ub)
+        | lm & (la ^ full)
+        | la & not_lj
+        | um & (ua ^ full)
+        | ua & (uj ^ full)
+        | (la | lb) & not_lj
+        | um & ((ua & ub) ^ full)
+    )
 
 
-def _suspect_groups(
-    lo: Sequence[int], up: Sequence[int], u_size: int, v_size: int
-) -> Iterator[int]:
+def _suspect_groups(rel: BinaryRelation, lo: Sequence[int], up: Sequence[int]) -> Iterator[int]:
     """The groups a, ascending, of the exhaustive pair check that may hold a failing pair (a, b).
 
-    Every b of a group is checked at once, lane b of the packed tables (see
-    ``_lane_masks``).  lo[a & b] is gathered by, for each bit k not in a,
-    clearing the lanes with bit k set and copying each remaining lane b to
-    b + 2**k; lo[a | b] likewise over the bits in a, downwards; the higher
-    bits of a and b pick the blocks.  The steps commute, so the groups
-    sharing a block's high bits walk a binary tree over the low bits of a,
-    one step per edge, and each leaf holds one group's gathered tables:
-    about 2 steps per group in place of m, which makes the check 1.7-2.9x
-    faster than gathering each group on its own at 40x9 to 40x12.
-    Each condition of the scalar pair test is evaluated there lane by lane,
-    a complement as an XOR with ``full``; a group whose fail mask is zero in
-    every block has no failing pair.  Every entry must lie in [0, U-mask], so
-    that it fits its lane and XOR with ``full`` is ``~`` there; the caller
-    tests the groups of a table with any other value one by one.
+    ``lo``/``up`` are the tables at every V-subset.  Every b of a group is
+    checked at once, lane b of the tables packed in blocks of 2**m lanes
+    (``_lane_blocks``), a lane a U-mask.  lo[a & b] is gathered by, for each
+    bit k not in a, clearing the lanes with bit k set and copying each
+    remaining lane b to b + 2**k (``_lane_masks``); lo[a | b] likewise over
+    the bits in a, downwards; the higher bits of a and b pick the blocks.
+    The steps commute, so the groups sharing a block's high bits walk a
+    binary tree over the low bits of a, one step per edge, and each leaf
+    holds one group's gathered tables: about 2 steps per group in place of
+    m, which makes the check 1.7-2.9x faster than gathering each group on
+    its own at 40x9 to 40x12.  A group whose ``_pair_faults`` is zero in
+    every block has no failing pair.  Every entry must lie in [0, U-mask];
+    the caller tests the groups of a table with any other value one by one.
     """
-    nbytes, m, full, clear, set_ = _lane_masks(u_size, v_size)
-    los, ups = _packed_blocks(lo, nbytes, 1 << m), _packed_blocks(up, nbytes, 1 << m)
+    nbytes = (rel.u_size + 7) // 8
+    blocks = list(_lane_blocks((lo, up), nbytes))
+    ones = blocks[0][0]
+    los, ups = zip(*(tables for _, tables in blocks))
+    m = (len(lo) // len(blocks)).bit_length() - 1
+    clear, set_ = _lane_masks(nbytes, m)
     shifts = [8 * nbytes << k for k in range(m)]
-
-    def spread(x: int) -> int:
-        """x, a value of lane 0, put in every lane of a block."""
-        for shift in shifts:
-            x |= x << shift
-        return x
+    full = rel.umask * ones
 
     suspects = set()
     for high in range(len(los)):
@@ -355,46 +380,11 @@ def _suspect_groups(
                     stack.append((k, low | 1 << k, lm, um, x | x >> shift, y | y >> shift))
                     continue
                 a = high << m | low
-                if a in suspects:
-                    continue
-                la, ua = spread(lo[a]), spread(up[a])
-                not_lj = lj ^ full
-                if (
-                    lm ^ (la & lb)
-                    | uj ^ (ua | ub)
-                    | lm & (la ^ full)
-                    | la & not_lj
-                    | um & (ua ^ full)
-                    | ua & (uj ^ full)
-                    | (la | lb) & not_lj
-                    | um & ((ua & ub) ^ full)
+                if a not in suspects and _pair_faults(
+                    lo[a] * ones, lb, lm, lj, up[a] * ones, ub, um, uj, full
                 ):
                     suspects.add(a)
     yield from sorted(suspects)
-
-
-def _lane_bytes(rel: BinaryRelation) -> int:
-    """Bytes of a lane of the packed single and pair checks: a U-mask or a V-mask."""
-    return (max(rel.u_size, rel.v_size) + 7) // 8
-
-
-def _lane_blocks(
-    tables: Sequence[Sequence[int]], nbytes: int
-) -> Iterator[tuple[int, list[int]]]:
-    """The equal-length ``tables`` as packed lanes, block by block.
-
-    Yields (ones, one int per table): entry k of each table sits in lane k
-    of its block's int, a lane is ``nbytes`` bytes, an int at most
-    ``LANE_BLOCK_BITS`` bits (one lane when a lane alone is wider), and
-    ``ones`` has 1 in each lane of the block.  An entry outside
-    [0, 2**(8 * nbytes)) raises OverflowError.
-    """
-    count = len(tables[0])
-    step = max(1, LANE_BLOCK_BITS // (8 * nbytes))
-    for start in range(0, count, step):
-        lanes = min(step, count - start)
-        ones = int.from_bytes((1).to_bytes(nbytes, "little") * lanes, "little")
-        yield ones, [pack_lanes(t[start : start + lanes], nbytes) for t in tables]
 
 
 def _singles_hold(
@@ -418,7 +408,8 @@ def _singles_hold(
     lies in [0, U-mask] and the scalar loops would record no violation of
     these laws.
     """
-    nbytes = _lane_bytes(rel)
+    # A lane holds a U-mask or a V-mask.
+    nbytes = (max(rel.u_size, rel.v_size) + 7) // 8
     top = 8 * nbytes - 1
     umask, vmask = rel.umask, rel.vmask
     range_union = reduce(or_, rel.rows)
@@ -457,33 +448,21 @@ def _singles_hold(
 
 
 def _pairs_hold(rel: BinaryRelation, lo: Sequence[int], up: Sequence[int]) -> bool:
-    """Whether every drawn pair (a, b) passes the scalar pair test, checked as packed lanes.
+    """Whether every drawn pair (a, b) meets the pair laws, checked as packed lanes.
 
     ``lo`` and ``up`` hold the table at each pair's a, then at each b, at
-    each a & b and at each a | b.  Lane k of a block holds pair k, and the
-    conditions of the scalar test are evaluated there, a complement as an
-    XOR with ``full``.  True exactly when every entry lies in [0, U-mask]
-    and the scalar pair loop would record no violation.
+    each a & b and at each a | b.  Lane k of a block holds pair k's U-masks,
+    and ``_pair_faults`` is evaluated over whole blocks.  True exactly when
+    every entry lies in [0, U-mask] and the scalar pair loop would record no
+    violation.
     """
-    nbytes = _lane_bytes(rel)
     count = len(lo) // 4
     runs = [t[i : i + count] for t in (lo, up) for i in range(0, 4 * count, count)]
     umask = rel.umask
     try:
-        for ones, (la, lb, lm, lj, ua, ub, um, uj) in _lane_blocks(runs, nbytes):
+        for ones, run_blocks in _lane_blocks(runs, (rel.u_size + 7) // 8):
             full = umask * ones
-            not_lj = lj ^ full
-            if (
-                (la | lb | lm | lj | ua | ub | um | uj | full) != full
-                or lm ^ (la & lb)
-                | uj ^ (ua | ub)
-                | lm & (la ^ full)
-                | la & not_lj
-                | um & (ua ^ full)
-                | ua & (uj ^ full)
-                | (la | lb) & not_lj
-                | um & ((ua & ub) ^ full)
-            ):
+            if reduce(or_, run_blocks, full) != full or _pair_faults(*run_blocks, full):
                 return False
     except OverflowError:
         return False
@@ -579,7 +558,7 @@ def verify_algebraic_properties(
         # needs every entry in [0, U-mask]; a kernel that returns any other
         # value breaks a single-subset law, and every group is tested scalar.
         in_range = 0 <= min(min(lo), min(up)) and max(max(lo), max(up)) <= umask
-        suspects = _suspect_groups(lo, up, rel.u_size, v_size) if in_range else singles
+        suspects = _suspect_groups(rel, lo, up) if in_range else singles
         groups = ((a, singles, lo, up) for a in suspects)
         n_pairs = len(singles) ** 2
     else:
@@ -689,24 +668,6 @@ def verify_algebraic_properties(
             meet, join = a & b, a | b
             lo_b, up_b, lo_meet, up_meet = lo[b], up[b], lo[meet], up[meet]
             lo_join, up_join = lo[join], up[join]
-            # Every condition of the three pair laws, none derived from
-            # another: the two distributive equalities, then monotonicity
-            # along meet <= a <= join and the join/meet bounds as one mask
-            # that must be empty.
-            if (
-                lo_meet == lo_a & lo_b
-                and up_join == up_a | up_b
-                and not (
-                    lo_meet & ~lo_a
-                    | lo_a & ~lo_join
-                    | up_meet & ~up_a
-                    | up_a & ~up_join
-                    | (lo_a | lo_b) & ~lo_join
-                    | up_meet & ~(up_a & up_b)
-                )
-            ):
-                continue
-
             law = "meet-lower-join-upper-distributivity"
             if lo_meet != lo_a & lo_b:
                 record(law, (a, b), u_str(lo_a & lo_b), u_str(lo_meet))
@@ -753,26 +714,28 @@ def verify_serial_iff(rel: BinaryRelation) -> bool:
     Up to ``SERIAL_ENUM_CAP`` V elements every subset is tried.  Above it the
     check tries the empty set, V, every singleton and every singleton's
     complement; Y = V is the constructive witness, since lower(V) = U and
-    upper(V) = U iff the relation is serial.  The subsets are tabulated in
-    order, in a chunk of one subset (the empty set, a serial relation's
-    witness), then of 64 and twice as many each time, and the search stops at
-    the first chunk with a subset whose approximations are equal.
+    upper(V) = U iff the relation is serial.  The empty set, itself the
+    witness of any serial relation (lower(empty) is the solitary set), is
+    tried first, through ``lower_bits``/``upper_bits``; the other subsets
+    are then tabulated in order, ``LANE_BLOCK_BITS // SHIFT_WIDTH`` at a
+    time, and the search stops at the first chunk with a subset whose
+    approximations are equal.
     """
     rows = rel.rows
     if rel.v_size <= SERIAL_ENUM_CAP:
-        subsets: Sequence[int] = range(1 << rel.v_size)
+        subsets: Sequence[int] = range(1, 1 << rel.v_size)
     else:
         vmask = rel.vmask
         singletons = [1 << j for j in range(rel.v_size)]
-        subsets = [0, vmask, *singletons, *(vmask ^ s for s in singletons)]
-    exists = False
-    start, step = 0, 1
+        subsets = [vmask, *singletons, *(vmask ^ s for s in singletons)]
+    exists = lower_bits(rows, 0) == upper_bits(rows, 0)
+    # A table's lanes are at most SHIFT_WIDTH bits, so a chunk's packed int
+    # stays within LANE_BLOCK_BITS.
+    start, step = 0, LANE_BLOCK_BITS // SHIFT_WIDTH
     while not exists and start < len(subsets):
         chunk = subsets[start : start + step]
         exists = any(map(eq, lower_table(rows, chunk), upper_table(rows, chunk)))
-        # A table's lanes are at most SHIFT_WIDTH bits, so a chunk's packed
-        # int stays within LANE_BLOCK_BITS.
-        start, step = start + step, min(max(64, 2 * step), LANE_BLOCK_BITS // SHIFT_WIDTH)
+        start += step
     return exists == rel.is_serial()
 
 
@@ -786,8 +749,8 @@ def reconstruct_relation(
     operators determining the relation.
     """
     rows = [0] * universes.u_size
-    for j, label in enumerate(universes.v_labels):
-        image = upper_of_singleton(universes.v_subset([label]))
+    for j in range(universes.v_size):
+        image = upper_of_singleton(Subset(universes, Side.V, 1 << j))
         if (
             not isinstance(image, Subset)
             or image.side is not Side.U

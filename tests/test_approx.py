@@ -189,7 +189,7 @@ class TestTables:
         uppers = [naive_mask(naive_upper, y) for y in ys]
         assert lower_table(rel.rows, ys) == lowers
         assert upper_table(rel.rows, ys) == uppers
-        # Fewer than eight V-masks run the kernels per V-mask.
+        # A short table packs as a long one does.
         assert lower_table(rel.rows, ys[:7]) == lowers[:7]
         assert upper_table(rel.rows, ys[:7]) == uppers[:7]
         assert lower_table(rel.rows, []) == upper_table(rel.rows, []) == []

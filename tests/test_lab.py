@@ -373,7 +373,7 @@ def _naive_violations(monkeypatch, rel, kernels, faulty, n_pairs, seed):
             for subsets in failed.get(law, [])
             if len(subsets) == 2
         }
-        assert list(lab._suspect_groups(*tables, rel.u_size, rel.v_size)) == sorted(failing)
+        assert list(lab._suspect_groups(rel, *tables)) == sorted(failing)
     return want
 
 
@@ -497,11 +497,19 @@ class TestLawCampaignFaultInjection:
         assert merge_property_reports(reports).ok
         assert packed == {"_singles_hold": [True] * 250, "_pairs_hold": [True] * 250}
 
-    def test_packed_check_bit_budget(self):
+    def test_packed_check_bit_budget(self, monkeypatch):
         # A tall relation splits each packed table into blocks under
         # LANE_BLOCK_BITS: here 64 lanes of 500 bytes, a quarter of the table.
         rel = random_relation(4000, 8, 0.3, seed=31, index=0)
-        lab._lane_masks.cache_clear()
+        lanes = []
+        blocks = lab._lane_blocks
+
+        def lane_blocks(tables, nbytes):
+            for ones, ints in blocks(tables, nbytes):
+                lanes.append((nbytes, ones.bit_count()))
+                yield ones, ints
+
+        monkeypatch.setattr(lab, "_lane_blocks", lane_blocks)
         tracemalloc.start()
         try:
             report = verify_algebraic_properties(rel)
@@ -509,7 +517,8 @@ class TestLawCampaignFaultInjection:
         finally:
             tracemalloc.stop()
         assert report.ok and report.record("monotonicity").instances == 4**8
-        assert lab._lane_masks(4000, 8)[1] == 6
+        # Four blocks for the pair check's tables, four for the singles'.
+        assert lanes == [(500, 64)] * 8
         assert peak < 3_000_000
 
 
@@ -536,7 +545,8 @@ class TestSerialIff:
         assert verify_serial_iff(rel) == naive_serial_iff(matrix_of(rel))
 
     def test_stops_at_the_first_chunk_with_a_witness(self, monkeypatch):
-        # For a serial relation the empty set is a witness, in the first chunk.
+        # For a serial relation the empty set, tried before any table, is a
+        # witness.
         calls = []
 
         def lower_table(rows, ys):
@@ -546,13 +556,13 @@ class TestSerialIff:
         monkeypatch.setattr(lab, "lower_table", lower_table)
         rel = random_relation(6, 16, 0.5, seed=37, index=0)
         assert rel.is_serial() and verify_serial_iff(rel)
-        assert calls == [1]
-        # A non-serial relation has no witness: every chunk is read, in order.
-        calls.clear()
+        assert calls == []
+        # A non-serial relation has no witness: every chunk is read, in order,
+        # here the 255 non-empty subsets in one.
         rows = list(random_relation(6, 8, 0.5, seed=37, index=0).rows)
         rows[0] = 0
         assert verify_serial_iff(BinaryRelation(canonical_universes(6, 8), tuple(rows)))
-        assert calls == [1, 64, 128, 63]
+        assert calls == [255]
 
     @pytest.mark.parametrize("v", [12, 14])
     def test_faulted_kernel_is_caught(self, monkeypatch, v):
@@ -561,9 +571,12 @@ class TestSerialIff:
         # a non-serial one: either way the biconditional fails.
         serial = random_relation(6, v, 0.5, seed=41, index=v)
         assert serial.is_serial()
-        monkeypatch.setattr(
-            lab, "lower_table", _per_subset(lambda rows, s: approx.upper_bits(rows, s) ^ 1)
-        )
+
+        def lower_bits(rows, s):
+            return approx.upper_bits(rows, s) ^ 1
+
+        monkeypatch.setattr(lab, "lower_bits", lower_bits)
+        monkeypatch.setattr(lab, "lower_table", _per_subset(lower_bits))
         assert not verify_serial_iff(serial)
 
         rows = list(serial.rows)
@@ -574,8 +587,10 @@ class TestSerialIff:
         def lower_bits(rows, s):
             return approx.upper_bits(rows, s) if s == vmask else approx.lower_bits(rows, s)
 
+        monkeypatch.setattr(lab, "lower_bits", lower_bits)
         monkeypatch.setattr(lab, "lower_table", _per_subset(lower_bits))
         assert not verify_serial_iff(non_serial)
+        monkeypatch.setattr(lab, "lower_bits", approx.lower_bits)
         monkeypatch.setattr(lab, "lower_table", approx.lower_table)
         assert verify_serial_iff(non_serial)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import importlib
 import io
@@ -56,6 +57,25 @@ def test_every_submodule_all_resolves():
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def test_every_imported_name_is_used():
+    # Every name a module imports is read in it, or listed in its __all__.
+    unused = []
+    for path in sorted((REPO / "src" / "birough").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = "birough" if path.stem == "__init__" else f"birough.{path.stem}"
+        used.update(getattr(importlib.import_module(module), "__all__", ()))
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - used)]
+    assert unused == []
 
 
 def test_readme_python_api_example(monkeypatch):
