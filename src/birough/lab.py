@@ -7,15 +7,17 @@ order, and the relation, subset, and dimension streams never share state.
 Relations and dimensions are derived per item; a sampled law campaign draws
 all of one relation's V-subsets from one stream keyed by its seed and |V|.
 A law campaign reads lower and upper through ``lower_table``/``upper_table``
-and checks the laws as packed lanes, every subset pair, drawn or exhaustive,
-through one lane test (``_pair_faults``), walking one subset at a time only
-what that check does not clear.  The seriality check tries the empty set
-through ``lower_bits``/``upper_bits``, then reads the other subsets through
-the tables a fixed chunk at a time.  The type-table sweeps and the witness
-search walk each distinct (|V|, row set) once (``_row_set_relations``)
-through one subset-pair sweep (``_first_witnesses``).  Every exhaustive check
-is refused before any work by one rule, ``_pair_work``: relations walked *
-(4**|V| + ``RELATION_PAIRS``) at most ``EXHAUSTIVE_PAIR_CAP``.
+and checks the single-subset laws and the drawn subset pairs as packed lanes;
+every subset pair of an exhaustive campaign is cleared at once by the
+generator identities of the distributive laws (``_homomorphic``).  Only what
+those checks do not clear is walked one subset at a time.  The seriality
+check tries the empty set through ``lower_bits``/``upper_bits``, then reads
+the other subsets through the tables a fixed chunk at a time.  The type-table
+sweeps and the witness search walk each distinct (|V|, row set) once
+(``_row_set_relations``) through one subset-pair sweep
+(``_first_witnesses``).  Every exhaustive check is refused before any work by
+one rule, ``_pair_work``: relations walked * (4**|V| + ``RELATION_PAIRS``) at
+most ``EXHAUSTIVE_PAIR_CAP``.
 """
 
 from __future__ import annotations
@@ -77,9 +79,9 @@ __all__ = [
 EXHAUSTIVE_PAIR_CAP = 2**26
 # The fixed cost of one relation, in subset pairs' worth of time.  Set when a
 # pair cost about 1 us and a relation 150-200 us, and kept with the cap so the
-# same sizes are refused.  A pair now costs about 0.05-0.09 us in the packed
-# law check at 40x9 (_suspect_groups), 0.03-0.05 us at 40x12, and about
-# 0.1 us in a table sweep at 40x9.
+# same sizes are refused.  The cap now bounds the pair-by-pair walk of a
+# relation whose tables fail the law campaign's identities, and the type
+# table sweeps, where a pair costs about 0.1 us at 40x9.
 RELATION_PAIRS = 256
 # Most bits of one packed int in the packed law checks and the seriality
 # check: lanes are packed in blocks of whole lanes under it (one lane when a
@@ -295,98 +297,6 @@ def _lane_blocks(
         yield ones, [pack_lanes(t[start : start + lanes], nbytes) for t in tables]
 
 
-@lru_cache(maxsize=8)
-def _lane_masks(nbytes: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(clear, set) over a block of 2**m lanes of ``nbytes`` bytes each:
-    ``clear[k]``/``set[k]`` fill the lanes whose index has bit k clear/set,
-    for k < m."""
-    lanes = 1 << m
-    ones, zeros = b"\xff" * nbytes, bytes(nbytes)
-    clear = tuple(
-        int.from_bytes((ones * (1 << k) + zeros * (1 << k)) * (lanes >> k + 1), "little")
-        for k in range(m)
-    )
-    lane_mask = (1 << 8 * nbytes * lanes) - 1
-    return clear, tuple(c ^ lane_mask for c in clear)
-
-
-def _pair_faults(
-    la: int, lb: int, lm: int, lj: int, ua: int, ub: int, um: int, uj: int, full: int
-) -> int:
-    """The conditions of the three pair laws, lane by lane: zero in every
-    lane whose pair (a, b) meets them all.
-
-    ``la``/``lb``/``lm``/``lj`` hold lower at a, b, a & b and a | b, and
-    ``ua``/``ub``/``um``/``uj`` upper; ``full`` is the U-mask in every lane.
-    Every lane must lie within ``full``'s, so that a complement is an XOR
-    with ``full``.  The conditions, none derived from another: the two
-    distributive equalities, monotonicity along a & b <= a <= a | b, and the
-    join/meet bounds.
-    """
-    not_lj = lj ^ full
-    return (
-        lm ^ (la & lb)
-        | uj ^ (ua | ub)
-        | lm & (la ^ full)
-        | la & not_lj
-        | um & (ua ^ full)
-        | ua & (uj ^ full)
-        | (la | lb) & not_lj
-        | um & ((ua & ub) ^ full)
-    )
-
-
-def _suspect_groups(rel: BinaryRelation, lo: Sequence[int], up: Sequence[int]) -> Iterator[int]:
-    """The groups a, ascending, of the exhaustive pair check that may hold a failing pair (a, b).
-
-    ``lo``/``up`` are the tables at every V-subset.  Every b of a group is
-    checked at once, lane b of the tables packed in blocks of 2**m lanes
-    (``_lane_blocks``), a lane a U-mask.  lo[a & b] is gathered by, for each
-    bit k not in a, clearing the lanes with bit k set and copying each
-    remaining lane b to b + 2**k (``_lane_masks``); lo[a | b] likewise over
-    the bits in a, downwards; the higher bits of a and b pick the blocks.
-    The steps commute, so the groups sharing a block's high bits walk a
-    binary tree over the low bits of a, one step per edge, and each leaf
-    holds one group's gathered tables: about 2 steps per group in place of
-    m, which makes the check 1.7-2.9x faster than gathering each group on
-    its own at 40x9 to 40x12.  A group whose ``_pair_faults`` is zero in
-    every block has no failing pair.  Every entry must lie in [0, U-mask];
-    the caller tests the groups of a table with any other value one by one.
-    """
-    nbytes = (rel.u_size + 7) // 8
-    blocks = list(_lane_blocks((lo, up), nbytes))
-    ones = blocks[0][0]
-    los, ups = zip(*(tables for _, tables in blocks))
-    m = (len(lo) // len(blocks)).bit_length() - 1
-    clear, set_ = _lane_masks(nbytes, m)
-    shifts = [8 * nbytes << k for k in range(m)]
-    full = rel.umask * ones
-
-    suspects = set()
-    for high in range(len(los)):
-        for h, (lb, ub) in enumerate(zip(los, ups)):
-            # (low bits of a left to decide, the low bits decided, the gathered
-            # lo[a & b], up[a & b], lo[a | b], up[a | b])
-            stack = [(m, 0, los[h & high], ups[h & high], los[h | high], ups[h | high])]
-            while stack:
-                k, low, lm, um, lj, uj = stack.pop()
-                if k:
-                    k -= 1
-                    shift, keep = shifts[k], clear[k]
-                    x, y = lm & keep, um & keep
-                    stack.append((k, low, x | x << shift, y | y << shift, lj, uj))
-                    keep = set_[k]
-                    x, y = lj & keep, uj & keep
-                    stack.append((k, low | 1 << k, lm, um, x | x >> shift, y | y >> shift))
-                    continue
-                a = high << m | low
-                if a not in suspects and _pair_faults(
-                    lo[a] * ones, lb, lm, lj, up[a] * ones, ub, um, uj, full
-                ):
-                    suspects.add(a)
-    yield from sorted(suspects)
-
-
 def _singles_hold(
     rel: BinaryRelation,
     singles: Sequence[int],
@@ -452,9 +362,11 @@ def _pairs_hold(rel: BinaryRelation, lo: Sequence[int], up: Sequence[int]) -> bo
 
     ``lo`` and ``up`` hold the table at each pair's a, then at each b, at
     each a & b and at each a | b.  Lane k of a block holds pair k's U-masks,
-    and ``_pair_faults`` is evaluated over whole blocks.  True exactly when
-    every entry lies in [0, U-mask] and the scalar pair loop would record no
-    violation.
+    so the conditions of the three laws, none derived from another, are one
+    expression over whole blocks: the two distributive equalities,
+    monotonicity along a & b <= a <= a | b, and the join/meet bounds, a
+    complement an XOR with ``full``.  True exactly when every entry lies in
+    [0, U-mask] and the scalar pair loop would record no violation.
     """
     count = len(lo) // 4
     runs = [t[i : i + count] for t in (lo, up) for i in range(0, 4 * count, count)]
@@ -462,10 +374,43 @@ def _pairs_hold(rel: BinaryRelation, lo: Sequence[int], up: Sequence[int]) -> bo
     try:
         for ones, run_blocks in _lane_blocks(runs, (rel.u_size + 7) // 8):
             full = umask * ones
-            if reduce(or_, run_blocks, full) != full or _pair_faults(*run_blocks, full):
+            la, lb, lm, lj, ua, ub, um, uj = run_blocks
+            not_lj = lj ^ full
+            if reduce(or_, run_blocks, full) != full or (
+                lm ^ (la & lb)
+                | uj ^ (ua | ub)
+                | lm & (la ^ full)
+                | la & not_lj
+                | um & (ua ^ full)
+                | ua & (uj ^ full)
+                | (la | lb) & not_lj
+                | um & ((ua & ub) ^ full)
+            ):
                 return False
     except OverflowError:
         return False
+    return True
+
+
+def _homomorphic(lo: Sequence[int], up: Sequence[int]) -> bool:
+    """Whether ``up`` preserves every join and ``lo`` every meet of V-subsets.
+
+    ``lo``/``up`` are the tables at every V-subset.  For each non-empty y,
+    with b its lowest element and c = V ^ y, the test asks up[y] =
+    up[y ^ b] | up[b] and lo[c] = lo[c | b] & lo[V ^ b], the distributive
+    law at one pair each.  By induction on |y|, these 2 * (2**|V| - 1)
+    identities hold exactly when up[y] is up[empty] joined with up at each
+    element of y, and lo[c] is lo[V] met with lo at V minus each element
+    outside c: exactly when both laws hold at every pair.  That implies
+    monotonicity and the join/meet bounds too, on any ints, so True exactly
+    when the scalar pair loop would record no violation.
+    """
+    vmask = len(lo) - 1
+    for y in range(1, len(lo)):
+        b = y & -y
+        c = vmask ^ y
+        if up[y] != up[y ^ b] | up[b] or lo[c] != lo[c | b] & lo[vmask ^ b]:
+            return False
     return True
 
 
@@ -511,10 +456,11 @@ def verify_algebraic_properties(
 
     With ``pairs`` None every V-subset and every subset pair is examined:
     lower and upper are tabulated at every V-subset (``lower_table``,
-    ``upper_table``) and every law is read from the two tables, the subset
-    pairs (a, b) every b of an a at once, as packed lanes
-    (``_suspect_groups``); ``seed`` is not used, and the one relation must
-    be within the exhaustive work bound (|V| at most 12).
+    ``upper_table``) and every law is read from the two tables; the subset
+    pairs are cleared together by 2 * (2**|V| - 1) generator identities
+    (``_homomorphic``), and walked one pair at a time only when one fails.
+    ``seed`` is not used, and the one relation must be within the exhaustive
+    work bound (|V| at most 12).
     Otherwise ``pairs`` (at least 1) subset pairs are drawn from the subset
     stream of ``seed`` and |V|, which works at any |V|.  The singles are the
     drawn subsets, the empty set and V, and the tables are read at them,
@@ -523,11 +469,11 @@ def verify_algebraic_properties(
 
     The single-subset laws (``_singles_hold``) and the drawn pairs
     (``_pairs_hold``) are first checked as packed lanes.  Only what a packed
-    check does not clear, which includes any table entry outside
-    [0, U-mask], is walked one subset at a time, so the violations and
-    their order are those of that walk.  A violation is reported with a
-    witness, never raised; every law of this batch is a theorem, so any
-    violation indicates an implementation bug.
+    check or the identities do not clear, which includes any single or drawn
+    pair with a table entry outside [0, U-mask], is walked one subset at a
+    time, so the violations and their order are those of that walk.  A
+    violation is reported with a witness, never raised; every law of this
+    batch is a theorem, so any violation indicates an implementation bug.
     """
     rows = rel.rows
     v_size = rel.v_size
@@ -553,13 +499,9 @@ def verify_algebraic_properties(
         ring = list(singles)
         lo_windows = [list(map(lo.__getitem__, m)) for m in _window_folds(ring, and_)]
         up_windows = [list(map(up.__getitem__, j)) for j in _window_folds(ring, or_)]
-        # Only the groups the packed check cannot clear reach the scalar test.
-        # The check runs at the first group, after the single-subset laws.  It
-        # needs every entry in [0, U-mask]; a kernel that returns any other
-        # value breaks a single-subset law, and every group is tested scalar.
-        in_range = 0 <= min(min(lo), min(up)) and max(max(lo), max(up)) <= umask
-        suspects = _suspect_groups(rel, lo, up) if in_range else singles
-        groups = ((a, singles, lo, up) for a in suspects)
+        # The pair laws hold at every pair exactly when the generator
+        # identities do; otherwise every group is tested scalar.
+        groups = [] if _homomorphic(lo, up) else ((a, singles, lo, up) for a in singles)
         n_pairs = len(singles) ** 2
     else:
         if pairs < 1:

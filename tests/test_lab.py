@@ -3,13 +3,14 @@ from __future__ import annotations
 import random
 import time
 import tracemalloc
-from functools import partial
+from functools import partial, reduce
 from itertools import islice, product
 from math import comb
+from operator import and_, or_
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, strategies as st
 
 from birough import (
     BinaryRelation,
@@ -310,8 +311,9 @@ def _per_subset(kernel):
 
 
 def _packed_results(monkeypatch):
-    """The results of ``lab``'s packed checks from here on, by check name."""
-    results = {"_singles_hold": [], "_pairs_hold": []}
+    """The results of ``lab``'s packed checks and generator identities from
+    here on, by check name."""
+    results = {"_singles_hold": [], "_pairs_hold": [], "_homomorphic": []}
     for name, got in results.items():
         check = getattr(lab, name)
         monkeypatch.setattr(
@@ -365,7 +367,7 @@ def _naive_violations(monkeypatch, rel, kernels, faulty, n_pairs, seed):
             not any(law in PAIR_LAWS and len(subsets) == 2 for law, subsets in want)
         )
     if n_pairs is None:
-        # The packed check clears exactly the groups a with no failing pair.
+        # The generator identities hold exactly when no pair fails.
         tables = [[kernel(rel.rows, s) for s in singles] for kernel in kernels]
         failing = {
             sum(1 << j for j in subsets[0])
@@ -373,11 +375,71 @@ def _naive_violations(monkeypatch, rel, kernels, faulty, n_pairs, seed):
             for subsets in failed.get(law, [])
             if len(subsets) == 2
         }
-        assert list(lab._suspect_groups(rel, *tables)) == sorted(failing)
+        assert lab._homomorphic(*tables) == (not failing)
     return want
 
 
+# Table entries for a notional U-mask of 0b111: negative entries, entries
+# within it and entries past it.
+TABLE_ENTRIES = st.integers(-(1 << 6), 1 << 6)
+
+
+@st.composite
+def law_tables(draw):
+    """(lo, up) tables at every V-subset, |V| <= 4.  Each table is arbitrary,
+    or built from generators so that lower preserves meets (upper joins),
+    then has a few entries overwritten or widened."""
+    size = 1 << draw(st.integers(0, 4))
+    arbitrary = st.lists(TABLE_ENTRIES, min_size=size, max_size=size)
+    generators = st.lists(TABLE_ENTRIES, min_size=5, max_size=5)
+    tables = []
+    for fold in (and_, or_):
+        if draw(st.booleans()):
+            tables.append(draw(arbitrary))
+            continue
+        # Lower at y is lower at V met with lower at V minus each element
+        # outside y; upper at y, upper at the empty set joined with upper at
+        # each element of y.
+        base, *gens = draw(generators)
+        table = []
+        for y in range(size):
+            picked = (size - 1) ^ y if fold is and_ else y
+            table.append(reduce(fold, (g for j, g in enumerate(gens) if picked >> j & 1), base))
+        for k, value, widen in draw(
+            st.lists(st.tuples(st.integers(0, size - 1), TABLE_ENTRIES, st.booleans()), max_size=3)
+        ):
+            table[k] = table[k] | value if widen else value
+        tables.append(table)
+    return tuple(tables)
+
+
+def _pair_conditions_hold(lo, up):
+    """Whether the eight conditions of the scalar pair loop hold at every
+    pair of V-masks, on the tables as plain ints."""
+    for a, b in product(range(len(lo)), repeat=2):
+        m, j = a & b, a | b
+        if (
+            lo[m] != lo[a] & lo[b]
+            or up[j] != up[a] | up[b]
+            or lo[m] & ~lo[a]
+            or lo[a] & ~lo[j]
+            or up[m] & ~up[a]
+            or up[a] & ~up[j]
+            or (lo[a] | lo[b]) & ~lo[j]
+            or up[m] & ~(up[a] & up[b])
+        ):
+            return False
+    return True
+
+
 class TestLawCampaignFaultInjection:
+    @given(law_tables())
+    # Monotone tables that break the distributive law at one pair only.
+    @example(([0, 0, 0, 0], [0, 1, 2, 7]))
+    @example(([0, 1, 3, 3], [0, 0, 0, 0]))
+    def test_generator_identities_match_every_pair(self, tables):
+        assert lab._homomorphic(*tables) == _pair_conditions_hold(*tables)
+
     @pytest.mark.parametrize("make_kernels, caught", LAW_KERNELS, ids=LAW_KERNEL_IDS)
     def test_matches_naive_reference(self, monkeypatch, make_kernels, caught):
         # The laws violated, by scope: sampled (30 pairs) and exhaustive.
@@ -488,14 +550,27 @@ class TestLawCampaignFaultInjection:
         # each.  Both packed checks clear every relation, so no relation
         # reaches the scalar loops.
         packed = _packed_results(monkeypatch)
-        seed = random.Random(f"{workload_seed}:law_campaign").randrange(2**31)
+        rng = random.Random(f"{workload_seed}:law_campaign")
+        seed = rng.randrange(2**31)
         relations = random_campaign(250, max_u=10, max_v=10, seed=seed)
         reports = [
             verify_algebraic_properties(rel, pairs=100, seed=seed + i)
             for i, rel in enumerate(relations)
         ]
         assert merge_property_reports(reports).ok
-        assert packed == {"_singles_hold": [True] * 250, "_pairs_hold": [True] * 250}
+        assert packed == {
+            "_singles_hold": [True] * 250, "_pairs_hold": [True] * 250, "_homomorphic": []
+        }
+        # Its exhaustive check of one 40x9 file at density 0.3, drawn from the
+        # same stream: the single-subset laws and the generator identities
+        # clear it, so no group reaches the scalar pair loop.
+        matrix = [[int(rng.random() < 0.3) for _ in range(9)] for _ in range(40)]
+        rel = BinaryRelation.from_rows(canonical_universes(40, 9), matrix)
+        report = verify_algebraic_properties(rel)
+        assert report.ok and report.record("monotonicity").instances == 4**9
+        assert packed == {
+            "_singles_hold": [True] * 251, "_pairs_hold": [True] * 250, "_homomorphic": [True]
+        }
 
     def test_packed_check_bit_budget(self, monkeypatch):
         # A tall relation splits each packed table into blocks under
@@ -517,8 +592,9 @@ class TestLawCampaignFaultInjection:
         finally:
             tracemalloc.stop()
         assert report.ok and report.record("monotonicity").instances == 4**8
-        # Four blocks for the pair check's tables, four for the singles'.
-        assert lanes == [(500, 64)] * 8
+        # Four blocks for the singles' tables; the pair laws are cleared by
+        # the generator identities, which pack nothing.
+        assert lanes == [(500, 64)] * 4
         assert peak < 3_000_000
 
 

@@ -78,6 +78,35 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+def test_every_private_top_level_name_is_used():
+    # Every private name a module defines at its top level is read somewhere
+    # in the package beyond its definition, so no helper is left behind.
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((REPO / "src" / "birough").glob("*.py"))
+    }
+    defined = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(stem, n) for n in names if n.startswith("_") and not n.endswith("__")]
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert len(defined) > 50
+    assert [f"{stem}.{name}" for stem, name in defined if name not in read] == []
+
+
 def test_readme_python_api_example(monkeypatch):
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Python API", 1)[1]
