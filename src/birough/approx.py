@@ -29,6 +29,7 @@ from operator import eq
 from typing import Sequence
 
 from .relation import (
+    _LANE_FORMATS,
     SHIFT_WIDTH,
     BinaryRelation,
     Side,
@@ -135,10 +136,6 @@ def upper_bits(rows: Sequence[int], y_bits: int) -> int:
             out += bit
         bit += bit
     return out
-
-
-# The memoryview.cast format of a lane of 1, 2, 4 or 8 bytes.
-_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _ys_in_lanes(rows: Sequence[int], ys: Sequence[int]) -> tuple[int, int, int] | None:

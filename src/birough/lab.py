@@ -5,19 +5,22 @@ Law campaigns run over every relation of small dimensions
 string-keyed seeds, so a stream is reproducible regardless of consumption
 order, and the relation, subset, and dimension streams never share state.
 Relations and dimensions are derived per item; a sampled law campaign draws
-all of one relation's V-subsets from one stream keyed by its seed and |V|.
-A law campaign reads lower and upper through ``lower_table``/``upper_table``
-and checks the single-subset laws and the drawn subset pairs as packed lanes;
-every subset pair of an exhaustive campaign is cleared at once by the
-generator identities of the distributive laws (``_homomorphic``).  Only what
-those checks do not clear is walked one subset at a time.  The seriality
-check tries the empty set through ``lower_bits``/``upper_bits``, then reads
-the other subsets through the tables a fixed chunk at a time.  The type-table
-sweeps and the witness search walk each distinct (|V|, row set) once
-(``_row_set_relations``) through one subset-pair sweep
-(``_first_witnesses``).  Every exhaustive check is refused before any work by
-one rule, ``_pair_work``: relations walked * (4**|V| + ``RELATION_PAIRS``) at
-most ``EXHAUSTIVE_PAIR_CAP``.
+all of one relation's V-subsets from one stream keyed by its seed and |V|.  A
+law campaign reads lower and upper through ``lower_table``/``upper_table``.
+An exhaustive campaign, and a sampled one whose 2**|V| subsets are no more
+than the entries it would tabulate at its singles, complements and windows,
+tabulates them at every V-subset: the single-subset laws there, checked as
+packed lanes, imply every other law, and when they fail the subset pairs are
+cleared at once by the generator identities of the distributive laws
+(``_homomorphic``).  A wider sampled campaign checks its singles and its drawn
+subset pairs as packed lanes.  Only what those checks do not clear is walked
+one subset at a time.  The seriality check tries the empty set through
+``lower_bits``/``upper_bits``, then reads the other subsets through the tables
+a fixed chunk at a time.  The type-table sweeps and the witness search walk
+each distinct (|V|, row set) once (``_row_set_relations``) through one
+subset-pair sweep (``_first_witnesses``).  Every exhaustive check is refused
+before any work by one rule, ``_pair_work``: relations walked * (4**|V| +
+``RELATION_PAIRS``) at most ``EXHAUSTIVE_PAIR_CAP``.
 """
 
 from __future__ import annotations
@@ -270,11 +273,14 @@ def merge_property_reports(reports: Iterable[PropertyReport]) -> PropertyReport:
         for record in report.records:
             instances[record.law] += record.instances
             violations[record.law].extend(record.violations)
+    return _property_report(instances, violations)
+
+
+def _property_report(
+    instances: Mapping[str, int], violations: Mapping[str, Sequence[Violation]]
+) -> PropertyReport:
     return PropertyReport(
-        tuple(
-            LawRecord(law, instances[law], tuple(violations[law]))
-            for law in ALGEBRAIC_LAWS
-        )
+        tuple(LawRecord(law, instances[law], tuple(violations[law])) for law in ALGEBRAIC_LAWS)
     )
 
 
@@ -404,12 +410,17 @@ def _homomorphic(lo: Sequence[int], up: Sequence[int]) -> bool:
     outside c: exactly when both laws hold at every pair.  That implies
     monotonicity and the join/meet bounds too, on any ints, so True exactly
     when the scalar pair loop would record no violation.
+
+    The y with lowest element b are b, 3b, 5b, ...: one strided slice per b,
+    compared at once with the slice of the y ^ b.  Entry y of ``lo_c``, the
+    reversed ``lo``, is lo[V ^ y], so entry y ^ b is lo[c | b].
     """
-    vmask = len(lo) - 1
-    for y in range(1, len(lo)):
-        b = y & -y
-        c = vmask ^ y
-        if up[y] != up[y ^ b] | up[b] or lo[c] != lo[c | b] & lo[vmask ^ b]:
+    lo_c = lo[::-1]
+    for b in map((1).__lshift__, range(len(lo).bit_length() - 1)):
+        step = 2 * b
+        joins = list(map(or_, up[::step], repeat(up[b])))
+        meets = list(map(and_, lo_c[::step], repeat(lo_c[b])))
+        if up[b::step] != joins or lo_c[b::step] != meets:
             return False
     return True
 
@@ -454,61 +465,98 @@ def verify_algebraic_properties(
 ) -> PropertyReport:
     """Check the ten algebraic laws of the approximation operators on one relation.
 
-    With ``pairs`` None every V-subset and every subset pair is examined:
-    lower and upper are tabulated at every V-subset (``lower_table``,
-    ``upper_table``) and every law is read from the two tables; the subset
-    pairs are cleared together by 2 * (2**|V| - 1) generator identities
-    (``_homomorphic``), and walked one pair at a time only when one fails.
-    ``seed`` is not used, and the one relation must be within the exhaustive
-    work bound (|V| at most 12).
-    Otherwise ``pairs`` (at least 1) subset pairs are drawn from the subset
-    stream of ``seed`` and |V|, which works at any |V|.  The singles are the
-    drawn subsets, the empty set and V, and the tables are read at them,
-    their complements, each pair's subsets, meet and join, and the windows'
-    meets and joins.
+    With ``pairs`` None every V-subset is a single and every subset pair is
+    examined; ``seed`` is not used, and the one relation must be within the
+    exhaustive work bound (|V| at most 12).  Otherwise ``pairs`` (at least 1)
+    subset pairs are drawn from the subset stream of ``seed`` and |V|, which
+    works at any |V|, and the singles are the drawn subsets, the empty set
+    and V.  The laws are read at the singles, their complements, each pair's
+    subsets, meet and join, and the meets and joins of the cyclic windows of
+    3 and 4 singles.
 
-    The single-subset laws (``_singles_hold``) and the drawn pairs
-    (``_pairs_hold``) are first checked as packed lanes.  Only what a packed
-    check or the identities do not clear, which includes any single or drawn
-    pair with a table entry outside [0, U-mask], is walked one subset at a
-    time, so the violations and their order are those of that walk.  A
-    violation is reported with a witness, never raised; every law of this
-    batch is a theorem, so any violation indicates an implementation bug.
+    The exhaustive scope, and a sampled one whose 2**|V| subsets are no more
+    than the entries of its head tables ((2 + windows) * singles: the
+    singles, their complements and a meet or join per window), tabulate
+    lower and upper once at every V-subset (``lower_table``,
+    ``upper_table``), so they hold no more entries than the head tables
+    would.  There the single-subset laws at every subset (``_singles_hold``)
+    clear the relation: upper is then the join of the columns in each subset
+    and lower its dual, which gives every law at every single, pair and
+    window.  When they fail, the subset pairs are cleared together by the
+    2 * (2**|V| - 1) generator identities of the distributive laws
+    (``_homomorphic``).  A wider sampled scope tabulates the head tables,
+    and its drawn pairs a block at a time, and checks the singles and the
+    pairs as packed lanes (``_singles_hold``, ``_pairs_hold``).
+
+    Only what these checks do not clear, which includes any table entry
+    outside [0, U-mask], is walked one subset at a time, reading the same
+    tables by V-mask, so the violations and their order are those of that
+    walk.  A violation is reported with a witness, never raised; every law of
+    this batch is a theorem, so any violation indicates an implementation bug.
     """
     rows = rel.rows
     v_size = rel.v_size
     vmask = rel.vmask
     umask = rel.umask
+    solitary = rel.solitary_set().bits
 
-    # The subset pairs the scalar pair loop tests come in (a, bs, lo, up)
-    # groups, lo/up read as lo[y]: every b for each a and the whole tables
-    # when exhaustive, one drawn (a, b) pair per group, in draw order, with
-    # its block's tables when sampled.  Entry k of lo_singles/lo_comps is
-    # lower at singles[k] and at its complement, and lo_windows holds lower
-    # at the meets of the windows of 3, then 4, singles from k on (see
-    # _window_folds); likewise up_* with upper and the windows' joins.
-    groups: Iterable[
-        tuple[int, Sequence[int], Sequence[int] | Mapping[int, int], Sequence[int] | Mapping[int, int]]
-    ]
     if pairs is None:
         _pair_work(0, 1, v_size, f"an exhaustive law campaign at |V| = {v_size}")
         singles: Sequence[int] = range(1 << v_size)
-        lo, up = lower_table(rows, singles), upper_table(rows, singles)
-        # The complement of singles[k] is singles[-1 - k].
-        lo_singles, up_singles, lo_comps, up_comps = lo, up, lo[::-1], up[::-1]
-        ring = list(singles)
-        lo_windows = [list(map(lo.__getitem__, m)) for m in _window_folds(ring, and_)]
-        up_windows = [list(map(up.__getitem__, j)) for j in _window_folds(ring, or_)]
-        # The pair laws hold at every pair exactly when the generator
-        # identities do; otherwise every group is tested scalar.
-        groups = [] if _homomorphic(lo, up) else ((a, singles, lo, up) for a in singles)
         n_pairs = len(singles) ** 2
     else:
         if pairs < 1:
             raise ConfigError(f"a sampled law campaign needs pairs >= 1, got {pairs}")
         draws = random_subset_bits(v_size, seed, 2 * pairs)
         singles = sorted({0, vmask, *draws})
-        n = len(singles)
+        n_pairs = pairs
+    n = len(singles)
+    # The windows of 3, then 4, singles no wider than the ring (_window_folds).
+    n_windows = max(0, min(n, 4) - 2)
+    instances = dict.fromkeys(ALGEBRAIC_LAWS, n)
+    instances["empty-and-full-values"] = 1
+    instances["solitary-forces-strict-gap"] = n if solitary else 0
+    for law in PAIR_LAWS:
+        instances[law] = n_pairs
+    instances["meet-lower-join-upper-distributivity"] += n * n_windows
+    violations: dict[str, list[Violation]] = {law: [] for law in ALGEBRAIC_LAWS}
+
+    # The subset pairs the scalar pair loop tests come in (a, bs, lo, up)
+    # groups, lo/up read as lo[y]: every b for each a when exhaustive, one
+    # drawn (a, b) pair per group, in draw order, when sampled.  Entry k of
+    # lo_singles/lo_comps is lower at singles[k] and at its complement, and
+    # lo_windows holds lower at the meets of the windows of 3, then 4,
+    # singles from k on (see _window_folds); likewise up_* with upper and the
+    # windows' joins.
+    groups: Iterable[
+        tuple[int, Sequence[int], Sequence[int] | Mapping[int, int], Sequence[int] | Mapping[int, int]]
+    ]
+    if pairs is None or 1 << v_size <= (2 + n_windows) * n:
+        subsets = range(1 << v_size)
+        lo, up = lower_table(rows, subsets), upper_table(rows, subsets)
+        # The complement of subset y is entry y of the reversed table.
+        singles_hold = _singles_hold(rel, subsets, lo, up, lo[::-1], up[::-1], solitary)
+        if singles_hold:
+            # Then upper is the join of the columns in each subset and lower
+            # its dual, so upper preserves every join and lower every meet:
+            # every law holds at every single, pair and window.  The empty
+            # set and V take their four values by the bounds and the duality.
+            return _property_report(instances, violations)
+        comps = [vmask ^ s for s in singles]
+        lo_singles, up_singles = [lo[s] for s in singles], [up[s] for s in singles]
+        lo_comps, up_comps = [lo[c] for c in comps], [up[c] for c in comps]
+        ring = list(singles)
+        lo_windows = [list(map(lo.__getitem__, m)) for m in _window_folds(ring, and_)]
+        up_windows = [list(map(up.__getitem__, j)) for j in _window_folds(ring, or_)]
+        # The pair laws hold at every pair exactly when the generator
+        # identities do; otherwise every pair of the scope is walked.
+        if _homomorphic(lo, up):
+            groups = []
+        elif pairs is None:
+            groups = ((a, singles, lo, up) for a in singles)
+        else:
+            groups = ((a, (b,), lo, up) for a, b in zip(draws[0::2], draws[1::2]))
+    else:
         # Both tables are read at the singles and their complements, then
         # lower at the windows' meets and upper at their joins.
         head = [*singles, *map(vmask.__xor__, singles)]
@@ -518,18 +566,11 @@ def verify_algebraic_properties(
         up_singles, up_comps = up_table[:n], up_table[n : 2 * n]
         lo_windows = [lo_table[i : i + n] for i in range(2 * n, len(lo_table), n)]
         up_windows = [up_table[i : i + n] for i in range(2 * n, len(up_table), n)]
+        singles_hold = _singles_hold(
+            rel, singles, lo_singles, up_singles, lo_comps, up_comps, solitary
+        )
+        # Each block of drawn pairs is tabulated and cleared on its own.
         groups = _drawn_pair_groups(rel, draws[0::2], draws[1::2])
-        n_pairs = pairs
-
-    solitary = rel.solitary_set().bits
-    n = len(singles)
-    instances = dict.fromkeys(ALGEBRAIC_LAWS, n)
-    instances["empty-and-full-values"] = 1
-    instances["solitary-forces-strict-gap"] = n if solitary else 0
-    for law in PAIR_LAWS:
-        instances[law] = n_pairs
-    instances["meet-lower-join-upper-distributivity"] += n * len(lo_windows)
-    violations: dict[str, list[Violation]] = {law: [] for law in ALGEBRAIC_LAWS}
     relation_repr = ""
 
     def u_str(bits: int) -> str:
@@ -560,7 +601,7 @@ def verify_algebraic_properties(
     if up_singles[-1] != sprime:
         record(law, (vmask,), f"upper(V) = {u_str(sprime)}", u_str(up_singles[-1]))
 
-    if not _singles_hold(rel, singles, lo_singles, up_singles, lo_comps, up_comps, solitary):
+    if not singles_hold:
         columns = rel.columns()
         range_union = reduce(or_, rows)
         for s, lo_s, up_s, lo_c, up_c in zip(singles, lo_singles, up_singles, lo_comps, up_comps):
@@ -642,12 +683,7 @@ def verify_algebraic_properties(
             if up_w[k] != up_f[k]:
                 record(law, family, u_str(up_f[k]), u_str(up_w[k]))
 
-    return PropertyReport(
-        tuple(
-            LawRecord(law, instances[law], tuple(violations[law]))
-            for law in ALGEBRAIC_LAWS
-        )
-    )
+    return _property_report(instances, violations)
 
 
 def verify_serial_iff(rel: BinaryRelation) -> bool:

@@ -11,6 +11,7 @@ function; instances can be shared freely between threads.
 from __future__ import annotations
 
 import re
+import struct
 from enum import Enum
 from itertools import compress, repeat
 from typing import Iterable, Iterator, Sequence, TypeVar
@@ -177,22 +178,32 @@ def mask_of_indices(indices: Iterable[int], width: int) -> int:
     return int.from_bytes(packed, "little")
 
 
+# The struct (and memoryview.cast) format of a lane of 1, 2, 4 or 8 bytes.
+_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
 def pack_lanes(values: Sequence[int], nbytes: int) -> int:
     """The int whose lane k, bits [8 * nbytes * k, 8 * nbytes * (k + 1)), is values[k].
 
-    A value outside [0, 2**(8 * nbytes)) raises OverflowError.  Values all
-    under 256 take one ``bytes`` call and one strided copy, where wider ones
-    take an ``int.to_bytes`` call each.
+    A value outside [0, 2**(8 * nbytes)) raises OverflowError.  Lanes of 1,
+    2, 4 or 8 bytes take one ``struct.pack`` call.  At other widths, values
+    all under 256 take one ``bytes`` call and one strided copy, where wider
+    ones take an ``int.to_bytes`` call each.
     """
+    code = _LANE_FORMATS.get(nbytes)
+    if code is not None:
+        try:
+            return int.from_bytes(struct.pack(f"<{len(values)}{code}", *values), "little")
+        except struct.error as exc:
+            raise OverflowError(str(exc)) from None
     try:
         packed = bytes(values)
     except ValueError:
         packed = b"".join(map(int.to_bytes, values, repeat(nbytes), repeat("little")))
     else:
-        if nbytes > 1:
-            lanes = bytearray(len(packed) * nbytes)
-            lanes[::nbytes] = packed
-            packed = lanes
+        lanes = bytearray(len(packed) * nbytes)
+        lanes[::nbytes] = packed
+        packed = lanes
     return int.from_bytes(packed, "little")
 
 

@@ -131,18 +131,30 @@ class TestAlgebraicCampaign:
         b = verify_algebraic_properties(sample, pairs=20, seed=4)
         assert a == b
 
-    def test_sampled_memory_is_bounded_by_the_pair_block(self, sample):
-        # 20,000 drawn pairs: the pairs' tables are built a block at a time,
-        # so the peak is the draws and one block (0.9 MB), not four tables
-        # of every pair (6.8 MB when built at once).
+    def test_sampled_memory_is_bounded_by_the_pair_block(self, monkeypatch):
+        # 20,000 drawn pairs at |V| = 20, where the campaign stays on the
+        # sampled route: the pairs' tables are built a block at a time, so
+        # the pair phase adds one block (0.35 MB) to what the singles' tables
+        # hold, not four tables of every pair (5.5 MB when built at once).
+        rel = random_relation(5, 20, 0.5, seed=3, index=20)
+        assert not _takes_full_tables(rel, 20000, 3)
+        groups = lab._drawn_pair_groups
+        extra = []
+
+        def drawn_pair_groups(*args):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            yield from groups(*args)
+            extra.append(tracemalloc.get_traced_memory()[1] - start)
+
+        monkeypatch.setattr(lab, "_drawn_pair_groups", drawn_pair_groups)
         tracemalloc.start()
         try:
-            report = verify_algebraic_properties(sample, pairs=20000, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
+            report = verify_algebraic_properties(rel, pairs=20000, seed=3)
         finally:
             tracemalloc.stop()
         assert report.ok and report.record("monotonicity").instances == 20000
-        assert peak < 2_000_000
+        assert len(extra) == 1 and extra[0] < 1_000_000
 
     @pytest.mark.parametrize("pairs", [0, -3])
     def test_sampled_budget_needs_a_pair(self, sample, pairs):
@@ -282,6 +294,17 @@ def _campaign_subsets(rel, pairs, seed):
     return sorted(set(draws) | {0, rel.vmask}), list(zip(draws[0::2], draws[1::2]))
 
 
+def _takes_full_tables(rel, pairs, seed):
+    """Whether a campaign tabulates lower and upper at every V-subset: when
+    exhaustive, and when sampled if the 2**|V| subsets are no more than the
+    entries of its head tables, (2 + windows) * singles."""
+    if pairs is None:
+        return True
+    n = len(_campaign_subsets(rel, pairs, seed)[0])
+    windows = sum(size <= n for size in (3, 4))
+    return 2**rel.v_size <= (2 + windows) * n
+
+
 def _index_set(mask):
     return {j for j in range(mask.bit_length()) if mask >> j & 1}
 
@@ -357,25 +380,38 @@ def _naive_violations(monkeypatch, rel, kernels, faulty, n_pairs, seed):
         for subsets in failed.get(law, [])
     ]
     assert got == want
-    assert packed["_singles_hold"] == [not any(law in SINGLE_LAWS for law, _ in want)]
-    # One pair check per block of drawn pairs; the blocks all clear exactly
-    # when no drawn pair fails.
-    blocks = 0 if n_pairs is None else -(-n_pairs // lab.PAIR_BLOCK)
-    assert len(packed["_pairs_hold"]) == blocks
-    if blocks:
+    if _takes_full_tables(rel, n_pairs, seed):
+        # The full tables are cleared at once by the single-subset laws at
+        # every subset, which imply the other laws: the clear passes exactly
+        # when the reference over every subset and every pair finds no
+        # violation at all.  Only when it fails are the generator identities
+        # asked, and they hold exactly when no pair fails.
+        if n_pairs is None:
+            everywhere = failed
+        else:
+            every = [_index_set(m) for m in range(1 << rel.v_size)]
+            all_pairs = list(product(every, repeat=2))
+            everywhere = naive_law_campaign(matrix, lower, upper, every, all_pairs)[1]
+        singles_fail = any(everywhere.get(law) for law in SINGLE_LAWS)
+        pairs_fail = any(
+            len(subsets) == 2 for law in PAIR_LAWS for subsets in everywhere.get(law, [])
+        )
+        clear = not any(everywhere.values())
+        assert clear == (not singles_fail)
+        assert packed == {
+            "_singles_hold": [not singles_fail],
+            "_pairs_hold": [],
+            "_homomorphic": [] if clear else [not pairs_fail],
+        }
+    else:
+        assert packed["_singles_hold"] == [not any(law in SINGLE_LAWS for law, _ in want)]
+        # One pair check per block of drawn pairs; the blocks all clear
+        # exactly when no drawn pair fails.
+        blocks = -(-n_pairs // lab.PAIR_BLOCK)
+        assert len(packed["_pairs_hold"]) == blocks and packed["_homomorphic"] == []
         assert all(packed["_pairs_hold"]) == (
             not any(law in PAIR_LAWS and len(subsets) == 2 for law, subsets in want)
         )
-    if n_pairs is None:
-        # The generator identities hold exactly when no pair fails.
-        tables = [[kernel(rel.rows, s) for s in singles] for kernel in kernels]
-        failing = {
-            sum(1 << j for j in subsets[0])
-            for law in PAIR_LAWS
-            for subsets in failed.get(law, [])
-            if len(subsets) == 2
-        }
-        assert lab._homomorphic(*tables) == (not failing)
     return want
 
 
@@ -536,10 +572,12 @@ class TestLawCampaignFaultInjection:
 
     @pytest.mark.parametrize("make_kernels", [_package_kernels, _non_additive_upper])
     def test_drawn_pairs_in_several_blocks(self, monkeypatch, make_kernels):
-        # More drawn pairs than one block holds: the blocks are checked, and
-        # walked when they fail, in draw order.
-        rel = LAW_RELATIONS[-1]
+        # More drawn pairs than one block holds, at a |V| that keeps the
+        # campaign on the sampled route: the blocks are checked, and walked
+        # when they fail, in draw order.
+        rel = random_relation(2, 14, 0.5, seed=13, index=14)
         n_pairs = lab.PAIR_BLOCK + 37
+        assert not _takes_full_tables(rel, n_pairs, 5)
         faulty = make_kernels is not _package_kernels
         want = _naive_violations(monkeypatch, rel, make_kernels(rel), faulty, n_pairs, 5)
         assert bool(want) == faulty
@@ -547,29 +585,33 @@ class TestLawCampaignFaultInjection:
     @pytest.mark.parametrize("workload_seed", [1, 2])
     def test_benchmark_campaign_never_walks_scalar(self, monkeypatch, workload_seed):
         # perfbench's law_campaign: 250 relations up to 10x10, 100 pairs
-        # each.  Both packed checks clear every relation, so no relation
-        # reaches the scalar loops.
+        # each.  The relations on the full tables clear on the single-subset
+        # laws, the others on both packed checks, so no relation reaches the
+        # scalar loops.
         packed = _packed_results(monkeypatch)
         rng = random.Random(f"{workload_seed}:law_campaign")
         seed = rng.randrange(2**31)
-        relations = random_campaign(250, max_u=10, max_v=10, seed=seed)
+        relations = list(random_campaign(250, max_u=10, max_v=10, seed=seed))
         reports = [
             verify_algebraic_properties(rel, pairs=100, seed=seed + i)
             for i, rel in enumerate(relations)
         ]
         assert merge_property_reports(reports).ok
+        full = sum(_takes_full_tables(rel, 100, seed + i) for i, rel in enumerate(relations))
+        # Both routes are taken.
+        assert 0 < full < 250
         assert packed == {
-            "_singles_hold": [True] * 250, "_pairs_hold": [True] * 250, "_homomorphic": []
+            "_singles_hold": [True] * 250, "_pairs_hold": [True] * (250 - full), "_homomorphic": []
         }
         # Its exhaustive check of one 40x9 file at density 0.3, drawn from the
-        # same stream: the single-subset laws and the generator identities
-        # clear it, so no group reaches the scalar pair loop.
+        # same stream: the single-subset laws clear it, so no group reaches
+        # the scalar pair loop.
         matrix = [[int(rng.random() < 0.3) for _ in range(9)] for _ in range(40)]
         rel = BinaryRelation.from_rows(canonical_universes(40, 9), matrix)
         report = verify_algebraic_properties(rel)
         assert report.ok and report.record("monotonicity").instances == 4**9
         assert packed == {
-            "_singles_hold": [True] * 251, "_pairs_hold": [True] * 250, "_homomorphic": [True]
+            "_singles_hold": [True] * 251, "_pairs_hold": [True] * (250 - full), "_homomorphic": []
         }
 
     def test_packed_check_bit_budget(self, monkeypatch):
@@ -592,10 +634,76 @@ class TestLawCampaignFaultInjection:
         finally:
             tracemalloc.stop()
         assert report.ok and report.record("monotonicity").instances == 4**8
-        # Four blocks for the singles' tables; the pair laws are cleared by
-        # the generator identities, which pack nothing.
+        # Four blocks for the singles' tables; the single-subset laws at
+        # every subset clear the pair laws too, so nothing else is packed.
         assert lanes == [(500, 64)] * 4
         assert peak < 3_000_000
+
+
+def _lower_table_calls(monkeypatch):
+    """The V-masks of each ``lower_table`` call ``lab`` makes from here on."""
+    calls = []
+
+    def lower_table(rows, ys):
+        calls.append(list(ys))
+        return approx.lower_table(rows, ys)
+
+    monkeypatch.setattr(lab, "lower_table", lower_table)
+    return calls
+
+
+class TestLawCampaignRoutes:
+    def test_law_relations_take_both_routes(self, monkeypatch):
+        # At 30 pairs, as the fault-injection tests run them, |V| up to 7
+        # takes the full tables (lower at every V-subset, in one call) and
+        # |V| of 8 and 9 the sampled route (the head table, then one block).
+        calls = _lower_table_calls(monkeypatch)
+        for rel in LAW_RELATIONS:
+            full = rel.v_size <= 7
+            assert _takes_full_tables(rel, 30, rel.u_size) == full
+            calls.clear()
+            assert verify_algebraic_properties(rel, pairs=30, seed=rel.u_size).ok
+            assert (calls == [list(range(1 << rel.v_size))]) == full
+            assert len(calls) == (1 if full else 2)
+        assert {rel.v_size for rel in LAW_RELATIONS} == set(range(1, 10))
+
+    @pytest.mark.parametrize(
+        "v_size, pairs, full",
+        [
+            (1, 1, True),
+            (2, 1, True),
+            (3, 2, True),
+            (5, 3, False),
+            (6, 30, True),
+            (7, 30, True),
+            (8, 30, False),
+            (8, 200, True),
+            (9, 100, True),
+            (10, 100, False),
+            (12, 1000, True),
+            (14, 1061, False),
+            (40, 50, False),
+        ],
+    )
+    def test_full_tables_only_within_the_head_tables(self, monkeypatch, v_size, pairs, full):
+        # A sampled campaign tabulates lower at every V-subset, in one call,
+        # exactly when 2**|V| is at most (2 + windows) * singles, the length
+        # of the head table of its sampled route; otherwise at the head
+        # table, then at each block of drawn pairs.  No call reads more
+        # V-masks than that head table holds.
+        rel = random_relation(4, v_size, 0.4, seed=17, index=v_size)
+        singles = _campaign_subsets(rel, pairs, 7)[0]
+        head = (2 + sum(size <= len(singles) for size in (3, 4))) * len(singles)
+        assert _takes_full_tables(rel, pairs, 7) == full == (2**v_size <= head)
+        calls = _lower_table_calls(monkeypatch)
+        assert verify_algebraic_properties(rel, pairs=pairs, seed=7).ok
+        if full:
+            assert calls == [list(range(1 << v_size))]
+        else:
+            blocks = [min(lab.PAIR_BLOCK, pairs - k) for k in range(0, pairs, lab.PAIR_BLOCK)]
+            assert [len(ys) for ys in calls] == [head] + [4 * block for block in blocks]
+            assert calls[0][: len(singles)] == singles
+        assert max(map(len, calls)) <= head
 
 
 class TestSerialIff:

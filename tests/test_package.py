@@ -177,7 +177,8 @@ def test_each_subcommand_loads_only_its_modules(name):
         expected.add("fractions")
     assert {m for m in loaded if m.startswith("birough.") or m == "fractions"} == expected
     # The records are built without dataclasses, which would bring inspect,
-    # and the lane tables pack through int.to_bytes and memoryview, not array.
+    # and the lane tables pack through struct, int.to_bytes and memoryview,
+    # not array.
     assert not loaded & {"dataclasses", "inspect", "array"}
 
 

@@ -39,6 +39,7 @@ from birough.lab import (
     Witness,
     canonical_universes,
 )
+from birough.relation import pack_lanes
 from conftest import SAMPLE_MATRIX
 from naive import (
     matrix_of,
@@ -346,6 +347,27 @@ class TestColumns:
                 int("".join(map(str, reversed(column))), 2) for column in zip(*matrix_of(rel))
             )
             assert rel.columns() == expected
+
+
+class TestPackLanes:
+    @pytest.mark.parametrize("nbytes", [1, 2, 3, 4, 5, 8])
+    def test_packs_as_the_to_bytes_join(self, nbytes):
+        # Lane widths with one struct format each and without; values all
+        # under 256 and values up to the top of the lane.
+        top = (1 << 8 * nbytes) - 1
+        values = [v for v in (0, 255, 256, top) if v <= top]
+        rng = random.Random(nbytes)
+        for lanes in (values, values[:2], [rng.randint(0, top) for _ in range(300)]):
+            join = b"".join(v.to_bytes(nbytes, "little") for v in lanes)
+            assert pack_lanes(lanes, nbytes) == int.from_bytes(join, "little")
+
+    @pytest.mark.parametrize("nbytes", [1, 2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("bad", ["past", "negative"])
+    def test_out_of_range_value_overflows(self, nbytes, bad):
+        value = 1 << 8 * nbytes if bad == "past" else -1
+        for lanes in ([value], [0, 255, value], [value, 1]):
+            with pytest.raises(OverflowError):
+                pack_lanes(lanes, nbytes)
 
 
 class TestSolitaryAndSerial:
