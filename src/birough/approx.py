@@ -22,14 +22,12 @@ operators through them.
 
 from __future__ import annotations
 
-import sys
 from enum import IntEnum
 from itertools import repeat
 from operator import eq
 from typing import Sequence
 
 from .relation import (
-    _LANE_FORMATS,
     SHIFT_WIDTH,
     BinaryRelation,
     Side,
@@ -39,6 +37,7 @@ from .relation import (
     mask_of_flags,
     pack_lanes,
     record,
+    unpack_lanes,
 )
 
 __all__ = [
@@ -164,14 +163,6 @@ def _ys_in_lanes(rows: Sequence[int], ys: Sequence[int]) -> tuple[int, int, int]
     return None
 
 
-def _unpacked(flags: int, count: int, nbytes: int) -> list[int]:
-    """The ``count`` lanes of ``flags``, lane k as entry k."""
-    raw = flags.to_bytes(count * nbytes, sys.byteorder)
-    lanes = memoryview(raw).cast(_LANE_FORMATS[nbytes]).tolist()
-    # Read big-endian, the lanes come out last first.
-    return lanes if sys.byteorder == "little" else lanes[::-1]
-
-
 def lower_table(rows: Sequence[int], ys: Sequence[int]) -> list[int]:
     """``[lower_bits(rows, y) for y in ys]``, every V-mask of ``ys`` at once.
 
@@ -191,7 +182,7 @@ def lower_table(rows: Sequence[int], ys: Sequence[int]) -> list[int]:
     for i, row in enumerate(rows):
         spread = row * ones
         out |= (guard - (packed & spread ^ spread) & guard) >> top - i
-    return _unpacked(out, len(ys), nbytes)
+    return unpack_lanes(out, len(ys), nbytes)
 
 
 def upper_table(rows: Sequence[int], ys: Sequence[int]) -> list[int]:
@@ -210,7 +201,7 @@ def upper_table(rows: Sequence[int], ys: Sequence[int]) -> list[int]:
     out = 0
     for i, row in enumerate(rows):
         out |= ((packed & row * ones) + below & guard) >> top - i
-    return _unpacked(out, len(ys), nbytes)
+    return unpack_lanes(out, len(ys), nbytes)
 
 
 def lower_nonempty(rows: Sequence[int], y_bits: int) -> bool:

@@ -410,17 +410,12 @@ def _homomorphic(lo: Sequence[int], up: Sequence[int]) -> bool:
     outside c: exactly when both laws hold at every pair.  That implies
     monotonicity and the join/meet bounds too, on any ints, so True exactly
     when the scalar pair loop would record no violation.
-
-    The y with lowest element b are b, 3b, 5b, ...: one strided slice per b,
-    compared at once with the slice of the y ^ b.  Entry y of ``lo_c``, the
-    reversed ``lo``, is lo[V ^ y], so entry y ^ b is lo[c | b].
     """
-    lo_c = lo[::-1]
-    for b in map((1).__lshift__, range(len(lo).bit_length() - 1)):
-        step = 2 * b
-        joins = list(map(or_, up[::step], repeat(up[b])))
-        meets = list(map(and_, lo_c[::step], repeat(lo_c[b])))
-        if up[b::step] != joins or lo_c[b::step] != meets:
+    vmask = len(lo) - 1
+    for y in range(1, len(lo)):
+        b = y & -y
+        c = vmask ^ y
+        if up[y] != up[y ^ b] | up[b] or lo[c] != lo[c | b] & lo[vmask ^ b]:
             return False
     return True
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 import struct
+import sys
 from enum import Enum
 from itertools import compress, repeat
 from typing import Iterable, Iterator, Sequence, TypeVar
@@ -34,6 +35,7 @@ __all__ = [
     "mask_of_flags",
     "mask_of_indices",
     "pack_lanes",
+    "unpack_lanes",
     "row_digits",
     "digits_row",
     "valid_label",
@@ -186,25 +188,28 @@ def pack_lanes(values: Sequence[int], nbytes: int) -> int:
     """The int whose lane k, bits [8 * nbytes * k, 8 * nbytes * (k + 1)), is values[k].
 
     A value outside [0, 2**(8 * nbytes)) raises OverflowError.  Lanes of 1,
-    2, 4 or 8 bytes take one ``struct.pack`` call.  At other widths, values
-    all under 256 take one ``bytes`` call and one strided copy, where wider
-    ones take an ``int.to_bytes`` call each.
+    2, 4 or 8 bytes take one ``struct.pack`` call, other widths an
+    ``int.to_bytes`` call per value.
     """
     code = _LANE_FORMATS.get(nbytes)
-    if code is not None:
-        try:
-            return int.from_bytes(struct.pack(f"<{len(values)}{code}", *values), "little")
-        except struct.error as exc:
-            raise OverflowError(str(exc)) from None
-    try:
-        packed = bytes(values)
-    except ValueError:
+    if code is None:
         packed = b"".join(map(int.to_bytes, values, repeat(nbytes), repeat("little")))
-    else:
-        lanes = bytearray(len(packed) * nbytes)
-        lanes[::nbytes] = packed
-        packed = lanes
-    return int.from_bytes(packed, "little")
+        return int.from_bytes(packed, "little")
+    try:
+        return int.from_bytes(struct.pack(f"<{len(values)}{code}", *values), "little")
+    except struct.error as exc:
+        raise OverflowError(str(exc)) from None
+
+
+def unpack_lanes(packed: int, count: int, nbytes: int) -> list[int]:
+    """The ``count`` lanes of ``nbytes`` (1, 2, 4 or 8) bytes of ``packed``, lane k as entry k.
+
+    The inverse of ``pack_lanes`` at those widths.
+    """
+    raw = packed.to_bytes(count * nbytes, sys.byteorder)
+    lanes = memoryview(raw).cast(_LANE_FORMATS[nbytes]).tolist()
+    # Read big-endian, the lanes come out last first.
+    return lanes if sys.byteorder == "little" else lanes[::-1]
 
 
 def mask_members(mask: int, items: Sequence[_T]) -> Iterator[_T]:

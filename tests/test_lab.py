@@ -156,6 +156,20 @@ class TestAlgebraicCampaign:
         assert report.ok and report.record("monotonicity").instances == 20000
         assert len(extra) == 1 and extra[0] < 1_000_000
 
+    def test_full_table_memory_is_bounded_by_the_draws(self, sample):
+        # 20,000 drawn pairs on the 5x6 sample, which takes the full tables:
+        # the peak of the whole campaign is the draws and the 64-entry tables
+        # (0.36 MB), not four tables of every pair (6.8 MB when built at once).
+        assert _takes_full_tables(sample, 20000, 3)
+        tracemalloc.start()
+        try:
+            report = verify_algebraic_properties(sample, pairs=20000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and report.record("monotonicity").instances == 20000
+        assert peak < 2_000_000
+
     @pytest.mark.parametrize("pairs", [0, -3])
     def test_sampled_budget_needs_a_pair(self, sample, pairs):
         with pytest.raises(ConfigError):

@@ -39,7 +39,7 @@ from birough.lab import (
     Witness,
     canonical_universes,
 )
-from birough.relation import pack_lanes
+from birough.relation import pack_lanes, unpack_lanes
 from conftest import SAMPLE_MATRIX
 from naive import (
     matrix_of,
@@ -360,6 +360,13 @@ class TestPackLanes:
         for lanes in (values, values[:2], [rng.randint(0, top) for _ in range(300)]):
             join = b"".join(v.to_bytes(nbytes, "little") for v in lanes)
             assert pack_lanes(lanes, nbytes) == int.from_bytes(join, "little")
+
+    @pytest.mark.parametrize("nbytes", [1, 2, 4, 8])
+    def test_unpack_inverts_pack(self, nbytes):
+        top = (1 << 8 * nbytes) - 1
+        rng = random.Random(nbytes)
+        for lanes in ([], [0, 255, 256 & top, top], [rng.randint(0, top) for _ in range(300)]):
+            assert unpack_lanes(pack_lanes(lanes, nbytes), len(lanes), nbytes) == lanes
 
     @pytest.mark.parametrize("nbytes", [1, 2, 3, 4, 5, 8])
     @pytest.mark.parametrize("bad", ["past", "negative"])
