@@ -16,15 +16,18 @@ sets: is its lower approximation non-empty, and does its upper cover U?
 Both depend only on the set of rows, so they are read over the distinct
 rows and memoised by V-mask (``FamilyApprox.union_facts``).  The blockwise
 side of each law reads the blocks' own lower and upper U-masks, a separate
-route.
+route.  The V-mask of a union of blocks, and the union of those blocks'
+uppers, are read from tables over windows of 8 blocks, built once per
+family (``FamilyApprox.block_union`` and ``upper_union``).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, partial, reduce
 from itertools import combinations
+from operator import or_
 from typing import Callable, Iterable, Sequence
 
 from .approx import (
@@ -40,9 +43,7 @@ from .relation import (
     SideMismatchError,
     Subset,
     UniversePair,
-    iter_bits,
     mask_of_flags,
-    mask_of_indices,
     record,
 )
 
@@ -216,6 +217,19 @@ class FamilyApprox:
         return cache(partial(lower_nonempty, rows)), cache(partial(upper_covers, rows))
 
     @cached_property
+    def block_union(self) -> Callable[[int], int]:
+        """The V-mask of the union of the blocks in a mask of block indices
+        (``_window_union``)."""
+        return _window_union([block.bits for block in self.classification.blocks])
+
+    @cached_property
+    def upper_union(self) -> Callable[[int], int]:
+        """The U-mask union of the uppers of the blocks in a mask of block
+        indices (``_window_union``): the blockwise route of the laws, over
+        the blocks' own uppers."""
+        return _window_union([upper.bits for upper in self.uppers])
+
+    @cached_property
     def proper_index_sets(self) -> list[tuple[tuple[str, ...], int, int]]:
         """``_index_sets`` of every proper index subset, shared by the law reports."""
         return _index_sets(self, proper_index_subsets(self.classification.n))
@@ -324,51 +338,71 @@ def _checked_index_set(
     return _index_sets(fa, [idxs])[0]
 
 
+# Masks per window of ``_window_union``: one byte of a mask of indices.
+WINDOW = 8
+
+
+def _window_union(masks: Sequence[int]) -> Callable[[int], int]:
+    """The OR of ``masks[i]`` over the set bits i of a mask of indices.
+
+    Each byte of the index mask is a window of ``WINDOW`` masks, and each
+    window has a table of the OR of every subset of its masks, so a union
+    costs one lookup per window.  A table is built a mask at a time: the
+    entries with that mask's bit are the entries below them ORed with the
+    mask, so every entry costs one OR.
+    """
+    tables = []
+    for start in range(0, len(masks), WINDOW):
+        table = [0]
+        for mask in masks[start:start + WINDOW]:
+            table += [entry | mask for entry in table]
+        tables.append(table)
+    windows = partial(map, list.__getitem__, tables)
+    nbytes = len(tables)
+    return lambda chosen: reduce(or_, windows(chosen.to_bytes(nbytes, "little")))
+
+
 def _index_sets(
     fa: FamilyApprox, index_sets: Iterable[Sequence[int]]
 ) -> list[tuple[tuple[str, ...], int, int]]:
     """(names, union, chosen) for each index set: the chosen blocks' names, the
     V-mask of their union (the other blocks unite to ``vmask ^ union``, since the
     blocks partition V) and the mask of their block indices."""
-    n, names, blocks = fa.classification.n, fa.classification.names, fa.classification.blocks
+    names = fa.classification.names
+    bits = [1 << i for i in range(len(names))]
+    union = fa.block_union
     out = []
     for idxs in index_sets:
-        union = 0
-        for i in idxs:
-            union |= blocks[i].bits
-        out.append((tuple(names[i] for i in idxs), union, mask_of_indices(idxs, n)))
-    return out
-
-
-def _rest_uppers(fa: FamilyApprox, chosen: int) -> int:
-    """U-mask union of the uppers of the blocks outside ``chosen``."""
-    out = 0
-    for j in iter_bits(chosen ^ ((1 << fa.classification.n) - 1)):
-        out |= fa.uppers[j].bits
+        chosen = sum(map(bits.__getitem__, idxs))
+        out.append((tuple(map(names.__getitem__, idxs)), union(chosen), chosen))
     return out
 
 
 def _dualities(
-    fa: FamilyApprox, names: tuple[str, ...], union: int, chosen: int
-) -> tuple[LawInstance, LawInstance]:
-    """The cover and the support duality for one index set."""
+    fa: FamilyApprox, index_sets: Iterable[tuple[tuple[str, ...], int, int]]
+) -> tuple[list[LawInstance], list[LawInstance]]:
+    """The cover and the support duality instances of each index set."""
     has_lower, covers_u = fa.union_facts
-    cover = covers_u(union), not has_lower(fa.relation.vmask ^ union)
-    support = has_lower(union), _rest_uppers(fa, chosen) != fa.relation.umask
-    return (
-        _biconditional(COVER_DUALITY, names, *cover),
-        _biconditional(SUPPORT_DUALITY, names, *support),
-    )
+    rest_uppers = fa.upper_union
+    umask, vmask = fa.relation.umask, fa.relation.vmask
+    every_block = (1 << fa.classification.n) - 1
+    cover, support = [], []
+    for names, union, chosen in index_sets:
+        right = not has_lower(vmask ^ union)
+        cover.append(_biconditional(COVER_DUALITY, names, covers_u(union), right))
+        right = rest_uppers(every_block ^ chosen) != umask
+        support.append(_biconditional(SUPPORT_DUALITY, names, has_lower(union), right))
+    return cover, support
 
 
 def cover_duality_check(fa: FamilyApprox, index_set: Sequence[int]) -> LawInstance:
     """Upper of the chosen union covers U iff lower of the rest is empty."""
-    return _dualities(fa, *_checked_index_set(fa, index_set))[0]
+    return _dualities(fa, [_checked_index_set(fa, index_set)])[0][0]
 
 
 def support_duality_check(fa: FamilyApprox, index_set: Sequence[int]) -> LawInstance:
     """Lower of the chosen union is non-empty iff the rest's uppers miss some of U."""
-    return _dualities(fa, *_checked_index_set(fa, index_set))[1]
+    return _dualities(fa, [_checked_index_set(fa, index_set)])[1][0]
 
 
 INDEX_SET_LIMIT = 12
@@ -385,7 +419,10 @@ def proper_index_subsets(n: int) -> list[tuple[int, ...]]:
     """
     if n <= INDEX_SET_LIMIT:
         return sorted(s for size in range(1, n) for s in combinations(range(n), size))
-    picked = {(i,) for i in range(n)} | {(*range(i), *range(i + 1, n)) for i in range(n)}
+    # Slices of one tuple share its index objects, so the n complements
+    # hold n * (n - 1) references, not as many ints.
+    every = tuple(range(n))
+    picked = {every[i:i + 1] for i in range(n)} | {every[:i] + every[i + 1:] for i in range(n)}
     rng = random.Random(f"{INDEX_SET_SEED}:index-subsets:{n}")
     while len(picked) < 2 * n + INDEX_SET_SAMPLES:
         size = rng.randint(1, n - 1)
@@ -395,8 +432,8 @@ def proper_index_subsets(n: int) -> list[tuple[int, ...]]:
 
 def duality_report(fa: FamilyApprox) -> TheoremReport:
     """Both duality biconditionals over every index subset."""
-    cover_entries, support_entries = zip(*(_dualities(fa, *s) for s in fa.proper_index_sets))
-    return TheoremReport(cover_entries + support_entries)
+    cover, support = _dualities(fa, fa.proper_index_sets)
+    return TheoremReport(tuple(cover + support))
 
 
 def derived_laws_report(fa: FamilyApprox) -> TheoremReport:
@@ -404,8 +441,11 @@ def derived_laws_report(fa: FamilyApprox) -> TheoremReport:
     n = fa.classification.n
     index_sets = fa.proper_index_sets
     has_lower, covers_u = fa.union_facts
+    rest_uppers = fa.upper_union
     umask, vmask = fa.relation.umask, fa.relation.vmask
-    singles = _index_sets(fa, [(i,) for i in range(n)])
+    # Every singleton is a proper index set, in block order; sharing its
+    # entry shares its names tuple, down to the report.
+    singles = [s for s in index_sets if len(s[0]) == 1]
     # Blockwise facts: bit i is set when block i's lower is non-empty (lows)
     # or when block i's upper covers U (covers).
     lows = mask_of_flags([bool(lo) for lo in fa.lowers])
@@ -439,7 +479,7 @@ def derived_laws_report(fa: FamilyApprox) -> TheoremReport:
 
     law = "block-lower-nonempty-iff-rest-uppers-union-proper"
     for names, _, chosen in singles:
-        right = _rest_uppers(fa, chosen) != umask
+        right = rest_uppers(every_block ^ chosen) != umask
         entries.append(_biconditional(law, names, bool(lows & chosen), right))
 
     law = "block-upper-proper-iff-rest-lower-nonempty"

@@ -19,11 +19,11 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, itemgetter
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .approx import ApproxResult, RoughType
 from .relation import (
@@ -543,35 +543,58 @@ def _json_pieces(obj: Any, depth: int) -> Iterator[str]:
     inner = "\n" + "  " * (depth + 1)
     separator = "," + inner
     lead = brackets[0] + inner
-    # A member that is one object several times over (such as the label list
-    # that equal rows share) is encoded once per container, and its text is
-    # kept only until its last use; every other text is dropped once written.
+    flat_text = _shared_texts(values, _flat_text, depth + 1)
+    for prefix, value in members:
+        leaf = _LEAF_TEXT.get(type(value))
+        text = leaf(value) if leaf else flat_text(value)
+        if text is None:
+            yield lead + prefix
+            yield from _json_pieces(value, depth + 1)
+        else:
+            yield lead + prefix + text
+        lead = separator
+    yield "\n" + "  " * depth + brackets[1]
+
+
+# Characters of a kept text per further use of it.  A kept text saves one
+# encoding at each further use and is held until its last, so a long text
+# with few uses spread over a long container (the names of an index set
+# recur once per law section) would hold a share of the report for little.
+_KEPT_PER_USE = 256
+
+
+def _shared_texts(
+    values: Iterable[Any], encode: Callable[[Any, int], str | None], depth: int
+) -> Callable[[Any], str | None]:
+    """``encode(value, depth)`` for the values of one container, taken in their order.
+
+    A value that is one object several times over (such as the label list
+    that equal rows share, or the names of one index set in every law entry
+    over it) is encoded once per container, and its text kept until its
+    last use, if the text has at most ``_KEPT_PER_USE`` characters per
+    further use; every other text is dropped once returned.
+    """
     uses = Counter(map(id, values))
     left = dict(compress(uses.items(), map((1).__lt__, uses.values())))
     del uses
+    if not left:
+        return lambda value: encode(value, depth)
     texts: dict[int, str] = {}
-    for prefix, value in members:
-        leaf = _LEAF_TEXT.get(type(value))
-        if leaf:
-            yield lead + prefix + leaf(value)
-            lead = separator
-            continue
+
+    def text(value: Any) -> str | None:
         key = id(value)
-        text = texts.pop(key, None)
-        if text is None:
-            text = _flat_text(value, depth + 1)
-            if text is None:
-                yield lead + prefix
-                yield from _json_pieces(value, depth + 1)
-                lead = separator
-                continue
-        count = left.get(key, 0)
-        if count > 1:
-            texts[key] = text
-            left[key] = count - 1
-        yield lead + prefix + text
-        lead = separator
-    yield "\n" + "  " * depth + brackets[1]
+        found = texts.pop(key, None)
+        if found is None:
+            found = encode(value, depth)
+            if found is None or len(found) > _KEPT_PER_USE * (left.get(key, 1) - 1):
+                return found
+        further = left[key] - 1
+        if further:
+            texts[key] = found
+            left[key] = further
+        return found
+
+    return text
 
 
 def _record_keys(items: Sequence[Any]) -> list[str] | None:
@@ -590,9 +613,10 @@ def _record_pieces(items: Sequence[dict], keys: list[str], depth: int) -> Iterat
 
     Each record is one ``%``-template over its members' texts; the texts of
     one key come from a lazy column, the leaf encoder when the whole column
-    is of one leaf type.  A group is sized from the last one at about a
-    sixteenth of a batch, so that records that grow along the list overfill
-    a batch by little.
+    is of one leaf type, else ``_shared_texts``, so that a container that
+    recurs in the column is encoded once.  A group is sized from the last
+    one at about a sixteenth of a batch, so that records that grow along the
+    list overfill a batch by little.
     """
     inner = "\n" + "  " * (depth + 1)
     member = "\n" + "  " * (depth + 2)
@@ -606,8 +630,10 @@ def _record_pieces(items: Sequence[dict], keys: list[str], depth: int) -> Iterat
     for key in keys:
         get = itemgetter(key)
         kinds = set(map(type, map(get, items)))
-        leaf = _LEAF_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
-        columns.append(map(leaf or partial(_value_text, depth=depth + 2), map(get, items)))
+        encode = _LEAF_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        if not encode:
+            encode = _shared_texts(map(get, items), _value_text, depth + 2)
+        columns.append(map(encode, map(get, items)))
     records = map(template.__mod__, zip(*columns))
     separator = "," + inner
     lead = "[" + inner
@@ -709,10 +735,12 @@ def build_classify_report(
             "holds": tally[HOLDS],
             "vacuous": tally[VACUOUS],
             "violated": tally[VIOLATED],
+            # An entry's blocks are its law instance's names, one tuple per
+            # index set that all its entries share.
             "entries": [
                 {
                     "law": e.law,
-                    "blocks": list(e.blocks),
+                    "blocks": e.blocks,
                     "hypothesis": e.hypothesis,
                     "conclusion": e.conclusion,
                     "verdict": e.verdict,

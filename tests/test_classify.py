@@ -11,8 +11,10 @@ from birough import (
     BinaryRelation,
     Classification,
     ClassificationError,
+    FamilyApprox,
     SideMismatchError,
     Side,
+    Subset,
     UndefinedMeasureError,
     UniversePair,
     approximate_family,
@@ -310,17 +312,27 @@ def seeded_partition(v_size: int, k: int, seed: int) -> list[set[int]]:
 
 
 @st.composite
-def wide_families(draw):
-    """(relation, k) with k = 13 blocks (sampled index sets) or 70 (block masks
-    wider than a machine word); each row holds a few columns or all but a few,
-    so blocks with non-empty lowers and blocks with covering uppers both occur."""
-    k = draw(st.sampled_from([13, 70]))
+def wide_families(draw, block_counts=(13, 70)):
+    """(relation, k) with k drawn from ``block_counts``: by default 13 blocks
+    (sampled index sets) or 70 (block masks wider than a machine word); each
+    row holds a few columns or all but a few, so blocks with non-empty lowers
+    and blocks with covering uppers both occur."""
+    k = draw(st.sampled_from(block_counts))
     v = draw(st.integers(k, k + 3))
     rows = []
     for _ in range(draw(st.integers(1, 6))):
         few = sum(1 << j for j in draw(st.sets(st.integers(0, v - 1), max_size=3)))
         rows.append(few ^ ((1 << v) - 1) if draw(st.booleans()) else few)
     return BinaryRelation(canonical_universes(len(rows), v), tuple(rows)), k
+
+
+@st.composite
+def faults(draw, family):
+    """(block, side, flip): the U-elements in ``flip`` toggled in one block's
+    lower or upper approximation."""
+    rel, k = family
+    flip = draw(st.integers(1, rel.universes.full_mask(Side.U)))
+    return draw(st.integers(0, k - 1)), draw(st.sampled_from(["lower", "upper"])), flip
 
 
 class TestFamilyLawOracle:
@@ -335,6 +347,21 @@ class TestFamilyLawOracle:
     @given(wide_families(), st.integers(0, 2**32))
     def test_past_full_enumeration_and_word_width(self, family, seed):
         self.check(*family, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        wide_families([7, 8, 9, *range(13, 21)]).flatmap(
+            lambda family: st.tuples(st.just(family), faults(family))
+        ),
+        st.integers(0, 2**32),
+    )
+    def test_faulted_block_on_either_side_of_a_window_edge(self, faulted, seed):
+        # One block's lower or upper is wrong, so the blockwise side of the
+        # laws reads sets that no relation gives: each verdict must still be
+        # the one the naive sets give, with 7-9 and 16-17 blocks around the
+        # 8-block window edges and 13-20 blocks on the sampled index sets.
+        family, fault = faulted
+        self.check(*family, seed, fault)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -370,16 +397,27 @@ class TestFamilyLawOracle:
         assert entries(other) == entries(rel)
 
     @staticmethod
-    def check(rel, k, seed):
+    def check(rel, k, seed, fault=None):
+        """Compare every instance with the naive sets; ``fault`` = (block, side,
+        flip) toggles the U-elements in ``flip`` in that block's lower or upper,
+        in the family and in the naive sets alike."""
         blocks = seeded_partition(rel.v_size, k, seed)
         names = [f"B{i}" for i in range(k)]
         cls = validate_classification(
             [(name, rel.universes.v_subset(block)) for name, block in zip(names, blocks)]
         )
+        fa = approximate_family(rel, cls)
         matrix = matrix_of(rel)
         full = set(range(rel.u_size))
         block_lo = [naive_lower(matrix, block) for block in blocks]
         block_up = [naive_upper(matrix, block) for block in blocks]
+        if fault is not None:
+            b, side, flip = fault
+            sets = {"lower": list(fa.lowers), "upper": list(fa.uppers)}
+            sets[side][b] = Subset(rel.universes, Side.U, sets[side][b].bits ^ flip)
+            fa = FamilyApprox(rel, cls, tuple(sets["lower"]), tuple(sets["upper"]))
+            naive_sets = block_lo if side == "lower" else block_up
+            naive_sets[b] = naive_sets[b] ^ {i for i in full if flip >> i & 1}
 
         def union(ids):
             return set().union(*(blocks[i] for i in ids))
@@ -396,41 +434,54 @@ class TestFamilyLawOracle:
         def each_up(ids):
             return [block_up[i] for i in ids]
 
-        # (hypothesis, conclusion) of each law for chosen blocks s and the rest r
+        def each_covers(ids):
+            return all(u == full for u in each_up(ids))
+
+        # (hypothesis, conclusion) of each law for chosen blocks s and the
+        # rest r; a law over one block reads that block's own sets
         oracle = {
             COVER_DUALITY: lambda s, r: (up(s) == full, not lo(r)),
             SUPPORT_DUALITY: lambda s, r: (bool(lo(s)), set().union(*each_up(r)) != full),
             "cover-by-union-forces-rest-lowers-empty":
                 lambda s, r: (up(s) == full, not any(each_lo(r))),
             "block-upper-covers-iff-rest-lower-empty":
-                lambda s, r: (up(s) == full, not lo(r)),
+                lambda s, r: (each_covers(s), not lo(r)),
             "block-lower-empty-iff-rest-upper-covers":
-                lambda s, r: (not lo(s), up(r) == full),
+                lambda s, r: (not any(each_lo(s)), up(r) == full),
             "block-upper-covers-forces-other-lowers-empty":
-                lambda s, r: (up(s) == full, not any(each_lo(r))),
+                lambda s, r: (each_covers(s), not any(each_lo(r))),
             "all-uppers-cover-forces-all-lowers-empty":
-                lambda s, r: (all(u == full for u in each_up(r)), not any(each_lo(r))),
+                lambda s, r: (each_covers(r), not any(each_lo(r))),
             "union-lower-nonempty-forces-rest-uppers-proper":
                 lambda s, r: (bool(lo(s)), all(u != full for u in each_up(r))),
             "block-lower-nonempty-iff-rest-uppers-union-proper":
-                lambda s, r: (bool(lo(s)), set().union(*each_up(r)) != full),
+                lambda s, r: (all(each_lo(s)), set().union(*each_up(r)) != full),
             "block-upper-proper-iff-rest-lower-nonempty":
-                lambda s, r: (up(s) != full, bool(lo(r))),
+                lambda s, r: (not each_covers(s), bool(lo(r))),
             "block-lower-nonempty-forces-other-uppers-proper":
-                lambda s, r: (bool(lo(s)), all(u != full for u in each_up(r))),
+                lambda s, r: (all(each_lo(s)), all(u != full for u in each_up(r))),
             "all-lowers-nonempty-forces-all-uppers-proper":
                 lambda s, r: (all(each_lo(r)), all(u != full for u in each_up(r))),
         }
 
-        report = family_law_report(approximate_family(rel, cls))
+        report = family_law_report(fa)
         assert len(report.entries) == 4 * len(proper_index_subsets(k)) + 6 * k + 2
         position = {name: i for i, name in enumerate(names)}
         for entry in report.entries:
             chosen = [position[name] for name in entry.blocks]
             rest = sorted(set(range(k)).difference(chosen))
-            expected = oracle[entry.law](chosen, rest)
-            assert (entry.hypothesis, entry.conclusion) == expected, entry
-        assert report.ok
+            hypothesis, conclusion = oracle[entry.law](chosen, rest)
+            if "-iff-" in entry.law:
+                verdict = HOLDS if hypothesis == conclusion else VIOLATED
+            elif hypothesis:
+                verdict = HOLDS if conclusion else VIOLATED
+            else:
+                verdict = VACUOUS
+            assert (entry.hypothesis, entry.conclusion, entry.verdict) == (
+                hypothesis, conclusion, verdict
+            ), entry
+        if fault is None:
+            assert report.ok
 
 
 class TestMeasureLaws:

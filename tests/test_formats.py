@@ -36,6 +36,7 @@ from birough.classify import (
     approximate_family,
     family_law_report,
     measure_law_report,
+    proper_index_subsets,
     validate_classification,
 )
 from birough.lab import canonical_universes
@@ -530,6 +531,66 @@ class TestJsonWriter:
         # by_key, slots and the list nested in slots.
         assert sum(value is lists[0] for value in encoded) == 3
         assert sum(value is lists[1] for value in encoded) == 3
+
+    @pytest.mark.parametrize("available", [True, False], ids=["c-encoder", "no-c-encoder"])
+    def test_containers_that_recur_in_a_record_column_are_encoded_once(self, available):
+        # One list object in several records of a column, in runs and
+        # interleaved with lists equal to it but distinct, beside a nested
+        # use of it and a long list that recurs past the kept-text limit.
+        shared, equal = ["a", "b"], ["a", "b"]
+        long = [f"y{j}" for j in range(formats._KEPT_PER_USE)]
+        column = [shared, equal, shared, shared, ["a", "b"], [shared], long, shared, long, {"k": shared}, []]
+        records = [{"blocks": value, "law": f"l{i % 3}", "ok": i % 2 == 0} for i, value in enumerate(column)]
+        report = AnalysisReport("classify", {"laws": {"entries": records}})
+        with c_encoder(available), mock.patch.object(
+            formats, "_value_text", wraps=formats._value_text
+        ) as value_text:
+            text = "".join(iter_report(report, "json"))
+        assert text == json.dumps(report.to_obj(), sort_keys=True, indent=2) + "\n"
+        encoded = [call.args[0] for call in value_text.call_args_list]
+        assert len(encoded) == len(column) - 3
+        assert sum(value is shared for value in encoded) == 1
+        assert sum(value is equal for value in encoded) == 1
+        assert sum(value is long for value in encoded) == 2
+
+    @pytest.mark.parametrize("recurring", [False, True], ids=["distinct", "recurring-far-apart"])
+    def test_large_lists_in_a_record_column_are_not_kept(self, recurring):
+        # Large lists in a record column, each distinct, or each again half
+        # the column later: the writer holds about one batch beside the
+        # report, not the lists' texts.
+        lists = [[f"y{i}-{j}" for j in range(1000)] for i in range(100)]
+        column = lists + (lists if recurring else [list(values) for values in lists])
+        records = [{"blocks": value, "i": i} for i, value in enumerate(column)]
+        report = AnalysisReport("classify", {"entries": records})
+        size = 0
+        tracemalloc.start()
+        try:
+            for piece in iter_report(report, "json"):
+                size += len(piece)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 2_000_000
+        assert peak < 0.1 * size
+
+
+class TestClassifyReport:
+    def test_entries_of_one_index_set_share_one_blocks_object(self):
+        # 300 one-column blocks: each complement lists 299 names in the
+        # entries of four laws, and each singleton is in twelve.
+        n = 300
+        rng = random.Random(11)
+        rel = BinaryRelation(canonical_universes(20, n), tuple(rng.getrandbits(n) for _ in range(20)))
+        named = [(f"B{j}", rel.universes.v_subset([j])) for j in range(n)]
+        fa = approximate_family(rel, validate_classification(named))
+        laws = TheoremReport(family_law_report(fa).entries + measure_law_report(fa).entries)
+        entries = build_classify_report(rel, "wide.rel", fa, laws).body["laws"]["entries"]
+        objects: dict[tuple[str, ...], set[int]] = {}
+        for entry in entries:
+            if entry["blocks"]:
+                objects.setdefault(tuple(entry["blocks"]), set()).add(id(entry["blocks"]))
+        assert len(objects) == len(proper_index_subsets(n))
+        assert all(len(ids) == 1 for ids in objects.values())
 
 
 class TestNeighborsReport:
