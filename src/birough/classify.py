@@ -14,18 +14,21 @@ reported as holds, violated, or vacuous.
 A law asks two facts of a union of blocks, never its approximations as
 sets: is its lower approximation non-empty, and does its upper cover U?
 Both depend only on the set of rows, so they are read over the distinct
-rows and memoised by V-mask (``FamilyApprox.union_facts``).  The blockwise
-side of each law reads the blocks' own lower and upper U-masks, a separate
-route.  The V-mask of a union of blocks, and the union of those blocks'
-uppers, are read from tables over windows of 8 blocks, built once per
-family (``FamilyApprox.block_union`` and ``upper_union``).
+rows and memoised by V-mask.  The blockwise side of each law reads the
+blocks' own lower and upper U-masks, a separate route.  The V-mask of a
+union of blocks, and the union of those blocks' uppers, are read from tables
+over windows of 8 blocks.  The memos, the tables and each index set's union
+belong to one evaluation of the laws (``_LawFacts``): ``family_law_report``
+builds it once for both its parts and lets it go when it returns, so a
+family holds only its blockwise approximations.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache, cached_property, partial, reduce
+from functools import cache, partial, reduce
+from heapq import merge
 from itertools import combinations
 from operator import or_
 from typing import Callable, Iterable, Sequence
@@ -207,33 +210,6 @@ class FamilyApprox:
         """True when every block's lower and upper approximations coincide."""
         return all(lo.bits == up.bits for lo, up in zip(self.lowers, self.uppers))
 
-    @cached_property
-    def union_facts(self) -> tuple[Callable[[int], bool], Callable[[int], bool]]:
-        """Memoised (lower is non-empty, upper covers U) of a V-mask; the family
-        laws read every union of blocks through this one pair.  Both facts
-        depend only on the set of rows, so they scan the distinct rows once
-        each, in first-seen order, and build no U-mask."""
-        rows = tuple(dict.fromkeys(self.relation.rows))
-        return cache(partial(lower_nonempty, rows)), cache(partial(upper_covers, rows))
-
-    @cached_property
-    def block_union(self) -> Callable[[int], int]:
-        """The V-mask of the union of the blocks in a mask of block indices
-        (``_window_union``)."""
-        return _window_union([block.bits for block in self.classification.blocks])
-
-    @cached_property
-    def upper_union(self) -> Callable[[int], int]:
-        """The U-mask union of the uppers of the blocks in a mask of block
-        indices (``_window_union``): the blockwise route of the laws, over
-        the blocks' own uppers."""
-        return _window_union([upper.bits for upper in self.uppers])
-
-    @cached_property
-    def proper_index_sets(self) -> list[tuple[tuple[str, ...], int, int]]:
-        """``_index_sets`` of every proper index subset, shared by the law reports."""
-        return _index_sets(self, proper_index_subsets(self.classification.n))
-
 
 @record
 class Quality:
@@ -326,16 +302,14 @@ def _implication(law: str, blocks: tuple[str, ...], hyp: bool, concl: bool) -> L
     return LawInstance(law, blocks, hyp, concl, HOLDS if concl else VIOLATED)
 
 
-def _checked_index_set(
-    fa: FamilyApprox, index_set: Sequence[int]
-) -> tuple[tuple[str, ...], int, int]:
+def _checked_index_set(fa: FamilyApprox, index_set: Sequence[int]) -> tuple[int, ...]:
     idxs = tuple(sorted(set(index_set)))
     n = fa.classification.n
     if not idxs or len(idxs) >= n or idxs[0] < 0 or idxs[-1] >= n:
         raise BiroughError(
             f"index set {tuple(index_set)} must be a non-empty proper subset of range({n})"
         )
-    return _index_sets(fa, [idxs])[0]
+    return idxs
 
 
 # Masks per window of ``_window_union``: one byte of a mask of indices.
@@ -362,32 +336,44 @@ def _window_union(masks: Sequence[int]) -> Callable[[int], int]:
     return lambda chosen: reduce(or_, windows(chosen.to_bytes(nbytes, "little")))
 
 
-def _index_sets(
-    fa: FamilyApprox, index_sets: Iterable[Sequence[int]]
-) -> list[tuple[tuple[str, ...], int, int]]:
-    """(names, union, chosen) for each index set: the chosen blocks' names, the
-    V-mask of their union (the other blocks unite to ``vmask ^ union``, since the
-    blocks partition V) and the mask of their block indices."""
-    names = fa.classification.names
-    bits = [1 << i for i in range(len(names))]
-    union = fa.block_union
-    out = []
-    for idxs in index_sets:
-        chosen = sum(map(bits.__getitem__, idxs))
-        out.append((tuple(map(names.__getitem__, idxs)), union(chosen), chosen))
-    return out
+class _LawFacts:
+    """What the family laws read of one family, for one evaluation over its index sets.
+
+    ``index_sets`` holds (names, union, chosen) for each index set: the
+    chosen blocks' names, the V-mask of their union (the other blocks unite
+    to ``vmask ^ union``, since the blocks partition V) and the mask of their
+    block indices.  Every entry over one index set holds its one names
+    tuple.  ``has_lower`` and ``covers_u`` give, memoised by V-mask, whether
+    a union's lower is non-empty and whether its upper covers U; both depend
+    only on the set of rows, so they scan the distinct rows, in first-seen
+    order, and build no U-mask.  ``upper_union`` gives the union of the
+    uppers of the blocks in a mask of block indices: the blockwise route of
+    the laws, over the blocks' own uppers.  Nothing here outlives the
+    report that reads it.
+    """
+
+    def __init__(self, fa: FamilyApprox, index_sets: Iterable[Sequence[int]]):
+        self.fa = fa
+        rows = tuple(dict.fromkeys(fa.relation.rows))
+        self.has_lower = cache(partial(lower_nonempty, rows))
+        self.covers_u = cache(partial(upper_covers, rows))
+        self.upper_union = _window_union([upper.bits for upper in fa.uppers])
+        names = fa.classification.names
+        bits = [1 << i for i in range(len(names))]
+        union = _window_union([block.bits for block in fa.classification.blocks])
+        self.index_sets = []
+        for idxs in index_sets:
+            chosen = sum(map(bits.__getitem__, idxs))
+            self.index_sets.append((tuple(map(names.__getitem__, idxs)), union(chosen), chosen))
 
 
-def _dualities(
-    fa: FamilyApprox, index_sets: Iterable[tuple[tuple[str, ...], int, int]]
-) -> tuple[list[LawInstance], list[LawInstance]]:
+def _dualities(facts: _LawFacts) -> tuple[list[LawInstance], list[LawInstance]]:
     """The cover and the support duality instances of each index set."""
-    has_lower, covers_u = fa.union_facts
-    rest_uppers = fa.upper_union
-    umask, vmask = fa.relation.umask, fa.relation.vmask
-    every_block = (1 << fa.classification.n) - 1
+    has_lower, covers_u, rest_uppers = facts.has_lower, facts.covers_u, facts.upper_union
+    umask, vmask = facts.fa.relation.umask, facts.fa.relation.vmask
+    every_block = (1 << facts.fa.classification.n) - 1
     cover, support = [], []
-    for names, union, chosen in index_sets:
+    for names, union, chosen in facts.index_sets:
         right = not has_lower(vmask ^ union)
         cover.append(_biconditional(COVER_DUALITY, names, covers_u(union), right))
         right = rest_uppers(every_block ^ chosen) != umask
@@ -397,12 +383,12 @@ def _dualities(
 
 def cover_duality_check(fa: FamilyApprox, index_set: Sequence[int]) -> LawInstance:
     """Upper of the chosen union covers U iff lower of the rest is empty."""
-    return _dualities(fa, [_checked_index_set(fa, index_set)])[0][0]
+    return _dualities(_LawFacts(fa, [_checked_index_set(fa, index_set)]))[0][0]
 
 
 def support_duality_check(fa: FamilyApprox, index_set: Sequence[int]) -> LawInstance:
     """Lower of the chosen union is non-empty iff the rest's uppers miss some of U."""
-    return _dualities(fa, [_checked_index_set(fa, index_set)])[1][0]
+    return _dualities(_LawFacts(fa, [_checked_index_set(fa, index_set)]))[1][0]
 
 
 INDEX_SET_LIMIT = 12
@@ -419,29 +405,45 @@ def proper_index_subsets(n: int) -> list[tuple[int, ...]]:
     """
     if n <= INDEX_SET_LIMIT:
         return sorted(s for size in range(1, n) for s in combinations(range(n), size))
-    # Slices of one tuple share its index objects, so the n complements
-    # hold n * (n - 1) references, not as many ints.
-    every = tuple(range(n))
-    picked = {every[i:i + 1] for i in range(n)} | {every[:i] + every[i + 1:] for i in range(n)}
     rng = random.Random(f"{INDEX_SET_SEED}:index-subsets:{n}")
-    while len(picked) < 2 * n + INDEX_SET_SAMPLES:
+    draws = set()
+    while len(draws) < INDEX_SET_SAMPLES:
         size = rng.randint(1, n - 1)
-        picked.add(tuple(sorted(rng.sample(range(n), size))))
-    return sorted(picked)
+        draw = tuple(sorted(rng.sample(range(n), size)))
+        # Every subset of size 1 or n - 1 is a singleton or a complement.
+        if 1 < size < n - 1:
+            draws.add(draw)
+    # Slices of one tuple share its index objects, so the n complements
+    # hold n * (n - 1) references, not as many ints.  In order, the
+    # complement of i comes before that of i - 1 (it holds i - 1 where that
+    # one holds i), and a singleton before the complements it is a prefix of:
+    # (0,), the complements of n - 1 down to 1, (1,), (1, ..., n - 1), (2,),
+    # ..., (n - 1,).  Merging the sorted draws into them compares no two of
+    # the long complements.
+    every = tuple(range(n))
+    complements = (every[:i] + every[i + 1 :] for i in range(n - 1, 0, -1))
+    skeleton = [every[:1], *complements, every[1:2], every[1:], *(every[i : i + 1] for i in range(2, n))]
+    return list(merge(skeleton, sorted(draws)))
 
 
 def duality_report(fa: FamilyApprox) -> TheoremReport:
     """Both duality biconditionals over every index subset."""
-    cover, support = _dualities(fa, fa.proper_index_sets)
+    cover, support = _dualities(_LawFacts(fa, proper_index_subsets(fa.classification.n)))
     return TheoremReport(tuple(cover + support))
 
 
 def derived_laws_report(fa: FamilyApprox) -> TheoremReport:
     """Every derived implication/biconditional law, instance by instance."""
+    facts = _LawFacts(fa, proper_index_subsets(fa.classification.n))
+    return TheoremReport(tuple(_derived_laws(facts)))
+
+
+def _derived_laws(facts: _LawFacts) -> list[LawInstance]:
+    """The derived laws' instances over ``facts``' index sets, all the proper ones."""
+    fa = facts.fa
     n = fa.classification.n
-    index_sets = fa.proper_index_sets
-    has_lower, covers_u = fa.union_facts
-    rest_uppers = fa.upper_union
+    index_sets = facts.index_sets
+    has_lower, covers_u, rest_uppers = facts.has_lower, facts.covers_u, facts.upper_union
     umask, vmask = fa.relation.umask, fa.relation.vmask
     # Every singleton is a proper index set, in block order; sharing its
     # entry shares its names tuple, down to the report.
@@ -493,12 +495,17 @@ def derived_laws_report(fa: FamilyApprox) -> TheoremReport:
     law = "all-lowers-nonempty-forces-all-uppers-proper"
     entries.append(_implication(law, (), lows == every_block, not covers))
 
-    return TheoremReport(tuple(entries))
+    return entries
 
 
 def family_law_report(fa: FamilyApprox) -> TheoremReport:
-    """Duality biconditionals plus every derived law, in canonical order."""
-    return TheoremReport(duality_report(fa).entries + derived_laws_report(fa).entries)
+    """Duality biconditionals plus every derived law, in canonical order.
+
+    Both read one ``_LawFacts``, so each fact and each index set's union is
+    computed once, and the memos go when the report is returned."""
+    facts = _LawFacts(fa, proper_index_subsets(fa.classification.n))
+    cover, support = _dualities(facts)
+    return TheoremReport((*cover, *support, *_derived_laws(facts)))
 
 
 def measure_law_report(fa: FamilyApprox) -> TheoremReport:

@@ -177,14 +177,21 @@ def _cmd_approx(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _neighbors_report(args: argparse.Namespace):
+    """The ``neighbors`` report; the relation, with its caches, goes on return."""
+    return _cli.build_neighbors_report(_load_relation(args.relation), args.relation)
+
+
 def _cmd_neighbors(args: argparse.Namespace) -> int:
-    rel = _load_relation(args.relation)
-    report = _cli.build_neighbors_report(rel, args.relation)
+    report = _neighbors_report(args)
     _print(report, args.format)
     return EXIT_OK if report.body["saturation_identity"] else EXIT_VIOLATION
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _classify_report(args: argparse.Namespace):
+    """The ``classify`` report and its exit code.  The family, its
+    classification and the law instances go on return, so only the report
+    is alive while it is written."""
     rel = _load_relation(args.relation)
     named = _cli.parse_classification_file(
         _read_text(args.classes), rel.universes, source=args.classes
@@ -194,8 +201,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     laws = _cli.TheoremReport(
         _cli.family_law_report(fa).entries + _cli.measure_law_report(fa).entries
     )
-    _print(_cli.build_classify_report(rel, args.relation, fa, laws), args.format)
-    return EXIT_OK if laws.ok else EXIT_VIOLATION
+    report = _cli.build_classify_report(rel, args.relation, fa, laws)
+    return report, EXIT_OK if laws.ok else EXIT_VIOLATION
+
+
+def _cmd_classify(args: argparse.Namespace) -> int:
+    report, code = _classify_report(args)
+    _print(report, args.format)
+    return code
 
 
 def _verify_one(rel: BinaryRelation, pairs: int | None, seed: int):

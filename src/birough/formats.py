@@ -487,34 +487,46 @@ def _leaf_list_encoder(depth: int):
     return lambda items: f"[{inner}{''.join(encode(items, 0))[1:-1]}{outer}"
 
 
-def _flat_text(obj: Any, depth: int) -> str | None:
-    """``obj`` as indented JSON at ``depth`` when it holds no container, else None.
+# A function that encodes a value as indented JSON at a depth.
+_Encoder = Callable[[Any, int], str]
 
-    A dict with keys other than strings, and any value the writer does not
-    walk, is encoded by the stdlib, whose lines are indented from depth 0.  A
-    JSON text holds no raw newline inside a string, so each newline starts an
-    indented line.
+
+def _flat_encoder(obj: Any) -> _Encoder | None:
+    """The encoder of ``obj`` as indented JSON at a depth when it holds no
+    container, else None.
+
+    Only the element types are checked here, so a caller that encodes one
+    object several times can check it once.  A list of plain scalars is
+    encoded by the C encoder; any other value that holds no container (such
+    as a dict of plain scalars), and any value the writer does not walk, by
+    the stdlib.
     """
     kind = type(obj)
     if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        return _leaf_list_encoder(depth)(obj) if _LEAF_TYPES.issuperset(map(type, obj)) else None
+        return _leaf_list_text if _LEAF_TYPES.issuperset(map(type, obj)) else None
     if kind is dict and _KEY_TYPES.issuperset(map(type, obj)):
-        if not obj:
-            return "{}"
-        if not _LEAF_TYPES.issuperset(map(type, obj.values())):
-            return None
-        inner = "\n" + "  " * (depth + 1)
-        members = [encode_basestring_ascii(key) + ": " + _leaf_text(obj[key]) for key in sorted(obj)]
-        return "{" + inner + ("," + inner).join(members) + "\n" + "  " * depth + "}"
+        return _stdlib_text if _LEAF_TYPES.issuperset(map(type, obj.values())) else None
+    return _stdlib_text
+
+
+def _leaf_list_text(items: Sequence[Any], depth: int) -> str:
+    return _leaf_list_encoder(depth)(items) if items else "[]"
+
+
+def _stdlib_text(obj: Any, depth: int) -> str:
+    """The stdlib's text, whose lines are indented from depth 0.  A JSON text
+    holds no raw newline inside a string, so each newline starts an
+    indented line."""
     return _STDLIB_JSON.encode(obj).replace("\n", "\n" + "  " * depth)
 
 
-def _value_text(obj: Any, depth: int) -> str:
-    """``obj`` as indented JSON at ``depth``, in one string."""
-    text = _flat_text(obj, depth)
-    return "".join(_json_pieces(obj, depth)) if text is None else text
+def _pieces_text(obj: Any, depth: int) -> str:
+    return "".join(_json_pieces(obj, depth))
+
+
+def _value_encoder(obj: Any) -> _Encoder:
+    """The encoder of ``obj`` as indented JSON at a depth, in one string."""
+    return _flat_encoder(obj) or _pieces_text
 
 
 def _json_pieces(obj: Any, depth: int) -> Iterator[str]:
@@ -523,9 +535,9 @@ def _json_pieces(obj: Any, depth: int) -> Iterator[str]:
     A container that holds containers comes member by member, a list of
     records a batch of records at a time, and anything else in one piece.
     """
-    text = _flat_text(obj, depth)
-    if text is not None:
-        yield text
+    encode = _flat_encoder(obj)
+    if encode is not None:
+        yield encode(obj, depth)
         return
     if type(obj) is dict:
         brackets = "{}"
@@ -543,7 +555,7 @@ def _json_pieces(obj: Any, depth: int) -> Iterator[str]:
     inner = "\n" + "  " * (depth + 1)
     separator = "," + inner
     lead = brackets[0] + inner
-    flat_text = _shared_texts(values, _flat_text, depth + 1)
+    flat_text = _shared_texts(values, _flat_encoder, depth + 1)
     for prefix, value in members:
         leaf = _LEAF_TEXT.get(type(value))
         text = leaf(value) if leaf else flat_text(value)
@@ -564,33 +576,40 @@ _KEPT_PER_USE = 256
 
 
 def _shared_texts(
-    values: Iterable[Any], encode: Callable[[Any, int], str | None], depth: int
+    values: Iterable[Any], encoder: Callable[[Any], _Encoder | None], depth: int
 ) -> Callable[[Any], str | None]:
-    """``encode(value, depth)`` for the values of one container, taken in their order.
+    """The text of each value of one container at ``depth``, taken in their order.
 
+    ``encoder(value)`` checks a value and gives the function that encodes it
+    at a depth, or None for a value it does not encode (whose text is None).
     A value that is one object several times over (such as the label list
     that equal rows share, or the names of one index set in every law entry
-    over it) is encoded once per container, and its text kept until its
-    last use, if the text has at most ``_KEPT_PER_USE`` characters per
-    further use; every other text is dropped once returned.
+    over it) is checked once per container.  Its text is kept until its last
+    use if it has at most ``_KEPT_PER_USE`` characters per further use, and
+    a longer one is encoded again at each use by the function found at the
+    first; every other text is dropped once returned.
     """
     uses = Counter(map(id, values))
     left = dict(compress(uses.items(), map((1).__lt__, uses.values())))
     del uses
-    if not left:
-        return lambda value: encode(value, depth)
-    texts: dict[int, str] = {}
+    # Per recurring value, its kept text, or the encoder of a text too long to keep.
+    kept: dict[int, str | _Encoder] = {}
 
     def text(value: Any) -> str | None:
         key = id(value)
-        found = texts.pop(key, None)
-        if found is None:
+        found = kept.pop(key, None)
+        if type(found) is not str:
+            encode = found or encoder(value)
+            if encode is None:
+                return None
             found = encode(value, depth)
-            if found is None or len(found) > _KEPT_PER_USE * (left.get(key, 1) - 1):
+            if len(found) > _KEPT_PER_USE * (left.get(key, 1) - 1):
+                if key in left:
+                    kept[key] = encode
                 return found
         further = left[key] - 1
         if further:
-            texts[key] = found
+            kept[key] = found
             left[key] = further
         return found
 
@@ -632,7 +651,7 @@ def _record_pieces(items: Sequence[dict], keys: list[str], depth: int) -> Iterat
         kinds = set(map(type, map(get, items)))
         encode = _LEAF_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
         if not encode:
-            encode = _shared_texts(map(get, items), _value_text, depth + 2)
+            encode = _shared_texts(map(get, items), _value_encoder, depth + 2)
         columns.append(map(encode, map(get, items)))
     records = map(template.__mod__, zip(*columns))
     separator = "," + inner
@@ -757,7 +776,10 @@ def build_verify_report(
     properties: PropertyReport,
     checks: Mapping[str, tuple[int, int]],
 ) -> AnalysisReport:
-    """Assemble a law-campaign report; ``checks`` maps name -> (checked, failures)."""
+    """Assemble a law-campaign report; ``checks`` maps name -> (checked, failures).
+
+    A law whose violations were not all kept is marked ``truncated``; its
+    ``violations`` is the count of them all."""
     details = []
     for record in properties.records:
         for violation in record.violations:
@@ -781,7 +803,8 @@ def build_verify_report(
             {
                 "law": record.law,
                 "instances": record.instances,
-                "violations": len(record.violations),
+                "violations": record.violation_count,
+                **({"truncated": True} if record.truncated else {}),
             }
             for record in properties.records
         ],
@@ -924,7 +947,8 @@ def _render_verify(body: dict) -> Iterator[str]:
     yield f"campaign: {body['scope']['description']}"
     yield f"{'law':<44}{'instances':>10}{'violations':>12}"
     for record in body["laws"]:
-        yield f"{record['law']:<44}{record['instances']:>10}{record['violations']:>12}"
+        mark = " (truncated)" if record.get("truncated") else ""
+        yield f"{record['law']:<44}{record['instances']:>10}{record['violations']:>12}{mark}"
     for violation in body["violation_details"]:
         yield (
             f"VIOLATION {violation['law']} on {violation['relation']} "

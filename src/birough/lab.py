@@ -49,6 +49,7 @@ from .relation import (
 __all__ = [
     "EXHAUSTIVE_PAIR_CAP",
     "SERIAL_ENUM_CAP",
+    "VIOLATION_DETAILS",
     "ConfigError",
     "BudgetError",
     "canonical_universes",
@@ -96,6 +97,9 @@ LANE_BLOCK_BITS = 2**18
 PAIR_BLOCK = LANE_BLOCK_BITS // (4 * SHIFT_WIDTH)
 # Largest |V| at which the seriality biconditional scans the whole power set.
 SERIAL_ENUM_CAP = 20
+# Most violations of one law a report keeps, the first in campaign order; the
+# rest are counted only, so a faulted campaign's report stays bounded.
+VIOLATION_DETAILS = 100
 
 
 class ConfigError(BiroughError, ValueError):
@@ -239,13 +243,22 @@ class Violation:
 
 @record
 class LawRecord:
+    """A law's instances and violations, with the first ``VIOLATION_DETAILS``
+    of its violations in campaign order."""
+
     law: str
     instances: int
     violations: tuple[Violation, ...]
+    violation_count: int
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violation_count
+
+    @property
+    def truncated(self) -> bool:
+        """Whether some violations were counted but not kept."""
+        return self.violation_count > len(self.violations)
 
 
 @record
@@ -263,24 +276,34 @@ class PropertyReport:
         raise KeyError(law)
 
     def total_violations(self) -> int:
-        return sum(len(record.violations) for record in self.records)
+        return sum(record.violation_count for record in self.records)
 
 
 def merge_property_reports(reports: Iterable[PropertyReport]) -> PropertyReport:
-    instances = {law: 0 for law in ALGEBRAIC_LAWS}
+    """The reports of a campaign as one, taken in order: the counts summed,
+    and the first ``VIOLATION_DETAILS`` violations of each law kept."""
+    instances = dict.fromkeys(ALGEBRAIC_LAWS, 0)
+    counts = dict.fromkeys(ALGEBRAIC_LAWS, 0)
     violations: dict[str, list[Violation]] = {law: [] for law in ALGEBRAIC_LAWS}
     for report in reports:
         for record in report.records:
             instances[record.law] += record.instances
-            violations[record.law].extend(record.violations)
-    return _property_report(instances, violations)
+            counts[record.law] += record.violation_count
+            kept = violations[record.law]
+            kept += record.violations[: VIOLATION_DETAILS - len(kept)]
+    return _property_report(instances, violations, counts)
 
 
 def _property_report(
-    instances: Mapping[str, int], violations: Mapping[str, Sequence[Violation]]
+    instances: Mapping[str, int],
+    violations: Mapping[str, Sequence[Violation]],
+    counts: Mapping[str, int],
 ) -> PropertyReport:
     return PropertyReport(
-        tuple(LawRecord(law, instances[law], tuple(violations[law])) for law in ALGEBRAIC_LAWS)
+        tuple(
+            LawRecord(law, instances[law], tuple(violations[law]), counts[law])
+            for law in ALGEBRAIC_LAWS
+        )
     )
 
 
@@ -488,6 +511,8 @@ def verify_algebraic_properties(
     tables by V-mask, so the violations and their order are those of that
     walk.  A violation is reported with a witness, never raised; every law of
     this batch is a theorem, so any violation indicates an implementation bug.
+    Each law keeps its first ``VIOLATION_DETAILS`` violations and counts the
+    rest.
     """
     rows = rel.rows
     v_size = rel.v_size
@@ -515,6 +540,7 @@ def verify_algebraic_properties(
         instances[law] = n_pairs
     instances["meet-lower-join-upper-distributivity"] += n * n_windows
     violations: dict[str, list[Violation]] = {law: [] for law in ALGEBRAIC_LAWS}
+    counts = dict.fromkeys(ALGEBRAIC_LAWS, 0)
 
     # The subset pairs the scalar pair loop tests come in (a, bs, lo, up)
     # groups, lo/up read as lo[y]: every b for each a when exhaustive, one
@@ -536,7 +562,7 @@ def verify_algebraic_properties(
             # its dual, so upper preserves every join and lower every meet:
             # every law holds at every single, pair and window.  The empty
             # set and V take their four values by the bounds and the duality.
-            return _property_report(instances, violations)
+            return _property_report(instances, violations, counts)
         comps = [vmask ^ s for s in singles]
         lo_singles, up_singles = [lo[s] for s in singles], [up[s] for s in singles]
         lo_comps, up_comps = [lo[c] for c in comps], [up[c] for c in comps]
@@ -578,6 +604,9 @@ def verify_algebraic_properties(
 
     def record(law: str, subsets: tuple[int, ...], expected: str, got: str) -> None:
         nonlocal relation_repr
+        counts[law] += 1
+        if counts[law] > VIOLATION_DETAILS:
+            return
         # Built at the first violation; a relation that holds never needs it.
         relation_repr = relation_repr or "|".join(rel.bit_rows())
         violations[law].append(
@@ -678,7 +707,7 @@ def verify_algebraic_properties(
             if up_w[k] != up_f[k]:
                 record(law, family, u_str(up_f[k]), u_str(up_w[k]))
 
-    return _property_report(instances, violations)
+    return _property_report(instances, violations, counts)
 
 
 def verify_serial_iff(rel: BinaryRelation) -> bool:

@@ -28,7 +28,15 @@ from birough import (
     support_duality_check,
     validate_classification,
 )
-from birough.classify import COVER_DUALITY, HOLDS, SUPPORT_DUALITY, VACUOUS, VIOLATED
+from birough.classify import (
+    COVER_DUALITY,
+    HOLDS,
+    INDEX_SET_SAMPLES,
+    INDEX_SET_SEED,
+    SUPPORT_DUALITY,
+    VACUOUS,
+    VIOLATED,
+)
 from birough.lab import canonical_universes, generate_relations
 from naive import matrix_of, naive_lower, naive_upper
 from strategies import WIDE_U_SIZES, relations
@@ -216,6 +224,18 @@ class TestIndexSubsets:
             assert tuple(j for j in range(20) if j != i) in subsets
         assert subsets == sorted(subsets)
 
+    @pytest.mark.parametrize("n", [13, 14, 100, 1000])
+    def test_large_n_order_is_the_sorted_picks(self, n):
+        # The picks as first written: singletons, complements and seeded
+        # draws in one set until 2n + INDEX_SET_SAMPLES distinct, sorted.
+        every = tuple(range(n))
+        picked = {every[i : i + 1] for i in range(n)} | {every[:i] + every[i + 1 :] for i in range(n)}
+        rng = random.Random(f"{INDEX_SET_SEED}:index-subsets:{n}")
+        while len(picked) < 2 * n + INDEX_SET_SAMPLES:
+            size = rng.randint(1, n - 1)
+            picked.add(tuple(sorted(rng.sample(range(n), size))))
+        assert proper_index_subsets(n) == sorted(picked)
+
 
 class TestDualityChecks:
     def test_totally_rough_instance_both_sides_true(self, totally_rough):
@@ -301,6 +321,23 @@ class TestDerivedLaws:
     def test_family_report_has_no_violations(self, two_block, totally_rough, three_block):
         for fa in (two_block, totally_rough, three_block):
             assert family_law_report(fa).ok
+
+    @pytest.mark.parametrize("k", [3, 13, 70])
+    def test_reports_alone_match_the_family_report(self, k):
+        # Each part, with the facts it builds for itself, gives the entries
+        # the family report gives; the family holds only its fields after.
+        rng = random.Random(k)
+        v = k + 2
+        rel = BinaryRelation(canonical_universes(6, v), tuple(rng.getrandbits(v) for _ in range(6)))
+        named = [
+            (f"B{i}", Subset(rel.universes, Side.V, sum(1 << j for j in block)))
+            for i, block in enumerate(seeded_partition(v, k, k))
+        ]
+        fa = approximate_family(rel, validate_classification(named))
+        entries = family_law_report(fa).entries
+        assert set(vars(fa)) == {"relation", "classification", "lowers", "uppers"}
+        assert duality_report(fa).entries + derived_laws_report(fa).entries == entries
+        assert set(vars(fa)) == {"relation", "classification", "lowers", "uppers"}
 
 
 def seeded_partition(v_size: int, k: int, seed: int) -> list[set[int]]:

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -646,3 +647,53 @@ class TestCampaigns:
             capsys, "tables", "--op", "intersection", "--max-u", "2", "--max-v", "2"
         )
         assert code == 0 and "result: CONFORMANT" in out
+
+
+class TestReportMemory:
+    def test_classify_holds_only_its_report_while_writing(self, monkeypatch, tmp_path):
+        # 300 one-column blocks on a 20x300 relation.  The family, its law
+        # facts and the law instances go before the report is written: when
+        # writing starts only the report is held (the law instances alone
+        # would add about 0.6 MB here, and with the family's law facts
+        # 1.7 MB), and the peak while writing adds the writer's working set.
+        n = 300
+        rng = random.Random(11)
+        rows = "".join(
+            f"x{i}: {' '.join(rng.choice('01') for _ in range(n))}\n" for i in range(20)
+        )
+        path, classes = tmp_path / "wide.rel", tmp_path / "wide.classes"
+        path.write_text("V: " + " ".join(f"y{j}" for j in range(n)) + "\n" + rows)
+        classes.write_text("".join(f"B{j}: y{j}\n" for j in range(n)))
+        from birough import cli, classify
+
+        def build_report():
+            rel = formats.parse_relation_file(path.read_text())
+            named = formats.parse_classification_file(classes.read_text(), rel.universes)
+            fa = classify.approximate_family(rel, classify.validate_classification(named))
+            laws = classify.TheoremReport(
+                classify.family_law_report(fa).entries + classify.measure_law_report(fa).entries
+            )
+            return formats.build_classify_report(rel, str(path), fa, laws)
+
+        peaks = []
+
+        def write(pieces):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            size = sum(map(len, pieces))
+            peaks.append((held, tracemalloc.get_traced_memory()[1], size))
+
+        monkeypatch.setattr(cli, "_write", write)
+        tracemalloc.start()
+        try:
+            report = build_report()
+            report_size = tracemalloc.get_traced_memory()[0]
+            del report
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["classify", str(path), "--classes", str(classes), "--format", "json"]) == 0
+        finally:
+            tracemalloc.stop()
+        [(held, peak, size)] = peaks
+        assert size > 5_000_000
+        assert held - base < report_size + 300_000
+        assert peak - base < report_size + 1_000_000

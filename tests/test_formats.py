@@ -524,10 +524,12 @@ class TestJsonWriter:
             "once": {"a": lists[1], "b": [1, 2]},
         }
         report = AnalysisReport("neighbors", body)
-        with c_encoder(available), mock.patch.object(formats, "_flat_text", wraps=formats._flat_text) as flat:
+        with c_encoder(available), mock.patch.object(
+            formats, "_leaf_list_text", wraps=formats._leaf_list_text
+        ) as leaf_list_text:
             text = "".join(iter_report(report, "json"))
         assert text == json.dumps(report.to_obj(), sort_keys=True, indent=2) + "\n"
-        encoded = [call.args[0] for call in flat.call_args_list]
+        encoded = [call.args[0] for call in leaf_list_text.call_args_list]
         # by_key, slots and the list nested in slots.
         assert sum(value is lists[0] for value in encoded) == 3
         assert sum(value is lists[1] for value in encoded) == 3
@@ -536,22 +538,28 @@ class TestJsonWriter:
     def test_containers_that_recur_in_a_record_column_are_encoded_once(self, available):
         # One list object in several records of a column, in runs and
         # interleaved with lists equal to it but distinct, beside a nested
-        # use of it and a long list that recurs past the kept-text limit.
+        # use of it and a long list that recurs past the kept-text limit:
+        # each object is checked once, and only the long one encoded twice.
         shared, equal = ["a", "b"], ["a", "b"]
         long = [f"y{j}" for j in range(formats._KEPT_PER_USE)]
         column = [shared, equal, shared, shared, ["a", "b"], [shared], long, shared, long, {"k": shared}, []]
         records = [{"blocks": value, "law": f"l{i % 3}", "ok": i % 2 == 0} for i, value in enumerate(column)]
         report = AnalysisReport("classify", {"laws": {"entries": records}})
         with c_encoder(available), mock.patch.object(
-            formats, "_value_text", wraps=formats._value_text
-        ) as value_text:
+            formats, "_value_encoder", wraps=formats._value_encoder
+        ) as value_encoder, mock.patch.object(
+            formats, "_leaf_list_text", wraps=formats._leaf_list_text
+        ) as leaf_list_text:
             text = "".join(iter_report(report, "json"))
         assert text == json.dumps(report.to_obj(), sort_keys=True, indent=2) + "\n"
-        encoded = [call.args[0] for call in value_text.call_args_list]
-        assert len(encoded) == len(column) - 3
-        assert sum(value is shared for value in encoded) == 1
-        assert sum(value is equal for value in encoded) == 1
+        checked = [call.args[0] for call in value_encoder.call_args_list]
+        assert len(checked) == len(column) - 4
+        assert sum(value is shared for value in checked) == 1
+        assert sum(value is equal for value in checked) == 1
+        assert sum(value is long for value in checked) == 1
+        encoded = [call.args[0] for call in leaf_list_text.call_args_list]
         assert sum(value is long for value in encoded) == 2
+        assert sum(value is equal for value in encoded) == 1
 
     @pytest.mark.parametrize("recurring", [False, True], ids=["distinct", "recurring-far-apart"])
     def test_large_lists_in_a_record_column_are_not_kept(self, recurring):

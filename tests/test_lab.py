@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import time
 import tracemalloc
@@ -387,13 +388,15 @@ def _naive_violations(monkeypatch, rel, kernels, faulty, n_pairs, seed):
     assert [r.instances for r in report.records] == [
         instances.get(law, 0) for law in ALGEBRAIC_LAWS
     ]
-    got = [(v.law, v.subsets) for r in report.records for v in r.violations]
     want = [
         (law, tuple(str(rel.universes.v_subset(sorted(y))) for y in subsets))
         for law in ALGEBRAIC_LAWS
         for subsets in failed.get(law, [])
     ]
-    assert got == want
+    # Each law keeps its first VIOLATION_DETAILS violations and counts them all.
+    got = [([(v.law, v.subsets) for v in r.violations], r.violation_count) for r in report.records]
+    by_law = [[item for item in want if item[0] == law] for law in ALGEBRAIC_LAWS]
+    assert got == [(items[: lab.VIOLATION_DETAILS], len(items)) for items in by_law]
     if _takes_full_tables(rel, n_pairs, seed):
         # The full tables are cleared at once by the single-subset laws at
         # every subset, which imply the other laws: the clear passes exactly
@@ -652,6 +655,89 @@ class TestLawCampaignFaultInjection:
         # every subset clear the pair laws too, so nothing else is packed.
         assert lanes == [(500, 64)] * 4
         assert peak < 3_000_000
+
+
+def _flip_upper_at_pairs(monkeypatch):
+    """Fault ``lab``'s upper table: one bit flipped at every 2-element V-mask."""
+    real = lab.upper_table
+
+    def upper_table(rows, ys):
+        return [t ^ 1 if y.bit_count() == 2 else t for t, y in zip(real(rows, ys), ys)]
+
+    monkeypatch.setattr(lab, "upper_table", upper_table)
+
+
+class TestViolationRecord:
+    def test_faulted_campaign_report_is_bounded(self, capsys, monkeypatch):
+        # Every 3x3 relation with a faulted upper: 6.7 MB of report when each
+        # violation was listed.  Each law lists its first VIOLATION_DETAILS,
+        # in campaign order, and counts them all.
+        _flip_upper_at_pairs(monkeypatch)
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--exhaustive", "3", "3", "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert code == 1
+        assert peak < 5_000_000 and len(out) < 500_000
+        reports = [verify_algebraic_properties(rel) for rel in generate_relations(3, 3)]
+        body = json.loads(out)
+        listed = [(v["law"], v["relation"], v["subsets"], v["got"]) for v in body["violation_details"]]
+        want_listed, want_laws = [], []
+        for law in ALGEBRAIC_LAWS:
+            stream = [v for report in reports for v in report.record(law).violations]
+            kept = stream[: lab.VIOLATION_DETAILS]
+            want_listed += [(v.law, v.relation, list(v.subsets), v.got) for v in kept]
+            count = sum(report.record(law).violation_count for report in reports)
+            want_laws.append((law, count, count > len(kept)))
+        assert listed == want_listed
+        assert [(r["law"], r["violations"], r.get("truncated", False)) for r in body["laws"]] == want_laws
+        # The fault breaks some laws past the bound, and the marker says so.
+        assert any(truncated for *_, truncated in want_laws)
+        assert all(r.get("truncated", True) is True for r in body["laws"])
+
+    def test_merge_keeps_the_first_violations_in_order(self):
+        # Reports whose laws' violations run past the bound across several
+        # reports: the merge keeps the first in report order and sums the counts.
+        def report(tag, count):
+            kept = tuple(
+                lab.Violation(law, f"{tag}{i}", (), "", "")
+                for law in ALGEBRAIC_LAWS
+                for i in range(min(count, lab.VIOLATION_DETAILS))
+            )
+            return lab.PropertyReport(
+                tuple(
+                    lab.LawRecord(law, 1, tuple(v for v in kept if v.law == law), count)
+                    for law in ALGEBRAIC_LAWS
+                )
+            )
+
+        k = lab.VIOLATION_DETAILS
+        merged = merge_property_reports([report("a", k // 2), report("b", 0), report("c", 2 * k)])
+        for record in merged.records:
+            assert record.instances == 3 and record.violation_count == k // 2 + 2 * k
+            assert [v.relation for v in record.violations] == (
+                [f"a{i}" for i in range(k // 2)] + [f"c{i}" for i in range(k - k // 2)]
+            )
+            assert record.truncated and not record.ok
+        assert merged.total_violations() == len(ALGEBRAIC_LAWS) * (k // 2 + 2 * k)
+
+    def test_truncated_laws_are_marked_in_text(self, capsys, monkeypatch):
+        # A law's row in the table ends in "(truncated)" exactly when it has
+        # more violations than it lists.
+        _flip_upper_at_pairs(monkeypatch)
+        assert main(["verify", "--exhaustive", "2", "3"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split() for line in lines[2 : 2 + len(ALGEBRAIC_LAWS)]]
+        assert [row[0] for row in rows] == list(ALGEBRAIC_LAWS)
+        listed = [sum(line.startswith(f"VIOLATION {law} ") for line in lines) for law in ALGEBRAIC_LAWS]
+        assert listed == [min(int(row[2]), lab.VIOLATION_DETAILS) for row in rows]
+        assert [row[3:] for row in rows] == [
+            ["(truncated)"] if int(row[2]) > lab.VIOLATION_DETAILS else [] for row in rows
+        ]
+        assert any(row[3:] for row in rows)
 
 
 def _lower_table_calls(monkeypatch):

@@ -565,8 +565,8 @@ RECORD_CASES = [
             None,
         ),
         (Violation, dict(law="law", relation="rel", subsets=("{y1}",), expected="a", got="b"), None),
-        (LawRecord, dict(law="law", instances=3, violations=(_VIOLATION,)), None),
-        (PropertyReport, dict(records=(LawRecord("law", 1, ()),)), None),
+        (LawRecord, dict(law="law", instances=3, violations=(_VIOLATION,), violation_count=2), None),
+        (PropertyReport, dict(records=(LawRecord("law", 1, (), 0),)), None),
         (Witness, dict(relation=_REL, left_set=_Y1, right_set=_Y23), None),
     ]
 ]
