@@ -15,23 +15,22 @@ A law asks two facts of a union of blocks, never its approximations as
 sets: is its lower approximation non-empty, and does its upper cover U?
 Both depend only on the set of rows, so they are read over the distinct
 rows and memoised by V-mask.  The blockwise side of each law reads the
-blocks' own lower and upper U-masks, a separate route.  The V-mask of a
-union of blocks, and the union of those blocks' uppers, are read from tables
-over windows of 8 blocks.  The memos, the tables and each index set's union
-belong to one evaluation of the laws (``_LawFacts``): ``family_law_report``
-builds it once for both its parts and lets it go when it returns, so a
-family holds only its blockwise approximations.
+blocks' own lower and upper U-masks, a separate route.  Each index set's
+union of blocks, and the union of the other blocks' uppers, come from one
+``window_unions`` call each over all the index sets.  The memos and the
+unions belong to one evaluation of the laws (``_LawFacts``):
+``family_law_report`` builds it once for both its parts and lets it go when
+it returns, so a family holds only its blockwise approximations.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import cache, partial
 from heapq import merge
 from itertools import combinations
-from operator import or_
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .approx import (
     lower_approximation,
@@ -48,6 +47,7 @@ from .relation import (
     UniversePair,
     mask_of_flags,
     record,
+    window_unions,
 )
 
 __all__ = [
@@ -312,44 +312,20 @@ def _checked_index_set(fa: FamilyApprox, index_set: Sequence[int]) -> tuple[int,
     return idxs
 
 
-# Masks per window of ``_window_union``: one byte of a mask of indices.
-WINDOW = 8
-
-
-def _window_union(masks: Sequence[int]) -> Callable[[int], int]:
-    """The OR of ``masks[i]`` over the set bits i of a mask of indices.
-
-    Each byte of the index mask is a window of ``WINDOW`` masks, and each
-    window has a table of the OR of every subset of its masks, so a union
-    costs one lookup per window.  A table is built a mask at a time: the
-    entries with that mask's bit are the entries below them ORed with the
-    mask, so every entry costs one OR.
-    """
-    tables = []
-    for start in range(0, len(masks), WINDOW):
-        table = [0]
-        for mask in masks[start:start + WINDOW]:
-            table += [entry | mask for entry in table]
-        tables.append(table)
-    windows = partial(map, list.__getitem__, tables)
-    nbytes = len(tables)
-    return lambda chosen: reduce(or_, windows(chosen.to_bytes(nbytes, "little")))
-
-
 class _LawFacts:
     """What the family laws read of one family, for one evaluation over its index sets.
 
-    ``index_sets`` holds (names, union, chosen) for each index set: the
-    chosen blocks' names, the V-mask of their union (the other blocks unite
-    to ``vmask ^ union``, since the blocks partition V) and the mask of their
-    block indices.  Every entry over one index set holds its one names
-    tuple.  ``has_lower`` and ``covers_u`` give, memoised by V-mask, whether
-    a union's lower is non-empty and whether its upper covers U; both depend
-    only on the set of rows, so they scan the distinct rows, in first-seen
-    order, and build no U-mask.  ``upper_union`` gives the union of the
-    uppers of the blocks in a mask of block indices: the blockwise route of
-    the laws, over the blocks' own uppers.  Nothing here outlives the
-    report that reads it.
+    ``index_sets`` holds (names, union, chosen, rest_proper) for each index
+    set: the chosen blocks' names, the V-mask of their union (the other
+    blocks unite to ``vmask ^ union``, since the blocks partition V), the
+    mask of their block indices, and whether the uppers of the other blocks
+    leave some of U uncovered, the blockwise route of the laws over the
+    blocks' own uppers.
+    Every entry over one index set holds its one names tuple.  ``has_lower``
+    and ``covers_u`` give, memoised by V-mask, whether a union's lower is
+    non-empty and whether its upper covers U; both depend only on the set of
+    rows, so they scan the distinct rows, in first-seen order, and build no
+    U-mask.  Nothing here outlives the report that reads it.
     """
 
     def __init__(self, fa: FamilyApprox, index_sets: Iterable[Sequence[int]]):
@@ -357,27 +333,31 @@ class _LawFacts:
         rows = tuple(dict.fromkeys(fa.relation.rows))
         self.has_lower = cache(partial(lower_nonempty, rows))
         self.covers_u = cache(partial(upper_covers, rows))
-        self.upper_union = _window_union([upper.bits for upper in fa.uppers])
         names = fa.classification.names
         bits = [1 << i for i in range(len(names))]
-        union = _window_union([block.bits for block in fa.classification.blocks])
-        self.index_sets = []
-        for idxs in index_sets:
-            chosen = sum(map(bits.__getitem__, idxs))
-            self.index_sets.append((tuple(map(names.__getitem__, idxs)), union(chosen), chosen))
+        every_block = (1 << len(names)) - 1
+        index_sets = list(index_sets)
+        chosen = [sum(map(bits.__getitem__, idxs)) for idxs in index_sets]
+        unions = window_unions([block.bits for block in fa.classification.blocks], chosen)
+        rest_uppers = window_unions(
+            [upper.bits for upper in fa.uppers], [every_block ^ c for c in chosen]
+        )
+        umask = fa.relation.umask
+        self.index_sets = [
+            (tuple(map(names.__getitem__, idxs)), union, c, rest_upper != umask)
+            for idxs, union, c, rest_upper in zip(index_sets, unions, chosen, rest_uppers)
+        ]
 
 
 def _dualities(facts: _LawFacts) -> tuple[list[LawInstance], list[LawInstance]]:
     """The cover and the support duality instances of each index set."""
-    has_lower, covers_u, rest_uppers = facts.has_lower, facts.covers_u, facts.upper_union
-    umask, vmask = facts.fa.relation.umask, facts.fa.relation.vmask
-    every_block = (1 << facts.fa.classification.n) - 1
+    has_lower, covers_u = facts.has_lower, facts.covers_u
+    vmask = facts.fa.relation.vmask
     cover, support = [], []
-    for names, union, chosen in facts.index_sets:
+    for names, union, _, rest_proper in facts.index_sets:
         right = not has_lower(vmask ^ union)
         cover.append(_biconditional(COVER_DUALITY, names, covers_u(union), right))
-        right = rest_uppers(every_block ^ chosen) != umask
-        support.append(_biconditional(SUPPORT_DUALITY, names, has_lower(union), right))
+        support.append(_biconditional(SUPPORT_DUALITY, names, has_lower(union), rest_proper))
     return cover, support
 
 
@@ -443,8 +423,8 @@ def _derived_laws(facts: _LawFacts) -> list[LawInstance]:
     fa = facts.fa
     n = fa.classification.n
     index_sets = facts.index_sets
-    has_lower, covers_u, rest_uppers = facts.has_lower, facts.covers_u, facts.upper_union
-    umask, vmask = fa.relation.umask, fa.relation.vmask
+    has_lower, covers_u = facts.has_lower, facts.covers_u
+    vmask = fa.relation.vmask
     # Every singleton is a proper index set, in block order; sharing its
     # entry shares its names tuple, down to the report.
     singles = [s for s in index_sets if len(s[0]) == 1]
@@ -456,40 +436,39 @@ def _derived_laws(facts: _LawFacts) -> list[LawInstance]:
     entries: list[LawInstance] = []
 
     law = "cover-by-union-forces-rest-lowers-empty"
-    for names, union, chosen in index_sets:
+    for names, union, chosen, _ in index_sets:
         entries.append(_implication(law, names, covers_u(union), not lows & ~chosen))
 
     law = "block-upper-covers-iff-rest-lower-empty"
-    for names, union, chosen in singles:
+    for names, union, chosen, _ in singles:
         right = not has_lower(vmask ^ union)
         entries.append(_biconditional(law, names, bool(covers & chosen), right))
 
     law = "block-lower-empty-iff-rest-upper-covers"
-    for names, union, chosen in singles:
+    for names, union, chosen, _ in singles:
         entries.append(_biconditional(law, names, not lows & chosen, covers_u(vmask ^ union)))
 
     law = "block-upper-covers-forces-other-lowers-empty"
-    for names, _, chosen in singles:
+    for names, _, chosen, _ in singles:
         entries.append(_implication(law, names, bool(covers & chosen), not lows & ~chosen))
 
     law = "all-uppers-cover-forces-all-lowers-empty"
     entries.append(_implication(law, (), covers == every_block, not lows))
 
     law = "union-lower-nonempty-forces-rest-uppers-proper"
-    for names, union, chosen in index_sets:
+    for names, union, chosen, _ in index_sets:
         entries.append(_implication(law, names, has_lower(union), not covers & ~chosen))
 
     law = "block-lower-nonempty-iff-rest-uppers-union-proper"
-    for names, _, chosen in singles:
-        right = rest_uppers(every_block ^ chosen) != umask
-        entries.append(_biconditional(law, names, bool(lows & chosen), right))
+    for names, _, chosen, rest_proper in singles:
+        entries.append(_biconditional(law, names, bool(lows & chosen), rest_proper))
 
     law = "block-upper-proper-iff-rest-lower-nonempty"
-    for names, union, chosen in singles:
+    for names, union, chosen, _ in singles:
         entries.append(_biconditional(law, names, not covers & chosen, has_lower(vmask ^ union)))
 
     law = "block-lower-nonempty-forces-other-uppers-proper"
-    for names, _, chosen in singles:
+    for names, _, chosen, _ in singles:
         entries.append(_implication(law, names, bool(lows & chosen), not covers & ~chosen))
 
     law = "all-lowers-nonempty-forces-all-uppers-proper"

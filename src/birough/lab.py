@@ -9,18 +9,21 @@ all of one relation's V-subsets from one stream keyed by its seed and |V|.  A
 law campaign reads lower and upper through ``lower_table``/``upper_table``.
 An exhaustive campaign, and a sampled one whose 2**|V| subsets are no more
 than the entries it would tabulate at its singles, complements and windows,
-tabulates them at every V-subset: the single-subset laws there, checked as
-packed lanes, imply every other law, and when they fail the subset pairs are
-cleared at once by the generator identities of the distributive laws
-(``_homomorphic``).  A wider sampled campaign checks its singles and its drawn
-subset pairs as packed lanes.  Only what those checks do not clear is walked
-one subset at a time.  The seriality check tries the empty set through
-``lower_bits``/``upper_bits``, then reads the other subsets through the tables
-a fixed chunk at a time.  The type-table sweeps and the witness search walk
-each distinct (|V|, row set) once (``_row_set_relations``) through one
-subset-pair sweep (``_first_witnesses``).  Every exhaustive check is refused
-before any work by one rule, ``_pair_work``: relations walked * (4**|V| +
-``RELATION_PAIRS``) at most ``EXHAUSTIVE_PAIR_CAP``.
+tabulates them at every V-subset.  The relation is cleared when those tables
+are the operators themselves: upper at each subset the union of its columns
+(``subset_unions``) and lower its dual, which gives every law.  When they are
+not, the subset pairs are cleared at once by the generator identities of the
+distributive laws (``_homomorphic``).  A wider sampled campaign clears its
+singles and their complements the same way, against ``window_unions``, and
+each block of drawn pairs by four comparisons of whole tables.  Only what
+those clears leave is walked one subset at a time.  The seriality check tries
+the empty set through ``lower_bits``/``upper_bits``, then reads the other
+subsets through the tables a fixed chunk at a time.  The type-table sweeps and
+the witness search walk each distinct (|V|, row set) once
+(``_row_set_relations``) through one subset-pair sweep
+(``_first_witnesses``).  Every exhaustive check is refused before any work by
+one rule, ``_pair_work``: relations walked * (4**|V| + ``RELATION_PAIRS``) at
+most ``EXHAUSTIVE_PAIR_CAP``.
 """
 
 from __future__ import annotations
@@ -42,8 +45,9 @@ from .relation import (
     Subset,
     UniversePair,
     iter_bits,
-    pack_lanes,
     record,
+    subset_unions,
+    window_unions,
 )
 
 __all__ = [
@@ -87,12 +91,12 @@ EXHAUSTIVE_PAIR_CAP = 2**26
 # relation whose tables fail the law campaign's identities, and the type
 # table sweeps, where a pair costs about 0.1 us at 40x9.
 RELATION_PAIRS = 256
-# Most bits of one packed int in the packed law checks and the seriality
-# check: lanes are packed in blocks of whole lanes under it (one lane when a
-# lane alone is wider), so a tall relation never builds a huge int.
+# Most bits of one packed int that the table kernels build for a chunk of
+# the seriality check or a block of drawn pairs: their lanes are at most
+# SHIFT_WIDTH bits, one per V-mask.
 LANE_BLOCK_BITS = 2**18
-# Drawn pairs per block of a sampled campaign: their tables hold four lanes
-# of at most SHIFT_WIDTH bits per pair, so a block stays within
+# Drawn pairs per block of a sampled campaign: a block's tables are read at
+# four V-masks per pair, so the kernels' packed ints stay within
 # LANE_BLOCK_BITS.
 PAIR_BLOCK = LANE_BLOCK_BITS // (4 * SHIFT_WIDTH)
 # Largest |V| at which the seriality biconditional scans the whole power set.
@@ -307,118 +311,38 @@ def _property_report(
     )
 
 
-def _lane_blocks(
-    tables: Sequence[Sequence[int]], nbytes: int
-) -> Iterator[tuple[int, list[int]]]:
-    """The equal-length ``tables`` as packed lanes, block by block.
+def _tables_hold(umask: int, lo: Sequence[int], up: Sequence[int], unions: Sequence[int]) -> bool:
+    """Whether ``lo`` and ``up`` are the operators themselves at their V-masks.
 
-    Yields (ones, one int per table): entry k of each table sits in lane k
-    of its block's int, a lane is ``nbytes`` bytes, a block holds the most
-    lanes, a power of two, within ``LANE_BLOCK_BITS`` bits (one lane when a
-    lane alone is wider), and ``ones`` has 1 in each lane of the block.  An
-    entry outside [0, 2**(8 * nbytes)) raises OverflowError.
+    The tables are read at V-masks closed under complement, in mirrored
+    order: the complement of entry k is entry -1 - k.  True exactly when
+    upper at each is the union of its columns (entry k of ``unions``) and
+    lower at each is the complement of upper at its complement: then every
+    law holds at every subset, pair and window of these V-masks.
     """
-    count = len(tables[0])
-    step = 1 << max(0, (LANE_BLOCK_BITS // (8 * nbytes)).bit_length() - 1)
-    for start in range(0, count, step):
-        lanes = min(step, count - start)
-        ones = int.from_bytes((1).to_bytes(nbytes, "little") * lanes, "little")
-        yield ones, [pack_lanes(t[start : start + lanes], nbytes) for t in tables]
+    return up == unions and lo == [umask ^ u for u in reversed(up)]
 
 
-def _singles_hold(
-    rel: BinaryRelation,
-    singles: Sequence[int],
-    lo: Sequence[int],
-    up: Sequence[int],
-    lo_c: Sequence[int],
-    up_c: Sequence[int],
-    solitary: int,
-) -> bool:
-    """Whether the six single-subset laws hold at every single, checked as packed lanes.
-
-    Entry k of ``lo``/``up`` is the table at singles[k], of ``lo_c``/``up_c``
-    the table at its complement.  Lane k of a block holds single k, so each
-    law is one expression over whole blocks: a complement is an XOR with
-    ``full``, and a lane is non-zero when it has its top bit, or adding the
-    bits below the top bit carries into it.  The column union of each single
-    is built from ``rel.columns()``, column j put in the lanes whose single
-    holds j, not read off the upper table.  True exactly when every entry
-    lies in [0, U-mask] and the scalar loops would record no violation of
-    these laws.
-    """
-    # A lane holds a U-mask or a V-mask.
-    nbytes = (max(rel.u_size, rel.v_size) + 7) // 8
-    top = 8 * nbytes - 1
-    umask, vmask = rel.umask, rel.vmask
-    range_union = reduce(or_, rel.rows)
-    columns = rel.columns()
-    try:
-        for ones, (s, lo_b, up_b, lo_cb, up_cb) in _lane_blocks(
-            (singles, lo, up, lo_c, up_c), nbytes
-        ):
-            high = ones << top
-            low = high - ones
-            full, sol, ru = umask * ones, solitary * ones, range_union * ones
-
-            def nonzero(x: int) -> int:
-                return ((x & low) + low | x) & high
-
-            col_union = 0
-            for j, column in enumerate(columns):
-                col_union |= (s >> j & ones) * column
-            not_lo, not_up = lo_b ^ full, up_b ^ full
-            if (
-                (lo_b | up_b | lo_cb | up_cb | full) != full
-                or up_b ^ col_union
-                | sol & not_lo
-                | up_b & sol
-                | lo_b & (sol ^ full) & not_up
-                | not_lo ^ up_cb
-                | not_up ^ lo_cb
-                or nonzero(not_lo) != nonzero(ru & (s ^ vmask * ones))
-                or nonzero(up_b) != nonzero(s & ru)
-                or solitary and nonzero(lo_b ^ up_b) != high
-            ):
-                return False
-    except OverflowError:
-        return False
-    return True
-
-
-def _pairs_hold(rel: BinaryRelation, lo: Sequence[int], up: Sequence[int]) -> bool:
-    """Whether every drawn pair (a, b) meets the pair laws, checked as packed lanes.
+def _pairs_hold(lo: Sequence[int], up: Sequence[int]) -> bool:
+    """Whether every drawn pair (a, b) meets the pair laws.
 
     ``lo`` and ``up`` hold the table at each pair's a, then at each b, at
-    each a & b and at each a | b.  Lane k of a block holds pair k's U-masks,
-    so the conditions of the three laws, none derived from another, are one
-    expression over whole blocks: the two distributive equalities,
-    monotonicity along a & b <= a <= a | b, and the join/meet bounds, a
-    complement an XOR with ``full``.  True exactly when every entry lies in
-    [0, U-mask] and the scalar pair loop would record no violation.
+    each a & b and at each a | b.  Lower at a & b must be the meet of lower
+    at a and at b, upper at a | b the join of upper at a and at b, lower at
+    a | b must hold lower at a and at b, and upper at a & b lie within upper
+    at a and at b.  On any ints these four give the scalar pair loop's other
+    four conditions, so True exactly when that loop records no violation.
     """
     count = len(lo) // 4
-    runs = [t[i : i + count] for t in (lo, up) for i in range(0, 4 * count, count)]
-    umask = rel.umask
-    try:
-        for ones, run_blocks in _lane_blocks(runs, (rel.u_size + 7) // 8):
-            full = umask * ones
-            la, lb, lm, lj, ua, ub, um, uj = run_blocks
-            not_lj = lj ^ full
-            if reduce(or_, run_blocks, full) != full or (
-                lm ^ (la & lb)
-                | uj ^ (ua | ub)
-                | lm & (la ^ full)
-                | la & not_lj
-                | um & (ua ^ full)
-                | ua & (uj ^ full)
-                | (la | lb) & not_lj
-                | um & ((ua & ub) ^ full)
-            ):
-                return False
-    except OverflowError:
-        return False
-    return True
+    la, lb, lm, lj = (lo[i : i + count] for i in range(0, len(lo), count))
+    ua, ub, um, uj = (up[i : i + count] for i in range(0, len(up), count))
+    lo_joins, up_meets = list(map(or_, la, lb)), list(map(and_, ua, ub))
+    return (
+        lm == list(map(and_, la, lb))
+        and uj == list(map(or_, ua, ub))
+        and list(map(and_, lo_joins, lj)) == lo_joins
+        and list(map(and_, um, up_meets)) == um
+    )
 
 
 def _homomorphic(lo: Sequence[int], up: Sequence[int]) -> bool:
@@ -450,7 +374,7 @@ def _drawn_pair_groups(
 
     The pairs are tabulated at a, b, a & b and a | b a block of
     ``PAIR_BLOCK`` pairs at a time, so the tables stay small however many
-    pairs are drawn.  Each pair of a block the packed check does not clear
+    pairs are drawn.  Each pair of a block ``_pairs_hold`` does not clear
     comes as an (a, (b,), lo, up) group, lo/up its block's tables by V-mask.
     """
     rows = rel.rows
@@ -458,7 +382,7 @@ def _drawn_pair_groups(
         a_block, b_block = a_s[start : start + PAIR_BLOCK], b_s[start : start + PAIR_BLOCK]
         ys = [*a_block, *b_block, *map(and_, a_block, b_block), *map(or_, a_block, b_block)]
         lo, up = lower_table(rows, ys), upper_table(rows, ys)
-        if not _pairs_hold(rel, lo, up):
+        if not _pairs_hold(lo, up):
             lo_at, up_at = dict(zip(ys, lo)), dict(zip(ys, up))
             for a, b in zip(a_block, b_block):
                 yield a, (b,), lo_at, up_at
@@ -497,22 +421,25 @@ def verify_algebraic_properties(
     singles, their complements and a meet or join per window), tabulate
     lower and upper once at every V-subset (``lower_table``,
     ``upper_table``), so they hold no more entries than the head tables
-    would.  There the single-subset laws at every subset (``_singles_hold``)
-    clear the relation: upper is then the join of the columns in each subset
-    and lower its dual, which gives every law at every single, pair and
-    window.  When they fail, the subset pairs are cleared together by the
-    2 * (2**|V| - 1) generator identities of the distributive laws
-    (``_homomorphic``).  A wider sampled scope tabulates the head tables,
-    and its drawn pairs a block at a time, and checks the singles and the
-    pairs as packed lanes (``_singles_hold``, ``_pairs_hold``).
+    would.  The relation is cleared there when upper is the join of the
+    columns in each subset and lower its dual (``_tables_hold``): the tables
+    are then the operators themselves, which gives every law at every
+    single, pair and window.  When it is not, the subset pairs are cleared
+    together by the 2 * (2**|V| - 1) generator identities of the
+    distributive laws (``_homomorphic``).  A wider sampled scope tabulates
+    the head tables and clears the singles and their complements the same
+    way (``_tables_hold``; stricter than the laws at the singles, since it
+    also asks upper at each complement to be its column union), and
+    tabulates its drawn pairs a block at a time, each block cleared by four
+    comparisons (``_pairs_hold``).
 
-    Only what these checks do not clear, which includes any table entry
-    outside [0, U-mask], is walked one subset at a time, reading the same
-    tables by V-mask, so the violations and their order are those of that
-    walk.  A violation is reported with a witness, never raised; every law of
-    this batch is a theorem, so any violation indicates an implementation bug.
-    Each law keeps its first ``VIOLATION_DETAILS`` violations and counts the
-    rest.
+    Only what these clears leave, which includes any table entry outside
+    [0, U-mask], is walked one subset at a time, reading the same tables by
+    V-mask, so the violations and their order are those of that walk: a
+    clear only decides whether the walk runs.  A violation is reported with
+    a witness, never raised; every law of this batch is a theorem, so any
+    violation indicates an implementation bug.  Each law keeps its first
+    ``VIOLATION_DETAILS`` violations and counts the rest.
     """
     rows = rel.rows
     v_size = rel.v_size
@@ -555,17 +482,17 @@ def verify_algebraic_properties(
     if pairs is None or 1 << v_size <= (2 + n_windows) * n:
         subsets = range(1 << v_size)
         lo, up = lower_table(rows, subsets), upper_table(rows, subsets)
-        # The complement of subset y is entry y of the reversed table.
-        singles_hold = _singles_hold(rel, subsets, lo, up, lo[::-1], up[::-1], solitary)
-        if singles_hold:
-            # Then upper is the join of the columns in each subset and lower
-            # its dual, so upper preserves every join and lower every meet:
-            # every law holds at every single, pair and window.  The empty
-            # set and V take their four values by the bounds and the duality.
+        # The complement of subset y is entry -1 - y of the tables.
+        unions = subset_unions(rel.columns())
+        tables_hold = _tables_hold(umask, lo, up, unions)
+        if tables_hold:
+            # Then upper preserves every join and lower every meet: every law
+            # holds at every single, pair and window.
             return _property_report(instances, violations, counts)
         comps = [vmask ^ s for s in singles]
         lo_singles, up_singles = [lo[s] for s in singles], [up[s] for s in singles]
         lo_comps, up_comps = [lo[c] for c in comps], [up[c] for c in comps]
+        unions = [unions[s] for s in singles]
         ring = list(singles)
         lo_windows = [list(map(lo.__getitem__, m)) for m in _window_folds(ring, and_)]
         up_windows = [list(map(up.__getitem__, j)) for j in _window_folds(ring, or_)]
@@ -578,18 +505,20 @@ def verify_algebraic_properties(
         else:
             groups = ((a, (b,), lo, up) for a, b in zip(draws[0::2], draws[1::2]))
     else:
-        # Both tables are read at the singles and their complements, then
-        # lower at the windows' meets and upper at their joins.
-        head = [*singles, *map(vmask.__xor__, singles)]
+        # Both tables are read at the singles, then at their complements in
+        # mirrored order, then lower at the windows' meets and upper at their
+        # joins.
+        head = [*singles, *map(vmask.__xor__, reversed(singles))]
         lo_table = lower_table(rows, head + list(chain(*_window_folds(singles, and_))))
         up_table = upper_table(rows, head + list(chain(*_window_folds(singles, or_))))
-        lo_singles, lo_comps = lo_table[:n], lo_table[n : 2 * n]
-        up_singles, up_comps = up_table[:n], up_table[n : 2 * n]
+        unions = window_unions(rel.columns(), head)
+        # Stricter than the laws at the singles (see the docstring): when it
+        # fails, the scalar loop below decides.
+        tables_hold = _tables_hold(umask, lo_table[: 2 * n], up_table[: 2 * n], unions)
+        lo_singles, lo_comps = lo_table[:n], lo_table[n : 2 * n][::-1]
+        up_singles, up_comps = up_table[:n], up_table[n : 2 * n][::-1]
         lo_windows = [lo_table[i : i + n] for i in range(2 * n, len(lo_table), n)]
         up_windows = [up_table[i : i + n] for i in range(2 * n, len(up_table), n)]
-        singles_hold = _singles_hold(
-            rel, singles, lo_singles, up_singles, lo_comps, up_comps, solitary
-        )
         # Each block of drawn pairs is tabulated and cleared on its own.
         groups = _drawn_pair_groups(rel, draws[0::2], draws[1::2])
     relation_repr = ""
@@ -625,14 +554,13 @@ def verify_algebraic_properties(
     if up_singles[-1] != sprime:
         record(law, (vmask,), f"upper(V) = {u_str(sprime)}", u_str(up_singles[-1]))
 
-    if not singles_hold:
-        columns = rel.columns()
+    if not tables_hold:
         range_union = reduce(or_, rows)
-        for s, lo_s, up_s, lo_c, up_c in zip(singles, lo_singles, up_singles, lo_comps, up_comps):
+        # Entry k of unions is the union of the columns in singles[k].
+        for s, col_union, lo_s, up_s, lo_c, up_c in zip(
+            singles, unions, lo_singles, up_singles, lo_comps, up_comps
+        ):
             law = "upper-is-union-of-left-neighborhoods"
-            col_union = 0
-            for j in iter_bits(s):
-                col_union |= columns[j]
             if up_s != col_union:
                 record(law, (s,), u_str(col_union), u_str(up_s))
 

@@ -15,6 +15,7 @@ import struct
 import sys
 from enum import Enum
 from itertools import compress, repeat
+from operator import or_
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 __all__ = [
@@ -36,6 +37,8 @@ __all__ = [
     "mask_of_indices",
     "pack_lanes",
     "unpack_lanes",
+    "subset_unions",
+    "window_unions",
     "row_digits",
     "digits_row",
     "valid_label",
@@ -92,7 +95,8 @@ def record(cls: type[_T]) -> type[_T]:
     ``Name(field=value, ...)`` repr unless the class defines its own; and
     ``FrozenInstanceError`` on assignment or deletion.  No defaults,
     inheritance or ordering.  Instances keep their ``__dict__``, so
-    ``object.__setattr__`` in ``__post_init__`` and ``cached_property`` work.
+    ``__post_init__`` can store through ``object.__setattr__`` and a method
+    can cache a value in ``self.__dict__``.
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
 
@@ -210,6 +214,39 @@ def unpack_lanes(packed: int, count: int, nbytes: int) -> list[int]:
     lanes = memoryview(raw).cast(_LANE_FORMATS[nbytes]).tolist()
     # Read big-endian, the lanes come out last first.
     return lanes if sys.byteorder == "little" else lanes[::-1]
+
+
+def subset_unions(masks: Sequence[int]) -> list[int]:
+    """The OR of ``masks[i]`` over the set bits i of y, as entry y, for every
+    y below 2**len(masks).
+
+    Built a mask at a time: the entries with that mask's bit are the entries
+    below them ORed with the mask, so each entry costs one OR.
+    """
+    table = [0]
+    for mask in masks:
+        table += [entry | mask for entry in table]
+    return table
+
+
+def window_unions(masks: Sequence[int], selectors: Sequence[int]) -> list[int]:
+    """``[subset_unions(masks)[s] for s in selectors]`` for selectors below
+    2**len(masks), through one 256-entry table per 8 masks.
+
+    Byte k of a selector picks among ``masks[8 * k : 8 * k + 8]``, so a union
+    costs one lookup per window, and a window reads byte k of every selector
+    in one batch.
+    """
+    nbytes = (len(masks) + 7) >> 3
+    # Selectors of up to 8 bytes are packed in lanes of 1, 2, 4 or 8 bytes,
+    # one struct call.
+    lane = next((w for w in (1, 2, 4, 8) if w >= nbytes), nbytes)
+    raw = pack_lanes(selectors, lane).to_bytes(len(selectors) * lane, "little")
+    unions = [0] * len(selectors)
+    for k in range(nbytes):
+        window = map(subset_unions(masks[8 * k : 8 * k + 8]).__getitem__, raw[k::lane])
+        unions = list(map(or_, unions, window) if k else window)
+    return unions
 
 
 def mask_members(mask: int, items: Sequence[_T]) -> Iterator[_T]:

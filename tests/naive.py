@@ -166,10 +166,12 @@ def naive_law_campaign(matrix, lower, upper, singles, pairs):
         )
         if solitary:
             check("solitary-forces-strict-gap", (y,), lo != up)
+        # The complement within U is taken as a symmetric difference, so an
+        # element outside U (a faulty operator's) stays in it and fails the law.
         check(
             "complement-duality",
             (y,),
-            us - lo == upper(vs - y) and us - up == lower(vs - y),
+            us ^ lo == upper(vs - y) and us ^ up == lower(vs - y),
         )
     for a, b in pairs:
         meet, join = a & b, a | b

@@ -41,6 +41,7 @@ from birough import (
 )
 from birough import approx, lab
 from birough.cli import main
+from birough.formats import render_relation_file
 from birough.lab import ALGEBRAIC_LAWS
 from naive import (
     matrix_of,
@@ -242,7 +243,7 @@ def _broken_complement(rel):
 
 def _top_lane_top_bit(rel):
     # One V-subset, one U bit: the last U element drops out of lower(V), the
-    # last lane of the packed tables and the top bit of that lane.
+    # last entry of the tables and the top bit of that entry.
     top = 1 << rel.u_size - 1
     return (
         lambda rows, s: approx.lower_bits(rows, s) ^ (top if s == rel.vmask else 0)
@@ -274,7 +275,7 @@ PAIR_LAWS = (
     "monotonicity",
     "join-lower-meet-upper-bounds",
 )
-# The laws of one subset each, cleared by lab._singles_hold.
+# The laws of one subset each, cleared by lab._tables_hold.
 SINGLE_LAWS = (
     "upper-is-union-of-left-neighborhoods",
     "solitary-bounds",
@@ -292,8 +293,8 @@ LAW_RELATIONS = [
     for u in range(1, 9 // v + 1)
 ]
 
-# Exhaustive shapes at the packed pair check's lane and byte boundaries (a
-# lane is |U| bits rounded up to whole bytes), up to |V| = 7.
+# Exhaustive shapes at the byte boundaries of |U|, where the table kernels
+# change lane width, up to |V| = 7.
 LANE_RELATIONS = [
     random_relation(u, v, 0.4, seed=29, index=u * 10 + v)
     for u, v in ((1, 7), (7, 6), (8, 5), (8, 6), (9, 4), (9, 6), (40, 3), (40, 6))
@@ -321,7 +322,10 @@ def _takes_full_tables(rel, pairs, seed):
 
 
 def _index_set(mask):
-    return {j for j in range(mask.bit_length()) if mask >> j & 1}
+    # A negative mask (a faulty kernel's) has every bit from its bit length
+    # on; those from 64 on stand as the one element 64.
+    width = mask.bit_length() if mask >= 0 else 65
+    return {j for j in range(width) if mask >> j & 1}
 
 
 def _memo(on_set):
@@ -348,10 +352,10 @@ def _per_subset(kernel):
     return lambda rows, ys: [kernel(rows, y) for y in ys]
 
 
-def _packed_results(monkeypatch):
-    """The results of ``lab``'s packed checks and generator identities from
-    here on, by check name."""
-    results = {"_singles_hold": [], "_pairs_hold": [], "_homomorphic": []}
+def _clear_results(monkeypatch):
+    """The results of ``lab``'s table and pair clears and generator
+    identities from here on, by check name."""
+    results = {"_tables_hold": [], "_pairs_hold": [], "_homomorphic": []}
     for name, got in results.items():
         check = getattr(lab, name)
         monkeypatch.setattr(
@@ -360,17 +364,20 @@ def _packed_results(monkeypatch):
     return results
 
 
-def _naive_violations(monkeypatch, rel, kernels, faulty, n_pairs, seed):
+def _naive_violations(monkeypatch, rel, kernels, faulty, n_pairs, seed, stricter=False):
     """Run the campaign on ``rel`` with ``lab``'s tables read through
     ``kernels`` and check it against ``naive_law_campaign``: instance counts,
     and every violation's law and subsets, in order.  The reference reads the
     same kernels when ``faulty``, else the naive operators.  Also checks that
-    each packed check clears exactly when the reference finds no violation
-    of its laws.  Returns the reference's (law, subsets) list."""
+    each clear passes exactly when the reference finds no violation of its
+    laws.  At the singles, the table clear of the sampled route asks more
+    than the laws: ``stricter`` marks kernels that only it fails, and then it
+    must fail while the single-subset laws hold.  Returns the reference's
+    (law, subsets) list."""
     lower_bits, upper_bits = kernels
     monkeypatch.setattr(lab, "lower_table", _per_subset(lower_bits))
     monkeypatch.setattr(lab, "upper_table", _per_subset(upper_bits))
-    packed = _packed_results(monkeypatch)
+    clears = _clear_results(monkeypatch)
     report = lab.verify_algebraic_properties(rel, pairs=n_pairs, seed=seed)
     matrix = matrix_of(rel)
     if faulty:
@@ -415,18 +422,20 @@ def _naive_violations(monkeypatch, rel, kernels, faulty, n_pairs, seed):
         )
         clear = not any(everywhere.values())
         assert clear == (not singles_fail)
-        assert packed == {
-            "_singles_hold": [not singles_fail],
+        assert clears == {
+            "_tables_hold": [not singles_fail],
             "_pairs_hold": [],
             "_homomorphic": [] if clear else [not pairs_fail],
         }
     else:
-        assert packed["_singles_hold"] == [not any(law in SINGLE_LAWS for law, _ in want)]
+        singles_fail = any(law in SINGLE_LAWS for law, _ in want)
+        assert clears["_tables_hold"] == [not singles_fail and not stricter]
+        assert not (stricter and singles_fail)
         # One pair check per block of drawn pairs; the blocks all clear
         # exactly when no drawn pair fails.
         blocks = -(-n_pairs // lab.PAIR_BLOCK)
-        assert len(packed["_pairs_hold"]) == blocks and packed["_homomorphic"] == []
-        assert all(packed["_pairs_hold"]) == (
+        assert len(clears["_pairs_hold"]) == blocks and clears["_homomorphic"] == []
+        assert all(clears["_pairs_hold"]) == (
             not any(law in PAIR_LAWS and len(subsets) == 2 for law, subsets in want)
         )
     return want
@@ -521,7 +530,7 @@ class TestLawCampaignFaultInjection:
     @pytest.mark.parametrize("pairs", [None, 30], ids=["exhaustive", "sampled"])
     @pytest.mark.parametrize("bad", [-1, 1 << 40], ids=["negative", "too-wide"])
     def test_out_of_range_kernel_value_is_a_violation(self, monkeypatch, bad, pairs):
-        # A U-mask outside [0, U-mask] is recorded as it came, never packed.
+        # A U-mask outside [0, U-mask] is recorded as it came.
         def upper_bits(rows, s):
             return bad if s == 2 else approx.upper_bits(rows, s)
 
@@ -558,6 +567,77 @@ class TestLawCampaignFaultInjection:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert f"VIOLATION {law} " in captured.out and "out of range>" in captured.out
+
+    @pytest.mark.parametrize("bad", [-1, 1 << 40], ids=["negative", "too-wide"])
+    def test_out_of_range_lower_at_a_complement_only(self, capsys, monkeypatch, tmp_path, bad):
+        # Sampled route: lower at one complement that no single, drawn pair
+        # or window reads.  Only the complement duality at its single sees
+        # the entry, and the table clear, which asks more than the laws at
+        # the singles, leaves the verdict to the scalar loop.
+        rel = random_relation(5, 12, 0.4, seed=7, index=0)
+        assert not _takes_full_tables(rel, 20, 0)
+        singles, pairs = _campaign_subsets(rel, 20, 0)
+        n = len(singles)
+        touched = set(singles)
+        touched.update(*({a, b, a & b, a | b} for a, b in pairs))
+        for size in (3, 4):
+            touched.update(reduce(and_, (singles[(k + i) % n] for i in range(size))) for k in range(n))
+        single = next(s for s in singles if rel.vmask ^ s not in touched)
+        target = rel.vmask ^ single
+
+        def lower_bits(rows, s):
+            return bad if s == target else approx.lower_bits(rows, s)
+
+        want = _naive_violations(monkeypatch, rel, (lower_bits, approx.upper_bits), True, 20, 0)
+        assert want == [("complement-duality", (str(rel.universes.v_subset(_index_set(single))),))]
+        path = tmp_path / "wide.rel"
+        path.write_text(render_relation_file(rel), encoding="utf-8")
+        assert main(["verify", str(path), "--pairs", "20"]) == 1
+        assert "VIOLATION complement-duality " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", [-1, 1 << 40], ids=["negative", "too-wide"])
+    def test_out_of_range_lower_on_the_full_tables(self, capsys, monkeypatch, sample, bad):
+        # Full route: one bad entry in the lower table only, at a subset that
+        # is neither the empty set nor V.  The report is the reference's.
+        def lower_bits(rows, s):
+            return bad if s == 0b000110 else approx.lower_bits(rows, s)
+
+        want = _naive_violations(monkeypatch, sample, (lower_bits, approx.upper_bits), True, None, 0)
+        assert {law for law, _ in want} >= {"complement-duality", "monotonicity"}
+        path = Path(__file__).parent / "data" / "sample5x6.rel"
+        assert main(["verify", str(path)]) == 1
+        assert "VIOLATION complement-duality " in capsys.readouterr().out
+
+    def test_fault_only_the_sampled_table_clear_sees(self, monkeypatch):
+        # Sampled route: an element x of upper(s) \ lower(s) moves from
+        # upper at the complement c of a single s, which no single is, into
+        # lower(s).  The complement duality and every other law at the
+        # singles still hold, but upper at c is no longer its column union,
+        # so the table clear fails and the scalar loops decide: the report
+        # is the reference's.
+        rel = random_relation(5, 12, 0.4, seed=7, index=0)
+        singles, _ = _campaign_subsets(rel, 20, 0)
+
+        def movable(s):
+            # Bits of upper(s) \ lower(s), when lower(s) misses two or more
+            # elements (so that it does not become U).
+            lower = approx.lower_bits(rel.rows, s)
+            if rel.vmask ^ s in singles or (rel.umask & ~lower).bit_count() < 2:
+                return 0
+            return approx.upper_bits(rel.rows, s) & ~lower
+
+        s = next(s for s in singles if movable(s))
+        x = movable(s) & -movable(s)
+        target = rel.vmask ^ s
+
+        def lower_bits(rows, y):
+            return approx.lower_bits(rows, y) | (x if y == s else 0)
+
+        def upper_bits(rows, y):
+            return approx.upper_bits(rows, y) & ~(x if y == target else 0)
+
+        kernels = (lower_bits, upper_bits)
+        _naive_violations(monkeypatch, rel, kernels, True, 20, 0, stricter=True)
 
     def test_window_only_fault(self, monkeypatch):
         # In a sampled campaign, a lower fault on a window family's meet that
@@ -602,10 +682,10 @@ class TestLawCampaignFaultInjection:
     @pytest.mark.parametrize("workload_seed", [1, 2])
     def test_benchmark_campaign_never_walks_scalar(self, monkeypatch, workload_seed):
         # perfbench's law_campaign: 250 relations up to 10x10, 100 pairs
-        # each.  The relations on the full tables clear on the single-subset
-        # laws, the others on both packed checks, so no relation reaches the
-        # scalar loops.
-        packed = _packed_results(monkeypatch)
+        # each.  The relations on the full tables clear on their tables, the
+        # others on their head tables and their pair blocks, so no relation
+        # reaches the scalar loops.
+        clears = _clear_results(monkeypatch)
         rng = random.Random(f"{workload_seed}:law_campaign")
         seed = rng.randrange(2**31)
         relations = list(random_campaign(250, max_u=10, max_v=10, seed=seed))
@@ -617,33 +697,27 @@ class TestLawCampaignFaultInjection:
         full = sum(_takes_full_tables(rel, 100, seed + i) for i, rel in enumerate(relations))
         # Both routes are taken.
         assert 0 < full < 250
-        assert packed == {
-            "_singles_hold": [True] * 250, "_pairs_hold": [True] * (250 - full), "_homomorphic": []
+        assert clears == {
+            "_tables_hold": [True] * 250, "_pairs_hold": [True] * (250 - full), "_homomorphic": []
         }
         # Its exhaustive check of one 40x9 file at density 0.3, drawn from the
-        # same stream: the single-subset laws clear it, so no group reaches
-        # the scalar pair loop.
+        # same stream: its full tables clear it, so no group reaches the
+        # scalar pair loop.
         matrix = [[int(rng.random() < 0.3) for _ in range(9)] for _ in range(40)]
         rel = BinaryRelation.from_rows(canonical_universes(40, 9), matrix)
         report = verify_algebraic_properties(rel)
         assert report.ok and report.record("monotonicity").instances == 4**9
-        assert packed == {
-            "_singles_hold": [True] * 251, "_pairs_hold": [True] * (250 - full), "_homomorphic": []
+        assert clears == {
+            "_tables_hold": [True] * 251, "_pairs_hold": [True] * (250 - full), "_homomorphic": []
         }
 
-    def test_packed_check_bit_budget(self, monkeypatch):
-        # A tall relation splits each packed table into blocks under
-        # LANE_BLOCK_BITS: here 64 lanes of 500 bytes, a quarter of the table.
+    def test_tall_full_table_clear_memory(self):
+        # An exhaustive campaign on a 4000x8 relation: the clear compares the
+        # 256-entry tables of 500-byte U-masks with the column unions entry
+        # by entry, so the peak is the two tables, the unions and one list of
+        # duals (about 0.6 MB).  Packing each table into ints on top of that
+        # would pass the bound.
         rel = random_relation(4000, 8, 0.3, seed=31, index=0)
-        lanes = []
-        blocks = lab._lane_blocks
-
-        def lane_blocks(tables, nbytes):
-            for ones, ints in blocks(tables, nbytes):
-                lanes.append((nbytes, ones.bit_count()))
-                yield ones, ints
-
-        monkeypatch.setattr(lab, "_lane_blocks", lane_blocks)
         tracemalloc.start()
         try:
             report = verify_algebraic_properties(rel)
@@ -651,10 +725,7 @@ class TestLawCampaignFaultInjection:
         finally:
             tracemalloc.stop()
         assert report.ok and report.record("monotonicity").instances == 4**8
-        # Four blocks for the singles' tables; the single-subset laws at
-        # every subset clear the pair laws too, so nothing else is packed.
-        assert lanes == [(500, 64)] * 4
-        assert peak < 3_000_000
+        assert peak < 800_000
 
 
 def _flip_upper_at_pairs(monkeypatch):

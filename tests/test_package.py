@@ -107,6 +107,43 @@ def test_every_private_top_level_name_is_used():
     assert [f"{stem}.{name}" for stem, name in defined if name not in read] == []
 
 
+def test_no_module_reads_another_modules_private_name():
+    # A helper that two modules share is public in one of them: no module
+    # imports an underscored name from another or reads one off it.
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    reads = []
+    for path in sorted((REPO / "src" / "birough").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()  # the names this module binds to birough modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "birough"):
+                for alias in node.names:
+                    if node.module in (None, "birough"):
+                        modules.add(alias.asname or alias.name)
+                    elif private(alias.name):
+                        reads.append(f"{path.stem}: {node.module}.{alias.name}")
+            elif isinstance(node, ast.Import):
+                modules.update(
+                    alias.asname or "birough" for alias in node.names if alias.name.startswith("birough")
+                )
+            elif (
+                isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and ast.unparse(node.value.func) == "importlib.import_module"
+            ):
+                modules.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and private(node.attr):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in modules:
+                    reads.append(f"{path.stem}: {ast.unparse(node)}")
+    assert reads == []
+
+
 def test_readme_python_api_example(monkeypatch):
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Python API", 1)[1]

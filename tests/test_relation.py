@@ -39,7 +39,7 @@ from birough.lab import (
     Witness,
     canonical_universes,
 )
-from birough.relation import pack_lanes, unpack_lanes
+from birough.relation import pack_lanes, subset_unions, unpack_lanes, window_unions
 from conftest import SAMPLE_MATRIX
 from naive import (
     matrix_of,
@@ -375,6 +375,31 @@ class TestPackLanes:
         for lanes in ([value], [0, 255, value], [value, 1]):
             with pytest.raises(OverflowError):
                 pack_lanes(lanes, nbytes)
+
+
+def _or_loop(masks, selector):
+    out = 0
+    for i, mask in enumerate(masks):
+        if selector >> i & 1:
+            out |= mask
+    return out
+
+
+class TestWindowUnions:
+    # Selectors of 0 to 9 bytes: 1, 2, 4 and 8 bytes have a struct format, 3
+    # and 9 (more than 64 masks) do not.  The masks are up to 100 bits wide.
+    @pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 16, 17, 32, 64, 65])
+    def test_matches_a_plain_or_loop(self, count):
+        rng = random.Random(count)
+        masks = [rng.getrandbits(100) for _ in range(count)]
+        singletons = [1 << i for i in range(count)]
+        drawn = [rng.getrandbits(count) for _ in range(200)]
+        selectors = [0, (1 << count) - 1, *singletons, *drawn]
+        assert window_unions(masks, selectors) == [_or_loop(masks, s) for s in selectors]
+        assert window_unions(masks, []) == []
+        if count <= 9:
+            every = range(1 << count)
+            assert subset_unions(masks) == [_or_loop(masks, s) for s in every]
 
 
 class TestSolitaryAndSerial:
