@@ -23,8 +23,9 @@ operators through them.
 from __future__ import annotations
 
 from enum import IntEnum
+from functools import reduce
 from itertools import repeat
-from operator import eq
+from operator import eq, or_
 from typing import Sequence
 
 from .relation import (
@@ -33,7 +34,7 @@ from .relation import (
     Side,
     SideMismatchError,
     Subset,
-    iter_bits,
+    mask_members,
     mask_of_flags,
     pack_lanes,
     record,
@@ -223,15 +224,7 @@ def upper_covers(rows: Sequence[int], y_bits: int) -> bool:
 def _lower_bits_matrix(rows: Sequence[int], vmask: int, y_bits: int) -> int:
     # min over columns of max(1 - R(x, y), Y(y)); the AND-fold over a 0/1
     # word is "all bits set".
-    if len(rows) > SHIFT_WIDTH:
-        return mask_of_flags(map(vmask.__eq__, map(y_bits.__or__, map(vmask.__xor__, rows))))
-    out = 0
-    bit = 1
-    for row in rows:
-        if ((row ^ vmask) | y_bits) == vmask:
-            out += bit
-        bit += bit
-    return out
+    return mask_of_flags(map(vmask.__eq__, map(y_bits.__or__, map(vmask.__xor__, rows))))
 
 
 def type_code(rows: Sequence[int], y_bits: int) -> int:
@@ -290,9 +283,7 @@ def upper_approximation(rel: BinaryRelation, y: Subset) -> Subset:
 def upper_approximation_from_columns(rel: BinaryRelation, y: Subset) -> Subset:
     """Upper approximation as the union of left neighborhoods of Y's members."""
     _require_v_subset(rel, y)
-    bits = 0
-    for j in iter_bits(y.bits):
-        bits |= rel.column_bits(j)
+    bits = reduce(or_, mask_members(y.bits, rel.columns()), 0)
     return Subset(rel.universes, Side.U, bits)
 
 

@@ -72,6 +72,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _TOKEN_RE = re.compile(r"\S+")
+_V_HEADER = "expected a 'V:' header line listing the V labels"
 
 
 class ParseError(BiroughError, ValueError):
@@ -189,9 +190,7 @@ def _parse_lines(text: str, source: str) -> BinaryRelation:
     # builds its own label index.
     del u_seen
     if v_labels is None:
-        raise ParseError(
-            "expected a 'V:' header line listing the V labels", source, max(last_line, 1), 1
-        )
+        raise ParseError(_V_HEADER, source, max(last_line, 1), 1)
     if not u_labels:
         raise ParseError("no relation rows found", source, max(last_line, 1), 1)
     return BinaryRelation(UniversePair(tuple(u_labels), tuple(v_labels)), tuple(masks))
@@ -212,19 +211,26 @@ def _lines(text: str) -> Iterator[str]:
         start = end
 
 
+def _line_head(
+    line: str, source: str, line_no: int, message: str, name: str | None = None
+) -> tuple[str, re.Match, list[re.Match]]:
+    """A line that is not blank, as (name, head token, the tokens after it).
+
+    The head must be a name (``name`` itself, when given) followed by ':';
+    otherwise ParseError(``message``) at the head's column.
+    """
+    head, *tokens = _TOKEN_RE.finditer(line)
+    text = head.group()
+    if len(text) < 2 or not text.endswith(":") or name is not None and text[:-1] != name:
+        raise ParseError(message, source, line_no, head.start() + 1)
+    return text[:-1], head, tokens
+
+
 def _parse_v_header(line: str, source: str, line_no: int) -> list[str]:
-    tokens = list(_TOKEN_RE.finditer(line))
-    head = tokens[0]
-    if head.group() != "V:":
-        raise ParseError(
-            "expected a 'V:' header line listing the V labels",
-            source,
-            line_no,
-            head.start() + 1,
-        )
+    _, head, tokens = _line_head(line, source, line_no, _V_HEADER, "V")
     v_labels: list[str] = []
     seen: set[str] = set()
-    for match in tokens[1:]:
+    for match in tokens:
         token = match.group()
         if not valid_label(token):
             raise ParseError(f"bad V label {token!r}", source, line_no, match.start() + 1)
@@ -245,18 +251,11 @@ def _parse_row(
     line: str, source: str, line_no: int, v_size: int, u_seen: set[str]
 ) -> tuple[str, int]:
     """One relation row, token by token, raising at the first bad token."""
-    tokens = list(_TOKEN_RE.finditer(line))
-    head = tokens[0]
-    if not head.group().endswith(":") or len(head.group()) < 2:
-        raise ParseError(
-            "expected '<label>: <0/1 cells>'", source, line_no, head.start() + 1
-        )
-    label = head.group()[:-1]
+    label, head, cells = _line_head(line, source, line_no, "expected '<label>: <0/1 cells>'")
     if not valid_label(label):
         raise ParseError(f"bad U label {label!r}", source, line_no, head.start() + 1)
     if label in u_seen:
         raise ParseError(f"duplicate U label {label!r}", source, line_no, head.start() + 1)
-    cells = tokens[1:]
     if len(cells) != v_size:
         col = cells[-1].start() + 1 if cells else head.end() + 1
         raise ParseError(
@@ -292,23 +291,17 @@ def parse_classification_file(
     """Parse named V-blocks; partition validation happens separately."""
     blocks: list[tuple[str, Subset]] = []
     names: set[str] = set()
-    for line_no, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+    for line_no, line in enumerate(_lines(text), 1):
+        words = line.split()
+        if not words or words[0].startswith("#"):
             continue
-        tokens = list(_TOKEN_RE.finditer(line))
-        head = tokens[0]
-        if not head.group().endswith(":") or len(head.group()) < 2:
-            raise ParseError(
-                "expected '<name>: <V labels...>'", source, line_no, head.start() + 1
-            )
-        name = head.group()[:-1]
+        name, head, tokens = _line_head(line, source, line_no, "expected '<name>: <V labels...>'")
         if name in names:
             raise ParseError(
                 f"duplicate block name {name!r}", source, line_no, head.start() + 1
             )
         bits = 0
-        for match in tokens[1:]:
+        for match in tokens:
             token = match.group()
             try:
                 j = universes.index(Side.V, token)
@@ -327,9 +320,10 @@ def parse_tables_json(text: str, source: str = "<string>") -> dict[str, dict]:
 
     Format: an object mapping 'union' / 'intersection' to a 4x4 grid (rows =
     left type 1..4, columns = right type) of non-empty lists of allowed result
-    codes, each a JSON integer 1..4.
+    codes, each a JSON integer 1..4.  ``lab.type_table`` builds each table,
+    as it builds the built-in ones from the same layout.
     """
-    from .lab import OPERATIONS
+    from .lab import OPERATIONS, type_table
 
     try:
         data = json.loads(text)
@@ -345,21 +339,17 @@ def parse_tables_json(text: str, source: str = "<string>") -> dict[str, dict]:
             not isinstance(row, list) or len(row) != 4 for row in grid
         ):
             raise ParseError(f"{op}: expected a 4x4 grid of allowed-code lists", source)
-        table = {}
-        for i, row in enumerate(grid):
-            for j, cell in enumerate(row):
+        for i, row in enumerate(grid, 1):
+            for j, cell in enumerate(row, 1):
                 # Exact ints only: JSON true and 1.0 compare equal to 1.
                 if not isinstance(cell, list) or not cell or any(
                     type(c) is not int or not 1 <= c <= 4 for c in cell
                 ):
                     raise ParseError(
-                        f"{op}: cell ({i + 1}, {j + 1}) must be a non-empty list of codes 1..4",
+                        f"{op}: cell ({i}, {j}) must be a non-empty list of codes 1..4",
                         source,
                     )
-                table[(RoughType(i + 1), RoughType(j + 1))] = frozenset(
-                    RoughType(c) for c in cell
-                )
-        out[op] = table
+        out[op] = type_table(grid)
     return out
 
 

@@ -29,7 +29,7 @@ most ``EXHAUSTIVE_PAIR_CAP``.
 from __future__ import annotations
 
 import random
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import chain, combinations, product, repeat
 from math import comb
 from operator import and_, eq, or_
@@ -44,9 +44,9 @@ from .relation import (
     SideMismatchError,
     Subset,
     UniversePair,
-    iter_bits,
     record,
     subset_unions,
+    transpose,
     window_unions,
 )
 
@@ -72,6 +72,7 @@ __all__ = [
     "OPERATIONS",
     "UNION_TABLE",
     "INTERSECTION_TABLE",
+    "type_table",
     "table_for",
     "allowed_result_types",
     "ambiguous_cells",
@@ -523,11 +524,15 @@ def verify_algebraic_properties(
         groups = _drawn_pair_groups(rel, draws[0::2], draws[1::2])
     relation_repr = ""
 
+    # A faulted kernel can repeat one wrong mask at many violations: each
+    # mask's text is built once per relation.
+    @cache
     def u_str(bits: int) -> str:
         if 0 <= bits <= umask:
             return str(Subset(rel.universes, Side.U, bits))
         return f"<U-mask {bits} out of range>"
 
+    @cache
     def v_str(bits: int) -> str:
         return str(Subset(rel.universes, Side.V, bits))
 
@@ -678,7 +683,7 @@ def reconstruct_relation(
     it exactly, which is the uniqueness content of the approximation
     operators determining the relation.
     """
-    rows = [0] * universes.u_size
+    columns = []
     for j in range(universes.v_size):
         image = upper_of_singleton(Subset(universes, Side.V, 1 << j))
         if (
@@ -689,74 +694,54 @@ def reconstruct_relation(
             raise SideMismatchError(
                 "the oracle must return U-side subsets over the same universes"
             )
-        for i in iter_bits(image.bits):
-            rows[i] |= 1 << j
-    return BinaryRelation(universes, tuple(rows))
+        columns.append(image.bits)
+    return BinaryRelation(universes, transpose(columns, universes.u_size))
 
 
 # --- type tables -------------------------------------------------------------
 
-OPERATIONS = ("union", "intersection")
 
-
-def _cells(
-    spec: dict[tuple[int, int], tuple[int, ...]]
+def type_table(
+    grid: Sequence[Sequence[Iterable[int]]],
 ) -> dict[tuple[RoughType, RoughType], frozenset[RoughType]]:
+    """The type table of a 4x4 grid of result codes, the ``--tables-file``
+    layout: row a - 1 is left type a, column b - 1 right type b, and each cell
+    lists the types the operation's result may take.
+    """
     return {
-        (RoughType(a), RoughType(b)): frozenset(RoughType(c) for c in allowed)
-        for (a, b), allowed in spec.items()
+        (RoughType(a), RoughType(b)): frozenset(map(RoughType, cell))
+        for a, row in enumerate(grid, 1)
+        for b, cell in enumerate(row, 1)
     }
 
 
-UNION_TABLE = _cells(
-    {
-        (1, 1): (1, 3),
-        (1, 2): (1, 3),
-        (1, 3): (3,),
-        (1, 4): (3,),
-        (2, 1): (1, 3),
-        (2, 2): (1, 2, 3, 4),
-        (2, 3): (3,),
-        (2, 4): (3, 4),
-        (3, 1): (3,),
-        (3, 2): (3,),
-        (3, 3): (3,),
-        (3, 4): (3,),
-        (4, 1): (3,),
-        (4, 2): (3, 4),
-        (4, 3): (3,),
-        (4, 4): (3, 4),
-    }
+UNION_TABLE = type_table(
+    [
+        [[1, 3], [1, 3], [3], [3]],
+        [[1, 3], [1, 2, 3, 4], [3], [3, 4]],
+        [[3], [3], [3], [3]],
+        [[3], [3, 4], [3], [3, 4]],
+    ]
 )
 
-INTERSECTION_TABLE = _cells(
-    {
-        (1, 1): (1, 2),
-        (1, 2): (2,),
-        (1, 3): (1, 2),
-        (1, 4): (2,),
-        (2, 1): (2,),
-        (2, 2): (2,),
-        (2, 3): (2,),
-        (2, 4): (2,),
-        (3, 1): (1, 2),
-        (3, 2): (2,),
-        (3, 3): (1, 2, 3, 4),
-        (3, 4): (2, 4),
-        (4, 1): (2,),
-        (4, 2): (2,),
-        (4, 3): (2, 4),
-        (4, 4): (2, 4),
-    }
+INTERSECTION_TABLE = type_table(
+    [
+        [[1, 2], [2], [1, 2], [2]],
+        [[2], [2], [2], [2]],
+        [[1, 2], [2], [1, 2, 3, 4], [2, 4]],
+        [[2], [2], [2, 4], [2, 4]],
+    ]
 )
+
+_TABLES = {"union": UNION_TABLE, "intersection": INTERSECTION_TABLE}
+OPERATIONS = tuple(_TABLES)
 
 
 def table_for(operation: str) -> Mapping[tuple[RoughType, RoughType], frozenset[RoughType]]:
-    if operation == "union":
-        return UNION_TABLE
-    if operation == "intersection":
-        return INTERSECTION_TABLE
-    raise ConfigError(f"unknown set operation {operation!r}")
+    try:
+        return _TABLES[operation]
+    except KeyError:
+        raise ConfigError(f"unknown set operation {operation!r}") from None
 
 
 def allowed_result_types(
@@ -803,9 +788,7 @@ class TableCellFinding:
 
 
 def _is_union(operation: str) -> bool:
-    if operation not in OPERATIONS:
-        raise ConfigError(f"unknown set operation {operation!r}")
-    return operation == "union"
+    return table_for(operation) is UNION_TABLE
 
 
 def _outcome_key(left: int, right: int, result: int) -> int:

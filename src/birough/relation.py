@@ -14,6 +14,7 @@ import re
 import struct
 import sys
 from enum import Enum
+from functools import reduce
 from itertools import compress, repeat
 from operator import or_
 from typing import Iterable, Iterator, Sequence, TypeVar
@@ -31,7 +32,6 @@ __all__ = [
     "Partition",
     "BinaryRelation",
     "SHIFT_WIDTH",
-    "iter_bits",
     "mask_members",
     "mask_of_flags",
     "mask_of_indices",
@@ -39,6 +39,7 @@ __all__ = [
     "unpack_lanes",
     "subset_unions",
     "window_unions",
+    "transpose",
     "row_digits",
     "digits_row",
     "valid_label",
@@ -142,12 +143,14 @@ def valid_label(label: object) -> bool:
     return isinstance(label, str) and bool(_LABEL_RE.match(label))
 
 
-# Masks up to this many bits are built or walked one bit at a time, which is
-# quickest for the small relations of the sweeps and campaigns.  Each step on
-# a wider int costs time in proportion to its width, so wider masks go
-# through one '0'/'1' digit string instead, in time linear in the width.
-# The one-bit loops add and subtract single bits where | and ^ would do the
-# same: the interpreter has a fast path for int + and - but not for | and ^.
+# U-masks of up to this many bits are built one bit at a time by the
+# per-V-mask kernels (approx.lower_bits/upper_bits).  Each step on a wider int
+# costs time in proportion to its width, so wider masks go through one
+# '0'/'1' digit string instead, in time linear in the width.  The campaigns
+# read the operators through the packed tables, so the loops' callers are the
+# reconstruction oracle and the seriality check's empty set (about 1,800 calls
+# a pass of the benchmark's law campaign).  The loops add single bits where |
+# would do the same: the interpreter has a fast path for int + but not for |.
 SHIFT_WIDTH = 64
 
 _FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -253,26 +256,27 @@ def mask_members(mask: int, items: Sequence[_T]) -> Iterator[_T]:
     """The items at the set bits of ``mask``, in order, for a mask that fits
     ``len(items)`` bits.
 
-    One C pass over the width (digits, 0/1 flags, ``compress``), where
-    ``iter_bits`` takes a Python step per member.
+    The package's one walk over a mask's set bits: one C pass over the width
+    (digits, 0/1 flags, ``compress``), however many members.
     """
     flags = row_digits(mask, len(items)).encode("ascii").translate(_DIGIT_FLAGS)
     return compress(items, flags)
 
 
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the indices of the set bits of ``mask``, lowest first."""
-    if mask >> SHIFT_WIDTH:
-        digits = row_digits(mask, mask.bit_length())
-        i = digits.find("1")
-        while i >= 0:
-            yield i
-            i = digits.find("1", i + 1)
-        return
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask -= low
+def transpose(masks: Sequence[int], width: int) -> tuple[int, ...]:
+    """The transpose of the bit matrix whose row i is ``masks[i]``, each below
+    2**width: entry j has bit i set when bit j of ``masks[i]`` is.
+    """
+    if not masks:
+        return (0,) * width
+    # Row i is the whole-byte lane at bits [i * step, (i + 1) * step) of one
+    # int, so in its binary text (most significant digit first) bit j of the
+    # rows, last row first, sits every step characters from step - 1 - j:
+    # each column is one slice and one int(..., 2).
+    lane = (width + 7) >> 3
+    step = lane << 3
+    text = format(pack_lanes(masks, lane), f"0{len(masks) * step}b")
+    return tuple(int(text[step - 1 - j :: step], 2) for j in range(width))
 
 
 def _equal_key_classes(keys: Iterable[int]) -> list[list[int]]:
@@ -624,15 +628,7 @@ class BinaryRelation:
         """Every ``column_bits``; the matrix is transposed once per relation."""
         cols = self.__dict__.get("_columns")
         if cols is None:
-            # Row i is the whole-byte lane at bits [i * width, (i + 1) * width)
-            # of one int, so in its binary text (most significant digit first)
-            # bit j of the rows, last row first, sits every width characters
-            # from width - 1 - j: each column is one slice and one int(…, 2).
-            lane = (self.v_size + 7) >> 3
-            width = lane << 3
-            text = format(pack_lanes(self.rows, lane), f"0{self.u_size * width}b")
-            cols = tuple(int(text[width - 1 - j :: width], 2) for j in range(self.v_size))
-            self.__dict__["_columns"] = cols
+            cols = self.__dict__["_columns"] = transpose(self.rows, self.v_size)
         return cols
 
     def solitary_set(self) -> Subset:
@@ -688,11 +684,10 @@ class BinaryRelation:
         # taken once per class and checked against the class's row.
         for members in u_classes:
             row = self.rows[members[0]]
-            composed_u = composed_v = 0
+            composed_u = 0
             for k in members:
                 composed_u |= self.rows[k]
-            for j in iter_bits(row):
-                composed_v |= class_of[j]
+            composed_v = reduce(or_, mask_members(row, class_of), 0)
             if not composed_u == row == composed_v:
                 return False
         return True

@@ -10,8 +10,9 @@ from birough import BinaryRelation, Side, Subset
 from birough.lab import canonical_universes
 from birough.relation import SHIFT_WIDTH, row_digits
 
-# |U| on both sides of SHIFT_WIDTH, where the U-mask kernels and iter_bits
-# switch from one-bit-at-a-time loops to digit strings.
+# |U| on both sides of SHIFT_WIDTH, where the per-V-mask kernels
+# (lower_bits/upper_bits) switch from one-bit-at-a-time loops to digit
+# strings.
 WIDE_U_SIZES = (SHIFT_WIDTH - 1, SHIFT_WIDTH, SHIFT_WIDTH + 1, 128, 129, 1000)
 
 

@@ -30,9 +30,11 @@ from birough import (
 )
 from birough.classify import (
     COVER_DUALITY,
+    DERIVED_LAWS,
     HOLDS,
     INDEX_SET_SAMPLES,
     INDEX_SET_SEED,
+    MEASURE_LAWS,
     SUPPORT_DUALITY,
     VACUOUS,
     VIOLATED,
@@ -370,6 +372,16 @@ def faults(draw, family):
     rel, k = family
     flip = draw(st.integers(1, rel.universes.full_mask(Side.U)))
     return draw(st.integers(0, k - 1)), draw(st.sampled_from(["lower", "upper"])), flip
+
+
+@pytest.mark.parametrize("family", ["two_block", "three_block", "totally_rough"])
+def test_reports_follow_the_law_catalogs(family, request):
+    # Law names by first appearance: the catalogs are the reports' order.
+    fa = request.getfixturevalue(family)
+    family_laws = dict.fromkeys(e.law for e in family_law_report(fa).entries)
+    assert tuple(family_laws) == (COVER_DUALITY, SUPPORT_DUALITY, *DERIVED_LAWS)
+    measure_laws = dict.fromkeys(e.law for e in measure_law_report(fa).entries)
+    assert tuple(measure_laws) == MEASURE_LAWS
 
 
 class TestFamilyLawOracle:

@@ -39,7 +39,7 @@ from birough.classify import (
     proper_index_subsets,
     validate_classification,
 )
-from birough.lab import canonical_universes
+from birough.lab import canonical_universes, table_for
 from naive import (
     NaiveParseError,
     matrix_of,
@@ -266,6 +266,14 @@ class TestTablesJson:
         text = json.dumps({"union": [[[1]] * 4] * 4})
         tables = parse_tables_json(text)
         assert tables["union"][(RoughType(2), RoughType(3))] == frozenset({RoughType(1)})
+
+    @pytest.mark.parametrize("operation", ["union", "intersection"])
+    def test_built_in_tables_round_trip(self, operation):
+        # The built-in tables written in the --tables-file layout parse back
+        # to themselves.
+        table = table_for(operation)
+        grid = [[sorted(table[a, b]) for b in RoughType] for a in RoughType]
+        assert parse_tables_json(json.dumps({operation: grid}))[operation] == table
 
     @pytest.mark.parametrize(
         "payload",

@@ -4,6 +4,7 @@ import json
 import random
 import time
 import tracemalloc
+from collections import Counter
 from functools import partial, reduce
 from itertools import islice, product
 from math import comb
@@ -21,6 +22,7 @@ from birough import (
     RoughType,
     Side,
     SideMismatchError,
+    Subset,
     UNION_TABLE,
     UniversePair,
     allowed_result_types,
@@ -111,7 +113,7 @@ class TestAlgebraicCampaign:
     def test_sample_relation_exhaustive(self, sample):
         report = verify_algebraic_properties(sample)
         assert report.ok
-        assert {r.law for r in report.records} == set(ALGEBRAIC_LAWS)
+        assert tuple(r.law for r in report.records) == ALGEBRAIC_LAWS
         assert report.record("monotonicity").instances == 64 * 64
         # serial relation: nothing for the strict-gap law to check
         assert report.record("solitary-forces-strict-gap").instances == 0
@@ -126,6 +128,7 @@ class TestAlgebraicCampaign:
     def test_sampled_budget(self, sample):
         report = verify_algebraic_properties(sample, pairs=50, seed=9)
         assert report.ok
+        assert tuple(r.law for r in report.records) == ALGEBRAIC_LAWS
         assert report.record("monotonicity").instances == 50
 
     def test_sampled_budget_deterministic(self, sample):
@@ -769,6 +772,23 @@ class TestViolationRecord:
         assert any(truncated for *_, truncated in want_laws)
         assert all(r.get("truncated", True) is True for r in body["laws"])
 
+    @pytest.mark.parametrize("pairs", [None, 300])
+    def test_each_mask_is_formatted_once_per_relation(self, monkeypatch, sample, pairs):
+        # The faulted table repeats its wrong masks across many violations;
+        # one relation's report builds each subset's text once.
+        _flip_upper_at_pairs(monkeypatch)
+        formatted = Counter()
+        real_str = Subset.__str__
+
+        def counted_str(subset):
+            formatted[subset.side, subset.bits] += 1
+            return real_str(subset)
+
+        monkeypatch.setattr(Subset, "__str__", counted_str)
+        report = verify_algebraic_properties(sample, pairs=pairs, seed=2)
+        assert not report.ok and formatted
+        assert max(formatted.values()) == 1
+
     def test_merge_keeps_the_first_violations_in_order(self):
         # Reports whose laws' violations run past the bound across several
         # reports: the merge keeps the first in report order and sums the counts.
@@ -978,6 +998,12 @@ class TestReconstruction:
                 lambda s, rel=rel: upper_approximation(rel, s), rel.universes
             )
             assert rebuilt == rel
+
+    @pytest.mark.parametrize("u_size, v_size", [(70, 80), (65, 300), (300, 65)])
+    def test_round_trip_past_64_rows_and_columns(self, u_size, v_size):
+        rel = random_relation(u_size, v_size, 0.3, 29, u_size)
+        rebuilt = reconstruct_relation(lambda s: upper_approximation(rel, s), rel.universes)
+        assert rebuilt == rel
 
 
 class TestTables:

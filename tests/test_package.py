@@ -155,6 +155,16 @@ def test_readme_python_api_example(monkeypatch):
     assert printed.getvalue() == output
 
 
+def test_readme_tables_file_example_is_the_union_table():
+    from birough.formats import parse_tables_json
+    from birough.lab import UNION_TABLE
+
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("--tables-file FILE", 1)[1]
+    (example,) = re.findall(r"```json\n(.*?)```", section, re.S)[:1]
+    assert parse_tables_json(example) == {"union": UNION_TABLE}
+
+
 def _fresh_interpreter(code: str, *args: str) -> str:
     """Stdout of ``code`` run in a new interpreter from the repo root."""
     proc = subprocess.run(

@@ -39,7 +39,7 @@ from birough.lab import (
     Witness,
     canonical_universes,
 )
-from birough.relation import pack_lanes, subset_unions, unpack_lanes, window_unions
+from birough.relation import pack_lanes, subset_unions, transpose, unpack_lanes, window_unions
 from conftest import SAMPLE_MATRIX
 from naive import (
     matrix_of,
@@ -347,6 +347,26 @@ class TestColumns:
                 int("".join(map(str, reversed(column))), 2) for column in zip(*matrix_of(rel))
             )
             assert rel.columns() == expected
+
+
+def _transpose_loop(masks, width):
+    return tuple(
+        sum((mask >> j & 1) << i for i, mask in enumerate(masks)) for j in range(width)
+    )
+
+
+class TestTranspose:
+    # Widths on both sides of each byte boundary and of 64 bits, and as many
+    # masks (the transpose's width) past them.
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 64, 65, 300])
+    def test_matches_a_bit_loop_and_inverts_itself(self, width):
+        rng = random.Random(width)
+        full = (1 << width) - 1
+        for count in (0, 1, 7, 8, 9, 63, 64, 65, 70):
+            masks = (0, full, *(rng.getrandbits(width) for _ in range(count)))[:count]
+            columns = transpose(masks, width)
+            assert columns == _transpose_loop(masks, width)
+            assert transpose(columns, count) == masks
 
 
 class TestPackLanes:
