@@ -64,9 +64,6 @@ _EXPORTS = {
         "random_relation",
         "random_subset_bits",
         "random_campaign",
-        "PropertyReport",
-        "verify_algebraic_properties",
-        "merge_property_reports",
         "verify_serial_iff",
         "reconstruct_relation",
         "UNION_TABLE",
@@ -80,11 +77,18 @@ _EXPORTS = {
         "witness_inventory",
         "find_type_witness",
     ),
-    "formats": (
+    "campaign": (
+        "PropertyReport",
+        "verify_algebraic_properties",
+        "merge_property_reports",
+    ),
+    "parse": (
         "ParseError",
         "parse_relation_file",
         "render_relation_file",
         "parse_classification_file",
+    ),
+    "formats": (
         "AnalysisReport",
         "emit_report",
         "iter_report",

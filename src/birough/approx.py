@@ -16,7 +16,7 @@ cross-check them.
 
 ``lower_table`` and ``upper_table`` run the set form for many V-subsets at
 once, each in one lane of a packed int, in one pass over the rows, however
-few the V-subsets; the lab's law campaigns and seriality check read the
+few the V-subsets; the law campaign and the lab's seriality check read the
 operators through them.
 """
 

@@ -22,9 +22,10 @@ from .relation import BinaryRelation, BiroughError, Subset
 # The names this module takes from the other birough modules, but approx.
 # Each is read off this module (``_cli.<name>``), so its module is imported on
 # first use (``__getattr__`` below) and a command loads only the modules it
-# calls into.  approx is imported above: every command loads it through
-# formats anyway, and its names here must stay approx's own functions even
-# after a caller, such as the benchmark's tracer, has replaced them in approx.
+# calls into.  approx is imported above: every report command loads it
+# through formats anyway, and its names here must stay approx's own functions
+# even after a caller, such as the benchmark's tracer, has replaced them in
+# approx.
 _IMPORTS = {
     "classify": (
         "TheoremReport",
@@ -43,6 +44,8 @@ _IMPORTS = {
         # Not called here, but kept bound for callers that wrap it by name.
         "emit_report",
         "iter_report",
+    ),
+    "parse": (
         "parse_classification_file",
         "parse_relation_file",
         "parse_tables_json",
@@ -52,14 +55,13 @@ _IMPORTS = {
         "check_relation_against_tables",
         "find_type_witness",
         "generate_relations",
-        "merge_property_reports",
         "random_campaign",
         "random_relation",
         "reconstruct_relation",
-        "verify_algebraic_properties",
         "verify_serial_iff",
         "witness_inventory",
     ),
+    "campaign": ("merge_property_reports", "verify_algebraic_properties"),
 }
 _MODULE_OF = {name: module for module, names in _IMPORTS.items() for name in names}
 
@@ -192,6 +194,9 @@ def _classify_report(args: argparse.Namespace):
     """The ``classify`` report and its exit code.  The family, its
     classification and the law instances go on return, so only the report
     is alive while it is written."""
+    # Bound first, so formats is compiled before the relation and the family
+    # take memory: compiled after them, it raised the command's peak RSS.
+    build_report = _cli.build_classify_report
     rel = _load_relation(args.relation)
     named = _cli.parse_classification_file(
         _read_text(args.classes), rel.universes, source=args.classes
@@ -201,7 +206,7 @@ def _classify_report(args: argparse.Namespace):
     laws = _cli.TheoremReport(
         _cli.family_law_report(fa).entries + _cli.measure_law_report(fa).entries
     )
-    report = _cli.build_classify_report(rel, args.relation, fa, laws)
+    report = build_report(rel, args.relation, fa, laws)
     return report, EXIT_OK if laws.ok else EXIT_VIOLATION
 
 
@@ -349,46 +354,25 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="birough",
-        description=(
-            "Rough-set approximation over two universes linked by a binary "
-            "relation: neighborhoods, lower/upper approximations, rough types, "
-            "classification measures, and verification campaigns."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("approx", help="lower/upper/boundary/type of a V-subset")
+def _approx_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("relation", help="relation file")
     p.add_argument(
         "--set",
         required=True,
         help="comma-separated V labels; an empty string selects the empty set",
     )
-    add_format(p)
-    p.set_defaults(func=_cmd_approx)
 
-    p = sub.add_parser(
-        "neighbors", help="neighborhoods, solitary set, quotients, seriality"
-    )
+
+def _neighbors_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("relation", help="relation file")
-    add_format(p)
-    p.set_defaults(func=_cmd_neighbors)
 
-    p = sub.add_parser(
-        "classify", help="family approximation, measures, and family laws"
-    )
+
+def _classify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("relation", help="relation file")
     p.add_argument("--classes", required=True, help="classification file")
-    add_format(p)
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("verify", help="algebraic law campaign")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     scope = p.add_mutually_exclusive_group()
     scope.add_argument("relation", nargs="?", help="relation file to check")
     scope.add_argument(
@@ -420,12 +404,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--density", type=_ranged(float, 0, 1), help="cell density of --samples relations (default 0.5)"
     )
-    add_format(p)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser(
-        "tables", help="type-table conformance sweep and witness inventory"
-    )
+
+def _tables_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--op", required=True, choices=("union", "intersection"))
     p.add_argument("--relation", help="check one relation instead of a sweep")
     p.add_argument("--max-u", type=_ranged(int, 1), help="largest |U| of the sweep (default 3)")
@@ -434,32 +415,72 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tables-file",
         help="JSON transcription to check against instead of the built-in tables",
     )
-    add_format(p)
-    p.set_defaults(func=_cmd_tables)
 
-    p = sub.add_parser("witness", help="search for a (relation, X, Y) table witness")
+
+def _witness_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--op", required=True, choices=("union", "intersection"))
     p.add_argument("--left", required=True, type=_rough_type_arg)
     p.add_argument("--right", required=True, type=_rough_type_arg)
     p.add_argument("--result", required=True, type=_rough_type_arg)
     p.add_argument("--max-u", type=_ranged(int, 1), default=3)
     p.add_argument("--max-v", type=_ranged(int, 1), default=3)
-    add_format(p)
-    p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser("gen", help="emit a seeded random relation file")
+
+def _gen_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--u", required=True, type=_ranged(int, 1))
     p.add_argument("--v", required=True, type=_ranged(int, 1))
     p.add_argument("--density", type=_ranged(float, 0, 1), default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--index", type=int, default=0, help="position in the seeded stream")
-    p.set_defaults(func=_cmd_gen)
 
+
+# Each subcommand's help line, the function that adds its arguments, and the
+# function that runs it.
+_COMMANDS = {
+    "approx": ("lower/upper/boundary/type of a V-subset", _approx_args, _cmd_approx),
+    "neighbors": ("neighborhoods, solitary set, quotients, seriality", _neighbors_args, _cmd_neighbors),
+    "classify": ("family approximation, measures, and family laws", _classify_args, _cmd_classify),
+    "verify": ("algebraic law campaign", _verify_args, _cmd_verify),
+    "tables": ("type-table conformance sweep and witness inventory", _tables_args, _cmd_tables),
+    "witness": ("search for a (relation, X, Y) table witness", _witness_args, _cmd_witness),
+    "gen": ("emit a seeded random relation file", _gen_args, _cmd_gen),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand's sub-parser, or with ``command``'s alone."""
+    parser = argparse.ArgumentParser(
+        prog="birough",
+        description=(
+            "Rough-set approximation over two universes linked by a binary "
+            "relation: neighborhoods, lower/upper approximations, rough types, "
+            "classification measures, and verification campaigns."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    if command is not None:
+        # The list argparse makes of every subcommand, so an error the
+        # sub-parser leaves to this parser (an unrecognized argument) prints
+        # the usage line of the full parser.
+        sub.metavar = "{" + ",".join(_COMMANDS) + "}"
+    for name, (summary, add_arguments, func) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=summary)
+            add_arguments(p)
+            if name != "gen":  # every command but gen writes a report
+                p.add_argument("--format", choices=("text", "json"), default="text")
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # Only the sub-parser of the command argv names is built.  Any other argv
+    # (none, -h, an unknown command) gets them all, so its text lists every
+    # command.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         code = args.func(args)
         # A reader that closed stdout early shows here, not at exit.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import errno
 import io
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from birough import formats, lab, relation
+from birough import cli, formats, lab, parse, relation
 from birough.cli import main
 from naive import naive_emit_json
 
@@ -102,7 +103,7 @@ LARGE_OUTPUTS = pytest.mark.parametrize(
 
 def large_argv(tmp_path: Path, argv: list[str]) -> list[str]:
     path = tmp_path / "big.rel"
-    path.write_text(formats.render_relation_file(lab.random_relation(3000, 64, 0.5, 1, 0)), encoding="utf-8")
+    path.write_text(parse.render_relation_file(lab.random_relation(3000, 64, 0.5, 1, 0)), encoding="utf-8")
     return [str(path) if arg == "BIG" else arg for arg in argv]
 
 
@@ -156,7 +157,7 @@ def per_line_loop_refused(monkeypatch):
     def refuse(*args):
         raise AssertionError("the per-line loop ran")
 
-    monkeypatch.setattr(formats, "_parse_lines", refuse)
+    monkeypatch.setattr(parse, "_parse_lines", refuse)
 
 
 class TestInputFiles:
@@ -191,7 +192,7 @@ class TestInputFiles:
         code, out, _ = run_cli(capsys, "gen", "--u", str(u), "--v", str(v), "--seed", "3")
         assert code == 0
         per_line_loop_refused(monkeypatch)
-        assert formats.parse_relation_file(out) == lab.random_relation(u, v, 0.5, 3, 0)
+        assert parse.parse_relation_file(out) == lab.random_relation(u, v, 0.5, 3, 0)
 
     def test_benchmark_relation_files_skip_the_per_line_loop(self, monkeypatch, tmp_path):
         # The benchmark writes its own relation files; they must stay in the
@@ -206,7 +207,7 @@ class TestInputFiles:
         assert paths
         per_line_loop_refused(monkeypatch)
         for path in paths:
-            formats.parse_relation_file(path.read_text(encoding="utf-8"))
+            parse.parse_relation_file(path.read_text(encoding="utf-8"))
 
 
 class TestExitCodes:
@@ -256,7 +257,7 @@ class TestExitCodes:
             argv = ["gen", "--u", "30000", "--v", "64"]
         elif early:
             path = tmp_path / "big.rel"
-            path.write_text(formats.render_relation_file(lab.random_relation(3000, 64, 0.5, 1, 0)), encoding="utf-8")
+            path.write_text(parse.render_relation_file(lab.random_relation(3000, 64, 0.5, 1, 0)), encoding="utf-8")
             argv = ["neighbors", str(path), "--format", fmt]
         else:
             argv = ["approx", SAMPLE, "--set", "y1", "--format", fmt]
@@ -547,6 +548,102 @@ class TestExitCodes:
         assert captured.out == "" and "must be" in captured.err
 
 
+COMMANDS = ("approx", "neighbors", "classify", "verify", "tables", "witness", "gen")
+WITNESS_TYPES = ["--left", "1", "--right", "1", "--result", "1"]
+# Per subcommand, argvs that argparse refuses: a missing required argument, a
+# bad choice, an out-of-range int (where the command has each) and an
+# unrecognized argument, which the sub-parser leaves to the main parser.
+USAGE_ERRORS = {
+    "approx": [
+        ["approx", SAMPLE],
+        ["approx", SAMPLE, "--set", "y1", "--format", "xml"],
+        ["approx", SAMPLE, "--set", "y1", "--bogus"],
+    ],
+    "neighbors": [
+        ["neighbors"],
+        ["neighbors", SAMPLE, "--format", "xml"],
+        ["neighbors", SAMPLE, "extra"],
+    ],
+    "classify": [
+        ["classify", SAMPLE],
+        ["classify", SAMPLE, "--classes", CLASSES, "--format", "xml"],
+        ["classify", SAMPLE, "--classes", CLASSES, "--bogus", "1"],
+    ],
+    "verify": [
+        ["verify", "--exhaustive", "2"],
+        ["verify", SAMPLE, "--format", "xml"],
+        ["verify", "--samples", "0"],
+        ["verify", SAMPLE, "extra"],
+    ],
+    "tables": [
+        ["tables", "--max-u", "2"],
+        ["tables", "--op", "difference"],
+        ["tables", "--op", "union", "--max-v", "0"],
+        ["tables", "--op", "union", "--bogus"],
+    ],
+    "witness": [
+        ["witness", "--op", "union", "--left", "1"],
+        ["witness", "--op", "difference", *WITNESS_TYPES],
+        ["witness", "--op", "union", *WITNESS_TYPES, "--max-u", "0"],
+        ["witness", "--op", "union", *WITNESS_TYPES, "extra"],
+    ],
+    "gen": [
+        ["gen", "--u", "2"],
+        ["gen", "--u", "0", "--v", "2"],
+        ["gen", "--u", "2", "--v", "2", "--bogus"],
+    ],
+}
+
+
+def _parse_exit(capsys, parse, argv):
+    """Exit code, stdout and stderr of an argparse exit from ``parse(argv)``."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def _sub_parser_names(parser) -> list[str]:
+    (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+class TestOneSubParser:
+    def test_every_command_is_covered(self):
+        assert _sub_parser_names(cli._build_parser()) == list(COMMANDS) == list(USAGE_ERRORS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_main_builds_only_the_named_sub_parser(self, capsys, monkeypatch, command):
+        built = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda *args: built.append(build(*args)) or built[-1])
+        _parse_exit(capsys, main, [command, "--help"])
+        assert [_sub_parser_names(parser) for parser in built] == [[command]]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[command, "--help"] for command in COMMANDS]
+        + [argv for argvs in USAGE_ERRORS.values() for argv in argvs],
+        ids=" ".join,
+    )
+    def test_same_text_as_the_full_parser(self, capsys, argv):
+        full = _parse_exit(capsys, cli._build_parser().parse_args, argv)
+        assert _parse_exit(capsys, main, argv) == full
+        assert full[0] == (0 if argv[-1] == "--help" else 2)
+        assert full[2 if full[0] else 1]
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["nosuch"]], ids=repr)
+    def test_other_argv_lists_every_command(self, capsys, argv):
+        code, out, err = _parse_exit(capsys, main, argv)
+        assert code == (0 if argv == ["-h"] else 2)
+        text = out or err
+        assert "{" + ",".join(COMMANDS) + "}" in text
+        if argv == ["-h"]:
+            assert all(f"\n    {command} " in text for command in COMMANDS)
+        if argv == ["nosuch"]:
+            assert ", ".join(map(repr, COMMANDS)) in text
+
+
 class TestCampaigns:
     @pytest.mark.parametrize("empty_row", [False, True])
     def test_sampled_verify_above_serial_enum_cap(self, capsys, tmp_path, empty_row):
@@ -601,8 +698,8 @@ class TestCampaigns:
         assert len(calls) == 2
 
     def test_sampled_campaign_draws_subsets_once_per_relation(self, capsys, monkeypatch):
-        # the call goes through the lab module global, so a wrapper placed
-        # there sees every draw
+        # the campaign reads the draw off lab at each call, so a wrapper
+        # placed there sees every draw
         calls = []
         draw = lab.random_subset_bits
 
@@ -667,8 +764,8 @@ class TestReportMemory:
         from birough import cli, classify
 
         def build_report():
-            rel = formats.parse_relation_file(path.read_text())
-            named = formats.parse_classification_file(classes.read_text(), rel.universes)
+            rel = parse.parse_relation_file(path.read_text())
+            named = parse.parse_classification_file(classes.read_text(), rel.universes)
             fa = classify.approximate_family(rel, classify.validate_classification(named))
             laws = classify.TheoremReport(
                 classify.family_law_report(fa).entries + classify.measure_law_report(fa).entries

@@ -17,6 +17,7 @@ from birough import (
     emit_report,
     formats,
     iter_report,
+    parse,
     parse_classification_file,
     parse_relation_file,
     ratio_decimal,
@@ -24,12 +25,8 @@ from birough import (
     ratio_text,
     render_relation_file,
 )
-from birough.formats import (
-    build_approx_report,
-    build_classify_report,
-    build_neighbors_report,
-    parse_tables_json,
-)
+from birough.formats import build_approx_report, build_classify_report, build_neighbors_report
+from birough.parse import parse_tables_json
 from birough.approx import approximate, RoughType
 from birough.classify import (
     TheoremReport,
@@ -185,7 +182,7 @@ class TestRelationParsing:
     def test_round_trip_random(self, rel):
         # A rendered file never needs the per-line loop.
         refused = AssertionError("the per-line loop ran")
-        with mock.patch.object(formats, "_parse_lines", side_effect=refused):
+        with mock.patch.object(parse, "_parse_lines", side_effect=refused):
             assert parse_relation_file(render_relation_file(rel)) == rel
 
     def test_parse_memory_is_linear_in_text(self):
@@ -233,9 +230,9 @@ class TestRelationParsing:
             parts += ("x" * rng.choice([0, 1, 300, 2000, 40_000]), rng.choice(breaks))
         text = "".join(parts[:-1]) + end
         assert len(text) > 8 * 65536
-        assert list(formats._lines(text)) == text.splitlines()
-        assert list(formats._lines("\r" * 70_000 + "\n")) == ("\r" * 70_000 + "\n").splitlines()
-        assert list(formats._lines("")) == []
+        assert list(parse._lines(text)) == text.splitlines()
+        assert list(parse._lines("\r" * 70_000 + "\n")) == ("\r" * 70_000 + "\n").splitlines()
+        assert list(parse._lines("")) == []
 
 
 class TestClassificationParsing:

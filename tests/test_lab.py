@@ -41,10 +41,10 @@ from birough import (
     verify_serial_iff,
     witness_inventory,
 )
-from birough import approx, lab
+from birough import approx, campaign, lab
 from birough.cli import main
-from birough.formats import render_relation_file
-from birough.lab import ALGEBRAIC_LAWS
+from birough.campaign import ALGEBRAIC_LAWS
+from birough.parse import render_relation_file
 from naive import (
     matrix_of,
     naive_law_campaign,
@@ -143,7 +143,7 @@ class TestAlgebraicCampaign:
         # hold, not four tables of every pair (5.5 MB when built at once).
         rel = random_relation(5, 20, 0.5, seed=3, index=20)
         assert not _takes_full_tables(rel, 20000, 3)
-        groups = lab._drawn_pair_groups
+        groups = campaign._drawn_pair_groups
         extra = []
 
         def drawn_pair_groups(*args):
@@ -152,7 +152,7 @@ class TestAlgebraicCampaign:
             yield from groups(*args)
             extra.append(tracemalloc.get_traced_memory()[1] - start)
 
-        monkeypatch.setattr(lab, "_drawn_pair_groups", drawn_pair_groups)
+        monkeypatch.setattr(campaign, "_drawn_pair_groups", drawn_pair_groups)
         tracemalloc.start()
         try:
             report = verify_algebraic_properties(rel, pairs=20000, seed=3)
@@ -217,7 +217,7 @@ class TestSubsetStream:
 
 
 # Operator kernels for the law campaign: given a relation, the (lower, upper)
-# pair that ``lab`` is run with.  Each broken pair is listed with a law it
+# pair that the campaign is run with.  Each broken pair is listed with a law it
 # must be caught breaking.
 def _package_kernels(rel):
     return approx.lower_bits, approx.upper_bits
@@ -278,7 +278,7 @@ PAIR_LAWS = (
     "monotonicity",
     "join-lower-meet-upper-bounds",
 )
-# The laws of one subset each, cleared by lab._tables_hold.
+# The laws of one subset each, cleared by campaign._tables_hold.
 SINGLE_LAWS = (
     "upper-is-union-of-left-neighborhoods",
     "solitary-bounds",
@@ -356,19 +356,19 @@ def _per_subset(kernel):
 
 
 def _clear_results(monkeypatch):
-    """The results of ``lab``'s table and pair clears and generator
+    """The results of ``campaign``'s table and pair clears and generator
     identities from here on, by check name."""
     results = {"_tables_hold": [], "_pairs_hold": [], "_homomorphic": []}
     for name, got in results.items():
-        check = getattr(lab, name)
+        check = getattr(campaign, name)
         monkeypatch.setattr(
-            lab, name, lambda *args, check=check, got=got: got.append(check(*args)) or got[-1]
+            campaign, name, lambda *args, check=check, got=got: got.append(check(*args)) or got[-1]
         )
     return results
 
 
 def _naive_violations(monkeypatch, rel, kernels, faulty, n_pairs, seed, stricter=False):
-    """Run the campaign on ``rel`` with ``lab``'s tables read through
+    """Run the campaign on ``rel`` with its tables read through
     ``kernels`` and check it against ``naive_law_campaign``: instance counts,
     and every violation's law and subsets, in order.  The reference reads the
     same kernels when ``faulty``, else the naive operators.  Also checks that
@@ -378,10 +378,10 @@ def _naive_violations(monkeypatch, rel, kernels, faulty, n_pairs, seed, stricter
     must fail while the single-subset laws hold.  Returns the reference's
     (law, subsets) list."""
     lower_bits, upper_bits = kernels
-    monkeypatch.setattr(lab, "lower_table", _per_subset(lower_bits))
-    monkeypatch.setattr(lab, "upper_table", _per_subset(upper_bits))
+    monkeypatch.setattr(campaign, "lower_table", _per_subset(lower_bits))
+    monkeypatch.setattr(campaign, "upper_table", _per_subset(upper_bits))
     clears = _clear_results(monkeypatch)
-    report = lab.verify_algebraic_properties(rel, pairs=n_pairs, seed=seed)
+    report = campaign.verify_algebraic_properties(rel, pairs=n_pairs, seed=seed)
     matrix = matrix_of(rel)
     if faulty:
         lower, upper = _on_sets(lower_bits, rel), _on_sets(upper_bits, rel)
@@ -406,7 +406,7 @@ def _naive_violations(monkeypatch, rel, kernels, faulty, n_pairs, seed, stricter
     # Each law keeps its first VIOLATION_DETAILS violations and counts them all.
     got = [([(v.law, v.subsets) for v in r.violations], r.violation_count) for r in report.records]
     by_law = [[item for item in want if item[0] == law] for law in ALGEBRAIC_LAWS]
-    assert got == [(items[: lab.VIOLATION_DETAILS], len(items)) for items in by_law]
+    assert got == [(items[: campaign.VIOLATION_DETAILS], len(items)) for items in by_law]
     if _takes_full_tables(rel, n_pairs, seed):
         # The full tables are cleared at once by the single-subset laws at
         # every subset, which imply the other laws: the clear passes exactly
@@ -436,7 +436,7 @@ def _naive_violations(monkeypatch, rel, kernels, faulty, n_pairs, seed, stricter
         assert not (stricter and singles_fail)
         # One pair check per block of drawn pairs; the blocks all clear
         # exactly when no drawn pair fails.
-        blocks = -(-n_pairs // lab.PAIR_BLOCK)
+        blocks = -(-n_pairs // campaign.PAIR_BLOCK)
         assert len(clears["_pairs_hold"]) == blocks and clears["_homomorphic"] == []
         assert all(clears["_pairs_hold"]) == (
             not any(law in PAIR_LAWS and len(subsets) == 2 for law, subsets in want)
@@ -503,7 +503,7 @@ class TestLawCampaignFaultInjection:
     @example(([0, 0, 0, 0], [0, 1, 2, 7]))
     @example(([0, 1, 3, 3], [0, 0, 0, 0]))
     def test_generator_identities_match_every_pair(self, tables):
-        assert lab._homomorphic(*tables) == _pair_conditions_hold(*tables)
+        assert campaign._homomorphic(*tables) == _pair_conditions_hold(*tables)
 
     @pytest.mark.parametrize("make_kernels, caught", LAW_KERNELS, ids=LAW_KERNEL_IDS)
     def test_matches_naive_reference(self, monkeypatch, make_kernels, caught):
@@ -538,7 +538,7 @@ class TestLawCampaignFaultInjection:
             return bad if s == 2 else approx.upper_bits(rows, s)
 
         rel = LANE_RELATIONS[-1]
-        monkeypatch.setattr(lab, "upper_table", _per_subset(upper_bits))
+        monkeypatch.setattr(campaign, "upper_table", _per_subset(upper_bits))
         report = verify_algebraic_properties(rel, pairs=pairs, seed=2)
         law = report.record("upper-is-union-of-left-neighborhoods")
         assert [(v.subsets, v.got) for v in law.violations] == [
@@ -561,7 +561,7 @@ class TestLawCampaignFaultInjection:
         # subset every campaign examines) of the 5x6 sample is a violation.
         real = getattr(approx, f"{side}_bits")
         monkeypatch.setattr(
-            lab,
+            campaign,
             f"{side}_table",
             _per_subset(lambda rows, s: fault(real(rows, s)) if s == 0b111111 else real(rows, s)),
         )
@@ -676,7 +676,7 @@ class TestLawCampaignFaultInjection:
         # campaign on the sampled route: the blocks are checked, and walked
         # when they fail, in draw order.
         rel = random_relation(2, 14, 0.5, seed=13, index=14)
-        n_pairs = lab.PAIR_BLOCK + 37
+        n_pairs = campaign.PAIR_BLOCK + 37
         assert not _takes_full_tables(rel, n_pairs, 5)
         faulty = make_kernels is not _package_kernels
         want = _naive_violations(monkeypatch, rel, make_kernels(rel), faulty, n_pairs, 5)
@@ -732,13 +732,13 @@ class TestLawCampaignFaultInjection:
 
 
 def _flip_upper_at_pairs(monkeypatch):
-    """Fault ``lab``'s upper table: one bit flipped at every 2-element V-mask."""
-    real = lab.upper_table
+    """Fault the campaign's upper table: one bit flipped at every 2-element V-mask."""
+    real = campaign.upper_table
 
     def upper_table(rows, ys):
         return [t ^ 1 if y.bit_count() == 2 else t for t, y in zip(real(rows, ys), ys)]
 
-    monkeypatch.setattr(lab, "upper_table", upper_table)
+    monkeypatch.setattr(campaign, "upper_table", upper_table)
 
 
 class TestViolationRecord:
@@ -762,7 +762,7 @@ class TestViolationRecord:
         want_listed, want_laws = [], []
         for law in ALGEBRAIC_LAWS:
             stream = [v for report in reports for v in report.record(law).violations]
-            kept = stream[: lab.VIOLATION_DETAILS]
+            kept = stream[: campaign.VIOLATION_DETAILS]
             want_listed += [(v.law, v.relation, list(v.subsets), v.got) for v in kept]
             count = sum(report.record(law).violation_count for report in reports)
             want_laws.append((law, count, count > len(kept)))
@@ -794,18 +794,18 @@ class TestViolationRecord:
         # reports: the merge keeps the first in report order and sums the counts.
         def report(tag, count):
             kept = tuple(
-                lab.Violation(law, f"{tag}{i}", (), "", "")
+                campaign.Violation(law, f"{tag}{i}", (), "", "")
                 for law in ALGEBRAIC_LAWS
-                for i in range(min(count, lab.VIOLATION_DETAILS))
+                for i in range(min(count, campaign.VIOLATION_DETAILS))
             )
-            return lab.PropertyReport(
+            return campaign.PropertyReport(
                 tuple(
-                    lab.LawRecord(law, 1, tuple(v for v in kept if v.law == law), count)
+                    campaign.LawRecord(law, 1, tuple(v for v in kept if v.law == law), count)
                     for law in ALGEBRAIC_LAWS
                 )
             )
 
-        k = lab.VIOLATION_DETAILS
+        k = campaign.VIOLATION_DETAILS
         merged = merge_property_reports([report("a", k // 2), report("b", 0), report("c", 2 * k)])
         for record in merged.records:
             assert record.instances == 3 and record.violation_count == k // 2 + 2 * k
@@ -824,22 +824,22 @@ class TestViolationRecord:
         rows = [line.split() for line in lines[2 : 2 + len(ALGEBRAIC_LAWS)]]
         assert [row[0] for row in rows] == list(ALGEBRAIC_LAWS)
         listed = [sum(line.startswith(f"VIOLATION {law} ") for line in lines) for law in ALGEBRAIC_LAWS]
-        assert listed == [min(int(row[2]), lab.VIOLATION_DETAILS) for row in rows]
+        assert listed == [min(int(row[2]), campaign.VIOLATION_DETAILS) for row in rows]
         assert [row[3:] for row in rows] == [
-            ["(truncated)"] if int(row[2]) > lab.VIOLATION_DETAILS else [] for row in rows
+            ["(truncated)"] if int(row[2]) > campaign.VIOLATION_DETAILS else [] for row in rows
         ]
         assert any(row[3:] for row in rows)
 
 
 def _lower_table_calls(monkeypatch):
-    """The V-masks of each ``lower_table`` call ``lab`` makes from here on."""
+    """The V-masks of each ``lower_table`` call the campaign makes from here on."""
     calls = []
 
     def lower_table(rows, ys):
         calls.append(list(ys))
         return approx.lower_table(rows, ys)
 
-    monkeypatch.setattr(lab, "lower_table", lower_table)
+    monkeypatch.setattr(campaign, "lower_table", lower_table)
     return calls
 
 
@@ -891,7 +891,7 @@ class TestLawCampaignRoutes:
         if full:
             assert calls == [list(range(1 << v_size))]
         else:
-            blocks = [min(lab.PAIR_BLOCK, pairs - k) for k in range(0, pairs, lab.PAIR_BLOCK)]
+            blocks = [min(campaign.PAIR_BLOCK, pairs - k) for k in range(0, pairs, campaign.PAIR_BLOCK)]
             assert [len(ys) for ys in calls] == [head] + [4 * block for block in blocks]
             assert calls[0][: len(singles)] == singles
         assert max(map(len, calls)) <= head
@@ -1238,7 +1238,7 @@ _GRID_MAX_V = range(1, 41)
 
 
 class TestOneWorkBound:
-    """``lab._pair_work`` refuses exactly the sizes the old rules refused."""
+    """``lab.pair_work`` refuses exactly the sizes the old rules refused."""
 
     def test_sweeps_match_the_old_rules(self):
         start = time.perf_counter()
@@ -1257,7 +1257,7 @@ class TestOneWorkBound:
     def test_single_relations_match_the_old_rule(self):
         for v_size in _GRID_MAX_V:
             try:
-                lab._pair_work(0, 1, v_size, "one relation")
+                lab.pair_work(0, 1, v_size, "one relation")
             except BudgetError:
                 refused = True
             else:

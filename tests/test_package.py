@@ -156,7 +156,7 @@ def test_readme_python_api_example(monkeypatch):
 
 
 def test_readme_tables_file_example_is_the_union_table():
-    from birough.formats import parse_tables_json
+    from birough.parse import parse_tables_json
     from birough.lab import UNION_TABLE
 
     readme = (REPO / "README.md").read_text(encoding="utf-8")
@@ -186,39 +186,54 @@ def test_bare_import_loads_no_submodule():
     assert _loaded("import birough; birough.approx") == {"birough.approx", "birough.relation"}
 
 
-# The modules each subcommand needs, besides relation, approx, formats and cli.
+# The modules each subcommand loads, besides relation, approx and cli.
 COMMAND_MODULES = {
-    "approx": set(),
-    "neighbors": set(),
-    "classify": {"classify"},
-    "verify": {"lab"},
-    "tables": {"lab"},
-    "witness": {"lab"},
-    "gen": {"lab"},
+    "approx": {"parse", "formats"},
+    "neighbors": {"parse", "formats"},
+    "classify": {"parse", "classify", "formats"},
+    "verify": {"lab", "campaign", "formats"},
+    "tables": {"lab", "formats"},
+    "witness": {"lab", "formats"},
+    "gen": {"parse", "lab"},
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-def test_each_subcommand_loads_only_its_modules(name):
-    # The command writes to the process's own stdout, so its batched writes
-    # are checked against the golden file at the file-descriptor level; the
-    # modules it loads, beyond those the bare interpreter has loaded before
-    # the script starts, are listed on stderr.
-    argv = GOLDEN_CASES[name]
+def _expected_modules(argv: list[str]) -> set[str]:
+    """``COMMAND_MODULES`` of the command, with parse when verify or tables reads a file."""
+    modules = COMMAND_MODULES[argv[0]] | {"relation", "approx", "cli"}
+    if argv[0] == "verify" and not argv[1].startswith("-") or {"--relation", "--tables-file"} & set(argv):
+        modules.add("parse")
+    return {f"birough.{module}" for module in modules}
+
+
+def _run_loading(argv: list[str]) -> tuple[int, bytes, set[str]]:
+    """Exit code, stdout and newly loaded modules of ``main(argv)`` in a new interpreter.
+
+    The command writes to the process's own stdout, so its batched writes
+    can be checked at the file-descriptor level; the modules it loads,
+    beyond those the bare interpreter has loaded before the script starts,
+    are listed on stderr.
+    """
     run = (
         "import sys\n"
         "preloaded = set(sys.modules)\n"
         "from birough.cli import main\n"
-        "assert main(sys.argv[1:]) == 0\n"
+        "code = main(sys.argv[1:])\n"
         "sys.stdout.flush()\n"
         "print(*(m for m in sys.modules if m not in preloaded), file=sys.stderr)\n"
+        "sys.exit(code)\n"
     )
     proc = subprocess.run([sys.executable, "-c", run, *argv], capture_output=True, cwd=REPO)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (GOLDEN / name).read_bytes()
-    loaded = set(proc.stderr.decode().split())
-    modules = COMMAND_MODULES[argv[0]] | {"relation", "approx", "formats", "cli"}
-    expected = {f"birough.{module}" for module in modules}
+    return proc.returncode, proc.stdout, set(proc.stderr.decode().split())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_each_subcommand_loads_only_its_modules(name):
+    argv = GOLDEN_CASES[name]
+    code, out, loaded = _run_loading(argv)
+    assert code == 0, loaded
+    assert out == (GOLDEN / name).read_bytes()
+    expected = _expected_modules(argv)
     # Only classify computes with fractions; formats names them in annotations only.
     if argv[0] == "classify":
         expected.add("fractions")
@@ -227,6 +242,23 @@ def test_each_subcommand_loads_only_its_modules(name):
     # and the lane tables pack through struct, int.to_bytes and memoryview,
     # not array.
     assert not loaded & {"dataclasses", "inspect", "array"}
+
+
+@pytest.mark.parametrize("tables_file", [False, True], ids=["sweep", "tables-file"])
+def test_tables_sweep_loads_parse_only_for_a_tables_file(tables_file, tmp_path):
+    # The goldens cover the other flag-dependent sets: verify with a relation
+    # file, --samples and --exhaustive, tables --relation, witness and gen.
+    argv = ["tables", "--op", "union", "--max-u", "2", "--max-v", "2"]
+    if tables_file:
+        path = tmp_path / "tables.json"
+        grid = [[[1, 2, 3, 4]] * 4] * 4
+        path.write_text('{"union": %s}' % grid, encoding="utf-8")
+        argv += ["--tables-file", str(path)]
+    code, out, loaded = _run_loading(argv)
+    assert code == 0 and out
+    modules = {m for m in loaded if m.startswith("birough.")}
+    assert ("birough.parse" in modules) == tables_file
+    assert modules == _expected_modules(argv)
 
 
 @pytest.mark.parametrize("module", SUBMODULES)
@@ -240,9 +272,10 @@ def test_formats_deferred_imports_resolve():
     code = """
 import sys
 import birough.formats as formats
+import birough.parse as parse
 assert not {"birough.classify", "birough.lab"} & set(sys.modules)
 grid = [[[1, 2, 3, 4]] * 4] * 4
-assert len(formats.parse_tables_json('{"union": %s}' % grid)["union"]) == 16
+assert len(parse.parse_tables_json('{"union": %s}' % grid)["union"]) == 16
 from birough.classify import approximate_family, family_law_report, validate_classification
 from birough.relation import BinaryRelation, UniversePair
 up = UniversePair(["x1"], ["y1", "y2"])

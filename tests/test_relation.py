@@ -30,15 +30,9 @@ from birough.classify import (
     Quality,
     TheoremReport,
 )
+from birough.campaign import LawRecord, PropertyReport, Violation
 from birough.formats import AnalysisReport, build_neighbors_report
-from birough.lab import (
-    LawRecord,
-    PropertyReport,
-    TableCellFinding,
-    Violation,
-    Witness,
-    canonical_universes,
-)
+from birough.lab import TableCellFinding, Witness, canonical_universes
 from birough.relation import pack_lanes, subset_unions, transpose, unpack_lanes, window_unions
 from conftest import SAMPLE_MATRIX
 from naive import (
