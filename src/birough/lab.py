@@ -4,23 +4,24 @@ Relations come from every relation of small dimensions
 (``generate_relations``) or from seeded random streams.  Randomness comes
 from string-keyed seeds, so a stream is reproducible regardless of
 consumption order, and the relation, subset, and dimension streams never
-share state.  Relations and dimensions are derived per item, and the
-V-subsets a sampled law campaign (``campaign``) checks at are one draw of
-``random_subset_bits``, keyed by its seed and |V|.  The seriality check tries
-the empty set through ``lower_bits``/``upper_bits``, then reads the other
-subsets through ``lower_table``/``upper_table`` a fixed chunk at a time.  The
-type-table sweeps and the witness search walk each distinct (|V|, row set)
-once (``_row_set_relations``) through one subset-pair sweep
-(``_first_witnesses``).  Every exhaustive check, the law campaign's
-included, is refused before any work by one rule, ``pair_work``: relations
-walked * (4**|V| + ``RELATION_PAIRS``) at most ``EXHAUSTIVE_PAIR_CAP``.
+share state.  Relations and dimensions are derived per item, a row as one
+``mask_of_flags``, and the V-subsets a sampled law campaign (``campaign``)
+checks at are one draw of ``random_subset_bits``, keyed by its seed and |V|.
+The seriality check tries the empty set through ``lower_bits``/``upper_bits``,
+then generates the other subsets, read through ``lower_table``/``upper_table``
+in chunks of at most ``LANE_BLOCK_BITS`` bits.  The type-table sweeps and the
+witness search walk each distinct (|V|, row set) once (``_row_set_relations``)
+through one subset-pair sweep (``_first_witnesses``).  Every exhaustive check,
+the law campaign's included, is refused before any work by one rule,
+``pair_work``: relations walked * (4**|V| + ``RELATION_PAIRS``) at most
+``EXHAUSTIVE_PAIR_CAP``.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations, product, repeat
+from itertools import chain, combinations, islice, product, repeat
 from math import comb
 from operator import eq
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -34,6 +35,7 @@ from .relation import (
     SideMismatchError,
     Subset,
     UniversePair,
+    mask_of_flags,
     record,
     transpose,
 )
@@ -128,15 +130,12 @@ def random_relation(
     u_size: int, v_size: int, density: float, seed: int, index: int
 ) -> BinaryRelation:
     """The index-th relation of the (seed, density) stream at fixed dimensions."""
+    # First, as a zero size must raise UniverseError, not fail in mask_of_flags.
+    universes = canonical_universes(u_size, v_size)
     rng = _stream_rng(seed, "relation", index)
-    rows = []
-    for _ in range(u_size):
-        mask = 0
-        for j in range(v_size):
-            if rng.random() < density:
-                mask |= 1 << j
-        rows.append(mask)
-    return BinaryRelation(canonical_universes(u_size, v_size), tuple(rows))
+    cells = range(v_size)
+    rows = [mask_of_flags([rng.random() < density for _ in cells]) for _ in range(u_size)]
+    return BinaryRelation(universes, tuple(rows))
 
 
 def generate_relations(u_size: int, v_size: int) -> Iterator[BinaryRelation]:
@@ -199,25 +198,24 @@ def verify_serial_iff(rel: BinaryRelation) -> bool:
     upper(V) = U iff the relation is serial.  The empty set, itself the
     witness of any serial relation (lower(empty) is the solitary set), is
     tried first, through ``lower_bits``/``upper_bits``; the other subsets
-    are then tabulated in order, ``LANE_BLOCK_BITS // SHIFT_WIDTH`` at a
-    time, and the search stops at the first chunk with a subset whose
-    approximations are equal.
+    are then generated in order and tabulated ``LANE_BLOCK_BITS //
+    max(|V|, SHIFT_WIDTH)`` at a time (4096 up to |V| = 64), and the search
+    stops at the first chunk with a subset whose approximations are equal.
     """
-    rows = rel.rows
-    if rel.v_size <= SERIAL_ENUM_CAP:
-        subsets: Sequence[int] = range(1, 1 << rel.v_size)
+    rows, v_size = rel.rows, rel.v_size
+    if v_size <= SERIAL_ENUM_CAP:
+        subsets: Iterator[int] = iter(range(1, 1 << v_size))
     else:
         vmask = rel.vmask
-        singletons = [1 << j for j in range(rel.v_size)]
-        subsets = [vmask, *singletons, *(vmask ^ s for s in singletons)]
+        singletons = (1 << j for j in range(v_size))
+        complements = (vmask ^ 1 << j for j in range(v_size))
+        subsets = chain((vmask,), singletons, complements)
     exists = lower_bits(rows, 0) == upper_bits(rows, 0)
-    # A table's lanes are at most SHIFT_WIDTH bits, so a chunk's packed int
-    # stays within LANE_BLOCK_BITS.
-    start, step = 0, LANE_BLOCK_BITS // SHIFT_WIDTH
-    while not exists and start < len(subsets):
-        chunk = subsets[start : start + step]
+    # A table's lanes are at most SHIFT_WIDTH bits, and a V-mask v_size bits,
+    # so neither a table's packed int nor a chunk outgrows LANE_BLOCK_BITS.
+    step = LANE_BLOCK_BITS // max(v_size, SHIFT_WIDTH)
+    while not exists and (chunk := list(islice(subsets, step))):
         exists = any(map(eq, lower_table(rows, chunk), upper_table(rows, chunk)))
-        start += step
     return exists == rel.is_serial()
 
 

@@ -27,6 +27,7 @@ from .relation import (
     Subset,
     UniversePair,
     digits_row,
+    mask_of_indices,
     row_digits,
     valid_label,
 )
@@ -114,7 +115,7 @@ def _parse_lines(text: str, source: str) -> BinaryRelation:
     """The relation file read line by line, raising at the first bad token.
 
     A well-formed row is taken in one pass over its line; any other line goes
-    through ``_parse_row``, which locates the first offending token.  The
+    to ``_parse_row``, which raises at its first offending token.  The
     lines are read one at a time, so the text is never held twice.
     """
     v_labels: list[str] | None = None
@@ -147,12 +148,11 @@ def _parse_lines(text: str, source: str) -> BinaryRelation:
             and valid_label(label)
             and label not in u_seen
         ):
-            mask = digits_row(digits)
+            u_seen.add(label)
+            u_labels.append(label)
+            masks.append(digits_row(digits))
         else:
-            label, mask = _parse_row(line, source, line_no, v_size, u_seen)
-        u_seen.add(label)
-        u_labels.append(label)
-        masks.append(mask)
+            _parse_row(line, source, line_no, v_size, u_seen)
 
     # The set outgrows the labels themselves; free it before the relation
     # builds its own label index.
@@ -215,10 +215,13 @@ def _parse_v_header(line: str, source: str, line_no: int) -> list[str]:
     return v_labels
 
 
-def _parse_row(
-    line: str, source: str, line_no: int, v_size: int, u_seen: set[str]
-) -> tuple[str, int]:
-    """One relation row, token by token, raising at the first bad token."""
+def _parse_row(line: str, source: str, line_no: int, v_size: int, u_seen: set[str]) -> None:
+    """Raise ParseError at the first bad token of a relation row.
+
+    ``_parse_lines`` calls it only for a line its one-pass check refused, and
+    str.split and ``_TOKEN_RE`` split at the same whitespace, so each such
+    line has a bad token.
+    """
     label, head, cells = _line_head(line, source, line_no, "expected '<label>: <0/1 cells>'")
     if not valid_label(label):
         raise ParseError(f"bad U label {label!r}", source, line_no, head.start() + 1)
@@ -232,16 +235,12 @@ def _parse_row(
             line_no,
             col,
         )
-    mask = 0
-    for j, match in enumerate(cells):
+    for match in cells:
         token = match.group()
-        if token == "1":
-            mask |= 1 << j
-        elif token != "0":
+        if token not in ("0", "1"):
             raise ParseError(
                 f"cell must be 0 or 1, got {token!r}", source, line_no, match.start() + 1
             )
-    return label, mask
 
 
 def render_relation_file(rel: BinaryRelation) -> str:
@@ -268,17 +267,17 @@ def parse_classification_file(
             raise ParseError(
                 f"duplicate block name {name!r}", source, line_no, head.start() + 1
             )
-        bits = 0
+        members = []
         for match in tokens:
             token = match.group()
             try:
-                j = universes.index(Side.V, token)
+                members.append(universes.index(Side.V, token))
             except BiroughError:
                 raise ParseError(
                     f"unknown V label {token!r}", source, line_no, match.start() + 1
                 ) from None
-            bits |= 1 << j
         names.add(name)
+        bits = mask_of_indices(members, universes.v_size)
         blocks.append((name, Subset(universes, Side.V, bits)))
     return blocks
 

@@ -570,24 +570,25 @@ class BinaryRelation:
                 raise DimensionError(
                     f"row for {label!r} has {len(cells)} cells, expected {v_size}"
                 )
-            mask = 0
-            for j, cell in enumerate(cells):
-                if cell not in (0, 1):
-                    raise DimensionError(
-                        f"row for {label!r}: cell {j + 1} is {cell!r}, expected 0 or 1"
-                    )
-                mask |= cell << j
-            masks.append(mask)
+            # A C-level pass; the loop runs only to name the first bad cell.
+            if not all(map((0, 1).__contains__, cells)):
+                for j, cell in enumerate(cells):
+                    if cell not in (0, 1):
+                        raise DimensionError(
+                            f"row for {label!r}: cell {j + 1} is {cell!r}, expected 0 or 1"
+                        )
+            masks.append(mask_of_flags(cells))
         return cls(universes, tuple(masks))
 
     @classmethod
     def from_pairs(
         cls, universes: UniversePair, pairs: Iterable[tuple[str | int, str | int]]
     ) -> "BinaryRelation":
-        rows = [0] * universes.u_size
+        members: list[list[int]] = [[] for _ in range(universes.u_size)]
         for x, y in pairs:
-            rows[universes.index(Side.U, x)] |= 1 << universes.index(Side.V, y)
-        return cls(universes, tuple(rows))
+            members[universes.index(Side.U, x)].append(universes.index(Side.V, y))
+        v_size = universes.v_size
+        return cls(universes, tuple(mask_of_indices(row, v_size) for row in members))
 
     @property
     def u_size(self) -> int:

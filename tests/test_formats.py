@@ -14,6 +14,7 @@ from birough import (
     AnalysisReport,
     BinaryRelation,
     ParseError,
+    UniversePair,
     emit_report,
     formats,
     iter_report,
@@ -245,6 +246,27 @@ class TestClassificationParsing:
         with pytest.raises(ParseError) as exc:
             parse_classification_file("Y1: y1\nY2: y9\n", universes)
         assert exc.value.line == 2 and "y9" in exc.value.message
+
+    def test_wide_blocks_match_a_per_token_loop(self):
+        v_labels = tuple(f"y{j}" for j in range(4000))
+        universes = UniversePair(("x1",), v_labels)
+        order = list(v_labels)
+        random.Random(3).shuffle(order)
+        text = f"A: {' '.join(order[:3999])}\nB:\t{order[3999]}\n"
+        masks = []
+        for line in text.splitlines():
+            mask = 0
+            for token in line.split()[1:]:
+                mask |= 1 << v_labels.index(token)
+            masks.append(mask)
+        blocks = parse_classification_file(text, universes)
+        assert [(name, block.bits) for name, block in blocks] == list(zip("AB", masks))
+        assert masks[0] | masks[1] == (1 << 4000) - 1 and masks[1].bit_count() == 1
+        bad = text + "C: y1 y2  y4000 y3\n"
+        with pytest.raises(ParseError) as exc:
+            parse_classification_file(bad, universes, "wide.classes")
+        assert (exc.value.source, exc.value.line, exc.value.col) == ("wide.classes", 3, 11)
+        assert exc.value.message == "unknown V label 'y4000'"
 
     def test_duplicate_name(self, universes):
         with pytest.raises(ParseError, match="duplicate block name"):

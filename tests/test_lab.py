@@ -24,6 +24,7 @@ from birough import (
     SideMismatchError,
     Subset,
     UNION_TABLE,
+    UniverseError,
     UniversePair,
     allowed_result_types,
     ambiguous_cells,
@@ -107,6 +108,27 @@ class TestGenerator:
     def test_density_extremes(self):
         assert random_relation(3, 3, 0.0, 1, 0).rows == (0, 0, 0)
         assert random_relation(3, 3, 1.0, 1, 0).rows == (7, 7, 7)
+
+    @pytest.mark.parametrize("density", [0, 0.3, 1])
+    @pytest.mark.parametrize("v", [1, 7, 8, 9, 63, 64, 65, 300])
+    def test_random_rows_match_a_per_cell_loop(self, v, density):
+        # The stream's draws, one per cell in row-major order, each setting
+        # its bit when below the density.
+        rng = random.Random(f"11:relation:{v}")
+        rows = []
+        for _ in range(3):
+            mask = 0
+            for j in range(v):
+                if rng.random() < density:
+                    mask |= 1 << j
+            rows.append(mask)
+        rel = random_relation(3, v, density, 11, v)
+        assert rel.rows == tuple(rows) and rel.universes == canonical_universes(3, v)
+
+    @pytest.mark.parametrize("u, v", [(0, 3), (3, 0), (0, 0)])
+    def test_random_relation_refuses_an_empty_universe(self, u, v):
+        with pytest.raises(UniverseError):
+            random_relation(u, v, 0.5, 1, 0)
 
 
 class TestAlgebraicCampaign:
@@ -938,6 +960,38 @@ class TestSerialIff:
         rows[0] = 0
         assert verify_serial_iff(BinaryRelation(canonical_universes(6, 8), tuple(rows)))
         assert calls == [255]
+
+    @pytest.mark.parametrize("v", [65, 3000])
+    def test_wide_chunks_stay_within_the_lane_block(self, monkeypatch, v):
+        # Above SERIAL_ENUM_CAP a non-serial relation's V, singletons and
+        # complements are all read, in that order, in chunks of at most
+        # LANE_BLOCK_BITS bits of V-masks.
+        calls = []
+
+        def lower_table(rows, ys):
+            calls.append(list(ys))
+            return approx.lower_table(rows, ys)
+
+        monkeypatch.setattr(lab, "lower_table", lower_table)
+        vmask = (1 << v) - 1
+        rel = BinaryRelation(canonical_universes(2, v), (vmask, 0))
+        assert verify_serial_iff(rel)
+        assert max(map(len, calls)) * v <= lab.LANE_BLOCK_BITS
+        singletons = [1 << j for j in range(v)]
+        assert [y for ys in calls for y in ys] == [vmask, *singletons, *(vmask ^ s for s in singletons)]
+
+    def test_wide_memory_is_linear_in_the_width(self):
+        # Every V-subset the check builds is dropped with its chunk: on a
+        # 1x20,000 relation the peak is the size of a few chunks, where a list
+        # of all 40,001 subsets would take about 80 MB.
+        rel = BinaryRelation(canonical_universes(1, 20_000), (0,))
+        tracemalloc.start()
+        try:
+            assert verify_serial_iff(rel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
 
     @pytest.mark.parametrize("v", [12, 14])
     def test_faulted_kernel_is_caught(self, monkeypatch, v):

@@ -274,6 +274,28 @@ class TestConstruction:
             BinaryRelation(up, rows)
         assert str(caught.value) == "row for 'x2' does not fit the V universe width 2"
 
+    def test_from_rows_messages(self):
+        up = UniversePair(("x1", "x2"), ("y1", "y2", "y3"))
+        with pytest.raises(DimensionError) as caught:
+            BinaryRelation.from_rows(up, [[1, 0, 1], [1, 0]])
+        assert str(caught.value) == "row for 'x2' has 2 cells, expected 3"
+        with pytest.raises(DimensionError) as caught:
+            BinaryRelation.from_rows(up, [[1, 0, 1], [0, 2, 5]])
+        assert str(caught.value) == "row for 'x2': cell 2 is 2, expected 0 or 1"
+        # Rows are checked in order: a bad cell before a short row is named.
+        with pytest.raises(DimensionError) as caught:
+            BinaryRelation.from_rows(up, [[1, 1, "1"], [1]])
+        assert str(caught.value) == "row for 'x1': cell 3 is '1', expected 0 or 1"
+
+    @pytest.mark.parametrize("v", [1, 7, 8, 9, 64, 65, 300])
+    def test_from_rows_matches_a_per_cell_loop(self, v):
+        rng = random.Random(v)
+        cells = [[rng.random() < 0.4 for _ in range(v)] for _ in range(4)]
+        cells[1] = [int(cell) for cell in cells[1]]
+        up = UniversePair(("x1", "x2", "x3", "x4"), tuple(f"y{j}" for j in range(v)))
+        rows = tuple(sum(cell << j for j, cell in enumerate(row)) for row in cells)
+        assert BinaryRelation.from_rows(up, cells).rows == rows
+
     def test_bool_rows_accepted(self):
         up = UniversePair(("x1", "x2"), ("y1",))
         assert BinaryRelation(up, (True, False)).rows == (True, False)
@@ -286,6 +308,21 @@ class TestConstruction:
             if sample.related(x, y)
         ]
         assert BinaryRelation.from_pairs(universes, pairs) == sample
+        assert BinaryRelation.from_pairs(universes, []).rows == (0,) * 5
+        assert BinaryRelation.from_pairs(universes, [(1, 5), ("x2", 5), (1, "y1")]).rows == (0, 33, 0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([("x1", "y1"), ("x2", "y9"), ("x9", "y1")], "no V element named 'y9'"),
+            ([("x1", "y1"), ("x9", "y9"), ("x1", "y8")], "no U element named 'x9'"),
+            ([("x1", 6)], "index 6 out of range for universe V"),
+        ],
+    )
+    def test_from_pairs_names_the_first_bad_pair(self, universes, pairs, message):
+        with pytest.raises(UnknownLabelError) as caught:
+            BinaryRelation.from_pairs(universes, pairs)
+        assert str(caught.value) == message
 
     def test_immutable(self, sample):
         with pytest.raises(dataclasses.FrozenInstanceError):
