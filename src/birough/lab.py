@@ -9,12 +9,12 @@ share state.  Relations and dimensions are derived per item, a row as one
 checks at are one draw of ``random_subset_bits``, keyed by its seed and |V|.
 The seriality check tries the empty set through ``lower_bits``/``upper_bits``,
 then generates the other subsets, read through ``lower_table``/``upper_table``
-in chunks of at most ``LANE_BLOCK_BITS`` bits.  The type-table sweeps and the
-witness search walk each distinct (|V|, row set) once (``_row_set_relations``)
-through one subset-pair sweep (``_first_witnesses``).  Every exhaustive check,
-the law campaign's included, is refused before any work by one rule,
-``pair_work``: relations walked * (4**|V| + ``RELATION_PAIRS``) at most
-``EXHAUSTIVE_PAIR_CAP``.
+in chunks of at most ``LANE_BLOCK_BITS`` bits, or of one subset when |V| is
+wider.  The type-table sweeps and the witness search walk each distinct (|V|,
+row set) once (``_row_set_relations``) through one subset-pair sweep
+(``_first_witnesses``).  Every exhaustive check, the law campaign's included,
+is refused before any work by one rule, ``pair_work``: relations walked *
+(4**|V| + ``RELATION_PAIRS``) at most ``EXHAUSTIVE_PAIR_CAP``.
 """
 
 from __future__ import annotations
@@ -133,8 +133,7 @@ def random_relation(
     # First, as a zero size must raise UniverseError, not fail in mask_of_flags.
     universes = canonical_universes(u_size, v_size)
     rng = _stream_rng(seed, "relation", index)
-    cells = range(v_size)
-    rows = [mask_of_flags([rng.random() < density for _ in cells]) for _ in range(u_size)]
+    rows = (mask_of_flags([rng.random() < density for _ in range(v_size)]) for _ in range(u_size))
     return BinaryRelation(universes, tuple(rows))
 
 
@@ -199,21 +198,20 @@ def verify_serial_iff(rel: BinaryRelation) -> bool:
     witness of any serial relation (lower(empty) is the solitary set), is
     tried first, through ``lower_bits``/``upper_bits``; the other subsets
     are then generated in order and tabulated ``LANE_BLOCK_BITS //
-    max(|V|, SHIFT_WIDTH)`` at a time (4096 up to |V| = 64), and the search
-    stops at the first chunk with a subset whose approximations are equal.
+    max(|V|, SHIFT_WIDTH)`` at a time (4096 up to |V| = 64), but at least
+    one, and the search stops at the first chunk with a subset whose
+    approximations are equal.
     """
     rows, v_size = rel.rows, rel.v_size
     if v_size <= SERIAL_ENUM_CAP:
-        subsets: Iterator[int] = iter(range(1, 1 << v_size))
+        subsets = chain(range(1, 1 << v_size))
     else:
-        vmask = rel.vmask
-        singletons = (1 << j for j in range(v_size))
-        complements = (vmask ^ 1 << j for j in range(v_size))
-        subsets = chain((vmask,), singletons, complements)
+        vmask, js = rel.vmask, range(v_size)
+        subsets = chain((vmask,), (1 << j for j in js), (vmask ^ 1 << j for j in js))
     exists = lower_bits(rows, 0) == upper_bits(rows, 0)
     # A table's lanes are at most SHIFT_WIDTH bits, and a V-mask v_size bits,
-    # so neither a table's packed int nor a chunk outgrows LANE_BLOCK_BITS.
-    step = LANE_BLOCK_BITS // max(v_size, SHIFT_WIDTH)
+    # so a chunk outgrows LANE_BLOCK_BITS only when one V-mask does.
+    step = max(1, LANE_BLOCK_BITS // max(v_size, SHIFT_WIDTH))
     while not exists and (chunk := list(islice(subsets, step))):
         exists = any(map(eq, lower_table(rows, chunk), upper_table(rows, chunk)))
     return exists == rel.is_serial()

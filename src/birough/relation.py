@@ -563,20 +563,17 @@ class BinaryRelation:
             )
         v_size = universes.v_size
         masks = []
-        for i, cells in enumerate(rows):
+        for label, cells in zip(universes.u_labels, rows):
             cells = list(cells)
-            label = universes.u_labels[i]
             if len(cells) != v_size:
                 raise DimensionError(
                     f"row for {label!r} has {len(cells)} cells, expected {v_size}"
                 )
-            # A C-level pass; the loop runs only to name the first bad cell.
-            if not all(map((0, 1).__contains__, cells)):
-                for j, cell in enumerate(cells):
-                    if cell not in (0, 1):
-                        raise DimensionError(
-                            f"row for {label!r}: cell {j + 1} is {cell!r}, expected 0 or 1"
-                        )
+            for j, cell in enumerate(cells, 1):
+                if cell not in (0, 1):
+                    raise DimensionError(
+                        f"row for {label!r}: cell {j} is {cell!r}, expected 0 or 1"
+                    )
             masks.append(mask_of_flags(cells))
         return cls(universes, tuple(masks))
 
@@ -584,11 +581,17 @@ class BinaryRelation:
     def from_pairs(
         cls, universes: UniversePair, pairs: Iterable[tuple[str | int, str | int]]
     ) -> "BinaryRelation":
-        members: list[list[int]] = [[] for _ in range(universes.u_size)]
+        # Bytes as in mask_of_indices, up to a row's highest pair; no row is held twice.
+        rows: list = [bytearray() for _ in universes.u_labels]
         for x, y in pairs:
-            members[universes.index(Side.U, x)].append(universes.index(Side.V, y))
-        v_size = universes.v_size
-        return cls(universes, tuple(mask_of_indices(row, v_size) for row in members))
+            row = rows[universes.index(Side.U, x)]
+            byte, bit = divmod(universes.index(Side.V, y), 8)
+            if byte >= len(row):
+                row += bytes(byte + 1 - len(row))
+            row[byte] |= 1 << bit
+        for i, row in enumerate(rows):
+            rows[i] = int.from_bytes(row, "little")
+        return cls(universes, tuple(rows))
 
     @property
     def u_size(self) -> int:

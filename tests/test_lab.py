@@ -980,6 +980,23 @@ class TestSerialIff:
         singletons = [1 << j for j in range(v)]
         assert [y for ys in calls for y in ys] == [vmask, *singletons, *(vmask ^ s for s in singletons)]
 
+    def test_a_mask_wider_than_the_lane_block_is_read_alone(self, monkeypatch):
+        # When one V-mask outgrows LANE_BLOCK_BITS each chunk holds one
+        # subset, and every subset is still tabulated, in order.
+        calls = []
+
+        def lower_table(rows, ys):
+            calls.append(list(ys))
+            return approx.lower_table(rows, ys)
+
+        monkeypatch.setattr(lab, "LANE_BLOCK_BITS", 64)
+        monkeypatch.setattr(lab, "lower_table", lower_table)
+        vmask = (1 << 65) - 1
+        rel = BinaryRelation(canonical_universes(2, 65), (vmask, 0))
+        assert verify_serial_iff(rel)
+        singletons = [1 << j for j in range(65)]
+        assert calls == [[y] for y in (vmask, *singletons, *(vmask ^ s for s in singletons))]
+
     def test_wide_memory_is_linear_in_the_width(self):
         # Every V-subset the check builds is dropped with its chunk: on a
         # 1x20,000 relation the peak is the size of a few chunks, where a list

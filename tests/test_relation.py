@@ -33,7 +33,14 @@ from birough.classify import (
 from birough.campaign import LawRecord, PropertyReport, Violation
 from birough.formats import AnalysisReport, build_neighbors_report
 from birough.lab import TableCellFinding, Witness, canonical_universes
-from birough.relation import pack_lanes, subset_unions, transpose, unpack_lanes, window_unions
+from birough.relation import (
+    mask_of_indices,
+    pack_lanes,
+    subset_unions,
+    transpose,
+    unpack_lanes,
+    window_unions,
+)
 from conftest import SAMPLE_MATRIX
 from naive import (
     matrix_of,
@@ -323,6 +330,26 @@ class TestConstruction:
         with pytest.raises(UnknownLabelError) as caught:
             BinaryRelation.from_pairs(universes, pairs)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "u, v, ys, limit",
+        [
+            # 200,000 pairs: a V index held per pair would cost over 7 MB.
+            (100, 2000, range(2000), 1_000_000),
+            # Rows of 2**18 bits, about 2.2 MB as ints: held twice, 4.4 MB.
+            (64, 1 << 18, [(1 << 18) - 1], 3_500_000),
+        ],
+    )
+    def test_from_pairs_memory_is_the_rows(self, u, v, ys, limit):
+        up = canonical_universes(u, v)
+        tracemalloc.start()
+        try:
+            rel = BinaryRelation.from_pairs(up, ((x, y) for x in range(u) for y in ys))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rel.rows == (mask_of_indices(ys, v),) * u
+        assert peak < limit
 
     def test_immutable(self, sample):
         with pytest.raises(dataclasses.FrozenInstanceError):
