@@ -152,15 +152,17 @@ def _ys_in_lanes(rows: Sequence[int], ys: Sequence[int]) -> tuple[int, int, int]
         bits = 8 * nbytes
         if bits < len(rows) or bits <= top.bit_length():
             continue
-        # A V-mask too wide for the lane (or negative) fails to pack or
-        # reaches its guard bit.
-        try:
-            lanes = pack_lanes(ys, nbytes)
-        except OverflowError:
-            continue
         ones = int.from_bytes((1).to_bytes(nbytes, "little") * len(ys), "little")
-        if not lanes & ones << bits - 1:
-            return lanes, ones, nbytes
+        # A V-mask too wide for the lane (or negative) fails to pack or
+        # reaches its guard bit.  Then the widest V-mask joins ``top``, so
+        # that no lane it outgrows is tried; the scan is paid only then, as
+        # most callers pass V-masks that fit the first lane tried.
+        try:
+            if not (lanes := pack_lanes(ys, nbytes)) & ones << bits - 1:
+                return lanes, ones, nbytes
+        except OverflowError:
+            pass
+        top |= max(ys)
     return None
 
 

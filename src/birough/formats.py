@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from functools import lru_cache
-from itertools import chain, compress, islice, repeat
-from operator import add, itemgetter
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from bisect import bisect_right
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import is_, itemgetter, length_hint
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .approx import ApproxResult, RoughType
@@ -114,7 +114,7 @@ _BATCH = 1 << 16
 
 def _batched(pieces: Iterable[str], end: str = "") -> Iterator[str]:
     """Each piece followed by ``end``, joined into batches of about ``_BATCH`` characters."""
-    batch: list[str] = []
+    batch = []
     append = batch.append
     size = 0
     for piece in pieces:
@@ -134,221 +134,202 @@ def _batched(pieces: Iterable[str], end: str = "") -> Iterator[str]:
 # --- JSON writer -------------------------------------------------------------
 #
 # ``json.dumps`` with any ``indent`` falls back to its pure-Python encoder,
-# one generator step per value.  This writer walks only the dicts and the
-# lists of containers in Python; a list of plain scalars is encoded by one
-# call of the C encoder, a list of records (dicts that share one set of keys)
-# by one ``%``-template per record over C-level columns, a plain scalar as
-# the stdlib encodes it, and every other value by the stdlib encoder itself,
-# so the bytes are those of ``json.dumps(obj, sort_keys=True, indent=2)``.
+# one generator step per value.  This writer takes its Python steps per
+# container, per group or run of members and per new member text, and its C
+# steps per member and per label.  A container's members, or a list's
+# records (dicts that share one set of keys), are joined a group at a time
+# from the parts they zip: each one's lead, its key or its record's keys,
+# and the texts of its members.  A run of lists of str is encoded by one
+# check of all their labels and one join per list between quote-and-indent
+# separators, a member text that recurs in its container is looked up by
+# ``id``, a record column of one plain scalar type is mapped by its C
+# encoder, and every other value is written by the stdlib encoder itself, so
+# the bytes are those of ``json.dumps(obj, sort_keys=True, indent=2)``.
 
 _STDLIB_JSON = json.JSONEncoder(sort_keys=True, indent=2)
 # The plain scalars, by exact type (an IntEnum is not one), and their text.
 _LEAF_TEXT = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    bool: lambda flag: "true" if flag else "false",
-    type(None): lambda _: "null",
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
 }
 _LEAF_TYPES = frozenset(_LEAF_TEXT)
 _KEY_TYPES = frozenset({str})
+_LIST_TYPES = frozenset({list, tuple})
 
 
-def _leaf_text(obj: Any) -> str:
-    return _LEAF_TEXT[type(obj)](obj)
-
-
-@lru_cache(maxsize=None)
-def _leaf_list_encoder(depth: int):
-    """Encode a non-empty list of ``_LEAF_TYPES`` values at ``depth``."""
-    inner = "\n" + "  " * (depth + 1)
-    outer = "\n" + "  " * depth + "]"
-    if c_make_encoder is None:
-        separator = "," + inner
-        return lambda items: f"[{inner}{separator.join(map(_leaf_text, items))}{outer}"
-    encode = c_make_encoder(
-        None, None, encode_basestring_ascii, None, ": ", "," + inner,
-        True, False, True,
-    )
-    # The C encoder writes "[item,<inner>item]"; re-frame its brackets.
-    return lambda items: f"[{inner}{''.join(encode(items, 0))[1:-1]}{outer}"
-
-
-# A function that encodes a value as indented JSON at a depth.
-_Encoder = Callable[[Any, int], str]
-
-
-def _flat_encoder(obj: Any) -> _Encoder | None:
-    """The encoder of ``obj`` as indented JSON at a depth when it holds no
-    container, else None.
-
-    Only the element types are checked here, so a caller that encodes one
-    object several times can check it once.  A list of plain scalars is
-    encoded by the C encoder; any other value that holds no container (such
-    as a dict of plain scalars), and any value the writer does not walk, by
-    the stdlib.
-    """
+def _text(obj: Any, depth: int) -> str | None:
+    """``obj`` as indented JSON at ``depth`` when it holds no container, else
+    None: a list of plain scalars by ``_texts``, and any other value by the
+    stdlib."""
     kind = type(obj)
-    if kind is list or kind is tuple:
-        return _leaf_list_text if _LEAF_TYPES.issuperset(map(type, obj)) else None
+    if kind in _LIST_TYPES:
+        if not _LEAF_TYPES.issuperset(map(type, obj)):
+            return None
+        return _texts([obj], _stdlib_text, depth)[0]
     if kind is dict and _KEY_TYPES.issuperset(map(type, obj)):
-        return _stdlib_text if _LEAF_TYPES.issuperset(map(type, obj.values())) else None
-    return _stdlib_text
-
-
-def _leaf_list_text(items: Sequence[Any], depth: int) -> str:
-    return _leaf_list_encoder(depth)(items) if items else "[]"
+        return _stdlib_text(obj, depth) if _LEAF_TYPES.issuperset(map(type, obj.values())) else None
+    return _stdlib_text(obj, depth)
 
 
 def _stdlib_text(obj: Any, depth: int) -> str:
-    """The stdlib's text, whose lines are indented from depth 0.  A JSON text
-    holds no raw newline inside a string, so each newline starts an
-    indented line."""
-    return _STDLIB_JSON.encode(obj).replace("\n", "\n" + "  " * depth)
+    """A plain scalar's text, or else the stdlib's, whose lines are indented
+    from depth 0: a JSON text holds no raw newline inside a string, so each
+    newline starts an indented line.  (The stdlib's indenting encoder leaves
+    a reference cycle per call for the collector.)"""
+    leaf = _LEAF_TEXT.get(type(obj))
+    return leaf(obj) if leaf else _STDLIB_JSON.encode(obj).replace("\n", "\n" + "  " * depth)
 
 
-def _pieces_text(obj: Any, depth: int) -> str:
-    return "".join(_json_pieces(obj, depth))
+def _whole_text(obj: Any, depth: int) -> str:
+    """``obj`` as indented JSON at ``depth``, in one string."""
+    return _text(obj, depth) or "".join(_json_pieces(obj, depth))
 
 
-def _value_encoder(obj: Any) -> _Encoder:
-    """The encoder of ``obj`` as indented JSON at a depth, in one string."""
-    return _flat_encoder(obj) or _pieces_text
+def _texts(values: list, encode: Callable, depth: int) -> list[str | None]:
+    """The text of each of ``values`` at ``depth``.
+
+    When all are lists of str, each text is one join between separators: of
+    the labels themselves when one check of all of them shows that none
+    needs escaping, else of their escaped texts.  Otherwise each value is
+    written by ``encode``.
+    """
+    try:
+        labels = (
+            "".join(chain.from_iterable(values)) if _LIST_TYPES.issuperset(map(type, values)) else None
+        )
+    except TypeError:  # a list holds a value other than a str
+        labels = None
+    if labels is None:
+        return list(map(encode, values, repeat(depth)))
+    plain = labels.isascii() and '"' not in labels and "\\" not in labels and labels.isprintable()
+    quote = '"' * plain
+    inner = "\n" + "  " * (depth + 1)
+    joined = map(
+        f"{quote},{inner}{quote}".join,
+        values if plain else map(map, repeat(encode_basestring_ascii), values),
+    )
+    texts = map(f"[{inner}{quote}%s{quote}\n{'  ' * depth}]".__mod__, joined)
+    # An empty list is "[]" whatever its route.
+    return list(map({0: "[]"}.get, map(len, values), texts))
 
 
 def _json_pieces(obj: Any, depth: int) -> Iterator[str]:
     """``obj`` as indented JSON at ``depth``, in pieces.
 
-    A container that holds containers comes member by member, a list of
-    records a batch of records at a time, and anything else in one piece.
+    A container that holds containers comes a group of members at a time,
+    and a member of it that holds containers in pieces of its own; anything
+    else comes in one piece.  A group is sized from the last one at about a
+    sixteenth of a piece, so that members that grow along the container
+    overfill a piece by little.
     """
-    encode = _flat_encoder(obj)
-    if encode is not None:
-        yield encode(obj, depth)
+    text = _text(obj, depth)
+    if text is not None:
+        yield text
         return
-    if type(obj) is dict:
-        brackets = "{}"
-        keys = sorted(obj)
-        values = obj.values()
-        members = zip(map(add, map(encode_basestring_ascii, keys), repeat(": ")), map(obj.get, keys))
+    get = obj.__getitem__
+    keyed = type(obj) is dict
+    items = sorted(obj) if keyed else range(len(obj))
+    texts = chain.from_iterable(_shared_texts(items, get, _text, depth + 1))
+    if keyed:
+        parts = [map(encode_basestring_ascii, items), repeat(": "), texts]
     else:
-        keys = _record_keys(obj)
-        if keys is not None:
-            yield from _record_pieces(obj, keys, depth)
-            return
-        brackets = "[]"
-        values = obj
-        members = zip(repeat(""), obj)
+        parts = _record_parts(obj, depth + 2) or [texts]
     inner = "\n" + "  " * (depth + 1)
-    separator = "," + inner
-    lead = brackets[0] + inner
-    flat_text = _shared_texts(values, _flat_encoder, depth + 1)
-    for prefix, value in members:
-        leaf = _LEAF_TEXT.get(type(value))
-        text = leaf(value) if leaf else flat_text(value)
-        if text is None:
-            yield lead + prefix
-            yield from _json_pieces(value, depth + 1)
+    # Each member's parts: the text before it, then its key, a colon and its
+    # text, or its record's keys and members' texts, or its text.
+    members = zip(chain(("[{"[keyed] + inner,), repeat("," + inner)), *parts)
+    start = 0
+    count = 1
+    while group := list(islice(members, count)):
+        stop = start + len(group)
+        if parts[-1] is texts and None in map(itemgetter(-1), group):
+            for item, (*head, text) in zip(items[start:stop], group):
+                yield "".join(head)
+                yield from _json_pieces(get(item), depth + 1) if text is None else (text,)
         else:
-            yield lead + prefix + text
-        lead = separator
-    yield "\n" + "  " * depth + brackets[1]
+            text = "".join(chain.from_iterable(group))
+            del group  # its new texts go before the next group's are encoded
+            yield text
+            count = max(1, count * _BATCH // (16 * len(text)))
+        start = stop
+    yield "\n" + "  " * depth + "]}"[keyed]
 
 
 # Characters of a kept text per further use of it.  A kept text saves one
-# encoding at each further use and is held until its last, so a long text
-# with few uses spread over a long container (the names of an index set
-# recur once per law section) would hold a share of the report for little.
+# encoding at each further use and is held while its container is written,
+# so a long text with few uses (the names of an index set recur once per law
+# section) would hold a share of the report for little.
 _KEPT_PER_USE = 256
+# Labels in the values of one run of ``_shared_texts``, whose new texts are
+# held together: about a sixteenth of a piece of text.
+_RUN_LABELS = 256
 
 
-def _shared_texts(
-    values: Iterable[Any], encoder: Callable[[Any], _Encoder | None], depth: int
-) -> Callable[[Any], str | None]:
-    """The text of each value of one container at ``depth``, taken in their order.
+def _shared_texts(items: Sequence, get: Callable, encode: Callable, depth: int) -> Iterator[list]:
+    """The texts at ``depth`` (see ``_texts``) of the values ``get(item)`` of
+    one container's ``items``, in order, a run at a time.
 
-    ``encoder(value)`` checks a value and gives the function that encodes it
-    at a depth, or None for a value it does not encode (whose text is None).
     A value that is one object several times over (such as the label list
     that equal rows share, or the names of one index set in every law entry
-    over it) is checked once per container.  Its text is kept until its last
-    use if it has at most ``_KEPT_PER_USE`` characters per further use, and
-    a longer one is encoded again at each use by the function found at the
-    first; every other text is dropped once returned.
+    over it) is encoded once per container and then looked up by ``id``, if
+    its text has at most ``_KEPT_PER_USE`` characters per further use; a
+    longer one is encoded again at each use.  A run holds at most a quarter
+    as many values as ``_RUN_LABELS``, and ends where their labels (or other
+    members) pass it, so that a run of long lists holds a few new texts.
     """
-    uses = Counter(map(id, values))
-    left = dict(compress(uses.items(), map((1).__lt__, uses.values())))
-    del uses
-    # Per recurring value, its kept text, or the encoder of a text too long to keep.
-    kept: dict[int, str | _Encoder] = {}
-
-    def text(value: Any) -> str | None:
-        key = id(value)
-        found = kept.pop(key, None)
-        if type(found) is not str:
-            encode = found or encoder(value)
-            if encode is None:
-                return None
-            found = encode(value, depth)
-            if len(found) > _KEPT_PER_USE * (left.get(key, 1) - 1):
-                if key in left:
-                    kept[key] = encode
-                return found
-        further = left[key] - 1
-        if further:
-            kept[key] = found
-            left[key] = further
-        return found
-
-    return text
-
-
-def _record_keys(items: Sequence[Any]) -> list[str] | None:
-    """The sorted keys of ``items`` when all are dicts with one non-empty set of str keys."""
-    first = items[0]
-    if type(first) is not dict or not first or not _KEY_TYPES.issuperset(map(type, first)):
-        return None
-    keys = first.keys()
-    if set(map(type, items)) != {dict} or not all(map(keys.__eq__, map(dict.keys, items))):
-        return None
-    return sorted(keys)
-
-
-def _record_pieces(items: Sequence[dict], keys: list[str], depth: int) -> Iterator[str]:
-    """A list of records at ``depth``, a group of records at a time.
-
-    Each record is one ``%``-template over its members' texts; the texts of
-    one key come from a lazy column, the leaf encoder when the whole column
-    is of one leaf type, else ``_shared_texts``, so that a container that
-    recurs in the column is encoded once.  A group is sized from the last
-    one at about a sixteenth of a batch, so that records that grow along the
-    list overfill a batch by little.
-    """
-    inner = "\n" + "  " * (depth + 1)
-    member = "\n" + "  " * (depth + 2)
-    template = (
-        "{"
-        + ",".join(member + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys)
-        + inner
-        + "}"
-    )
-    columns = []
-    for key in keys:
-        get = itemgetter(key)
-        kinds = set(map(type, map(get, items)))
-        encode = _LEAF_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
-        if not encode:
-            encode = _shared_texts(map(get, items), _value_encoder, depth + 2)
-        columns.append(map(encode, map(get, items)))
-    records = map(template.__mod__, zip(*columns))
-    separator = "," + inner
-    lead = "[" + inner
+    # The further uses of each value that recurs.
+    further = {key: uses - 1 for key, uses in Counter(map(id, map(get, items))).items() if uses > 1}
+    kept = {}
+    start = 0
     count = 1
-    while text := separator.join(islice(records, count)):
-        yield lead
-        yield text
-        lead = separator
-        count = max(1, count * _BATCH // (16 * len(text)))
-    yield "\n" + "  " * depth + "]"
+    while start < len(items):
+        values = list(map(get, items[start : start + count]))
+        del values[max(1, bisect_right(list(accumulate(map(length_hint, values))), _RUN_LABELS)) :]
+        found = list(map(kept.get, map(id, values)))
+        if None in found:
+            fresh = dict(compress(zip(map(id, values), values), map(is_, found, repeat(None))))
+            texts = dict(zip(fresh, _texts(list(fresh.values()), encode, depth)))
+            found = list(map(texts.get, map(id, values), found))
+            for key, text in texts.items():
+                if text and len(text) <= _KEPT_PER_USE * further.get(key, 0):
+                    kept[key] = text
+        start += len(values)
+        yield found
+        count = min(_RUN_LABELS // 4, 2 * len(values))
+
+
+def _record_parts(items: Sequence, depth: int) -> list | None:
+    """The parts of the records ``items`` after their leads, a column at a
+    time, when all are dicts that share one non-empty set of str keys, else
+    None: each key at ``depth`` before the texts of its members, and the
+    closing brace.  A column of one plain scalar type is mapped by its
+    encoder, and any other by ``_shared_texts``."""
+    first = items[0]
+    if (
+        set(map(type, items)) != {dict}
+        or not first
+        or not _KEY_TYPES.issuperset(map(type, first))
+        or set(map(len, items)) != {len(first)}
+    ):
+        return None
+    indent = "\n" + "  " * depth
+    parts = []
+    try:
+        for key in sorted(first):
+            get = itemgetter(key)
+            kinds = set(map(type, map(get, items)))
+            leaf = len(kinds) == 1 and _LEAF_TEXT.get(kinds.pop())
+            parts += (
+                repeat(f"{',' if parts else '{'}{indent}{encode_basestring_ascii(key)}: "),
+                map(leaf, map(get, items))
+                if leaf
+                else chain.from_iterable(_shared_texts(items, get, _whole_text, depth)),
+            )
+    except KeyError:  # dicts of one size that all hold the first one's keys share them
+        return None
+    return parts + [repeat(indent[:-2] + "}")]
 
 
 def relation_summary(rel: BinaryRelation, source: str) -> dict[str, Any]:
@@ -376,7 +357,7 @@ def _neighborhood_lists(
 
     Elements of one class share their list object.
     """
-    out: list[list[str]] = [[]] * len(masks)
+    out = [[]] * len(masks)
     for members in classes:
         shared = list(mask_members(masks[members[0]], labels))
         for i in members:
@@ -407,24 +388,23 @@ def build_classify_report(
 ) -> AnalysisReport:
     from .classify import HOLDS, VACUOUS, VIOLATED, UndefinedMeasureError
 
-    blocks = []
-    for name, block, lo, up in zip(
-        fa.classification.names, fa.classification.blocks, fa.lowers, fa.uppers
-    ):
-        blocks.append(
-            {
-                "name": name,
-                "members": list(block.labels()),
-                "lower": list(lo.labels()),
-                "upper": list(up.labels()),
-            }
+    blocks = [
+        {
+            "name": name,
+            "members": list(block.labels()),
+            "lower": list(lo.labels()),
+            "upper": list(up.labels()),
+        }
+        for name, block, lo, up in zip(
+            fa.classification.names, fa.classification.blocks, fa.lowers, fa.uppers
         )
+    ]
     try:
         accuracy: dict[str, Any] | None = ratio_obj(fa.accuracy())
     except UndefinedMeasureError:
         accuracy = None
     quality = fa.quality()
-    measures: dict[str, Any] = {
+    measures = {
         "accuracy": accuracy,
         "quality_v": ratio_obj(quality.v_normalized),
         "quality_u": ratio_obj(quality.u_normalized),
@@ -466,18 +446,17 @@ def build_verify_report(
 
     A law whose violations were not all kept is marked ``truncated``; its
     ``violations`` is the count of them all."""
-    details = []
-    for record in properties.records:
-        for violation in record.violations:
-            details.append(
-                {
-                    "law": violation.law,
-                    "relation": violation.relation,
-                    "subsets": list(violation.subsets),
-                    "expected": violation.expected,
-                    "got": violation.got,
-                }
-            )
+    details = [
+        {
+            "law": violation.law,
+            "relation": violation.relation,
+            "subsets": list(violation.subsets),
+            "expected": violation.expected,
+            "got": violation.got,
+        }
+        for record in properties.records
+        for violation in record.violations
+    ]
     extra = {
         name: {"checked": checked, "failures": failures}
         for name, (checked, failures) in checks.items()
@@ -514,22 +493,20 @@ def _witness_obj(witness: Witness) -> dict[str, Any]:
 def build_tables_report(
     operation: str, scope: Mapping[str, Any], findings: Sequence[TableCellFinding]
 ) -> AnalysisReport:
-    cells = []
-    for finding in findings:
-        cells.append(
-            {
-                "left": finding.left.short,
-                "right": finding.right.short,
-                "allowed": [t.short for t in sorted(finding.allowed)],
-                "observed": [t.short for t in sorted(finding.observed)],
-                "unrealized": [t.short for t in finding.unrealized],
-                "conformant": finding.conformant,
-                "witnesses": [
-                    {"result": t.short, **_witness_obj(w)}
-                    for t, w in sorted(finding.witnesses.items())
-                ],
-            }
-        )
+    cells = [
+        {
+            "left": finding.left.short,
+            "right": finding.right.short,
+            "allowed": [t.short for t in sorted(finding.allowed)],
+            "observed": [t.short for t in sorted(finding.observed)],
+            "unrealized": [t.short for t in finding.unrealized],
+            "conformant": finding.conformant,
+            "witnesses": [
+                {"result": t.short, **_witness_obj(w)} for t, w in sorted(finding.witnesses.items())
+            ],
+        }
+        for finding in findings
+    ]
     body = {
         "operation": operation,
         "scope": dict(scope),

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import repeat
 from unittest import mock
 
 import pytest
@@ -52,6 +53,10 @@ from strategies import WIDE_U_SIZES, Level, json_trees, relation_texts, relation
 LINE_BREAKS = ("\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 # One list object that several records of a test report hold.
 SHARED = ["x1", "x2"]
+
+
+class Label(str):
+    """A str subclass, which a JSON writer must render as the stdlib does."""
 
 
 def assert_matches_reference(text: str) -> None:
@@ -365,16 +370,25 @@ class TestReports:
 
 @contextmanager
 def c_encoder(available: bool):
-    """Run the JSON writer with or without the stdlib's C encoder."""
-    formats._leaf_list_encoder.cache_clear()
-    try:
-        if available:
-            yield
-        else:
-            with mock.patch.object(formats, "c_make_encoder", None):
-                yield
-    finally:
-        formats._leaf_list_encoder.cache_clear()
+    """Run the JSON writer with the stdlib's C string encoder or its pure-Python one."""
+    if available:
+        yield
+        return
+    escape = json.encoder.py_encode_basestring_ascii
+    with mock.patch.object(formats, "encode_basestring_ascii", escape), mock.patch.dict(
+        formats._LEAF_TEXT, {str: escape}
+    ):
+        yield
+
+
+def joined_lists(texts) -> list:
+    """The lists a spy on ``formats._texts`` saw encoded by joins, once per encoding."""
+    return [
+        value
+        for call in texts.call_args_list
+        if all(type(v) in (list, tuple) and all(isinstance(x, str) for x in v) for v in call.args[0])
+        for value in call.args[0]
+    ]
 
 
 class TestJsonWriter:
@@ -403,6 +417,45 @@ class TestJsonWriter:
         report = AnalysisReport("approx", body)
         with c_encoder(available):
             assert emit_report(report, "json") == naive_emit_json(report.to_obj())
+
+    @pytest.mark.parametrize(
+        "label",
+        ['"', "\\", "\x00", "\x1f", "\x7f", " ", "café", "\U0001f600", Label("x1")],
+        ids=["quote", "backslash", "nul", "unit-separator", "delete", "line-separator", "latin-1",
+             "astral", "str-subclass"],
+    )
+    def test_lists_with_a_label_to_escape(self, label):
+        # A label that the check of a run's joined labels must catch, or a
+        # str subclass, which joins as its text: alone, in a tuple, in a run
+        # of label lists that it sends down the escaped route, in lists that
+        # equal rows share, and in a record column.
+        plain = [f"x{i}" for i in range(5)]
+        lists = [plain, [*plain, label], (label,), [label, "y"], plain, []]
+        body = {
+            "one": [label],
+            "tuple": ("a", label),
+            "lists": lists,
+            "rows": {f"x{i}": lists[i % len(lists)] for i in range(20)},
+            "records": [{"blocks": value, "n": i} for i, value in enumerate(lists)],
+        }
+        report = AnalysisReport("approx", body)
+        assert "".join(iter_report(report, "json")) == naive_emit_json(report.to_obj())
+
+    @pytest.mark.parametrize(
+        "mixed",
+        [["a", 1], ["a", True, False], ["a", None], [None, "a"], [1, 2], [], ["a"], [Level.LOW, "a"]],
+        ids=["int", "bools", "none", "none-first", "ints", "empty", "one-label", "int-enum"],
+    )
+    def test_lists_of_labels_and_other_scalars(self, mixed):
+        # Lists that the join route must not take, beside label lists in one
+        # run, alone, and in a record column.
+        body = {
+            "one": mixed,
+            "lists": [["a", "b"], mixed, ("c",), mixed],
+            "records": [{"blocks": ["a"]}, {"blocks": mixed}, {"blocks": mixed}],
+        }
+        report = AnalysisReport("approx", body)
+        assert "".join(iter_report(report, "json")) == naive_emit_json(report.to_obj())
 
     def test_emit_memory_is_linear_in_output(self):
         # A classification into single columns: each complement index set
@@ -540,6 +593,29 @@ class TestJsonWriter:
         assert size > 5_000_000
         assert peak < 0.25 * size
 
+    def test_streamed_shared_neighborhoods_memory_is_a_fraction_of_the_output(self):
+        # An 8000x64 relation whose rows come from 800 patterns, the empty
+        # one among them: each pattern's label list recurs about ten times
+        # among the right neighborhoods, and its text is kept while they
+        # are written, beside about one piece.
+        rng = random.Random(17)
+        patterns = {0}
+        while len(patterns) < 800:
+            patterns.add(rng.getrandbits(64) & rng.getrandbits(64))
+        rows = tuple(map(rng.choice, repeat(sorted(patterns), 8000)))
+        rel = BinaryRelation(canonical_universes(8000, 64), rows)
+        report = build_neighbors_report(rel, "tall.rel")
+        size = 0
+        tracemalloc.start()
+        try:
+            for piece in iter_report(report, "json"):
+                size += len(piece)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 3_000_000
+        assert peak < 0.2 * size
+
     @pytest.mark.parametrize("available", [True, False], ids=["c-encoder", "no-c-encoder"])
     def test_members_that_recur_are_encoded_once_per_container(self, available):
         # Many keys and list slots hold one of three list objects, in runs
@@ -551,42 +627,37 @@ class TestJsonWriter:
             "once": {"a": lists[1], "b": [1, 2]},
         }
         report = AnalysisReport("neighbors", body)
-        with c_encoder(available), mock.patch.object(
-            formats, "_leaf_list_text", wraps=formats._leaf_list_text
-        ) as leaf_list_text:
+        with c_encoder(available), mock.patch.object(formats, "_texts", wraps=formats._texts) as texts:
             text = "".join(iter_report(report, "json"))
         assert text == json.dumps(report.to_obj(), sort_keys=True, indent=2) + "\n"
-        encoded = [call.args[0] for call in leaf_list_text.call_args_list]
-        # by_key, slots and the list nested in slots.
+        encoded = joined_lists(texts)
+        # by_key, slots and the list nested in slots, or once.
         assert sum(value is lists[0] for value in encoded) == 3
         assert sum(value is lists[1] for value in encoded) == 3
 
     @pytest.mark.parametrize("available", [True, False], ids=["c-encoder", "no-c-encoder"])
     def test_containers_that_recur_in_a_record_column_are_encoded_once(self, available):
         # One list object in several records of a column, in runs and
-        # interleaved with lists equal to it but distinct, beside a nested
-        # use of it and a long list that recurs past the kept-text limit:
-        # each object is checked once, and only the long one encoded twice.
+        # interleaved with lists equal to it but distinct, beside nested
+        # uses of it and a long list that recurs past the kept-text limit,
+        # its uses apart by more labels than one run of texts holds: each
+        # object is encoded once in the column, and the long one at each use.
         shared, equal = ["a", "b"], ["a", "b"]
         long = [f"y{j}" for j in range(formats._KEPT_PER_USE)]
-        column = [shared, equal, shared, shared, ["a", "b"], [shared], long, shared, long, {"k": shared}, []]
+        apart = [f"z{j}" for j in range(formats._RUN_LABELS)]
+        column = [shared, equal, shared, shared, ["a", "b"], [shared], long, shared, apart, long, {"k": shared}, []]
         records = [{"blocks": value, "law": f"l{i % 3}", "ok": i % 2 == 0} for i, value in enumerate(column)]
         report = AnalysisReport("classify", {"laws": {"entries": records}})
-        with c_encoder(available), mock.patch.object(
-            formats, "_value_encoder", wraps=formats._value_encoder
-        ) as value_encoder, mock.patch.object(
-            formats, "_leaf_list_text", wraps=formats._leaf_list_text
-        ) as leaf_list_text:
+        with c_encoder(available), mock.patch.object(formats, "_texts", wraps=formats._texts) as texts:
             text = "".join(iter_report(report, "json"))
         assert text == json.dumps(report.to_obj(), sort_keys=True, indent=2) + "\n"
-        checked = [call.args[0] for call in value_encoder.call_args_list]
-        assert len(checked) == len(column) - 4
-        assert sum(value is shared for value in checked) == 1
-        assert sum(value is equal for value in checked) == 1
-        assert sum(value is long for value in checked) == 1
-        encoded = [call.args[0] for call in leaf_list_text.call_args_list]
-        assert sum(value is long for value in encoded) == 2
+        encoded = joined_lists(texts)
+        # Once in the column, and once in each container nested in it.
+        assert sum(value is shared for value in encoded) == 3
         assert sum(value is equal for value in encoded) == 1
+        assert sum(value is long for value in encoded) == 2
+        # The column's six lists of str, long again, and shared twice more.
+        assert len(encoded) == 6 + 1 + 2
 
     @pytest.mark.parametrize("recurring", [False, True], ids=["distinct", "recurring-far-apart"])
     def test_large_lists_in_a_record_column_are_not_kept(self, recurring):

@@ -1010,6 +1010,29 @@ class TestSerialIff:
             tracemalloc.stop()
         assert peak < 5_000_000
 
+    def test_a_lane_that_a_mask_outgrows_is_tried_once(self, monkeypatch):
+        # On a non-serial 1x20,000 relation every chunk is tabulated, and
+        # only chunks of narrow singletons fit a lane.  For every other table
+        # the first lane tried fails to pack, and the widest V-mask then
+        # rules out the wider lanes, where each was tried and failed before
+        # (24,614 failed packs, four a table).
+        tables, failed = [], []
+        ys_in_lanes, pack_lanes = approx._ys_in_lanes, approx.pack_lanes
+
+        def count_tables(rows, ys):
+            tables.append(len(ys))
+            return ys_in_lanes(rows, ys)
+
+        def count_failures(values, nbytes):
+            failed.append(max(values).bit_length() >= 8 * nbytes)
+            return pack_lanes(values, nbytes)
+
+        monkeypatch.setattr(approx, "_ys_in_lanes", count_tables)
+        monkeypatch.setattr(approx, "pack_lanes", count_failures)
+        rel = BinaryRelation(canonical_universes(1, 20_000), (0,))
+        assert verify_serial_iff(rel)
+        assert sum(failed) <= len(tables) < len(failed) + 10
+
     @pytest.mark.parametrize("v", [12, 14])
     def test_faulted_kernel_is_caught(self, monkeypatch, v):
         # A lower that differs from upper at every subset of a serial
