@@ -3,13 +3,16 @@
 A classification is a validated partition of V into at least two named,
 non-empty, pairwise-disjoint blocks.  Approximating every block gives a
 family approximation, from which the accuracy and quality measures are
-computed as exact rationals.
+computed as exact rationals.  Since the blocks partition V, a non-empty
+row lies within at most one block, so all the blocks' lowers come from one
+pass over the rows.
 
 The family-law checkers evaluate, instance by instance, the duality
 biconditionals and the derived implication laws that relate "some union of
 blocks has a covering upper approximation" to "the remaining blocks have
 empty lower approximations" (and their duals).  Each evaluated instance is
-reported as holds, violated, or vacuous.
+reported as holds, violated, or vacuous, in a ``TheoremReport`` that holds
+the instances as columns, filled one law at a time.
 
 A law asks two facts of a union of blocks, never its approximations as
 sets: is its lower approximation non-empty, and does its upper cover U?
@@ -27,17 +30,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from heapq import merge
-from itertools import combinations
+from itertools import chain, combinations, compress, repeat
+from operator import eq, not_
 from typing import Iterable, Sequence
 
-from .approx import (
-    lower_approximation,
-    lower_nonempty,
-    upper_approximation,
-    upper_covers,
-)
+from . import approx
+from .approx import lower_nonempty, upper_approximation, upper_covers
 from .relation import (
     BinaryRelation,
     BiroughError,
@@ -46,9 +46,13 @@ from .relation import (
     Subset,
     UniversePair,
     mask_of_flags,
+    mask_of_indices,
     record,
     window_unions,
 )
+
+# Not called here, but kept bound for callers that wrap it by name.
+lower_approximation = approx.lower_approximation
 
 __all__ = [
     "ClassificationError",
@@ -217,12 +221,47 @@ class Quality:
     u_normalized: Fraction
 
 
+def _block_lowers(rel: BinaryRelation, blocks: Sequence[int]) -> list[int]:
+    """The U-masks of the lower approximations of V-masks that partition V,
+    in one pass over the rows.
+
+    A non-empty row can lie only within the block that holds its lowest set
+    bit, so each row is filed under that block when it lies within it.
+    ``owner`` maps the bit length of a row's lowest set bit to its block; a
+    bit length of 0, the empty row, maps to a last, empty mask, and the empty
+    rows filed there lie within every block.
+    """
+    owner = [len(blocks)] * (rel.v_size + 1)
+    for k, block in enumerate(blocks):
+        while block:
+            low = block & -block
+            owner[low.bit_length()] = k
+            block ^= low
+    masks = [*blocks, 0]
+    members: list[list[int]] = [[] for _ in masks]
+    for i, row in enumerate(rel.rows):
+        k = owner[(row & -row).bit_length()]
+        if row & masks[k] == row:
+            members[k].append(i)
+    width = rel.u_size
+    empty = mask_of_indices(members.pop(), width)
+    return [mask_of_indices(rows, width) | empty for rows in members]
+
+
 def approximate_family(rel: BinaryRelation, classification: Classification) -> FamilyApprox:
-    """Approximate every block of a classification under one relation."""
+    """Approximate every block of a classification under one relation.
+
+    The lowers come from one pass over the rows, the uppers from one
+    ``upper_approximation`` per block.
+    """
     if classification.universes != rel.universes:
         raise SideMismatchError("classification and relation universes differ")
-    lowers = tuple(lower_approximation(rel, block) for block in classification.blocks)
-    uppers = tuple(upper_approximation(rel, block) for block in classification.blocks)
+    blocks = classification.blocks
+    lowers = tuple(
+        Subset(rel.universes, Side.U, bits)
+        for bits in _block_lowers(rel, [block.bits for block in blocks])
+    )
+    uppers = tuple(upper_approximation(rel, block) for block in blocks)
     return FamilyApprox(rel, classification, lowers, uppers)
 
 
@@ -269,37 +308,77 @@ class LawInstance:
     verdict: str
 
 
+# A law instance's verdict, by (hypothesis, conclusion), for an implication
+# and for a biconditional.
+_IMPLIES = {(False, False): VACUOUS, (False, True): VACUOUS, (True, False): VIOLATED, (True, True): HOLDS}
+_IFF = {(False, False): HOLDS, (False, True): VIOLATED, (True, False): VIOLATED, (True, True): HOLDS}
+
+
 @record
 class TheoremReport:
-    """A batch of law instances with tallies."""
+    """A batch of law instances with tallies, held as columns: instance i is
+    ``LawInstance(laws[i], blocks[i], hypotheses[i], conclusions[i], verdicts[i])``.
 
-    entries: tuple[LawInstance, ...]
+    The ``LawInstance`` records are built only when read: ``entries`` builds
+    them all on its first read, ``violations`` and ``by_law`` the ones they
+    return.
+    """
+
+    laws: tuple[str, ...]
+    blocks: tuple[tuple[str, ...], ...]
+    hypotheses: tuple[bool, ...]
+    conclusions: tuple[bool, ...]
+    verdicts: tuple[str, ...]
+
+    def _columns(self) -> tuple[tuple, ...]:
+        return self.laws, self.blocks, self.hypotheses, self.conclusions, self.verdicts
+
+    def __add__(self, other: "TheoremReport") -> "TheoremReport":
+        """This report's instances, then ``other``'s."""
+        return _joined((self, other))
+
+    @cached_property
+    def entries(self) -> tuple[LawInstance, ...]:
+        return tuple(map(LawInstance, *self._columns()))
 
     @property
     def ok(self) -> bool:
-        return all(e.verdict != VIOLATED for e in self.entries)
+        return VIOLATED not in self.verdicts
 
     def tally(self) -> dict[str, int]:
-        counts = {HOLDS: 0, VIOLATED: 0, VACUOUS: 0}
-        for e in self.entries:
-            counts[e.verdict] += 1
-        return counts
+        count = self.verdicts.count
+        return {HOLDS: count(HOLDS), VIOLATED: count(VIOLATED), VACUOUS: count(VACUOUS)}
+
+    def _where(self, column: tuple, value: str) -> tuple[LawInstance, ...]:
+        """The instances whose item in ``column`` equals ``value``."""
+        keep = list(map(eq, column, repeat(value)))
+        return tuple(map(LawInstance, *(compress(c, keep) for c in self._columns())))
 
     def violations(self) -> tuple[LawInstance, ...]:
-        return tuple(e for e in self.entries if e.verdict == VIOLATED)
+        return self._where(self.verdicts, VIOLATED)
 
     def by_law(self, law: str) -> tuple[LawInstance, ...]:
-        return tuple(e for e in self.entries if e.law == law)
+        return self._where(self.laws, law)
 
 
-def _biconditional(law: str, blocks: tuple[str, ...], left: bool, right: bool) -> LawInstance:
-    return LawInstance(law, blocks, left, right, HOLDS if left == right else VIOLATED)
+def _joined(reports: Iterable[TheoremReport]) -> TheoremReport:
+    """The instances of ``reports``, in order, in one report."""
+    columns = zip(*(report._columns() for report in reports))
+    return TheoremReport(*(tuple(chain.from_iterable(column)) for column in columns))
 
 
-def _implication(law: str, blocks: tuple[str, ...], hyp: bool, concl: bool) -> LawInstance:
-    if not hyp:
-        return LawInstance(law, blocks, hyp, concl, VACUOUS)
-    return LawInstance(law, blocks, hyp, concl, HOLDS if concl else VIOLATED)
+def _law(
+    law: str,
+    table: dict,
+    blocks: Sequence[tuple[str, ...]],
+    hypotheses: Iterable[bool],
+    conclusions: Iterable[bool],
+) -> TheoremReport:
+    """The instances of one law over ``blocks``, judged by ``table``
+    (``_IMPLIES`` or ``_IFF``)."""
+    hypotheses, conclusions = tuple(hypotheses), tuple(conclusions)
+    verdicts = tuple(map(table.__getitem__, zip(hypotheses, conclusions)))
+    return TheoremReport((law,) * len(verdicts), tuple(blocks), hypotheses, conclusions, verdicts)
 
 
 def _checked_index_set(fa: FamilyApprox, index_set: Sequence[int]) -> tuple[int, ...]:
@@ -315,17 +394,18 @@ def _checked_index_set(fa: FamilyApprox, index_set: Sequence[int]) -> tuple[int,
 class _LawFacts:
     """What the family laws read of one family, for one evaluation over its index sets.
 
-    ``index_sets`` holds (names, union, chosen, rest_proper) for each index
-    set: the chosen blocks' names, the V-mask of their union (the other
-    blocks unite to ``vmask ^ union``, since the blocks partition V), the
-    mask of their block indices, and whether the uppers of the other blocks
-    leave some of U uncovered, the blockwise route of the laws over the
-    blocks' own uppers.
-    Every entry over one index set holds its one names tuple.  ``has_lower``
-    and ``covers_u`` give, memoised by V-mask, whether a union's lower is
-    non-empty and whether its upper covers U; both depend only on the set of
-    rows, so they scan the distinct rows, in first-seen order, and build no
-    U-mask.  Nothing here outlives the report that reads it.
+    Each index set is a position in four columns: ``names``, the chosen
+    blocks' names, which every instance over the index set shares;
+    ``unions``, the V-mask of their union (the other blocks unite to
+    ``vmask ^ union``, since the blocks partition V); ``chosen``, the mask of
+    their block indices; and ``rest_proper``, whether the uppers of the other
+    blocks leave some of U uncovered, the blockwise route of the laws over
+    the blocks' own uppers.
+    ``has_lower`` and ``covers_u`` give, memoised by V-mask, whether a
+    union's lower is non-empty and whether its upper covers U; both depend
+    only on the set of rows, so they scan the distinct rows, in first-seen
+    order, and build no U-mask.  Nothing here outlives the report that reads
+    it.
     """
 
     def __init__(self, fa: FamilyApprox, index_sets: Iterable[Sequence[int]]):
@@ -337,38 +417,38 @@ class _LawFacts:
         bits = [1 << i for i in range(len(names))]
         every_block = (1 << len(names)) - 1
         index_sets = list(index_sets)
-        chosen = [sum(map(bits.__getitem__, idxs)) for idxs in index_sets]
-        unions = window_unions([block.bits for block in fa.classification.blocks], chosen)
+        self.names = [tuple(map(names.__getitem__, idxs)) for idxs in index_sets]
+        self.chosen = [sum(map(bits.__getitem__, idxs)) for idxs in index_sets]
+        self.unions = window_unions([block.bits for block in fa.classification.blocks], self.chosen)
         rest_uppers = window_unions(
-            [upper.bits for upper in fa.uppers], [every_block ^ c for c in chosen]
+            [upper.bits for upper in fa.uppers], [every_block ^ c for c in self.chosen]
         )
-        umask = fa.relation.umask
-        self.index_sets = [
-            (tuple(map(names.__getitem__, idxs)), union, c, rest_upper != umask)
-            for idxs, union, c, rest_upper in zip(index_sets, unions, chosen, rest_uppers)
-        ]
+        self.rest_proper = list(map(fa.relation.umask.__ne__, rest_uppers))
 
 
-def _dualities(facts: _LawFacts) -> tuple[list[LawInstance], list[LawInstance]]:
+def _dualities(facts: _LawFacts) -> tuple[TheoremReport, TheoremReport]:
     """The cover and the support duality instances of each index set."""
-    has_lower, covers_u = facts.has_lower, facts.covers_u
+    has_lower = facts.has_lower
     vmask = facts.fa.relation.vmask
-    cover, support = [], []
-    for names, union, _, rest_proper in facts.index_sets:
-        right = not has_lower(vmask ^ union)
-        cover.append(_biconditional(COVER_DUALITY, names, covers_u(union), right))
-        support.append(_biconditional(SUPPORT_DUALITY, names, has_lower(union), rest_proper))
+    cover = _law(
+        COVER_DUALITY,
+        _IFF,
+        facts.names,
+        map(facts.covers_u, facts.unions),
+        [not has_lower(vmask ^ union) for union in facts.unions],
+    )
+    support = _law(SUPPORT_DUALITY, _IFF, facts.names, map(has_lower, facts.unions), facts.rest_proper)
     return cover, support
 
 
 def cover_duality_check(fa: FamilyApprox, index_set: Sequence[int]) -> LawInstance:
     """Upper of the chosen union covers U iff lower of the rest is empty."""
-    return _dualities(_LawFacts(fa, [_checked_index_set(fa, index_set)]))[0][0]
+    return _dualities(_LawFacts(fa, [_checked_index_set(fa, index_set)]))[0].entries[0]
 
 
 def support_duality_check(fa: FamilyApprox, index_set: Sequence[int]) -> LawInstance:
     """Lower of the chosen union is non-empty iff the rest's uppers miss some of U."""
-    return _dualities(_LawFacts(fa, [_checked_index_set(fa, index_set)]))[1][0]
+    return _dualities(_LawFacts(fa, [_checked_index_set(fa, index_set)]))[1].entries[0]
 
 
 INDEX_SET_LIMIT = 12
@@ -409,72 +489,74 @@ def proper_index_subsets(n: int) -> list[tuple[int, ...]]:
 def duality_report(fa: FamilyApprox) -> TheoremReport:
     """Both duality biconditionals over every index subset."""
     cover, support = _dualities(_LawFacts(fa, proper_index_subsets(fa.classification.n)))
-    return TheoremReport(tuple(cover + support))
+    return cover + support
 
 
 def derived_laws_report(fa: FamilyApprox) -> TheoremReport:
     """Every derived implication/biconditional law, instance by instance."""
     facts = _LawFacts(fa, proper_index_subsets(fa.classification.n))
-    return TheoremReport(tuple(_derived_laws(facts)))
+    return _joined(_derived_laws(facts))
 
 
-def _derived_laws(facts: _LawFacts) -> list[LawInstance]:
-    """The derived laws' instances over ``facts``' index sets, all the proper ones."""
+def _derived_laws(facts: _LawFacts) -> list[TheoremReport]:
+    """The derived laws' instances over ``facts``' index sets, all the proper
+    ones, one report per law."""
     fa = facts.fa
     n = fa.classification.n
-    index_sets = facts.index_sets
     has_lower, covers_u = facts.has_lower, facts.covers_u
     vmask = fa.relation.vmask
-    # Every singleton is a proper index set, in block order; sharing its
-    # entry shares its names tuple, down to the report.
-    singles = [s for s in index_sets if len(s[0]) == 1]
+    names, unions, chosen = facts.names, facts.unions, facts.chosen
     # Blockwise facts: bit i is set when block i's lower is non-empty (lows)
     # or when block i's upper covers U (covers).
     lows = mask_of_flags([bool(lo) for lo in fa.lowers])
     covers = mask_of_flags([up.is_full for up in fa.uppers])
     every_block = (1 << n) - 1
-    entries: list[LawInstance] = []
+    others_lower_empty = [not lows & ~c for c in chosen]
+    others_upper_proper = [not covers & ~c for c in chosen]
+    # Every singleton is a proper index set, in block order; its columns
+    # (suffix 1) hold its names tuple, shared down to the report.
+    single = [len(blocks) == 1 for blocks in names]
+    names1, chosen1, rest_proper1, others_lower_empty1, others_upper_proper1 = (
+        list(compress(column, single))
+        for column in (names, chosen, facts.rest_proper, others_lower_empty, others_upper_proper)
+    )
+    rests1 = [vmask ^ union for union in compress(unions, single)]
+    rest_has_lower1 = list(map(has_lower, rests1))
+    lower_nonempty1 = [bool(lows & c) for c in chosen1]
+    upper_covers1 = [bool(covers & c) for c in chosen1]
+    reports = []
 
     law = "cover-by-union-forces-rest-lowers-empty"
-    for names, union, chosen, _ in index_sets:
-        entries.append(_implication(law, names, covers_u(union), not lows & ~chosen))
+    reports.append(_law(law, _IMPLIES, names, map(covers_u, unions), others_lower_empty))
 
     law = "block-upper-covers-iff-rest-lower-empty"
-    for names, union, chosen, _ in singles:
-        right = not has_lower(vmask ^ union)
-        entries.append(_biconditional(law, names, bool(covers & chosen), right))
+    reports.append(_law(law, _IFF, names1, upper_covers1, map(not_, rest_has_lower1)))
 
     law = "block-lower-empty-iff-rest-upper-covers"
-    for names, union, chosen, _ in singles:
-        entries.append(_biconditional(law, names, not lows & chosen, covers_u(vmask ^ union)))
+    reports.append(_law(law, _IFF, names1, map(not_, lower_nonempty1), map(covers_u, rests1)))
 
     law = "block-upper-covers-forces-other-lowers-empty"
-    for names, _, chosen, _ in singles:
-        entries.append(_implication(law, names, bool(covers & chosen), not lows & ~chosen))
+    reports.append(_law(law, _IMPLIES, names1, upper_covers1, others_lower_empty1))
 
     law = "all-uppers-cover-forces-all-lowers-empty"
-    entries.append(_implication(law, (), covers == every_block, not lows))
+    reports.append(_law(law, _IMPLIES, [()], [covers == every_block], [not lows]))
 
     law = "union-lower-nonempty-forces-rest-uppers-proper"
-    for names, union, chosen, _ in index_sets:
-        entries.append(_implication(law, names, has_lower(union), not covers & ~chosen))
+    reports.append(_law(law, _IMPLIES, names, map(has_lower, unions), others_upper_proper))
 
     law = "block-lower-nonempty-iff-rest-uppers-union-proper"
-    for names, _, chosen, rest_proper in singles:
-        entries.append(_biconditional(law, names, bool(lows & chosen), rest_proper))
+    reports.append(_law(law, _IFF, names1, lower_nonempty1, rest_proper1))
 
     law = "block-upper-proper-iff-rest-lower-nonempty"
-    for names, union, chosen, _ in singles:
-        entries.append(_biconditional(law, names, not covers & chosen, has_lower(vmask ^ union)))
+    reports.append(_law(law, _IFF, names1, map(not_, upper_covers1), rest_has_lower1))
 
     law = "block-lower-nonempty-forces-other-uppers-proper"
-    for names, _, chosen, _ in singles:
-        entries.append(_implication(law, names, bool(lows & chosen), not covers & ~chosen))
+    reports.append(_law(law, _IMPLIES, names1, lower_nonempty1, others_upper_proper1))
 
     law = "all-lowers-nonempty-forces-all-uppers-proper"
-    entries.append(_implication(law, (), lows == every_block, not covers))
+    reports.append(_law(law, _IMPLIES, [()], [lows == every_block], [not covers]))
 
-    return entries
+    return reports
 
 
 def family_law_report(fa: FamilyApprox) -> TheoremReport:
@@ -483,8 +565,7 @@ def family_law_report(fa: FamilyApprox) -> TheoremReport:
     Both read one ``_LawFacts``, so each fact and each index set's union is
     computed once, and the memos go when the report is returned."""
     facts = _LawFacts(fa, proper_index_subsets(fa.classification.n))
-    cover, support = _dualities(facts)
-    return TheoremReport((*cover, *support, *_derived_laws(facts)))
+    return _joined((*_dualities(facts), *_derived_laws(facts)))
 
 
 def measure_law_report(fa: FamilyApprox) -> TheoremReport:
@@ -498,40 +579,24 @@ def measure_law_report(fa: FamilyApprox) -> TheoremReport:
     quality = fa.quality()
     square = fa.relation.u_size == fa.relation.v_size
 
-    entries = (
-        _implication(
-            "definable-forces-unit-accuracy", (), definable, alpha == Fraction(1)
-        ),
-        _implication("definable-forces-serial", (), definable, serial),
-        _implication(
-            "definable-forces-unit-u-quality",
-            (),
-            definable,
-            quality.u_normalized == Fraction(1),
-        ),
+    # (hypothesis, conclusion) of each law, in MEASURE_LAWS order.
+    sides = (
+        (definable, alpha == Fraction(1)),
+        (definable, serial),
+        (definable, quality.u_normalized == Fraction(1)),
         # Unit accuracy alone does not force definability: with a solitary
         # element the summed lower sizes can match the summed upper sizes
         # while the sets differ (rows 00|11 with singleton blocks gives
         # alpha = 1 on a non-definable family).  Seriality restores the
         # element-wise containment the conclusion needs.
-        _implication(
-            "serial-unit-accuracy-forces-definable",
-            (),
-            serial and alpha is not None and alpha == Fraction(1),
-            definable,
-        ),
-        _implication(
-            "serial-measure-chain",
-            (),
+        (serial and alpha is not None and alpha == Fraction(1), definable),
+        (
             serial,
-            alpha is not None
-            and Fraction(0) <= alpha <= quality.u_normalized <= Fraction(1),
+            alpha is not None and Fraction(0) <= alpha <= quality.u_normalized <= Fraction(1),
         ),
-        _implication(
-            "definable-forces-unit-v-quality-on-square",
-            (),
-            definable and square,
-            quality.v_normalized == Fraction(1),
-        ),
+        (definable and square, quality.v_normalized == Fraction(1)),
     )
-    return TheoremReport(entries)
+    return _joined(
+        _law(law, _IMPLIES, [()], [hypothesis], [conclusion])
+        for law, (hypothesis, conclusion) in zip(MEASURE_LAWS, sides)
+    )

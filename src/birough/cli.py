@@ -28,7 +28,6 @@ from .relation import BinaryRelation, BiroughError, Subset
 # approx.
 _IMPORTS = {
     "classify": (
-        "TheoremReport",
         "approximate_family",
         "family_law_report",
         "measure_law_report",
@@ -174,14 +173,16 @@ def _print(report, fmt: str) -> None:
 def _cmd_approx(args: argparse.Namespace) -> int:
     rel = _load_relation(args.relation)
     query = _parse_set_arg(rel, args.set)
+    build_report = _cli.build_approx_report
     result = approximate(rel, query)
-    _print(_cli.build_approx_report(rel, args.relation, query, result), args.format)
+    _print(build_report(rel, args.relation, query, result), args.format)
     return EXIT_OK
 
 
 def _neighbors_report(args: argparse.Namespace):
     """The ``neighbors`` report; the relation, with its caches, goes on return."""
-    return _cli.build_neighbors_report(_load_relation(args.relation), args.relation)
+    rel = _load_relation(args.relation)
+    return _cli.build_neighbors_report(rel, args.relation)
 
 
 def _cmd_neighbors(args: argparse.Namespace) -> int:
@@ -194,18 +195,18 @@ def _classify_report(args: argparse.Namespace):
     """The ``classify`` report and its exit code.  The family, its
     classification and the law instances go on return, so only the report
     is alive while it is written."""
-    # Bound first, so formats is compiled before the relation and the family
-    # take memory: compiled after them, it raised the command's peak RSS.
-    build_report = _cli.build_classify_report
     rel = _load_relation(args.relation)
     named = _cli.parse_classification_file(
         _read_text(args.classes), rel.universes, source=args.classes
     )
-    classification = _cli.validate_classification(named)
-    fa = _cli.approximate_family(rel, classification)
-    laws = _cli.TheoremReport(
-        _cli.family_law_report(fa).entries + _cli.measure_law_report(fa).entries
-    )
+    # Bound once the input is parsed and its text let go, before the family
+    # takes memory, so compiling formats and classify adds to neither: bound
+    # after the family, formats raised the command's peak RSS, and so did
+    # both bound before the input was read.  Every report command binds its
+    # names at this point.
+    build_report, validate = _cli.build_classify_report, _cli.validate_classification
+    fa = _cli.approximate_family(rel, validate(named))
+    laws = _cli.family_law_report(fa) + _cli.measure_law_report(fa)
     report = build_report(rel, args.relation, fa, laws)
     return report, EXIT_OK if laws.ok else EXIT_VIOLATION
 
@@ -271,6 +272,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         raise BiroughError("nothing to verify: give a relation file, --exhaustive U V or --samples N")
 
+    build_report, merge = _cli.build_verify_report, _cli.merge_property_reports
     # [checked, failed] per whole-relation check, in _verify_one's order.
     tallies = {
         "seriality_biconditional": [0, 0],
@@ -286,9 +288,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 tally[1] += not ok
             yield properties
 
-    merged = _cli.merge_property_reports(checked_properties())
+    merged = merge(checked_properties())
     checks = {name: tuple(tally) for name, tally in tallies.items()}
-    report = _cli.build_verify_report(scope, merged, checks)
+    report = build_report(scope, merged, checks)
     _print(report, args.format)
     return EXIT_OK if report.body["pass"] else EXIT_VIOLATION
 
@@ -308,20 +310,26 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     if args.relation is not None:
         _refuse_unused(args, "--relation checks one relation, not a sweep", "max_u", "max_v")
         rel = _load_relation(args.relation)
-        findings = _cli.check_relation_against_tables(rel, args.op, tables=table)
+    build_report, check, sweep = (
+        _cli.build_tables_report,
+        _cli.check_relation_against_tables,
+        _cli.witness_inventory,
+    )
+    if args.relation is not None:
+        findings = check(rel, args.op, tables=table)
         scope = {
             "description": f"relation {args.relation}, exhaustive subset pairs",
             "source": args.relation,
         }
     else:
         max_u, max_v = args.max_u or 3, args.max_v or 3
-        findings = _cli.witness_inventory(args.op, max_u, max_v, tables=table)
+        findings = sweep(args.op, max_u, max_v, tables=table)
         scope = {
             "description": f"exhaustive sweep up to u<={max_u}, v<={max_v}",
             "max_u": max_u,
             "max_v": max_v,
         }
-    report = _cli.build_tables_report(args.op, scope, findings)
+    report = build_report(args.op, scope, findings)
     _print(report, args.format)
     return EXIT_OK if report.body["conformant"] else EXIT_VIOLATION
 

@@ -386,7 +386,7 @@ def build_neighbors_report(rel: BinaryRelation, source: str) -> AnalysisReport:
 def build_classify_report(
     rel: BinaryRelation, source: str, fa: FamilyApprox, laws: TheoremReport
 ) -> AnalysisReport:
-    from .classify import HOLDS, VACUOUS, VIOLATED, UndefinedMeasureError
+    from .classify import UndefinedMeasureError
 
     blocks = [
         {
@@ -411,26 +411,20 @@ def build_classify_report(
         "definable": fa.is_definable(),
         "serial": rel.is_serial(),
     }
-    tally = laws.tally()
     body = {
         "relation": relation_summary(rel, source),
         "blocks": blocks,
         "measures": measures,
         "laws": {
-            "holds": tally[HOLDS],
-            "vacuous": tally[VACUOUS],
-            "violated": tally[VIOLATED],
+            # The count of each verdict, keyed by the verdict's name.
+            **laws.tally(),
             # An entry's blocks are its law instance's names, one tuple per
             # index set that all its entries share.
             "entries": [
-                {
-                    "law": e.law,
-                    "blocks": e.blocks,
-                    "hypothesis": e.hypothesis,
-                    "conclusion": e.conclusion,
-                    "verdict": e.verdict,
-                }
-                for e in laws.entries
+                {"law": law, "blocks": names, "hypothesis": h, "conclusion": c, "verdict": v}
+                for law, names, h, c, v in zip(
+                    laws.laws, laws.blocks, laws.hypotheses, laws.conclusions, laws.verdicts
+                )
             ],
         },
     }

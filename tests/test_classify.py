@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from birough import (
@@ -12,6 +12,7 @@ from birough import (
     Classification,
     ClassificationError,
     FamilyApprox,
+    LawInstance,
     SideMismatchError,
     Side,
     Subset,
@@ -23,6 +24,7 @@ from birough import (
     derived_laws_report,
     duality_report,
     family_law_report,
+    lower_approximation,
     measure_law_report,
     proper_index_subsets,
     support_duality_check,
@@ -165,6 +167,68 @@ class TestFamilyApprox:
         )
         with pytest.raises(SideMismatchError):
             approximate_family(sample, cls)
+
+
+@st.composite
+def partitioned_relations(draw):
+    """(relation, blocks): V cut into one-column blocks, into one block of
+    all columns but one beside a one-column block, or into a seeded
+    partition; |V| up to 70, past a machine word.  Each row is empty, a
+    subset of one block (which it lies within), or a few columns or all but
+    a few (which mostly lie within none); or the relation is tall, |U| across
+    SHIFT_WIDTH with repeated rows."""
+    if draw(st.booleans()):
+        rel = draw(relations(max_v=6, u_sizes=WIDE_U_SIZES))
+        v = rel.v_size
+        assume(v >= 2)
+    else:
+        v = draw(st.sampled_from([2, 3, 5, 8, 65, 70]))
+        rel = None
+    shape = draw(st.sampled_from(["columns", "all-but-one", "seeded"]))
+    if shape == "columns" or v == 2:
+        blocks = [{j} for j in range(v)]
+    elif shape == "all-but-one":
+        alone = draw(st.integers(0, v - 1))
+        blocks = [set(range(v)) - {alone}, {alone}]
+    else:
+        blocks = seeded_partition(v, draw(st.integers(2, v)), draw(st.integers(0, 2**32)))
+    if rel is None:
+        rows = []
+        for _ in range(draw(st.integers(1, 8))):
+            kind = draw(st.sampled_from(["empty", "within", "few", "all-but-few"]))
+            if kind == "within":
+                block = sorted(draw(st.sampled_from(blocks)))
+                columns = draw(st.sets(st.sampled_from(block), min_size=1))
+            elif kind == "empty":
+                columns = set()
+            else:
+                columns = draw(st.sets(st.integers(0, v - 1), min_size=1, max_size=3))
+                if kind == "all-but-few":
+                    columns = set(range(v)) - columns
+            rows.append(sum(1 << j for j in columns))
+        rel = BinaryRelation(canonical_universes(len(rows), v), tuple(rows))
+    return rel, blocks
+
+
+class TestOnePassLowers:
+    """approximate_family's lowers, from one pass over the rows, against the
+    per-block set form and the naive sets."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(partitioned_relations())
+    # An empty row, and rows whose lowest column is in a block they do not
+    # lie within.
+    @example((BinaryRelation(canonical_universes(3, 3), (0b000, 0b011, 0b101)), [{0}, {1}, {2}]))
+    @example((BinaryRelation(canonical_universes(2, 70), (0, 1 | 1 << 69)), [set(range(69)), {69}]))
+    def test_lowers_match_per_block_and_naive(self, family):
+        rel, blocks = family
+        cls = validate_classification(
+            [(f"B{i}", rel.universes.v_subset(block)) for i, block in enumerate(blocks)]
+        )
+        fa = approximate_family(rel, cls)
+        assert fa.lowers == tuple(lower_approximation(rel, block) for block in cls.blocks)
+        matrix = matrix_of(rel)
+        assert [set(lo.indices()) for lo in fa.lowers] == [naive_lower(matrix, b) for b in blocks]
 
 
 class TestMeasures:
@@ -531,6 +595,74 @@ class TestFamilyLawOracle:
             ), entry
         if fault is None:
             assert report.ok
+
+
+class TestColumnReport:
+    """A TheoremReport's answers, read off its columns, against the ones
+    rebuilt from its LawInstance records."""
+
+    @staticmethod
+    def check(report):
+        columns = (report.laws, report.blocks, report.hypotheses, report.conclusions, report.verdicts)
+        entries = tuple(LawInstance(*row) for row in zip(*columns))
+        assert report.entries == entries
+        assert all(type(e) is LawInstance for e in report.entries)
+        assert report.ok == all(e.verdict != VIOLATED for e in entries)
+        tally = {HOLDS: 0, VIOLATED: 0, VACUOUS: 0}
+        for e in entries:
+            tally[e.verdict] += 1
+        assert list(report.tally().items()) == list(tally.items())
+        assert report.violations() == tuple(e for e in entries if e.verdict == VIOLATED)
+        for law in {*report.laws, "no-such-law", None}:
+            assert report.by_law(law) == tuple(e for e in entries if e.law == law)
+
+    def check_family(self, fa):
+        family, measures = family_law_report(fa), measure_law_report(fa)
+        for report in (family, measures, family + measures):
+            self.check(report)
+        assert (family + measures).entries == family.entries + measures.entries
+        return family, measures
+
+    @settings(max_examples=40, deadline=None)
+    @given(relations(max_u=5, max_v=6), st.integers(2, 4), st.integers(0, 2**32))
+    def test_family_and_measure_reports(self, rel, k, seed):
+        assume(rel.v_size >= 2)
+        blocks = seeded_partition(rel.v_size, min(k, rel.v_size), seed)
+        cls = validate_classification(
+            [(f"B{i}", rel.universes.v_subset(block)) for i, block in enumerate(blocks)]
+        )
+        family, _ = self.check_family(approximate_family(rel, cls))
+        assert family.ok
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        wide_families([3, 7, 13]).flatmap(lambda family: st.tuples(st.just(family), faults(family))),
+        st.integers(0, 2**32),
+    )
+    def test_faulted_reports(self, faulted, seed):
+        # A wrong lower or upper in one block violates some family laws, and
+        # can make the measures contradict each other.
+        (rel, k), (b, side, flip) = faulted
+        blocks = seeded_partition(rel.v_size, k, seed)
+        cls = validate_classification(
+            [(f"B{i}", rel.universes.v_subset(block)) for i, block in enumerate(blocks)]
+        )
+        fa = approximate_family(rel, cls)
+        sets = {"lower": list(fa.lowers), "upper": list(fa.uppers)}
+        sets[side][b] = Subset(rel.universes, Side.U, sets[side][b].bits ^ flip)
+        self.check_family(FamilyApprox(rel, cls, tuple(sets["lower"]), tuple(sets["upper"])))
+
+    def test_violated_reports(self):
+        # Both kinds of report with violations: with the uppers given as the
+        # lowers, the family reads as definable on a relation that is not
+        # serial, and block B's lower reads empty where the laws say not.
+        rel = BinaryRelation(canonical_universes(2, 2), (0b01, 0b00))
+        cls = validate_classification(
+            [("A", rel.universes.v_subset([0])), ("B", rel.universes.v_subset([1]))]
+        )
+        fa = approximate_family(rel, cls)
+        family, measures = self.check_family(FamilyApprox(rel, cls, fa.uppers, fa.uppers))
+        assert family.violations() and measures.violations()
 
 
 class TestMeasureLaws:

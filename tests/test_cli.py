@@ -767,9 +767,7 @@ class TestReportMemory:
             rel = parse.parse_relation_file(path.read_text())
             named = parse.parse_classification_file(classes.read_text(), rel.universes)
             fa = classify.approximate_family(rel, classify.validate_classification(named))
-            laws = classify.TheoremReport(
-                classify.family_law_report(fa).entries + classify.measure_law_report(fa).entries
-            )
+            laws = classify.family_law_report(fa) + classify.measure_law_report(fa)
             return formats.build_classify_report(rel, str(path), fa, laws)
 
         peaks = []
@@ -794,3 +792,41 @@ class TestReportMemory:
         assert size > 5_000_000
         assert held - base < report_size + 300_000
         assert peak - base < report_size + 1_000_000
+
+
+def test_classify_json_builds_no_law_instance_and_no_block_lower(capsys, monkeypatch, tmp_path):
+    # The report's entries come straight from the law report's columns, and
+    # the blocks' lowers from one pass over the rows.
+    from birough import approx, classify
+
+    classes = tmp_path / "five.classes"
+    classes.write_text("A: y1\nB: y2 y3\nC: y4\nD: y5\nE: y6\n")
+    counts = {"LawInstance": 0, "lower_approximation": 0}
+    init = classify.LawInstance.__init__
+
+    def counted_init(self, *args):
+        counts["LawInstance"] += 1
+        init(self, *args)
+
+    def counted(module):
+        lower = module.lower_approximation
+
+        def lower_approximation(*args):
+            counts["lower_approximation"] += 1
+            return lower(*args)
+
+        monkeypatch.setattr(module, "lower_approximation", lower_approximation)
+
+    monkeypatch.setattr(classify.LawInstance, "__init__", counted_init)
+    counted(classify)
+    counted(approx)
+    code, out, err = run_cli(capsys, "classify", SAMPLE, "--classes", str(classes), "--format", "json")
+    assert code == 0 and err == ""
+    body = json.loads(out)
+    assert len(body["blocks"]) == 5 and len(body["laws"]["entries"]) > 100
+    assert counts == {"LawInstance": 0, "lower_approximation": 0}
+    # The counters see a call when one is made.
+    up = relation.UniversePair(("x",), ("y",))
+    classify.lower_approximation(relation.BinaryRelation(up, (1,)), up.v_subset(["y"]))
+    classify.LawInstance("law", (), True, True, "holds")
+    assert counts == {"LawInstance": 1, "lower_approximation": 1}

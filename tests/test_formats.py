@@ -31,7 +31,6 @@ from birough.formats import build_approx_report, build_classify_report, build_ne
 from birough.parse import parse_tables_json
 from birough.approx import approximate, RoughType
 from birough.classify import (
-    TheoremReport,
     approximate_family,
     family_law_report,
     measure_law_report,
@@ -469,7 +468,7 @@ class TestJsonWriter:
         rel = BinaryRelation(canonical_universes(n, n), rows)
         named = [(f"B{j}", rel.universes.v_subset([j])) for j in range(n)]
         fa = approximate_family(rel, validate_classification(named))
-        laws = TheoremReport(family_law_report(fa).entries + measure_law_report(fa).entries)
+        laws = family_law_report(fa) + measure_law_report(fa)
         report = build_classify_report(rel, "many.rel", fa, laws)
         tracemalloc.start()
         try:
@@ -561,7 +560,7 @@ class TestJsonWriter:
         rel = BinaryRelation(canonical_universes(n, n), rows)
         named = [(f"B{j}", rel.universes.v_subset([j])) for j in range(n)]
         fa = approximate_family(rel, validate_classification(named))
-        laws = TheoremReport(family_law_report(fa).entries + measure_law_report(fa).entries)
+        laws = family_law_report(fa) + measure_law_report(fa)
         report = build_classify_report(rel, "many.rel", fa, laws)
         size = 0
         tracemalloc.start()
@@ -689,7 +688,7 @@ class TestClassifyReport:
         rel = BinaryRelation(canonical_universes(20, n), tuple(rng.getrandbits(n) for _ in range(20)))
         named = [(f"B{j}", rel.universes.v_subset([j])) for j in range(n)]
         fa = approximate_family(rel, validate_classification(named))
-        laws = TheoremReport(family_law_report(fa).entries + measure_law_report(fa).entries)
+        laws = family_law_report(fa) + measure_law_report(fa)
         entries = build_classify_report(rel, "wide.rel", fa, laws).body["laws"]["entries"]
         objects: dict[tuple[str, ...], set[int]] = {}
         for entry in entries:

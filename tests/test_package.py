@@ -6,6 +6,7 @@ import ast
 import contextlib
 import importlib
 import io
+import json
 import pkgutil
 import re
 import subprocess
@@ -242,6 +243,63 @@ def test_each_subcommand_loads_only_its_modules(name):
     # and the lane tables pack through struct, int.to_bytes and memoryview,
     # not array.
     assert not loaded & {"dataclasses", "inspect", "array"}
+
+
+def _modules_at_read_and_work(argv: list[str]) -> tuple[set[str], set[str]]:
+    """The birough submodules loaded when ``main(argv)`` first reads an input
+    file, and when it first calls an approximation kernel or transposes a
+    relation, in a new interpreter."""
+    run = (
+        "import json, sys\n"
+        "from birough import approx, cli, relation\n"
+        "seen = {}\n"
+        "def record(stage, fn):\n"
+        "    def recorded(*args):\n"
+        "        seen.setdefault(stage, [m for m in sys.modules if m.startswith('birough.')])\n"
+        "        return fn(*args)\n"
+        "    return recorded\n"
+        "cli._read_text = record('read', cli._read_text)\n"
+        "for name in ('lower_bits', 'upper_bits', 'lower_table', 'upper_table', 'type_code'):\n"
+        "    setattr(approx, name, record('work', getattr(approx, name)))\n"
+        "relation.transpose = record('work', relation.transpose)\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "sys.stdout.flush()\n"
+        "print(json.dumps(seen), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", run, *argv], capture_output=True, cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stderr)
+    return set(seen["read"]), set(seen["work"])
+
+
+# The goldens whose command reads an input file.
+READING_CASES = sorted(
+    name
+    for name, argv in GOLDEN_CASES.items()
+    if argv[0] not in ("witness", "gen") and not {"--samples", "--exhaustive"} & set(argv)
+)
+
+
+@pytest.mark.parametrize("name", READING_CASES)
+def test_each_command_compiles_its_modules_between_reading_and_work(name):
+    # A module compiled before the input is read adds its compile's memory
+    # to the reading's, and one compiled after the work starts adds it to the
+    # work's data; in between, the input's text is gone and the results are
+    # not built yet, which gave the lowest peak RSS on the benchmark's inputs.
+    argv = GOLDEN_CASES[name]
+    at_read, at_work = _modules_at_read_and_work(argv)
+    assert at_read == {f"birough.{m}" for m in ("relation", "approx", "cli", "parse")}
+    assert at_work == _expected_modules(argv)
+
+
+def test_tables_file_is_read_before_the_tables_modules_load(tmp_path):
+    path = tmp_path / "tables.json"
+    path.write_text('{"union": %s}' % ([[[1, 2, 3, 4]] * 4] * 4), encoding="utf-8")
+    argv = ["tables", "--op", "union", "--max-u", "2", "--max-v", "2", "--tables-file", str(path)]
+    at_read, at_work = _modules_at_read_and_work(argv)
+    assert at_read == {f"birough.{m}" for m in ("relation", "approx", "cli", "parse")}
+    assert at_work == _expected_modules(argv)
 
 
 @pytest.mark.parametrize("tables_file", [False, True], ids=["sweep", "tables-file"])

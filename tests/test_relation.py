@@ -653,7 +653,11 @@ RECORD_CASES = [
         ),
         (Quality, dict(v_normalized=Fraction(1, 3), u_normalized=Fraction(1, 2)), None),
         (LawInstance, dict(law="law", blocks=("Y1",), hypothesis=True, conclusion=False, verdict="violated"), None),
-        (TheoremReport, dict(entries=(LawInstance("law", (), True, True, "holds"),)), None),
+        (
+            TheoremReport,
+            dict(laws=("law",), blocks=((),), hypotheses=(True,), conclusions=(True,), verdicts=("holds",)),
+            None,
+        ),
         # A dict field makes these two unhashable, as the dataclasses were.
         (AnalysisReport, dict(command="approx", body={"a": 1}), None),
         (
